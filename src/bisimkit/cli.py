@@ -95,16 +95,15 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
 
 def _cmd_nlmp_bisim(args: argparse.Namespace) -> int:
     nlmp = parse_nlmp(read_json_file(args.file))
-    if args.other is None:
-        other = nlmp
-        rel = greatest_state_bisim(nlmp)
-    else:
-        other = parse_nlmp(read_json_file(args.other))
-        rel = greatest_ext_bisim(nlmp, other)
+    other = nlmp if args.other is None else parse_nlmp(read_json_file(args.other))
     if args.state not in nlmp.states:
         raise ValueError(f"unknown state {args.state!r}")
     if args.state_prime not in other.states:
         raise ValueError(f"unknown state {args.state_prime!r}")
+    if args.other is None:
+        rel = greatest_state_bisim(nlmp)
+    else:
+        rel = greatest_ext_bisim(nlmp, other)
     good = (args.state, args.state_prime) in rel
     report = {"verb": "nlmp-bisim", "bisimilar": good}
     if args.witness:

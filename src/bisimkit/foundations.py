@@ -52,9 +52,6 @@ class Ordinal:
             raise ValueError(f"{self} is not a natural number")
         return self.terms[0][1] if self.terms else 0
 
-    def _key(self) -> tuple:
-        return self.terms
-
     def __lt__(self, other: Ordinal) -> bool:
         return self.terms < other.terms
 

@@ -1,17 +1,17 @@
 """Finite pointed labelled transition systems.
 
-Zig/zag bisimulation as a greatest fixpoint, depth-bounded approximants,
-modal formula evaluation, ordinal state ranks, and the encoding of
-finitely supported systems as numeric codes.
+Zig/zag bisimulation and its depth-bounded approximants by partition
+refinement (the kernel ``nlmp`` shares), modal formula evaluation,
+ordinal state ranks, and numeric codes of finitely supported systems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .foundations import EPSet, ORD_ZERO, Ordinal, ordinal_sup
+from .foundations import EPSet, Ordinal, ordinal_sup
 
 StateId = str
 Rel = frozenset  # of (StateId, StateId) pairs
@@ -231,19 +231,67 @@ def is_bisimulation(left: PointedLTS, right: PointedLTS, rel: Iterable) -> bool:
     return all(_pair_matches(left, right, s, t, rel, labels) for s, t in rel)
 
 
+def refine_blocks(
+    systems: Sequence, labels: Sequence[str], moves: Callable, rounds: int | None = None
+) -> list[list[tuple[int, StateId]]]:
+    """Signature refinement of the disjoint union of ``systems``.
+
+    ``moves(system, state, label)`` lists a state's moves as sequences of
+    (target, mass) pairs. From one block, each round splits blocks by
+    signature: the block and, per label, the set of the moves' block-mass
+    vectors. Stops at the coarsest stable partition, within one round per
+    state, or after ``rounds`` rounds; returns its blocks as lists of
+    (system index, state).
+    """
+    nodes = [(i, s) for i, system in enumerate(systems) for s in system.states]
+    table = [[moves(systems[i], s, a) for a in labels] for i, s in nodes]
+    block, n_blocks = dict.fromkeys(nodes, 0), 1
+    for _ in range(len(nodes) if rounds is None else rounds):
+        ids: dict = {}
+        new = {
+            node: ids.setdefault((block[node], _vectors(node[0], row, block)), len(ids))
+            for node, row in zip(nodes, table)
+        }
+        if len(ids) == n_blocks:
+            break
+        block, n_blocks = new, len(ids)
+    groups: dict[int, list] = {}
+    for node, b in block.items():
+        groups.setdefault(b, []).append(node)
+    return list(groups.values())
+
+
+def _vectors(i: int, row: list, block: dict) -> tuple:
+    """Per label, the block-mass vectors of a system-``i`` state's moves."""
+    signature = []
+    for label_moves in row:
+        vectors = set()
+        for move in label_moves:
+            vector: dict = {}
+            for t, mass in move:
+                vector[block[i, t]] = vector.get(block[i, t], 0) + mass
+            vectors.add(frozenset(vector.items()))
+        signature.append(frozenset(vectors))
+    return tuple(signature)
+
+
+def crossing_pairs(blocks: list) -> Rel:
+    """Pairs (s, t) of a first- and a second-system state sharing a block."""
+    pairs: set = set()
+    for block in blocks:
+        right = [t for i, t in block if i == 1]
+        pairs.update((s, t) for i, s in block if i == 0 for t in right)
+    return frozenset(pairs)
+
+
+def _edge_moves(lts: PointedLTS, state: StateId, label: str) -> list:
+    return [((t, 1),) for t in lts.successors(state, label)]
+
+
 def greatest_bisim(left: PointedLTS, right: PointedLTS) -> Rel:
-    """Largest zig/zag relation, as the decreasing fixpoint from the total one."""
+    """Largest zig/zag relation: the crossing pairs of the refined union."""
     labels = _label_universe(left, right)
-    rel = {(s, t) for s in left.states for t in right.states}
-    changed = True
-    while changed:
-        changed = False
-        for s in left.states:
-            for t in right.states:
-                if (s, t) in rel and not _pair_matches(left, right, s, t, rel, labels):
-                    rel.remove((s, t))
-                    changed = True
-    return frozenset(rel)
+    return crossing_pairs(refine_blocks((left, right), labels, _edge_moves))
 
 
 def bisimilar(left: PointedLTS, right: PointedLTS) -> bool:
@@ -251,31 +299,15 @@ def bisimilar(left: PointedLTS, right: PointedLTS) -> bool:
 
 
 def bisim_partition(lts: PointedLTS) -> tuple[tuple[StateId, ...], ...]:
-    """Blocks of the greatest self-bisimulation, each sorted by state order."""
-    rel = greatest_bisim(lts, lts)
-    pos = {s: i for i, s in enumerate(lts.states)}
-    blocks: list[list[StateId]] = []
-    for s in lts.states:
-        for block in blocks:
-            if (s, block[0]) in rel:
-                block.append(s)
-                break
-        else:
-            blocks.append([s])
-    return tuple(tuple(block) for block in blocks)
+    """Blocks of the refined system, each sorted by state order."""
+    blocks = refine_blocks((lts,), lts.labels, _edge_moves)
+    return tuple(tuple(s for _, s in block) for block in blocks)
 
 
 def bounded_bisim(left: PointedLTS, right: PointedLTS, depth: int) -> Rel:
-    """Depth-d approximant: refine the total relation d times."""
+    """Depth-d approximant: the crossing pairs after d refinement rounds."""
     labels = _label_universe(left, right)
-    rel = {(s, t) for s in left.states for t in right.states}
-    for _ in range(depth):
-        rel = {
-            (s, t)
-            for s, t in rel
-            if _pair_matches(left, right, s, t, rel, labels)
-        }
-    return frozenset(rel)
+    return crossing_pairs(refine_blocks((left, right), labels, _edge_moves, depth))
 
 
 def eval_formula(lts: PointedLTS, state: StateId, phi: Formula) -> bool:

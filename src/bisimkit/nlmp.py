@@ -4,7 +4,7 @@ Transitions assign each state and label a finite set of finitely
 supported subprobability measures with exact rational weights. The
 module provides the three measure liftings of a relation (internal,
 external, support-based), the bisimulation notions built on them, and
-greatest-fixpoint computations for the relational ones.
+the greatest relational ones by the partition refinement of ``lts``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Mapping
 
-from .lts import Rel, StateId
+from .lts import Rel, StateId, crossing_pairs, refine_blocks
 
 
 @dataclass(frozen=True)
@@ -291,23 +291,14 @@ def is_state_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
     return all(_zig(nlmp, nlmp, s, t, lift) for s, t in rel)
 
 
+def _measure_moves(nlmp: PointmassNLMP, state: StateId, label: str) -> list:
+    return [mu.weights for mu in nlmp.measures(state, label)]
+
+
 def greatest_state_bisim(nlmp: PointmassNLMP) -> Rel:
-    """Largest symmetric relation matching transitions internally."""
-    rel = {(s, t) for s in nlmp.states for t in nlmp.states}
-    while True:
-        atoms = closed_atoms(frozenset(rel), nlmp.states)
-
-        def lift(mu: SubProbMeasure, nu: SubProbMeasure) -> bool:
-            return all(mu.mass(atom) == nu.mass(atom) for atom in atoms)
-
-        bad = {
-            (s, t)
-            for s, t in rel
-            if not _zig(nlmp, nlmp, s, t, lift)
-        }
-        if not bad:
-            return frozenset(rel)
-        rel -= bad | {(t, s) for s, t in bad}
+    """Largest internally matching relation: the pairs inside refined blocks."""
+    blocks = refine_blocks((nlmp,), nlmp.labels, _measure_moves)
+    return frozenset((s, t) for block in blocks for _, s in block for _, t in block)
 
 
 def is_ext_state_bisim(
@@ -322,9 +313,6 @@ def is_ext_state_bisim(
     def lift(mu: SubProbMeasure, nu: SubProbMeasure) -> bool:
         return all(mu.mass(q) == nu.mass(qp) for q, qp in components)
 
-    def colift(nu: SubProbMeasure, mu: SubProbMeasure) -> bool:
-        return lift(mu, nu)
-
     labels = tuple(dict.fromkeys(left.labels + right.labels))
     for s, t in rel:
         for a in labels:
@@ -338,30 +326,12 @@ def is_ext_state_bisim(
 
 
 def greatest_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> Rel:
-    """Largest relation between two processes matching transitions externally."""
+    """Largest relation between two processes matching transitions externally.
+
+    Being difunctional, it is the crossing pairs of the refined union.
+    """
     labels = tuple(dict.fromkeys(left.labels + right.labels))
-    rel = {(s, t) for s in left.states for t in right.states}
-    while True:
-        components = external_atoms(frozenset(rel), left.states, right.states)
-
-        def lift(mu: SubProbMeasure, nu: SubProbMeasure) -> bool:
-            return all(mu.mass(q) == nu.mass(qp) for q, qp in components)
-
-        bad = set()
-        for s, t in rel:
-            for a in labels:
-                if not all(
-                    any(lift(mu, nu) for nu in right.measures(t, a))
-                    for mu in left.measures(s, a)
-                ) or not all(
-                    any(lift(mu, nu) for mu in left.measures(s, a))
-                    for nu in right.measures(t, a)
-                ):
-                    bad.add((s, t))
-                    break
-        if not bad:
-            return frozenset(rel)
-        rel -= bad
+    return crossing_pairs(refine_blocks((left, right), labels, _measure_moves))
 
 
 def atom_mass_vector(mu: SubProbMeasure, atoms: tuple) -> tuple:

@@ -201,6 +201,19 @@ class TestNLMPVerbs:
         assert proc.returncode == 0
         assert run_cli("nlmp-bisim", left, "u", "v", "--other", right).returncode == 1
 
+    def test_unknown_state_exits_two(self, tmp_path):
+        path = write(tmp_path, "proc.json", self.nlmp())
+        for argv in (
+            (path, "x", "t"),
+            (path, "s", "x"),
+            (path, "x", "t", "--other", path),
+            (path, "s", "x", "--other", path),
+        ):
+            proc = run_cli("nlmp-bisim", *argv)
+            assert proc.returncode == 2, argv
+            assert proc.stdout == ""
+            assert "unknown state 'x'" in proc.stderr
+
     def test_substructure_restricts_to_reachable(self, tmp_path):
         path = write(tmp_path, "proc.json", self.nlmp())
         proc = run_cli("substructure", path, "--state", "t")

@@ -1,0 +1,284 @@
+"""Partition refinement against the pairwise fixpoints it replaced.
+
+The exhaustive unions in test_lts and test_nlmp enumerate every relation,
+so they stop at three states. The oracles here are the decreasing pairwise
+fixpoints from the total relation, written out independently of the
+refinement kernel, and they reach the 5-8 state systems below. Most
+systems are blown up from a smaller base, so that bisimilar states are
+common, and some then get one extra transition.
+"""
+
+import random
+from fractions import Fraction
+
+from bisimkit.gen import random_lts, random_nlmp
+from bisimkit.lts import (
+    PointedLTS,
+    bisim_partition,
+    bounded_bisim,
+    greatest_bisim,
+)
+from bisimkit.nlmp import (
+    PointmassNLMP,
+    SubProbMeasure,
+    closed_atoms,
+    external_atoms,
+    greatest_ext_bisim,
+    greatest_state_bisim,
+)
+from bisimkit.substructures import project_rel, sum_nlmp
+
+F = Fraction
+
+
+# --- oracles: the pairwise fixpoints -------------------------------------
+
+
+def _labels(left, right) -> tuple:
+    return tuple(dict.fromkeys(left.labels + right.labels))
+
+
+def _pair_matches(left, right, s, t, rel, labels) -> bool:
+    for a in labels:
+        for s1 in left.successors(s, a):
+            if not any((s1, t1) in rel for t1 in right.successors(t, a)):
+                return False
+        for t1 in right.successors(t, a):
+            if not any((s1, t1) in rel for s1 in left.successors(s, a)):
+                return False
+    return True
+
+
+def fixpoint_bisim(left: PointedLTS, right: PointedLTS) -> frozenset:
+    """Remove failing pairs from the total relation until none fails."""
+    labels = _labels(left, right)
+    rel = {(s, t) for s in left.states for t in right.states}
+    changed = True
+    while changed:
+        changed = False
+        for s in left.states:
+            for t in right.states:
+                if (s, t) in rel and not _pair_matches(left, right, s, t, rel, labels):
+                    rel.remove((s, t))
+                    changed = True
+    return frozenset(rel)
+
+
+def fixpoint_bounded(left: PointedLTS, right: PointedLTS, depth: int) -> frozenset:
+    """Refine the total relation ``depth`` times, all pairs at once."""
+    labels = _labels(left, right)
+    rel = {(s, t) for s in left.states for t in right.states}
+    for _ in range(depth):
+        rel = {
+            (s, t) for s, t in rel if _pair_matches(left, right, s, t, rel, labels)
+        }
+    return frozenset(rel)
+
+
+def fixpoint_partition(lts: PointedLTS) -> tuple:
+    """Group states by the greatest self-bisimulation, in state order."""
+    rel = fixpoint_bisim(lts, lts)
+    blocks: list[list] = []
+    for s in lts.states:
+        for block in blocks:
+            if (s, block[0]) in rel:
+                block.append(s)
+                break
+        else:
+            blocks.append([s])
+    return tuple(tuple(block) for block in blocks)
+
+
+def _matched(left, right, s, t, labels, lift) -> bool:
+    """Every measure on either side has a lifted partner on the other."""
+    for a in labels:
+        mus, nus = left.measures(s, a), right.measures(t, a)
+        if not all(any(lift(mu, nu) for nu in nus) for mu in mus):
+            return False
+        if not all(any(lift(mu, nu) for mu in mus) for nu in nus):
+            return False
+    return True
+
+
+def fixpoint_state_bisim(nlmp: PointmassNLMP) -> frozenset:
+    """Drop pairs failing the internal lifting of the current relation."""
+    rel = {(s, t) for s in nlmp.states for t in nlmp.states}
+    while True:
+        atoms = closed_atoms(frozenset(rel), nlmp.states)
+
+        def lift(mu, nu):
+            return all(mu.mass(atom) == nu.mass(atom) for atom in atoms)
+
+        bad = {
+            (s, t)
+            for s, t in rel
+            if not _matched(nlmp, nlmp, s, t, nlmp.labels, lift)
+        }
+        if not bad:
+            return frozenset(rel)
+        rel -= bad
+
+
+def fixpoint_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> frozenset:
+    """Drop pairs failing the external lifting of the current relation."""
+    labels = _labels(left, right)
+    rel = {(s, t) for s in left.states for t in right.states}
+    while True:
+        components = external_atoms(frozenset(rel), left.states, right.states)
+
+        def lift(mu, nu):
+            return all(mu.mass(q) == nu.mass(qp) for q, qp in components)
+
+        bad = {
+            (s, t) for s, t in rel if not _matched(left, right, s, t, labels, lift)
+        }
+        if not bad:
+            return frozenset(rel)
+        rel -= bad
+
+
+# --- generators: 5-8 states with many bisimilar ones ---------------------
+
+
+def _copies(rng: random.Random, base_states: tuple, prefix: str) -> tuple:
+    """Give each base state one or more copies, 5-8 copies in all."""
+    total = rng.randint(5, 8)
+    owners = list(base_states) + [
+        rng.choice(base_states) for _ in range(total - len(base_states))
+    ]
+    rng.shuffle(owners)
+    copies: dict = {b: [] for b in base_states}
+    for k, owner in enumerate(owners):
+        copies[owner].append(f"{prefix}{k}")
+    return tuple(f"{prefix}{k}" for k in range(total)), copies
+
+
+def blown_up_lts(
+    rng: random.Random, base: PointedLTS, prefix: str, labels: tuple, extra: bool
+) -> PointedLTS:
+    """Every copy of s reaches some copies of each base successor of s."""
+    states, copies = _copies(rng, base.states, prefix)
+    edges = set()
+    for src, a, dst in base.edges:
+        for c in copies[src]:
+            for t in rng.sample(copies[dst], rng.randint(1, len(copies[dst]))):
+                edges.add((c, a, t))
+    if extra:
+        edges.add((rng.choice(states), rng.choice(labels), rng.choice(states)))
+    return PointedLTS(labels, states, copies[base.root][0], frozenset(edges))
+
+
+def lts_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.25:
+            yield (
+                random_lts(rng, max_states=8, edge_chance=0.2),
+                random_lts(rng, max_states=8, edge_chance=0.2),
+            )
+            continue
+        base = random_lts(rng, max_states=4, edge_chance=0.35)
+        right_labels = base.labels + (("z",) if rng.random() < 0.3 else ())
+        yield (
+            blown_up_lts(rng, base, "p", base.labels, rng.random() < 0.3),
+            blown_up_lts(rng, base, "q", right_labels, rng.random() < 0.3),
+        )
+
+
+def _split(rng: random.Random, mu: SubProbMeasure, copies: dict) -> SubProbMeasure:
+    """Spread each target's mass over some of its copies."""
+    spread: dict = {}
+    for s, mass in mu.weights:
+        chosen = rng.sample(copies[s], rng.randint(1, len(copies[s])))
+        cuts = [rng.randint(1, 3) for _ in chosen]
+        for c, cut in zip(chosen, cuts):
+            spread[c] = mass * F(cut, sum(cuts))
+    return SubProbMeasure.from_mapping(spread)
+
+
+def blown_up_nlmp(
+    rng: random.Random, base: PointmassNLMP, prefix: str, labels: tuple, extra: bool
+) -> PointmassNLMP:
+    """Every copy of s carries a spread of each measure of s."""
+    states, copies = _copies(rng, base.states, prefix)
+    trans = {}
+    for (s, a), measures in base.trans.items():
+        for c in copies[s]:
+            trans[c, a] = frozenset(_split(rng, mu, copies) for mu in measures)
+    if extra:
+        key = (rng.choice(states), rng.choice(labels))
+        target = rng.choice(states)
+        trans[key] = trans.get(key, frozenset()) | {
+            SubProbMeasure.from_mapping({target: F(1, rng.randint(1, 3))})
+        }
+    return PointmassNLMP(labels, states, trans)
+
+
+def nlmp_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.25:
+            yield random_nlmp(rng, max_states=8), random_nlmp(rng, max_states=8)
+            continue
+        base = random_nlmp(rng, max_states=4, max_support=2)
+        right_labels = base.labels + (("z",) if rng.random() < 0.3 else ())
+        yield (
+            blown_up_nlmp(rng, base, "p", base.labels, rng.random() < 0.3),
+            blown_up_nlmp(rng, base, "q", right_labels, rng.random() < 0.3),
+        )
+
+
+# --- tests ---------------------------------------------------------------
+
+
+class TestLTSRefinement:
+    def test_greatest_bisim_matches_fixpoint(self):
+        nontrivial = 0
+        for left, right in lts_pairs(101, 80):
+            expected = fixpoint_bisim(left, right)
+            assert greatest_bisim(left, right) == expected
+            assert greatest_bisim(left, left) == fixpoint_bisim(left, left)
+            nontrivial += 0 < len(expected) < len(left.states) * len(right.states)
+        assert nontrivial >= 20
+
+    def test_partition_matches_fixpoint(self):
+        merged = 0
+        for left, right in lts_pairs(102, 80):
+            for lts in (left, right):
+                blocks = bisim_partition(lts)
+                assert blocks == fixpoint_partition(lts)
+                merged += len(blocks) < len(lts.states)
+        assert merged >= 70
+
+    def test_bounded_bisim_matches_fixpoint_at_every_depth(self):
+        for left, right in lts_pairs(103, 40):
+            n = len(left.states) + len(right.states)
+            for depth in range(n + 2):
+                assert bounded_bisim(left, right, depth) == fixpoint_bounded(
+                    left, right, depth
+                )
+
+
+class TestNLMPRefinement:
+    def test_state_bisim_matches_fixpoint(self):
+        merged = 0
+        for left, right in nlmp_pairs(201, 60):
+            for nlmp in (left, right):
+                rel = greatest_state_bisim(nlmp)
+                assert rel == fixpoint_state_bisim(nlmp)
+                merged += len(rel) > len(nlmp.states)
+        assert merged >= 40
+
+    def test_ext_bisim_matches_fixpoint(self):
+        nontrivial = 0
+        for left, right in nlmp_pairs(202, 60):
+            expected = fixpoint_ext_bisim(left, right)
+            assert greatest_ext_bisim(left, right) == expected
+            nontrivial += 0 < len(expected) < len(left.states) * len(right.states)
+        assert nontrivial >= 15
+
+    def test_ext_bisim_is_the_crossing_part_of_the_sum(self):
+        for left, right in nlmp_pairs(203, 60):
+            assert greatest_ext_bisim(left, right) == project_rel(
+                greatest_state_bisim(sum_nlmp(left, right))
+            )
