@@ -39,7 +39,7 @@ from .jsonio import (
 from .lts import PointedLTS, eval_formula, greatest_bisim, state_rank
 from .nlmp import greatest_ext_bisim, greatest_state_bisim
 from .substructures import reachable_carrier, substructure
-from .treeiso import canon
+from .treeiso import canon, iso
 from .trees import ExplicitTree, symbolic_rank, truncate_symbolic
 from .uniform import composition_enum, derive_uniform, tree_process
 from .verify import SUITES, render_report, run_suites
@@ -153,12 +153,11 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _cmd_iso(args: argparse.Namespace) -> int:
     left = parse_multitree(read_json_file(args.left))
     right = parse_multitree(read_json_file(args.right))
-    left_form, right_form = canon(left), canon(right)
-    good = left_form == right_form
+    good = iso(left, right)
     report = {"verb": "iso", "isomorphic": good}
     if args.witness:
-        report["left"] = left_form
-        report["right"] = right_form
+        report["left"] = canon(left)
+        report["right"] = canon(right)
     _emit(args, report, "isomorphic" if good else "not isomorphic")
     return EXIT_OK if good else EXIT_FAIL
 
@@ -426,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return EXIT_INPUT
 
 

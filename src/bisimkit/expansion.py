@@ -22,22 +22,7 @@ def omega_expand(lts: PointedLTS, state: StateId) -> MultiTree:
         raise ValueError(
             f"state {state!r} can reach a cycle; its full expansion is infinite"
         )
-    memo: dict[StateId, MultiTree] = {}
-
-    def go(s: StateId) -> MultiTree:
-        if s not in memo:
-            entries = []
-            for label in lts.labels:
-                distinct: list[MultiTree] = []
-                for t in lts.successors(s, label):
-                    sub = go(t)
-                    if sub not in distinct:
-                        distinct.append(sub)
-                entries.extend((label, sub, OMEGA_COUNT) for sub in distinct)
-            memo[s] = MultiTree(tuple(entries))
-        return memo[s]
-
-    return go(state)
+    return _expand(lts, state, None)
 
 
 def omega_expand_truncated(lts: PointedLTS, state: StateId, depth: int) -> MultiTree:
@@ -46,25 +31,45 @@ def omega_expand_truncated(lts: PointedLTS, state: StateId, depth: int) -> Multi
         raise ValueError(f"unknown state {state!r}")
     if depth < 0:
         raise ValueError("depth must be a natural")
-    memo: dict[tuple[StateId, int], MultiTree] = {}
+    return _expand(lts, state, depth)
 
-    def go(s: StateId, d: int) -> MultiTree:
-        if d == 0:
-            return MultiTree()
-        key = (s, d)
-        if key not in memo:
-            entries = []
-            for label in lts.labels:
-                distinct: list[MultiTree] = []
-                for t in lts.successors(s, label):
-                    sub = go(t, d - 1)
-                    if sub not in distinct:
-                        distinct.append(sub)
-                entries.extend((label, sub, OMEGA_COUNT) for sub in distinct)
-            memo[key] = MultiTree(tuple(entries))
-        return memo[key]
 
-    return go(state, depth)
+def _expand(lts: PointedLTS, state: StateId, depth: int | None) -> MultiTree:
+    """Expansion cut at a depth, or in full when depth is None.
+
+    Built bottom-up from an explicit stack. Nodes are hash-consed on their
+    (label, id(child)) entries, so equal subtrees are one object and
+    distinct successor expansions are told apart by identity.
+    """
+    consed: dict[tuple, MultiTree] = {}
+    built: dict[tuple[StateId, int | None], MultiTree] = {}
+    stack = [(state, depth)]
+    while stack:
+        key = stack[-1]
+        if key in built:
+            stack.pop()
+            continue
+        s, d = key
+        below = None if d is None else d - 1
+        moves = [
+            (label, (t, below))
+            for label in (lts.labels if d != 0 else ())
+            for t in lts.successors(s, label)
+        ]
+        pending = [sub for _, sub in moves if sub not in built]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        entries: dict[tuple[str, int], tuple] = {}
+        for label, sub in moves:
+            tree = built[sub]
+            entries.setdefault((label, id(tree)), (label, tree, OMEGA_COUNT))
+        shape = tuple(entries)
+        if shape not in consed:
+            consed[shape] = MultiTree(tuple(entries.values()))
+        built[key] = consed[shape]
+    return built[(state, depth)]
 
 
 def omega_code_expand(code: OmegaLTSCode) -> MultiTree:

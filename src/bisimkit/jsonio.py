@@ -44,6 +44,8 @@ def read_json_file(path: str) -> object:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path} nests too deeply to decode") from None
 
 
 def _shape(data: object, keys: set[str], what: str) -> dict:

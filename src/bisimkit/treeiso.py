@@ -1,49 +1,73 @@
-"""Isomorphism of multiplicity trees, two independent ways.
+"""Isomorphism of multiplicity trees by integer class ids.
 
-The canonical form serializes a tree to a stable string: children are
-grouped by label and canonical subtree, multiplicities are summed with
-saturation, and entries are sorted, so two trees get the same string
-exactly when they are isomorphic. The recursive decision procedure
-instead partitions child slots into isomorphism classes on the fly and
-compares multiplicity maps; the two routes check each other.
+`class_ids` numbers the nodes of the given trees bottom-up, as in Aho,
+Hopcroft and Ullman's tree isomorphism: a node's key is the set of its
+(label, child id) pairs with summed multiplicities, so two nodes share an
+id exactly when they are isomorphic. `iso`, rank-indexed isomorphism and
+the forth/back matching clauses all decide by comparing ids.
 
-Rank-indexed isomorphism and the forth/back matching conditions refine
-this by the ordinal rank of the trees involved.
+`canon` is the printed form, a stable compact-JSON string that is equal
+exactly for isomorphic trees; it is built only where a report prints it.
+`_iso_rec`, a recursive pairing of child slots, is the independent oracle
+that the tests and the tree-iso verify suite check both against.
+
+Both walks are keyed by node identity and keep nothing between calls, so
+shared subtrees cost once and deep trees never recurse.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache
+from typing import Hashable, Mapping
 
 from .foundations import Count, Ordinal
-from .trees import MultiTree
+from .trees import MultiTree, postorder
 
 
-@cache
-def _canon_data(tree: MultiTree) -> dict:
-    groups: dict[tuple[str, str], list] = {}
+def _type_counts(tree: MultiTree, classes: Mapping[int, Hashable]) -> dict:
+    """Total multiplicity of each child type (label, class of the child).
+
+    classes maps id(node) to a class id, or to a canonical string.
+    """
+    totals: dict = {}
     for label, sub, count in tree.children:
-        child = _canon_data(sub)
-        key = (label, json.dumps(child, sort_keys=True, separators=(",", ":")))
-        if key in groups:
-            groups[key][1] = groups[key][1] + count
-        else:
-            groups[key] = [child, count]
-    data: dict[str, list] = {}
-    for label, child_str in sorted(groups):
-        child, total = groups[(label, child_str)]
-        data.setdefault(label, []).append([child, total.to_json()])
-    return data
+        kind = (label, classes[id(sub)])
+        totals[kind] = totals[kind] + count if kind in totals else count
+    return totals
+
+
+def class_ids(*roots: MultiTree) -> dict[int, int]:
+    """Class id of every node under the roots, keyed by id(node).
+
+    Two nodes get the same class id exactly when they are isomorphic.
+    """
+    classes: dict[frozenset, int] = {}
+    ids: dict[int, int] = {}
+    for node in postorder(*roots):
+        key = frozenset(_type_counts(node, ids).items())
+        ids[id(node)] = classes.setdefault(key, len(classes))
+    return ids
 
 
 def canon(tree: MultiTree) -> str:
     """Stable canonical string; equal exactly for isomorphic trees."""
-    return json.dumps(_canon_data(tree), sort_keys=True, separators=(",", ":"))
+    forms: dict[int, str] = {}
+    for node in postorder(tree):
+        totals = _type_counts(node, forms)
+        by_label: dict[str, list[str]] = {}
+        for label, child in sorted(totals):
+            count = json.dumps(totals[label, child].to_json())
+            by_label.setdefault(label, []).append(f"[{child},{count}]")
+        forms[id(node)] = "{" + ",".join(
+            f"{json.dumps(label)}:[{','.join(items)}]"
+            for label, items in by_label.items()
+        ) + "}"
+    return forms[id(tree)]
 
 
 def iso(left: MultiTree, right: MultiTree) -> bool:
-    return canon(left) == canon(right)
+    ids = class_ids(left, right)
+    return ids[id(left)] == ids[id(right)]
 
 
 def _entries_by_label(tree: MultiTree) -> dict[str, list]:
@@ -53,36 +77,49 @@ def _entries_by_label(tree: MultiTree) -> dict[str, list]:
     return table
 
 
-@cache
 def _iso_rec(left: MultiTree, right: MultiTree) -> bool:
-    """Recursive isomorphism via per-label multiplicity maps of child classes."""
-    left_by = _entries_by_label(left)
-    right_by = _entries_by_label(right)
-    if set(left_by) != set(right_by):
-        return False
-    for label in left_by:
-        reps: list[MultiTree] = []
-        left_mult: list[Count] = []
-        right_mult: list[Count] = []
+    """Recursive isomorphism via per-label multiplicity maps of child classes.
 
-        def slot(sub: MultiTree) -> int:
-            for i, rep in enumerate(reps):
-                if _iso_rec(sub, rep):
-                    return i
-            reps.append(sub)
-            left_mult.append(Count(0))
-            right_mult.append(Count(0))
-            return len(reps) - 1
+    The oracle for `class_ids` and `canon`; the library does not call it.
+    """
+    memo: dict[tuple[int, int], bool] = {}
 
-        for sub, count in left_by[label]:
-            i = slot(sub)
-            left_mult[i] = left_mult[i] + count
-        for sub, count in right_by[label]:
-            i = slot(sub)
-            right_mult[i] = right_mult[i] + count
-        if left_mult != right_mult:
+    def rec(left: MultiTree, right: MultiTree) -> bool:
+        key = (id(left), id(right))
+        if key not in memo:
+            memo[key] = same_classes(left, right)
+        return memo[key]
+
+    def same_classes(left: MultiTree, right: MultiTree) -> bool:
+        left_by = _entries_by_label(left)
+        right_by = _entries_by_label(right)
+        if set(left_by) != set(right_by):
             return False
-    return True
+        for label in left_by:
+            reps: list[MultiTree] = []
+            left_mult: list[Count] = []
+            right_mult: list[Count] = []
+
+            def slot(sub: MultiTree) -> int:
+                for i, rep in enumerate(reps):
+                    if rec(sub, rep):
+                        return i
+                reps.append(sub)
+                left_mult.append(Count(0))
+                right_mult.append(Count(0))
+                return len(reps) - 1
+
+            for sub, count in left_by[label]:
+                i = slot(sub)
+                left_mult[i] = left_mult[i] + count
+            for sub, count in right_by[label]:
+                i = slot(sub)
+                right_mult[i] = right_mult[i] + count
+            if left_mult != right_mult:
+                return False
+        return True
+
+    return rec(left, right)
 
 
 def iso_at_rank(left: MultiTree, right: MultiTree, alpha: Ordinal) -> bool:
@@ -90,21 +127,8 @@ def iso_at_rank(left: MultiTree, right: MultiTree, alpha: Ordinal) -> bool:
     return (
         left.tree_rank() == alpha
         and right.tree_rank() == alpha
-        and _iso_rec(left, right)
+        and iso(left, right)
     )
-
-
-def _type_counts(tree: MultiTree) -> list:
-    """Child types as (label, representative, total multiplicity)."""
-    types: list = []  # (label, rep, Count)
-    for label, sub, count in tree.children:
-        for i, (lab, rep, total) in enumerate(types):
-            if lab == label and _iso_rec(sub, rep):
-                types[i] = (lab, rep, total + count)
-                break
-        else:
-            types.append((label, sub, count))
-    return types
 
 
 def matching_clause(
@@ -124,18 +148,15 @@ def matching_clause(
         return True
     if k == 0:
         return True
-    target_types = _type_counts(target)
-    for label, rep, count in _type_counts(source):
-        if rep.tree_rank() >= alpha:
-            return False
-        available = Count(0)
-        for lab, other, other_count in target_types:
-            if lab == label and _iso_rec(rep, other):
-                available = other_count
-                break
-        if not available.at_least(count.capped(k)):
-            return False
-    return True
+    # Some child has rank >= alpha exactly when the source has rank > alpha.
+    if source.tree_rank() > alpha:
+        return False
+    ids = class_ids(source, target)
+    available = _type_counts(target, ids)
+    return all(
+        available.get(kind, Count(0)).at_least(count.capped(k))
+        for kind, count in _type_counts(source, ids).items()
+    )
 
 
 def forth_condition(

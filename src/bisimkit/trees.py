@@ -112,11 +112,16 @@ class MultiTree:
         return total
 
     def tree_rank(self) -> Ordinal:
-        """Rank of the whole tree; multiplicities are irrelevant to it."""
-        return self._node_rank() + 1
+        """Rank of the whole tree; multiplicities are irrelevant to it.
 
-    def _node_rank(self) -> Ordinal:
-        return ordinal_sup(sub._node_rank() + 1 for _, sub, _ in self.children)
+        The tree is finite, so its rank is its height plus one.
+        """
+        heights: dict[int, int] = {}
+        for node in postorder(self):
+            heights[id(node)] = max(
+                (heights[id(sub)] + 1 for _, sub, _ in node.children), default=0
+            )
+        return Ordinal.from_int(heights[id(self)] + 1)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Iterable]) -> MultiTree:
@@ -128,6 +133,32 @@ class MultiTree:
 
 
 LEAF = MultiTree()
+
+
+def postorder(*roots: MultiTree) -> list[MultiTree]:
+    """Each node reachable from the roots once, after its children.
+
+    Nodes are told apart by identity, so shared subtrees are visited
+    once; the walk keeps its own stack instead of recursing.
+    """
+    seen: set[int] = set()
+    order: list[MultiTree] = []
+    for root in roots:
+        if id(root) in seen:
+            continue
+        seen.add(id(root))
+        stack = [(root, iter(root.children))]
+        while stack:
+            node, children = stack[-1]
+            for _, sub, _ in children:
+                if id(sub) not in seen:
+                    seen.add(id(sub))
+                    stack.append((sub, iter(sub.children)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .nlmp import PointmassNLMP, SubProbMeasure, greatest_ext_bisim
 from .substructures import carrier_levels, substructure
 from .trees import SUC_LABEL, ExplicitTree
 from .expansion import omega_code_expand
-from .treeiso import canon
+from .treeiso import iso
 
 
 @dataclass(frozen=True)
@@ -494,13 +494,14 @@ def encode_state(
 def pipeline_bisim(
     lts: PointedLTS, s: StateId, t: StateId, bound: Ordinal
 ) -> bool:
-    """Compare bounded-rank states by the canonical form of their coded expansions."""
+    """Compare bounded-rank states by isomorphism of their coded expansions."""
     if isinstance(bound, int):
         bound = Ordinal.from_int(bound)
     for state in (s, t):
         rank = state_rank(lts, state)
         if rank is None or rank > bound:
             raise ValueError(f"rank of {state!r} exceeds the bound")
-    return canon(omega_code_expand(encode_state(lts, s))) == canon(
-        omega_code_expand(encode_state(lts, t))
+    return iso(
+        omega_code_expand(encode_state(lts, s)),
+        omega_code_expand(encode_state(lts, t)),
     )

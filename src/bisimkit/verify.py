@@ -69,7 +69,7 @@ from .substructures import (
     sum_nlmp,
     up_coherence_witness,
 )
-from .treeiso import canon, iso_at_rank
+from .treeiso import _iso_rec, canon, iso, iso_at_rank
 from .trees import BTree, MultiTree, symbolic_rank
 from .uniform import (
     composition_enum,
@@ -197,9 +197,7 @@ def _suite_expansion_canon(seed: int) -> dict:
         right = _renamed(left) if i % 3 == 0 else random_wf_lts(rng, 6)
         cases += 1
         expected = bisimilar(left, right)
-        got = canon(omega_expand(left, left.root)) == canon(
-            omega_expand(right, right.root)
-        )
+        got = iso(omega_expand(left, left.root), omega_expand(right, right.root))
         if expected != got:
             failures.append(
                 f"case {i}: bisimilarity {expected} but canonical agreement {got}"
@@ -253,16 +251,22 @@ def _small_multitrees() -> list[MultiTree]:
     return [leaf, *two, *three]
 
 
+def _oracle_agrees(left: MultiTree, right: MultiTree, same_form: bool) -> bool:
+    """Recursive isomorphism agrees with rank-wise iso and with canon equality."""
+    agreed = iso_at_rank(left, right, left.tree_rank())
+    return agreed == _iso_rec(left, right) == same_form
+
+
 def _suite_tree_iso(seed: int) -> dict:
     rng = _rng(seed, "tree-iso")
     failures: list[str] = []
     cases = 0
     catalog = _small_multitrees()
+    forms = [canon(tree) for tree in catalog]
     for i, left in enumerate(catalog):
         for j, right in enumerate(catalog):
             cases += 1
-            agreed = iso_at_rank(left, right, left.tree_rank())
-            if agreed != (canon(left) == canon(right)):
+            if not _oracle_agrees(left, right, forms[i] == forms[j]):
                 failures.append(f"catalog pair ({i},{j}): rank-wise iso strays")
     for i in range(300):
         left = random_multitree(rng, 3)
@@ -273,8 +277,8 @@ def _suite_tree_iso(seed: int) -> dict:
         else:
             right = random_multitree(rng, 3)
         cases += 1
-        agreed = iso_at_rank(left, right, left.tree_rank())
-        if agreed != (canon(left) == canon(right)):
+        left_form, right_form = canon(left), canon(right)
+        if not _oracle_agrees(left, right, left_form == right_form):
             failures.append(f"case {i}: rank-wise iso strays")
     return _result("tree-iso", cases, failures, notes=f"catalog={len(catalog)}")
 

@@ -128,6 +128,27 @@ class TestProcessVerbs:
         other = write(tmp_path, "other.json", {"a": [[{}, 1]]})
         assert run_cli("iso", left, other).returncode == 1
 
+    def test_deeply_nested_input_exits_two(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"a":[[' * 3000 + "{}" + ",1]]}" * 3000)
+        proc = run_cli("iso", str(deep), str(deep))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "error:" in proc.stderr
+        states = [f"s{i}" for i in range(3001)]
+        chain = write(
+            tmp_path,
+            "chain.json",
+            {
+                "labels": ["a"],
+                "states": states,
+                "root": "s0",
+                "edges": [[s, "a", t] for s, t in zip(states, states[1:])],
+            },
+        )
+        proc = run_cli("expand", chain)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "error:" in proc.stderr
+
 
 class TestSetVerbs:
     def test_check_mirrors_eventual_equality(self, tmp_path):

@@ -21,6 +21,22 @@ def chain_lts(length: int) -> PointedLTS:
     return PointedLTS(("a",), states, "s0", edges)
 
 
+def recursive_expand(lts: PointedLTS, state, depth=None) -> MultiTree:
+    """The expansion by direct recursion, keeping each structurally distinct child."""
+    if depth == 0:
+        return LEAF
+    below = None if depth is None else depth - 1
+    entries = []
+    for label in lts.labels:
+        distinct = []
+        for t in lts.successors(state, label):
+            sub = recursive_expand(lts, t, below)
+            if sub not in distinct:
+                distinct.append(sub)
+        entries.extend((label, sub, OMEGA_COUNT) for sub in distinct)
+    return MultiTree(tuple(entries))
+
+
 def random_wf_lts(rng: random.Random, n_states: int) -> PointedLTS:
     states = tuple(f"q{i}" for i in range(n_states))
     edges = frozenset(
@@ -68,6 +84,23 @@ class TestOmegaExpand:
     def test_unknown_state_rejected(self):
         with pytest.raises(ValueError):
             omega_expand(chain_lts(1), "nope")
+
+    def test_agrees_with_recursive_expansion(self):
+        rng = random.Random(63)
+        for _ in range(30):
+            lts = random_wf_lts(rng, rng.randint(1, 6))
+            for s in lts.states:
+                assert omega_expand(lts, s) == recursive_expand(lts, s)
+                for depth in range(4):
+                    assert omega_expand_truncated(lts, s, depth) == recursive_expand(
+                        lts, s, depth
+                    )
+
+    def test_long_chain(self):
+        lts = chain_lts(3000)
+        full = omega_expand(lts, "s0").tree_rank()
+        cut = omega_expand_truncated(lts, "s0", 2500).tree_rank()
+        assert (full, cut) == (Ordinal.from_int(3001), Ordinal.from_int(2501))
 
 
 class TestTruncatedExpand:

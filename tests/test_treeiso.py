@@ -1,6 +1,12 @@
-"""Canonical forms, recursive isomorphism, and forth/back matching."""
+"""Canonical forms, recursive isomorphism, and forth/back matching.
+
+The oracle below is the canonical form as it was built before class ids
+decided isomorphism: a recursive serialization that re-encodes every
+child with json.dumps. The printed form must stay byte-identical to it.
+"""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -20,6 +26,32 @@ from bisimkit.treeiso import _iso_rec
 
 def mt(*entries) -> MultiTree:
     return MultiTree(tuple(entries))
+
+
+# --- oracle: the recursive canonical serialization ----------------------------
+
+
+def _oracle_canon_data(tree: MultiTree) -> dict:
+    groups: dict[tuple[str, str], list] = {}
+    for label, sub, count in tree.children:
+        child = _oracle_canon_data(sub)
+        key = (label, json.dumps(child, sort_keys=True, separators=(",", ":")))
+        if key in groups:
+            groups[key][1] = groups[key][1] + count
+        else:
+            groups[key] = [child, count]
+    data: dict[str, list] = {}
+    for label, child_str in sorted(groups):
+        child, total = groups[(label, child_str)]
+        data.setdefault(label, []).append([child, total.to_json()])
+    return data
+
+
+def oracle_canon(tree: MultiTree) -> str:
+    return json.dumps(_oracle_canon_data(tree), sort_keys=True, separators=(",", ":"))
+
+
+# --- inputs -------------------------------------------------------------------
 
 
 def random_multitree(rng: random.Random, depth: int) -> MultiTree:
@@ -50,6 +82,51 @@ def small_universe() -> list[MultiTree]:
     ):
         trees.append(mt((l1, LEAF, c1), (l2, LEAF, c2)))
     return trees
+
+
+def shared_multitrees(rng: random.Random, layers: int, width: int) -> list[MultiTree]:
+    """DAG-shaped trees whose nodes reuse the nodes of lower layers.
+
+    Each tree also comes with a copy whose entries are reversed, so that
+    isomorphic pairs of distinct objects are common.
+    """
+    counts = (Count(1), Count(2), OMEGA_COUNT)
+    pool = [LEAF]
+    for _ in range(layers):
+        pool += [
+            mt(*(
+                (rng.choice("ab"), rng.choice(pool), rng.choice(counts))
+                for _ in range(rng.randint(0, 3))
+            ))
+            for _ in range(width)
+        ]
+    return pool + [MultiTree(tuple(reversed(tree.children))) for tree in pool]
+
+
+def deep_chain(depth: int) -> MultiTree:
+    tree = LEAF
+    for _ in range(depth):
+        tree = mt(("a", tree, Count(1)))
+    return tree
+
+
+def doubling_dag(levels: int, bottom: Count = Count(1)) -> MultiTree:
+    """Each node holds the one node below twice, so 2**levels root paths."""
+    tree = mt(("a", LEAF, bottom))
+    for _ in range(levels - 1):
+        tree = mt(("a", tree, Count(1)), ("b", tree, Count(2)))
+    return tree
+
+
+def oracle_inputs() -> list[MultiTree]:
+    rng = random.Random(74)
+    return (
+        small_universe()
+        + [random_multitree(rng, 4) for _ in range(60)]
+        + shared_multitrees(rng, 4, 6)
+        + [doubling_dag(6), doubling_dag(6, OMEGA_COUNT)]
+        + [mt(("\u00e9\"", LEAF, Count(1)), ("\\", deep_chain(2), OMEGA_COUNT))]
+    )
 
 
 class TestCanon:
@@ -84,6 +161,14 @@ class TestCanon:
         two = mt(("a", inner_b, Count(1)), ("a", inner_a, Count(1)))
         assert canon(one) == canon(two)
 
+    def test_byte_identical_to_recursive_serialization(self):
+        for tree in oracle_inputs():
+            assert canon(tree) == oracle_canon(tree)
+
+    def test_deep_chain(self):
+        form = canon(deep_chain(3000))
+        assert form == '{"a":[[' * 3000 + "{}" + ",1]]}" * 3000
+
 
 class TestRecursiveIso:
     def test_agrees_with_canon_on_small_universe(self):
@@ -99,6 +184,18 @@ class TestRecursiveIso:
             for right in trees:
                 assert _iso_rec(left, right) == (canon(left) == canon(right))
 
+    def test_class_ids_recursion_and_oracle_strings_agree(self):
+        trees = oracle_inputs()
+        forms = [oracle_canon(tree) for tree in trees]
+        agreed = 0
+        for (left, left_form), (right, right_form) in itertools.product(
+            zip(trees, forms), repeat=2
+        ):
+            same = left_form == right_form
+            assert iso(left, right) == _iso_rec(left, right) == same
+            agreed += same and left is not right
+        assert agreed > len(trees)
+
 
 class TestIsoAtRank:
     def test_leaves_at_rank_one(self):
@@ -110,6 +207,29 @@ class TestIsoAtRank:
         shallow = mt(("a", LEAF, Count(1)))
         assert not iso_at_rank(deep, shallow, deep.tree_rank())
         assert iso_at_rank(shallow, shallow, Ordinal.from_int(2))
+
+    # Verdicts on deep and shared trees are collected before asserting, so
+    # that a failure never prints the trees: their repr unfolds the DAG.
+    def test_deep_chain(self):
+        left, right, short = deep_chain(3000), deep_chain(3000), deep_chain(2999)
+        verdicts = (
+            iso(left, right),
+            iso(left, short),
+            iso_at_rank(left, right, Ordinal.from_int(3001)),
+        )
+        assert verdicts == (True, False, True)
+
+    def test_shared_doubling_dag(self):
+        left, right = doubling_dag(40), doubling_dag(40)
+        other = doubling_dag(40, Count(2))
+        alpha = Ordinal.from_int(41)
+        verdicts = (
+            iso(left, right),
+            iso_at_rank(left, right, alpha),
+            iso(left, other),
+            iso_at_rank(left, other, alpha),
+        )
+        assert verdicts == (True, True, False, False)
 
 
 class TestForthBack:
@@ -168,6 +288,21 @@ class TestForthBack:
                 ):
                     assert left.tree_rank() <= alpha + 1
                     assert right.tree_rank() <= alpha + 1
+
+    def test_shared_doubling_dag(self):
+        left, right = doubling_dag(40), doubling_dag(40)
+        other = doubling_dag(40, OMEGA_COUNT)
+        alpha = Ordinal.from_int(41)
+        verdicts = [
+            (forth_back(left, right, alpha, k), forth_back(left, other, alpha, k))
+            for k in range(1, 4)
+        ]
+        assert verdicts == [(True, False)] * 3
+        # The children have rank 40, so no match exists below rank 40.
+        clauses = [
+            matching_clause(left, right, Ordinal.from_int(a), 1) for a in (40, 41)
+        ]
+        assert clauses == [False, True]
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,16 @@ class TestMultiTrees:
         many = MultiTree((("a", LEAF, OMEGA_COUNT),))
         assert one.tree_rank() == many.tree_rank() == Ordinal.from_int(2)
 
+    def test_deep_and_shared_ranks(self):
+        chain = LEAF
+        for _ in range(3000):
+            chain = MultiTree((("a", chain, Count(1)),))
+        dag = LEAF
+        for _ in range(40):
+            dag = MultiTree((("a", dag, Count(1)), ("b", dag, OMEGA_COUNT)))
+        ranks = (chain.tree_rank(), dag.tree_rank())
+        assert ranks == (Ordinal.from_int(3001), Ordinal.from_int(41))
+
     def test_total_children_saturates(self):
         tree = MultiTree(
             (("a", LEAF, Count(2)), ("b", LEAF, OMEGA_COUNT))
