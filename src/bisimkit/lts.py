@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .foundations import EPSet, Ordinal, ordinal_sup
+from .foundations import EPSet, Ordinal
 
 StateId = str
 Rel = frozenset  # of (StateId, StateId) pairs
@@ -340,43 +340,34 @@ def sat_states(lts: PointedLTS, phi: Formula) -> frozenset:
 
 
 def state_rank(lts: PointedLTS, state: StateId) -> Ordinal | None:
-    """Ordinal depth of the outgoing behavior; None when a cycle is reachable."""
-    order = _topo_from(lts, state)
-    if order is None:
-        return None
-    ranks: dict[StateId, Ordinal] = {}
-    for u in reversed(order):
-        ranks[u] = ordinal_sup(ranks[v] + 1 for v in lts.all_successors(u))
-    return ranks[state]
+    """Rank of the outgoing behavior; None when a cycle is reachable.
 
-
-def _topo_from(lts: PointedLTS, state: StateId) -> list[StateId] | None:
-    """Topological order of the part reachable from state; None on a cycle."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in lts.states}
-    order: list[StateId] = []
-    stack: list[tuple[StateId, int]] = [(state, 0)]
-    color[state] = GRAY
+    On a finite system the rank is a natural number: the height of the
+    acyclic part below the state. One explicit-stack depth-first walk
+    computes it without recursion, giving up at the first successor that
+    is on the current path.
+    """
+    if state not in lts.states:
+        raise ValueError(f"unknown state {state!r}")
+    heights: dict[StateId, int] = {}
+    on_path = {state}
+    succs = lts.all_successors(state)
+    stack = [(state, succs, iter(succs))]
     while stack:
-        node, idx = stack.pop()
-        succs = lts.all_successors(node)
-        advanced = False
-        while idx < len(succs):
-            nxt = succs[idx]
-            idx += 1
-            if color[nxt] == GRAY:
+        node, succs, pending = stack[-1]
+        for t in pending:
+            if t in on_path:
                 return None
-            if color[nxt] == WHITE:
-                stack.append((node, idx))
-                stack.append((nxt, 0))
-                color[nxt] = GRAY
-                advanced = True
+            if t not in heights:
+                on_path.add(t)
+                t_succs = lts.all_successors(t)
+                stack.append((t, t_succs, iter(t_succs)))
                 break
-        if not advanced and idx >= len(succs):
-            color[node] = BLACK
-            order.append(node)
-    order.reverse()
-    return order
+        else:
+            stack.pop()
+            on_path.remove(node)
+            heights[node] = max((heights[t] + 1 for t in succs), default=0)
+    return Ordinal.from_int(heights[state])
 
 
 def well_founded_states(lts: PointedLTS) -> frozenset:

@@ -1,10 +1,11 @@
 """Trees over countable letter alphabets and their ordinal ranks.
 
-Explicit trees are finite prefix-closed node sets. Symbolic trees name
-four infinite families in closed form: chains, the branch-code tree of an
-eventually periodic set, the glued tree of all its finite modifications,
-and ad hoc gluings. Multiplicity trees attach counted child slots to each
-node and feed the isomorphism machinery.
+Explicit trees are finite prefix-closed node sets, so their ranks are
+natural numbers: node heights, read off the node set without recursion.
+Symbolic trees name four infinite families in closed form: chains, the
+branch-code tree of an eventually periodic set, the glued tree of all its
+finite modifications, and ad hoc gluings. Multiplicity trees attach
+counted child slots to each node and feed the isomorphism machinery.
 """
 
 from __future__ import annotations
@@ -54,12 +55,15 @@ class ExplicitTree:
         )
 
     def node_rank(self, node: Node) -> Ordinal:
-        """Rank of a position: zero off the tree and at terminal nodes."""
+        """Rank of a position: zero off the tree and at terminal nodes.
+
+        The tree is finite, so the rank is the node's height: the longest
+        extension's length minus its own, in one pass without recursion.
+        """
         if node not in self.nodes:
             return ORD_ZERO
-        return ordinal_sup(
-            self.node_rank(u) + 1 for u in self.immediate_extensions(node)
-        )
+        k = len(node)
+        return Ordinal.from_int(max(len(u) for u in self.nodes if u[:k] == node) - k)
 
     def tree_rank(self) -> Ordinal:
         if self.is_empty:

@@ -147,6 +147,8 @@ def composition_enum(
     """
     if state not in table.states:
         raise ValueError(f"unknown state {state!r}")
+    if bound is not None and bound < 0:
+        raise ValueError("bound must be a natural")
     listed = [state]
     seen = {state}
     frontier = [state]
@@ -453,17 +455,17 @@ def tree_process(tree: ExplicitTree) -> PointedLTS:
     """Single-label process whose states are the tree's nodes.
 
     Each node steps to its immediate extensions, with the empty node as
-    root; the tree must not be empty.
+    root; the tree must not be empty. Each non-root node gets one edge,
+    from its parent, without recursion; state ranks are node heights.
     """
     if tree.is_empty:
         raise ValueError("cannot root a process on the empty tree")
     nodes = sorted(tree.nodes, key=lambda node: (len(node), node))
+    names = {node: _node_name(node) for node in nodes}
     edges = frozenset(
-        (_node_name(node), SUC_LABEL, _node_name(ext))
-        for node in nodes
-        for ext in tree.immediate_extensions(node)
+        (names[node[:-1]], SUC_LABEL, names[node]) for node in nodes if node
     )
-    return PointedLTS((SUC_LABEL,), tuple(map(_node_name, nodes)), "e", edges)
+    return PointedLTS((SUC_LABEL,), tuple(names.values()), "e", edges)
 
 
 def encode_state(

@@ -249,6 +249,14 @@ class TestNLMPVerbs:
         proc = run_cli("substructure", path, "--carrier", carrier)
         assert proc.returncode == 2
 
+    def test_substructure_rejects_negative_bound(self, tmp_path):
+        path = write(tmp_path, "proc.json", self.nlmp())
+        for bound in ("-1", "-3"):
+            proc = run_cli("substructure", path, "--state", "s", "--bound", bound)
+            assert proc.returncode == 2, bound
+            assert proc.stdout == ""
+            assert "bound must be a natural" in proc.stderr
+
 
 class TestEvalVerb:
     def test_formula_on_process(self, tmp_path):

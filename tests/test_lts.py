@@ -247,6 +247,10 @@ class TestRanks:
         assert state_rank(lts, "s") == Ordinal.from_int(1)
         assert well_founded_states(lts) == frozenset({"s", "t"})
 
+    def test_unknown_state_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown state 'bogus'"):
+            state_rank(chain_lts(2), "bogus")
+
     def test_matches_path_oracle_on_random_systems(self):
         rng = random.Random(45)
         for _ in range(60):
