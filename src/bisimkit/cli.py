@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .dot import explicit_tree_dot, lts_dot, multitree_dot, nlmp_dot, symbolic_tree_dot
 from .e0 import (
@@ -24,7 +25,8 @@ from .e0 import (
 from .expansion import omega_expand, omega_expand_truncated
 from .jsonio import (
     formula_to_json,
-    multitree_to_json,
+    multitree_json_text,
+    multitree_to_json,  # noqa: F401 -- perfbench/traced_cli.py wraps this name
     nlmp_to_json,
     parse_carrier,
     parse_epset,
@@ -54,11 +56,18 @@ def _default_seed() -> int:
     return int(raw) if raw else 0
 
 
-def _emit(args: argparse.Namespace, report: dict, summary: str) -> None:
+def _emit(
+    args: argparse.Namespace, report: dict | Callable[[], str], summary: str
+) -> None:
+    """Print the report line, or only the summary under ``--format text``.
+
+    A report may come as a function rendering its JSON line, which text
+    output never calls.
+    """
     if getattr(args, "format", "json") == "text":
         print(summary)
     else:
-        print(json.dumps(report, sort_keys=True))
+        print(report() if callable(report) else json.dumps(report, sort_keys=True))
         print(summary, file=sys.stderr)
 
 
@@ -140,12 +149,15 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     else:
         tree = omega_expand(lts, state)
     form = canon(tree)
-    report = {
-        "verb": "expand",
-        "state": state,
-        "tree": multitree_to_json(tree),
-        "canon": form,
-    }
+
+    def report() -> str:
+        # The line json.dumps(..., sort_keys=True) would print, with the tree
+        # rendered once per distinct node instead of once per unfolded node.
+        return (
+            f'{{"canon": {json.dumps(form)}, "state": {json.dumps(state)}, '
+            f'"tree": {multitree_json_text(tree)}, "verb": "expand"}}'
+        )
+
     _emit(args, report, f"expansion of {state} canonicalizes to {form}")
     return EXIT_OK
 

@@ -26,6 +26,7 @@ from .lts import (
     TOP,
     UnsupportedFormula,
     modal_depth,
+    modal_depths,
 )
 from .trees import ATree, BTree, Chain, Glue, SUC_LABEL, SymbolicTree, symbolic_rank
 
@@ -119,14 +120,19 @@ def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
     be infinite; diamonds directly over the symbolic atoms get dedicated
     rules. Deeper nesting of those atoms raises UnsupportedFormula.
     """
+    return _eval(tree, phi, modal_depths(phi))
+
+
+def _eval(tree: SymbolicTree, phi: Formula, depths: dict[int, int | str]) -> bool:
+    """`eval_symbolic`, with the modal depths of the top formula's parts."""
     if isinstance(phi, Top):
         return True
     if isinstance(phi, Neg):
-        return not eval_symbolic(tree, phi.sub)
+        return not _eval(tree, phi.sub, depths)
     if isinstance(phi, And):
-        return all(eval_symbolic(tree, sub) for sub in phi.subs)
+        return all(_eval(tree, sub, depths) for sub in phi.subs)
     if isinstance(phi, Or):
-        return any(eval_symbolic(tree, sub) for sub in phi.subs)
+        return any(_eval(tree, sub, depths) for sub in phi.subs)
     if isinstance(phi, CharSet):
         return leaf_depth_set(tree) == phi.param
     if isinstance(phi, RankAtLeast):
@@ -134,18 +140,18 @@ def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
     if isinstance(phi, Dia):
         if phi.label != SUC_LABEL:
             return False
-        return _dia(tree, phi.sub)
+        return _dia(tree, phi.sub, depths)
     raise UnsupportedFormula(f"cannot evaluate {type(phi).__name__} symbolically")
 
 
-def _dia(tree: SymbolicTree, body: Formula) -> bool:
+def _dia(tree: SymbolicTree, body: Formula, depths: dict[int, int | str]) -> bool:
     """Does some child of the root satisfy the body?"""
     if isinstance(body, CharSet):
         return _child_with_leaf_set(tree, body.param)
     if isinstance(body, RankAtLeast):
         return _child_with_rank(tree, body.bound)
-    depth = modal_depth(body)
-    return any(eval_symbolic(child, body) for child in _child_classes(tree, depth))
+    classes = _child_classes(tree, modal_depth(body, depths))
+    return any(_eval(child, body, depths) for child in classes)
 
 
 def _child_with_leaf_set(tree: SymbolicTree, z: EPSet) -> bool:

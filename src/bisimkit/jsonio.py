@@ -14,12 +14,13 @@ import json
 from .foundations import Count, EPSet, Ordinal, format_rational, parse_rational
 from .lts import And, CharSet, Dia, Formula, Neg, Or, PointedLTS, RankAtLeast, Top, TOP
 from .nlmp import PointmassNLMP, SubProbMeasure
-from .trees import AnyTree, ATree, BTree, Chain, ExplicitTree, Glue, MultiTree
+from .trees import AnyTree, ATree, BTree, Chain, ExplicitTree, Glue, MultiTree, postorder
 from .uniform import UniformStructure
 
 __all__ = [
     "formula_to_json",
     "lts_to_json",
+    "multitree_json_text",
     "multitree_to_json",
     "nlmp_to_json",
     "parse_carrier",
@@ -234,10 +235,37 @@ def parse_multitree(data: object) -> MultiTree:
 
 
 def multitree_to_json(tree: MultiTree) -> dict:
-    grouped: dict[str, list] = {}
-    for label, sub, count in tree.children:
-        grouped.setdefault(label, []).append([multitree_to_json(sub), count.to_json()])
-    return {label: grouped[label] for label in sorted(grouped)}
+    """Nested objects keyed by sorted label, built bottom-up without recursion.
+
+    Each distinct node becomes one dict, shared by all of its parents.
+    """
+    data: dict[int, dict] = {}
+    for node in postorder(tree):
+        grouped: dict[str, list] = {}
+        for label, sub, count in node.children:
+            grouped.setdefault(label, []).append([data[id(sub)], count.to_json()])
+        data[id(node)] = {label: grouped[label] for label in sorted(grouped)}
+    return data[id(tree)]
+
+
+def multitree_json_text(tree: MultiTree) -> str:
+    """``json.dumps(multitree_to_json(tree), sort_keys=True)``, node by node.
+
+    Each distinct node's text is joined once from its children's texts, so
+    the cost is the DAG size plus the output length, without recursion.
+    """
+    texts: dict[int, str] = {}
+    for node in postorder(tree):
+        grouped: dict[str, list[str]] = {}
+        for label, sub, count in node.children:
+            grouped.setdefault(label, []).append(
+                f"[{texts[id(sub)]}, {json.dumps(count.to_json())}]"
+            )
+        texts[id(node)] = "{" + ", ".join(
+            f"{json.dumps(label)}: [{', '.join(grouped[label])}]"
+            for label in sorted(grouped)
+        ) + "}"
+    return texts[id(tree)]
 
 
 def parse_formula(data: object) -> Formula:

@@ -62,17 +62,50 @@ Formula = Union[Top, Neg, And, Or, Dia, RankAtLeast, CharSet]
 TOP = Top()
 
 
-def modal_depth(phi: Formula) -> int:
-    """Nesting depth of diamonds; the symbolic atoms have none to count."""
-    if isinstance(phi, Top):
-        return 0
-    if isinstance(phi, Neg):
-        return modal_depth(phi.sub)
-    if isinstance(phi, (And, Or)):
-        return max((modal_depth(sub) for sub in phi.subs), default=0)
-    if isinstance(phi, Dia):
-        return 1 + modal_depth(phi.sub)
-    raise UnsupportedFormula(f"{type(phi).__name__} has no finite modal depth")
+def modal_depths(phi: Formula) -> dict[int, int | str]:
+    """Modal depth of every subformula of phi, keyed by id, in one walk.
+
+    A subformula over an atom without finite depth maps to the type name
+    of its first such atom instead. Formulas are told apart by identity,
+    never hashed (a frozen dataclass hashes recursively), so the table is
+    meaningful only while phi is alive; the walk keeps its own stack.
+    """
+    depths: dict[int, int | str] = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, (And, Or)):
+            subs = node.subs
+        elif isinstance(node, (Neg, Dia)):
+            subs = (node.sub,)
+        else:
+            subs = ()
+        pending = [sub for sub in subs if id(sub) not in depths]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        found = [depths[id(sub)] for sub in subs]
+        blocked = [d for d in found if isinstance(d, str)]
+        if not isinstance(node, (Top, Neg, And, Or, Dia)):
+            depths[id(node)] = type(node).__name__
+        elif blocked:
+            depths[id(node)] = blocked[0]
+        else:
+            depths[id(node)] = max(found, default=0) + (1 if isinstance(node, Dia) else 0)
+    return depths
+
+
+def modal_depth(phi: Formula, depths: dict[int, int | str] | None = None) -> int:
+    """Nesting depth of diamonds; the symbolic atoms have none to count.
+
+    ``depths``, the `modal_depths` table of a formula containing phi,
+    saves the walk.
+    """
+    depth = (modal_depths(phi) if depths is None else depths)[id(phi)]
+    if isinstance(depth, str):
+        raise UnsupportedFormula(f"{depth} has no finite modal depth")
+    return depth
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from bisimkit.cli import main
+
 
 def run_cli(*argv, env=None):
     return subprocess.run(
@@ -134,6 +136,8 @@ class TestProcessVerbs:
         proc = run_cli("iso", str(deep), str(deep))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "error:" in proc.stderr
+
+    def test_expand_prints_a_deep_chain(self, tmp_path):
         states = [f"s{i}" for i in range(3001)]
         chain = write(
             tmp_path,
@@ -146,8 +150,28 @@ class TestProcessVerbs:
             },
         )
         proc = run_cli("expand", chain)
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert "error:" in proc.stderr
+        form = '{"a":[[' * 3000 + "{}" + ',"omega"]]}' * 3000
+        tree = '{"a": [[' * 3000 + "{}" + ', "omega"]]}' * 3000
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            f'{{"canon": {json.dumps(form)}, "state": "s0", '
+            f'"tree": {tree}, "verb": "expand"}}\n'
+        )
+
+    def test_expand_text_format_prints_only_the_summary(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        chain = write(tmp_path, "chain.json", chain_lts())
+        proc = run_cli("expand", chain, "--format", "text")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == 'expansion of s0 canonicalizes to {"a":[[{},"omega"]]}\n'
+
+        def unwanted(tree):
+            raise AssertionError("text output rendered the tree")
+
+        monkeypatch.setattr("bisimkit.cli.multitree_json_text", unwanted)
+        assert main(["expand", chain, "--format", "text"]) == 0
+        assert capsys.readouterr().out == proc.stdout
 
 
 class TestSetVerbs:

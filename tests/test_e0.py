@@ -33,6 +33,7 @@ from bisimkit.lts import (
     UnsupportedFormula,
     bounded_bisim,
     eval_formula,
+    modal_depths,
 )
 from bisimkit.trees import (
     ATree,
@@ -259,6 +260,25 @@ class TestEvaluator:
             eval_symbolic(BTree(EVENS), buried)
         with pytest.raises(UnsupportedFormula):
             eval_symbolic(Chain(2), Dia("suc", Dia("suc", RankAtLeast(ORD_ZERO))))
+
+    def test_depths_are_walked_once_per_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(phi):
+            calls.append(phi)
+            return modal_depths(phi)
+
+        monkeypatch.setattr("bisimkit.e0.modal_depths", counted)
+        monkeypatch.setattr("bisimkit.lts.modal_depths", counted)
+        phi = tower(6)
+        results = [eval_symbolic(BTree(EVENS), phi), eval_symbolic(ATree(EVENS), phi)]
+        assert results == [True, True]
+        assert len(calls) == 2 and all(c is phi for c in calls)
+
+    def test_unsupported_nesting_names_the_atom(self):
+        buried = Dia("suc", Dia("suc", Neg(CharSet(EVENS))))
+        with pytest.raises(UnsupportedFormula, match="^CharSet has no finite modal depth$"):
+            eval_symbolic(Chain(3), buried)
 
 
 class TestReduction:

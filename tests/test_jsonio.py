@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from bisimkit.foundations import Count, EPSet, OMEGA_COUNT, Ordinal
+from bisimkit.gen import random_multitree
 from bisimkit.jsonio import (
     formula_to_json,
     lts_to_json,
+    multitree_json_text,
     multitree_to_json,
     nlmp_to_json,
     parse_carrier,
@@ -182,6 +184,91 @@ class TestMultiTrees:
     def test_rejects_bad_pair_shape(self):
         with pytest.raises(ValueError, match="subtree, multiplicity"):
             parse_multitree({"a": [[{}]]})
+
+
+def recursive_multitree_to_json(tree: MultiTree) -> dict:
+    """The former recursive serializer, kept as the oracle for both codecs."""
+    grouped: dict[str, list] = {}
+    for label, sub, count in tree.children:
+        grouped.setdefault(label, []).append(
+            [recursive_multitree_to_json(sub), count.to_json()]
+        )
+    return {label: grouped[label] for label in sorted(grouped)}
+
+
+def doubling_dag(levels: int) -> MultiTree:
+    """Each node holds the one node below under two labels: 2**levels leaves."""
+    tree = MultiTree((("a", MultiTree(), Count(1)),))
+    for _ in range(levels - 1):
+        tree = MultiTree((("b", tree, OMEGA_COUNT), ("a", tree, Count(2))))
+    return tree
+
+
+def deep_chain(depth: int) -> MultiTree:
+    tree = MultiTree()
+    for _ in range(depth):
+        tree = MultiTree((("a", tree, OMEGA_COUNT),))
+    return tree
+
+
+def text_oracle_inputs() -> list[MultiTree]:
+    rng = random.Random(2024)
+    leaf = MultiTree()
+    one = MultiTree((("x", leaf, Count(1)),))
+    return [
+        *(random_multitree(rng, 4, ("a", "b", "c"), 3) for _ in range(200)),
+        doubling_dag(14),
+        MultiTree(
+            (
+                ('q"uote', leaf, Count(1)),
+                ("back\\slash", one, OMEGA_COUNT),
+                ("new\nline", leaf, Count(7)),
+                ("\u00e9", one, Count(2)),
+                ("\U0001f600", leaf, OMEGA_COUNT),
+            )
+        ),
+        MultiTree(
+            (
+                ("b", one, Count(3)),
+                ("a", leaf, OMEGA_COUNT),
+                ("b", leaf, Count(1)),
+                ("a", one, Count(12)),
+                ("b", one, OMEGA_COUNT),
+            )
+        ),
+        leaf,
+    ]
+
+
+class TestMultiTreeText:
+    def test_text_matches_dumps_of_the_recursive_oracle(self):
+        verdicts = [
+            multitree_json_text(tree)
+            == json.dumps(recursive_multitree_to_json(tree), sort_keys=True)
+            for tree in text_oracle_inputs()
+        ]
+        assert verdicts == [True] * len(verdicts)
+
+    def test_dicts_match_the_recursive_oracle(self):
+        # Compared as unsorted dumps, so the key order must match too.
+        verdicts = [
+            json.dumps(multitree_to_json(tree))
+            == json.dumps(recursive_multitree_to_json(tree))
+            for tree in text_oracle_inputs()
+        ]
+        assert verdicts == [True] * len(verdicts)
+
+    def test_shared_subtrees_share_one_dict(self):
+        data = multitree_to_json(doubling_dag(40))
+        assert data["a"][0][0] is data["b"][0][0]
+
+    def test_deep_chain_does_not_recurse(self):
+        tree = deep_chain(3000)
+        assert multitree_json_text(tree) == '{"a": [[' * 3000 + "{}" + ', "omega"]]}' * 3000
+        data, depth = multitree_to_json(tree), 0
+        while data:
+            data, depth = data["a"][0][0], depth + 1
+        assert depth == 3000
 
 
 class TestFormulas:

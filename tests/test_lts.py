@@ -28,6 +28,7 @@ from bisimkit.lts import (
     is_bisimulation,
     lts_to_code,
     modal_depth,
+    modal_depths,
     rank_formula,
     sat_states,
     state_rank,
@@ -323,6 +324,81 @@ class TestFormulas:
         assert modal_depth(Dia("a", And((TOP, Dia("a", TOP))))) == 2
         with pytest.raises(UnsupportedFormula):
             modal_depth(RankAtLeast(ORD_OMEGA))
+
+
+def recursive_modal_depth(phi) -> int:
+    """The former recursive modal depth, kept as the oracle for the walk."""
+    if isinstance(phi, Top):
+        return 0
+    if isinstance(phi, Neg):
+        return recursive_modal_depth(phi.sub)
+    if isinstance(phi, (And, Or)):
+        return max((recursive_modal_depth(sub) for sub in phi.subs), default=0)
+    if isinstance(phi, Dia):
+        return 1 + recursive_modal_depth(phi.sub)
+    raise UnsupportedFormula(f"{type(phi).__name__} has no finite modal depth")
+
+
+def outcome(depth_of, phi):
+    try:
+        return depth_of(phi)
+    except UnsupportedFormula as err:
+        return str(err)
+
+
+def random_shared_formula(rng: random.Random, size: int):
+    """A formula whose parts are drawn from a growing pool, so they share."""
+    pool = [TOP, TOP, RankAtLeast(ORD_ZERO), CharSet(EPSet.empty())]
+    for _ in range(size):
+        pick = rng.random()
+        if pick < 0.3:
+            pool.append(Dia(rng.choice("ab"), rng.choice(pool)))
+        elif pick < 0.45:
+            pool.append(Neg(rng.choice(pool)))
+        else:
+            subs = tuple(rng.choice(pool[-6:]) for _ in range(rng.randint(0, 3)))
+            pool.append((And if pick < 0.75 else Or)(subs))
+    return pool[-1]
+
+
+def subformulas(phi) -> list:
+    found, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        if isinstance(node, (And, Or)):
+            stack.extend(node.subs)
+        elif isinstance(node, (Neg, Dia)):
+            stack.append(node.sub)
+    return found
+
+
+class TestModalDepths:
+    def test_table_matches_the_recursive_oracle(self):
+        rng = random.Random(61)
+        verdicts = []
+        for _ in range(300):
+            phi = random_shared_formula(rng, rng.randint(1, 12))
+            table = modal_depths(phi)
+            for sub in subformulas(phi):
+                want = outcome(recursive_modal_depth, sub)
+                verdicts.append(outcome(lambda f: modal_depth(f, table), sub) == want)
+                verdicts.append(outcome(modal_depth, sub) == want)
+        assert verdicts == [True] * len(verdicts)
+
+    def test_first_atom_without_depth_is_named(self):
+        phi = Dia("a", And((TOP, Neg(RankAtLeast(ORD_ZERO)), CharSet(EPSet.empty()))))
+        with pytest.raises(UnsupportedFormula, match="^RankAtLeast has no finite"):
+            modal_depth(phi)
+
+    def test_deep_and_shared_formulas(self):
+        tower = TOP
+        for _ in range(3000):
+            tower = Dia("a", tower)
+        shared = TOP
+        for _ in range(60):
+            shared = And((Dia("a", shared), shared))
+        assert (modal_depth(tower), modal_depth(shared)) == (3000, 60)
 
 
 class TestCodes:
