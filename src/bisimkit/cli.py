@@ -3,7 +3,8 @@
 Every verb prints a JSON report on stdout (human summary on stderr) and
 signals through its exit code: 0 when the property holds or the
 computation succeeded, 1 when the checked property fails, 2 on input
-errors.
+errors (including input too large for memory or nested too deeply), and
+3 on an internal error, a bug to report. Errors print one line on stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .verify import SUITES, render_report, run_suites
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _default_seed() -> int:
@@ -441,6 +443,13 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as err:
+        message = " ".join(str(err).splitlines())
+        print(f"error: internal error: {type(err).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

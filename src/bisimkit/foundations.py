@@ -7,13 +7,67 @@ for exact rationals. Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
+def frozen(cls: type) -> type:
+    """Make cls an immutable value over its annotated fields, in order.
+
+    It behaves as ``@dataclass(frozen=True)`` without importing
+    ``dataclasses``, which pulls in ``inspect`` and ``ast`` and builds six
+    functions per class: over half of what importing ``bisimkit.cli``
+    costs, paid by every CLI call. The compiled ``__init__`` takes
+    the fields positionally or by keyword, with the class-level values
+    as defaults, then calls ``__post_init__`` if there is one. Values are
+    equal when their classes are the same and their fields equal, hash as
+    the tuple of their fields and print as ``Name(field=value, ...)``;
+    assigning or deleting an attribute raises ``AttributeError``. A
+    dunder the class body defines is kept.
+    """
+    body = vars(cls)
+    names = tuple(body.get("__annotations__", ()))
+    defaults = {name: body[name] for name in names if name in body}
+    params = "".join(f", {n}=_d[{n!r}]" if n in defaults else f", {n}" for n in names)
+    steps = [f"_set(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        steps.append("self.__post_init__()")
+    namespace = {"_set": object.__setattr__, "_d": defaults}
+    statements = "\n    ".join(steps or ["pass"])
+    exec(f"def __init__(self{params}):\n    {statements}", namespace)
+    get = attrgetter(*names) if names else lambda self: ()
+    single = len(names) == 1
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((get(self),) if single else get(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    init = namespace["__init__"]
+    for method in (init, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        # A body defining __eq__ alone gets __hash__ = None from Python.
+        if body.get(method.__name__) is None:
+            setattr(cls, method.__name__, method)
+    return cls
+
+
+@frozen
 class Ordinal:
     """Ordinal < omega^omega as a CNF term list.
 
@@ -137,7 +191,7 @@ def _divisors(n: int) -> Iterator[int]:
             yield d
 
 
-@dataclass(frozen=True)
+@frozen
 class EPSet:
     """Eventually periodic subset of the naturals.
 
@@ -316,7 +370,7 @@ def nth_modification(base: EPSet, n: int) -> EPSet:
     return base.xor_finite(i for i in range(n.bit_length()) if n >> i & 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class Count:
     """Multiplicity in N + {omega}; None encodes omega.
 

@@ -7,11 +7,10 @@ ordinal state ranks, and numeric codes of finitely supported systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .foundations import EPSet, Ordinal
+from .foundations import EPSet, Ordinal, frozen
 
 StateId = str
 Rel = frozenset  # of (StateId, StateId) pairs
@@ -21,38 +20,38 @@ class UnsupportedFormula(ValueError):
     """Raised when a formula atom has no semantics on the given structure."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Neg:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen
 class And:
     subs: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Or:
     subs: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Dia:
     label: str
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen
 class RankAtLeast:
     bound: Ordinal
 
 
-@dataclass(frozen=True)
+@frozen
 class CharSet:
     param: EPSet
 
@@ -67,7 +66,7 @@ def modal_depths(phi: Formula) -> dict[int, int | str]:
 
     A subformula over an atom without finite depth maps to the type name
     of its first such atom instead. Formulas are told apart by identity,
-    never hashed (a frozen dataclass hashes recursively), so the table is
+    never hashed (a formula hashes its whole tree), so the table is
     meaningful only while phi is alive; the walk keeps its own stack.
     """
     depths: dict[int, int | str] = {}
@@ -108,7 +107,7 @@ def modal_depth(phi: Formula, depths: dict[int, int | str] | None = None) -> int
     return depth
 
 
-@dataclass(frozen=True)
+@frozen
 class PointedLTS:
     """States, labelled edges, and a distinguished root.
 
@@ -159,7 +158,7 @@ class PointedLTS:
         return tuple(seen)
 
 
-@dataclass(frozen=True)
+@frozen
 class OmegaLTSCode:
     """Numeric transition-system code: a root and finite edge sets per label."""
 

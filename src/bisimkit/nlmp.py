@@ -9,15 +9,16 @@ the greatest relational ones by the partition refinement of ``lts``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .foundations import frozen
 from .lts import Rel, StateId, crossing_pairs, refine_blocks
 
 
-@dataclass(frozen=True)
+@frozen
 class SubProbMeasure:
     """Finitely supported measure of total mass at most one.
 
@@ -77,7 +78,7 @@ class SubProbMeasure:
 ZERO_MEASURE = SubProbMeasure()
 
 
-@dataclass(frozen=True)
+@frozen
 class PointmassNLMP:
     """Finite process: per state and label, a finite set of measures.
 
@@ -87,7 +88,7 @@ class PointmassNLMP:
 
     labels: tuple[str, ...]
     states: tuple[StateId, ...]
-    trans: dict = field(default_factory=dict)  # (state, label) -> frozenset
+    trans: Mapping = MappingProxyType({})  # (state, label) -> frozenset; read-only default
 
     def __post_init__(self) -> None:
         states = set(self.states)

@@ -10,7 +10,6 @@ counted child slots to each node and feed the isomorphism machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Union
 
 from .foundations import (
@@ -20,6 +19,7 @@ from .foundations import (
     ORD_ZERO,
     Ordinal,
     nth_modification,
+    frozen,
     ordinal_sup,
 )
 
@@ -28,7 +28,7 @@ SUC_LABEL = "suc"
 Node = tuple  # of hashable letters
 
 
-@dataclass(frozen=True)
+@frozen
 class ExplicitTree:
     """Finite prefix-closed set of nodes; nonempty trees contain the root."""
 
@@ -90,7 +90,7 @@ def tail(node: Node) -> Node:
     return node[1:]
 
 
-@dataclass(frozen=True)
+@frozen
 class MultiTree:
     """Tree of counted child slots: entries (label, subtree, multiplicity)."""
 
@@ -104,6 +104,14 @@ class MultiTree:
                 raise ValueError("child subtree must be a MultiTree")
             if not count.is_omega and count.finite == 0:
                 raise ValueError("child multiplicities must be positive")
+
+    def __repr__(self) -> str:
+        # The field-by-field repr would print the whole unfolding, which
+        # is exponential in the depth of a shared DAG, and recurse.
+        return (
+            f"<MultiTree: {len(self.children)} entries,"
+            f" {len(postorder(self))} distinct nodes>"
+        )
 
     @property
     def is_leaf(self) -> bool:
@@ -165,7 +173,7 @@ def postorder(*roots: MultiTree) -> list[MultiTree]:
     return order
 
 
-@dataclass(frozen=True)
+@frozen
 class Chain:
     """A path of length non_root nodes below the root."""
 
@@ -176,14 +184,14 @@ class Chain:
             raise ValueError("chain length must be a natural")
 
 
-@dataclass(frozen=True)
+@frozen
 class ATree:
     """Branch-code tree: one chain of length n per member n of the set."""
 
     param: EPSet
 
 
-@dataclass(frozen=True)
+@frozen
 class BTree:
     """Glued tree of all finite modifications of the set.
 
@@ -194,7 +202,7 @@ class BTree:
     param: EPSet
 
 
-@dataclass(frozen=True)
+@frozen
 class Glue:
     """Fresh root whose immediate subtrees are the given symbolic trees."""
 

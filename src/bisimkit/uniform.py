@@ -10,10 +10,9 @@ measures are all point masses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .foundations import Ordinal
+from .foundations import Ordinal, frozen
 from .lts import OmegaLTSCode, PointedLTS, Rel, StateId, state_rank
 from .nlmp import PointmassNLMP, SubProbMeasure, greatest_ext_bisim
 from .substructures import carrier_levels, substructure
@@ -22,7 +21,7 @@ from .expansion import omega_code_expand
 from .treeiso import iso
 
 
-@dataclass(frozen=True)
+@frozen
 class UniformStructure:
     """Per state and label, rows of weighted targets.
 
@@ -35,7 +34,7 @@ class UniformStructure:
 
     labels: tuple[str, ...]
     states: tuple[StateId, ...]
-    rows: dict = field(default_factory=dict)  # (state, label) -> tuple of rows
+    rows: dict  # (state, label) -> tuple of rows
 
     def __post_init__(self) -> None:
         states = set(self.states)
@@ -166,13 +165,13 @@ def composition_enum(
     return listed if bound is None else listed[:bound]
 
 
-@dataclass(frozen=True)
+@frozen
 class UMLTSStructure:
     """Per state and label, an enumeration of the successor states."""
 
     labels: tuple[str, ...]
     states: tuple[StateId, ...]
-    enum: dict = field(default_factory=dict)  # (state, label) -> tuple of targets
+    enum: dict  # (state, label) -> tuple of targets
 
     def __post_init__(self) -> None:
         states = set(self.states)

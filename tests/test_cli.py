@@ -371,3 +371,42 @@ class TestVerifyVerb:
         proc = run_cli("verify", "--suite", "tail-rank", "--seed", "5", "--format", "text")
         assert proc.returncode == 0
         assert proc.stdout.startswith("tail-rank: ok")
+
+
+class TestErrorExits:
+    """Failures inside a verb never read as a verdict (exit 1)."""
+
+    def run_failing(self, monkeypatch, capsys, tmp_path, error):
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr("bisimkit.cli._cmd_rank", failing)
+        lts = write(tmp_path, "loop.json", loop_lts())
+        code = main(["rank", lts])
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        return code, err
+
+    def test_memory_error_is_an_input_error(self, monkeypatch, capsys, tmp_path):
+        code, err = self.run_failing(monkeypatch, capsys, tmp_path, MemoryError())
+        assert (code, err) == (2, "error: out of memory\n")
+
+    def test_other_exceptions_are_internal_errors(self, monkeypatch, capsys, tmp_path):
+        code, err = self.run_failing(
+            monkeypatch, capsys, tmp_path, KeyError("s")
+        )
+        assert (code, err) == (3, "error: internal error: KeyError: 's'\n")
+
+    def test_internal_error_message_stays_on_one_line(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        error = ZeroDivisionError("first\nsecond")
+        code, err = self.run_failing(monkeypatch, capsys, tmp_path, error)
+        assert (code, err) == (
+            3, "error: internal error: ZeroDivisionError: first second\n"
+        )
+
+    def test_recursion_error_stays_an_input_error(self, monkeypatch, capsys, tmp_path):
+        code, err = self.run_failing(monkeypatch, capsys, tmp_path, RecursionError())
+        assert (code, err) == (2, "error: input nests too deeply\n")
