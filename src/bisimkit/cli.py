@@ -13,7 +13,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from .dot import explicit_tree_dot, lts_dot, multitree_dot, nlmp_dot, symbolic_tree_dot
 from .e0 import (
@@ -26,7 +27,7 @@ from .e0 import (
 from .expansion import omega_expand, omega_expand_truncated
 from .jsonio import (
     formula_to_json,
-    multitree_json_text,
+    multitree_json_chunks,
     multitree_to_json,  # noqa: F401 -- perfbench/traced_cli.py wraps this name
     nlmp_to_json,
     parse_carrier,
@@ -42,7 +43,7 @@ from .jsonio import (
 from .lts import PointedLTS, eval_formula, greatest_bisim, state_rank
 from .nlmp import greatest_ext_bisim, greatest_state_bisim
 from .substructures import reachable_carrier, substructure
-from .treeiso import canon, iso
+from .treeiso import canon, canon_chunks, iso
 from .trees import ExplicitTree, symbolic_rank, truncate_symbolic
 from .uniform import composition_enum, derive_uniform, tree_process
 from .verify import SUITES, render_report, run_suites
@@ -59,18 +60,30 @@ def _default_seed() -> int:
 
 
 def _emit(
-    args: argparse.Namespace, report: dict | Callable[[], str], summary: str
+    args: argparse.Namespace,
+    report: dict | Callable[[], Iterable[str]],
+    summary: str | Iterable[str],
 ) -> None:
     """Print the report line, or only the summary under ``--format text``.
 
-    A report may come as a function rendering its JSON line, which text
-    output never calls.
+    A report may come as a function yielding its JSON line in chunks,
+    which text output never calls, and a summary as chunks; chunks are
+    written as they come, so a long line is never held whole.
     """
     if getattr(args, "format", "json") == "text":
-        print(summary)
+        _write_line(sys.stdout, summary)
     else:
-        print(report() if callable(report) else json.dumps(report, sort_keys=True))
-        print(summary, file=sys.stderr)
+        _write_line(
+            sys.stdout,
+            report() if callable(report) else json.dumps(report, sort_keys=True),
+        )
+        _write_line(sys.stderr, summary)
+
+
+def _write_line(stream, chunks: str | Iterable[str]) -> None:
+    for chunk in (chunks,) if isinstance(chunks, str) else chunks:
+        stream.write(chunk)
+    stream.write("\n")
 
 
 def _load_process(path: str) -> PointedLTS:
@@ -150,17 +163,22 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise ValueError(f"state {state!r} reaches a cycle; give --depth to truncate")
     else:
         tree = omega_expand(lts, state)
-    form = canon(tree)
+    form = canon_chunks(tree)
+    # Both texts are tabled before the first byte is written, so a failure
+    # leaves stdout empty; text output renders no tree.
+    text = None if args.format == "text" else multitree_json_chunks(tree)
 
-    def report() -> str:
-        # The line json.dumps(..., sort_keys=True) would print, with the tree
-        # rendered once per distinct node instead of once per unfolded node.
-        return (
-            f'{{"canon": {json.dumps(form)}, "state": {json.dumps(state)}, '
-            f'"tree": {multitree_json_text(tree)}, "verb": "expand"}}'
-        )
+    def report() -> Iterator[str]:
+        # The line json.dumps(..., sort_keys=True) would print. JSON escapes
+        # each character alone, so the canon chunks are escaped one by one.
+        yield '{"canon": "'
+        for chunk in form:
+            yield json.dumps(chunk)[1:-1]
+        yield f'", "state": {json.dumps(state)}, "tree": '
+        yield from text
+        yield ', "verb": "expand"}'
 
-    _emit(args, report, f"expansion of {state} canonicalizes to {form}")
+    _emit(args, report, chain((f"expansion of {state} canonicalizes to ",), form))
     return EXIT_OK
 
 

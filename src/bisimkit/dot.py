@@ -58,21 +58,34 @@ def symbolic_tree_dot(tree: SymbolicTree, depth: int, width: int) -> str:
 
 
 def multitree_dot(tree: MultiTree) -> str:
-    lines = ["digraph multitree {"]
-    counter = [0]
+    """One DOT node per node of the unfolding, named n0, n1, ... in preorder.
 
-    def walk(sub: MultiTree) -> str:
-        name = f"n{counter[0]}"
-        counter[0] += 1
-        lines.append(f"  {_quote(name)};")
-        for label, child, count in sub.children:
-            child_name = walk(child)
-            lines.append(
-                f"  {_quote(name)} -> {_quote(child_name)} [label={_quote(f'{label}*{count}')}];"
+    Each edge line follows the lines of its child's whole subtree. The walk
+    keeps its own stack of (name, remaining children, edge line to add
+    when done) instead of recursing.
+    """
+    lines = ["digraph multitree {", f"  {_quote('n0')};"]
+    counter = 1
+    stack = [("n0", iter(tree.children), None)]
+    while stack:
+        name, children, edge = stack[-1]
+        for label, child, count in children:
+            child_name = f"n{counter}"
+            counter += 1
+            lines.append(f"  {_quote(child_name)};")
+            stack.append(
+                (
+                    child_name,
+                    iter(child.children),
+                    f"  {_quote(name)} -> {_quote(child_name)}"
+                    f" [label={_quote(f'{label}*{count}')}];",
+                )
             )
-        return name
-
-    walk(tree)
+            break
+        else:
+            stack.pop()
+            if edge is not None:
+                lines.append(edge)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

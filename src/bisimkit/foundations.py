@@ -412,6 +412,10 @@ class Count:
     def to_json(self) -> int | str:
         return "omega" if self.is_omega else self.finite
 
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json())``, without the encoder's overhead."""
+        return '"omega"' if self.finite is None else str(self.finite)
+
     @classmethod
     def from_json(cls, data: object) -> Count:
         if data == "omega":

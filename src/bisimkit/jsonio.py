@@ -5,6 +5,11 @@ shape and cross-references and raise ValueError naming the offending
 field; deeper invariants stay with the value constructors, whose errors
 already carry the culprit. Serializers emit deterministic structures:
 declared orders are kept and everything unordered is sorted.
+
+A multiplicity tree's JSON text can also be streamed:
+`multitree_json_chunks` builds one table entry per distinct node, the
+node's text when it is short and otherwise pieces around its children,
+and yields the text in chunks, so the unfolding is never held whole.
 """
 
 from __future__ import annotations
@@ -14,12 +19,23 @@ import json
 from .foundations import Count, EPSet, Ordinal, format_rational, parse_rational
 from .lts import And, CharSet, Dia, Formula, Neg, Or, PointedLTS, RankAtLeast, Top, TOP
 from .nlmp import PointmassNLMP, SubProbMeasure
-from .trees import AnyTree, ATree, BTree, Chain, ExplicitTree, Glue, MultiTree, postorder
+from .trees import (
+    AnyTree,
+    ATree,
+    BTree,
+    Chain,
+    ExplicitTree,
+    Glue,
+    MultiTree,
+    PieceText,
+    postorder,
+)
 from .uniform import UniformStructure
 
 __all__ = [
     "formula_to_json",
     "lts_to_json",
+    "multitree_json_chunks",
     "multitree_json_text",
     "multitree_to_json",
     "nlmp_to_json",
@@ -248,24 +264,52 @@ def multitree_to_json(tree: MultiTree) -> dict:
     return data[id(tree)]
 
 
-def multitree_json_text(tree: MultiTree) -> str:
-    """``json.dumps(multitree_to_json(tree), sort_keys=True)``, node by node.
+def multitree_json_chunks(tree: MultiTree) -> PieceText:
+    """``json.dumps(multitree_to_json(tree), sort_keys=True)`` in chunks.
 
-    Each distinct node's text is joined once from its children's texts, so
-    the cost is the DAG size plus the output length, without recursion.
+    The table is built before returning, one entry per distinct node:
+    its text when that fits in PieceText.INLINE characters, joined once
+    from its children's texts, or else constant pieces between them. The
+    cost is the DAG size plus the output length, without recursion.
     """
-    texts: dict[int, str] = {}
+    limit = PieceText.INLINE
+    texts: dict[int, str | int] = {}
+    table: dict[int, list] = {}
     for node in postorder(tree):
-        grouped: dict[str, list[str]] = {}
-        for label, sub, count in node.children:
-            grouped.setdefault(label, []).append(
-                f"[{texts[id(sub)]}, {json.dumps(count.to_json())}]"
-            )
-        texts[id(node)] = "{" + ", ".join(
-            f"{json.dumps(label)}: [{', '.join(grouped[label])}]"
-            for label in sorted(grouped)
-        ) + "}"
-    return texts[id(tree)]
+        children = node.children
+        if not table or all(type(texts[id(sub)]) is str for _, sub, _ in children):
+            grouped: dict[str, list[str]] = {}
+            for label, sub, count in children:
+                grouped.setdefault(label, []).append(
+                    f"[{texts[id(sub)]}, {count.json_text()}]"
+                )
+            text = "{" + ", ".join(
+                f"{json.dumps(label)}: [{', '.join(grouped[label])}]"
+                for label in sorted(grouped)
+            ) + "}"
+            if len(text) <= limit:
+                texts[id(node)] = text
+                continue
+        by_label: dict[str, list] = {}
+        for label, sub, count in children:
+            by_label.setdefault(label, []).append((texts[id(sub)], count))
+        pieces: list = []
+        text = "{"
+        for n, label in enumerate(sorted(by_label)):
+            text += (", " if n else "") + json.dumps(label) + ": ["
+            for i, (child, count) in enumerate(by_label[label]):
+                pieces += (text + (", [" if i else "["), child)
+                text = f", {count.json_text()}]"
+            text += "]"
+        pieces.append(text + "}")
+        table[id(node)] = pieces
+        texts[id(node)] = id(node)
+    return PieceText(table, texts[id(tree)])
+
+
+def multitree_json_text(tree: MultiTree) -> str:
+    """``json.dumps(multitree_to_json(tree), sort_keys=True)``, node by node."""
+    return str(multitree_json_chunks(tree))
 
 
 def parse_formula(data: object) -> Formula:

@@ -10,7 +10,7 @@ counted child slots to each node and feed the isomorphism machinery.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 from .foundations import (
     Count,
@@ -113,6 +113,56 @@ class MultiTree:
             f" {len(postorder(self))} distinct nodes>"
         )
 
+    def __eq__(self, other: object) -> bool:
+        """Field-by-field equality, over each distinct pair of nodes once.
+
+        The pairs wait on an explicit stack, so a shared DAG compares in
+        time linear in its pairs and a deep tree never recurses.
+        """
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            left, right = stack.pop()
+            if left is right or (id(left), id(right)) in seen:
+                continue
+            seen.add((id(left), id(right)))
+            if left.__class__ is not right.__class__:
+                return False
+            if len(left.children) != len(right.children):
+                return False
+            for (label, sub, count), (label2, sub2, count2) in zip(
+                left.children, right.children
+            ):
+                if label != label2 or count != count2:
+                    return False
+                stack.append((sub, sub2))
+        return True
+
+    def __hash__(self) -> int:
+        """``hash((children,))``, as the field-wise hash, cached per node.
+
+        Children are hashed before their parents from an explicit stack,
+        so each distinct node is hashed once and a deep tree never
+        recurses; the tuple hash then reads each child's cached value.
+        """
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if "_hash" in node.__dict__:
+                stack.pop()
+                continue
+            pending = [
+                sub for _, sub, _ in node.children if "_hash" not in sub.__dict__
+            ]
+            if pending:
+                stack += pending
+            else:
+                stack.pop()
+                object.__setattr__(node, "_hash", hash((node.children,)))
+        return self._hash
+
     @property
     def is_leaf(self) -> bool:
         return not self.children
@@ -171,6 +221,61 @@ def postorder(*roots: MultiTree) -> list[MultiTree]:
                 stack.pop()
                 order.append(node)
     return order
+
+
+class PieceText:
+    """A tree's text kept per distinct node; iterating yields it in chunks.
+
+    The root, and each piece below it, is a string or the int key of a
+    table entry: the pieces of a node whose text is longer than INLINE
+    characters, constant strings alternating with its children. A node
+    within the limit is one string, so memory follows the number of
+    distinct nodes, not the length of the text. Iteration walks the
+    table with an explicit stack and yields chunks of at most CHUNK
+    characters; it may be repeated.
+    """
+
+    INLINE = 16384
+    CHUNK = 65536
+
+    __slots__ = ("table", "root")
+
+    def __init__(self, table: dict[int, list], root: str | int) -> None:
+        self.table = table
+        self.root = root
+
+    def __str__(self) -> str:
+        """The whole text, joined from the chunks."""
+        if type(self.root) is str:
+            return self.root
+        return "".join(self)
+
+    def __iter__(self) -> Iterator[str]:
+        table, size = self.table, self.CHUNK
+        buffer: list[str] = []
+        held = 0
+        stack = [iter((self.root,))]
+        while stack:
+            for piece in stack[-1]:
+                if type(piece) is int:
+                    stack.append(iter(table[piece]))
+                    break
+                if held + len(piece) > size:
+                    if buffer:
+                        yield "".join(buffer)
+                        buffer.clear()
+                        held = 0
+                    start = 0
+                    while len(piece) - start > size:
+                        yield piece[start : start + size]
+                        start += size
+                    piece = piece[start:]
+                buffer.append(piece)
+                held += len(piece)
+            else:
+                stack.pop()
+        if buffer:
+            yield "".join(buffer)
 
 
 @frozen

@@ -169,7 +169,7 @@ class TestProcessVerbs:
         def unwanted(tree):
             raise AssertionError("text output rendered the tree")
 
-        monkeypatch.setattr("bisimkit.cli.multitree_json_text", unwanted)
+        monkeypatch.setattr("bisimkit.cli.multitree_json_chunks", unwanted)
         assert main(["expand", chain, "--format", "text"]) == 0
         assert capsys.readouterr().out == proc.stdout
 

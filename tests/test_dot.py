@@ -1,5 +1,6 @@
 """DOT emission: fixed layouts and determinism."""
 
+import random
 from fractions import Fraction
 
 from bisimkit.dot import (
@@ -9,7 +10,9 @@ from bisimkit.dot import (
     nlmp_dot,
     symbolic_tree_dot,
 )
+from bisimkit.dot import _quote
 from bisimkit.foundations import Count, EPSet, OMEGA_COUNT
+from bisimkit.gen import random_multitree
 from bisimkit.lts import PointedLTS
 from bisimkit.nlmp import PointmassNLMP, SubProbMeasure
 from bisimkit.trees import ATree, BTree, ExplicitTree, MultiTree
@@ -68,6 +71,46 @@ def test_multitree_multiplicity_annotations():
     assert '[label="a*omega"]' in text
     assert '[label="b*3"]' in text
     assert text.count("->") == 2
+
+
+def recursive_multitree_dot(tree: MultiTree) -> str:
+    """The former recursive emitter, kept as the oracle for the stack walk."""
+    lines = ["digraph multitree {"]
+    counter = [0]
+
+    def walk(sub: MultiTree) -> str:
+        name = f"n{counter[0]}"
+        counter[0] += 1
+        lines.append(f"  {_quote(name)};")
+        for label, child, count in sub.children:
+            child_name = walk(child)
+            lines.append(
+                f"  {_quote(name)} -> {_quote(child_name)} [label={_quote(f'{label}*{count}')}];"
+            )
+        return name
+
+    walk(tree)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_multitree_matches_the_recursive_oracle():
+    rng = random.Random(41)
+    trees = [MultiTree(), MultiTree((("a", MultiTree(), Count(1)),))] + [
+        random_multitree(rng, 4, ("a", 'q"\\', "\u00e9"), 3) for _ in range(150)
+    ]
+    verdicts = [multitree_dot(tree) == recursive_multitree_dot(tree) for tree in trees]
+    assert verdicts == [True] * len(verdicts)
+
+
+def test_multitree_of_a_deep_chain():
+    tree = MultiTree()
+    for _ in range(3000):
+        tree = MultiTree((("a", tree, Count(1)),))
+    lines = multitree_dot(tree).splitlines()
+    assert len(lines) == 2 + 3001 + 3000
+    assert lines[3002] == '  "n2999" -> "n3000" [label="a*1"];'
+    assert lines[-2] == '  "n0" -> "n1" [label="a*1"];'
 
 
 def test_nlmp_measure_hubs():

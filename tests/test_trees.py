@@ -154,6 +154,46 @@ class TestMultiTrees:
         tree = MultiTree.from_mapping({"a": [(LEAF, Count(2))]})
         assert tree == MultiTree((("a", LEAF, Count(2)),))
 
+    @staticmethod
+    def doubling_dag(levels: int, bottom: Count = Count(1)) -> MultiTree:
+        """Built afresh on each call, so two copies share no node."""
+        dag = MultiTree((("a", MultiTree(), bottom),))
+        for _ in range(levels - 1):
+            dag = MultiTree((("a", dag, Count(1)), ("b", dag, OMEGA_COUNT)))
+        return dag
+
+    @staticmethod
+    def chain(depth: int, bottom: Count = Count(1)) -> MultiTree:
+        tree = MultiTree((("a", MultiTree(), bottom),))
+        for _ in range(depth - 1):
+            tree = MultiTree((("a", tree, Count(1)),))
+        return tree
+
+    def test_shared_and_deep_trees_hash_and_compare_quickly(self):
+        # The field-wise walk would visit 2**40 paths, or recurse 3000 deep.
+        for build, size in ((self.doubling_dag, 40), (self.chain, 3000)):
+            left, right = build(size), build(size)
+            other = build(size, OMEGA_COUNT)
+            assert left is not right
+            assert left == right and hash(left) == hash(right)
+            assert left != other and other != right
+            assert hash(left) == hash((left.children,))
+            assert len({left, right, other}) == 2
+
+    def test_hash_matches_the_field_tuple_after_partial_caching(self):
+        inner = self.doubling_dag(5)
+        expected = hash((inner.children,))
+        outer = MultiTree((("c", inner, Count(3)), ("c", LEAF, Count(1))))
+        assert hash(inner) == expected
+        assert hash(outer) == hash((outer.children,))
+
+    def test_equality_is_by_fields_not_identity(self):
+        assert MultiTree() == LEAF
+        assert MultiTree((("a", LEAF, Count(1)),)) != MultiTree((("b", LEAF, Count(1)),))
+        assert MultiTree((("a", LEAF, Count(1)),)) != MultiTree((("a", LEAF, Count(2)),))
+        assert MultiTree((("a", LEAF, Count(1)),)) != MultiTree()
+        assert MultiTree().__eq__(object()) is NotImplemented
+
 
 class TestSymbolicRanks:
     def test_chain(self):
