@@ -5,15 +5,21 @@ signals through its exit code: 0 when the property holds or the
 computation succeeded, 1 when the checked property fails, 2 on input
 errors (including input too large for memory or nested too deeply), and
 3 on an internal error, a bug to report. Errors print one line on stderr.
+
+The verb table VERBS is the only description of the command line. A
+plain line is parsed straight from it; argparse is imported, and a parser
+built from the same table, only for help and for lines outside the plain
+form (usage errors, abbreviations, "--opt=value", "--"), so help text,
+error text and exit codes are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
 from .dot import explicit_tree_dot, lts_dot, multitree_dot, nlmp_dot, symbolic_tree_dot
@@ -60,7 +66,7 @@ def _default_seed() -> int:
 
 
 def _emit(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     report: dict | Callable[[], Iterable[str]],
     summary: str | Iterable[str],
 ) -> None:
@@ -105,7 +111,7 @@ def _checked_state(lts: PointedLTS, state: str | None) -> str:
     return state
 
 
-def _cmd_bisim(args: argparse.Namespace) -> int:
+def _cmd_bisim(args: SimpleNamespace) -> int:
     left = _load_process(args.left)
     right = _load_process(args.right)
     rel = greatest_bisim(left, right)
@@ -117,7 +123,7 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
     return EXIT_OK if good else EXIT_FAIL
 
 
-def _cmd_nlmp_bisim(args: argparse.Namespace) -> int:
+def _cmd_nlmp_bisim(args: SimpleNamespace) -> int:
     nlmp = parse_nlmp(read_json_file(args.file))
     other = nlmp if args.other is None else parse_nlmp(read_json_file(args.other))
     if args.state not in nlmp.states:
@@ -140,7 +146,7 @@ def _cmd_nlmp_bisim(args: argparse.Namespace) -> int:
     return EXIT_OK if good else EXIT_FAIL
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: SimpleNamespace) -> int:
     lts = _load_process(args.file)
     state = _checked_state(lts, args.state)
     rank = state_rank(lts, state)
@@ -154,7 +160,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: SimpleNamespace) -> int:
     lts = _load_process(args.file)
     state = _checked_state(lts, args.state)
     if args.depth is not None:
@@ -182,7 +188,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_iso(args: argparse.Namespace) -> int:
+def _cmd_iso(args: SimpleNamespace) -> int:
     left = parse_multitree(read_json_file(args.left))
     right = parse_multitree(read_json_file(args.right))
     good = iso(left, right)
@@ -194,7 +200,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     return EXIT_OK if good else EXIT_FAIL
 
 
-def _cmd_e0_check(args: argparse.Namespace) -> int:
+def _cmd_e0_check(args: SimpleNamespace) -> int:
     x = parse_epset(read_json_file(args.left))
     y = parse_epset(read_json_file(args.right))
     good = mod_glue_bisim(x, y)
@@ -208,7 +214,7 @@ def _cmd_e0_check(args: argparse.Namespace) -> int:
     return EXIT_OK if good else EXIT_FAIL
 
 
-def _cmd_e0_reduce(args: argparse.Namespace) -> int:
+def _cmd_e0_reduce(args: SimpleNamespace) -> int:
     x = parse_epset(read_json_file(args.set))
     gadget = mod_glue_tree(x)
     if args.depth is None and args.width is None:
@@ -227,7 +233,7 @@ def _cmd_e0_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_e0_witness(args: argparse.Namespace) -> int:
+def _cmd_e0_witness(args: SimpleNamespace) -> int:
     x = parse_epset(read_json_file(args.left))
     y = parse_epset(read_json_file(args.right))
     if x.sym_diff(y).is_finite:
@@ -251,7 +257,7 @@ def _cmd_e0_witness(args: argparse.Namespace) -> int:
     return EXIT_FAIL
 
 
-def _cmd_substructure(args: argparse.Namespace) -> int:
+def _cmd_substructure(args: SimpleNamespace) -> int:
     nlmp = parse_nlmp(read_json_file(args.file))
     if args.carrier is not None:
         carrier = parse_carrier(read_json_file(args.carrier))
@@ -272,7 +278,7 @@ def _cmd_substructure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     phi = parse_formula(read_json_file(args.formula))
     data = read_json_file(args.target)
     if isinstance(data, dict) and "kind" in data:
@@ -303,7 +309,7 @@ def _sniff_dot_kind(data: object) -> str:
     return "multitree"
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
+def _cmd_export_dot(args: SimpleNamespace) -> int:
     data = read_json_file(args.file)
     kind = args.kind or _sniff_dot_kind(data)
     if kind == "lts":
@@ -329,7 +335,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     report = run_suites(seed, names)
@@ -346,113 +352,200 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default="json",
-        help="report format on stdout",
-    )
+_FORMAT = (
+    "--format",
+    {"choices": ("json", "text"), "default": "json", "help": "report format on stdout"},
+)
+_WITNESS = ("--witness", {"action": "store_true"})
+_INT = {"type": int}
+
+# The command line, verb by verb: the verb's help and its arguments in the
+# order help lists them. For e0 the arguments are a table of sub-verbs in
+# the same form. An argument is a positional name, a long option with its
+# argparse keywords, or a list of options exactly one of which is given.
+# _parse_plain reads only the keywords used here (action="store_true",
+# type, choices, default, help); another one needs teaching it first.
+# Verb v runs _cmd_v, and e0's sub-verb s runs _cmd_e0_s (dashes become
+# underscores); the function is looked up when a line is parsed.
+VERBS: dict[str, tuple[str, list | dict]] = {
+    "bisim": ("compare two process roots", ["left", "right", _WITNESS, _FORMAT]),
+    "nlmp-bisim": (
+        "compare two NLMP states",
+        [
+            "file",
+            "state",
+            "state_prime",
+            ("--other", {"help": "second process for an external check"}),
+            _WITNESS,
+            _FORMAT,
+        ],
+    ),
+    "rank": ("ordinal rank of a state", ["file", ("--state", {}), _FORMAT]),
+    "expand": (
+        "omega-expansion of a state",
+        ["file", ("--state", {}), ("--depth", _INT), _FORMAT],
+    ),
+    "iso": ("compare two multiplicity trees", ["left", "right", _WITNESS, _FORMAT]),
+    "e0": (
+        "eventual-equality reduction gadgets",
+        {
+            "check": ("decide eventual equality", ["left", "right", _FORMAT]),
+            "reduce": (
+                "emit the gadget tree of a set",
+                ["set", ("--depth", _INT), ("--width", _INT), _FORMAT],
+            ),
+            "witness": (
+                "matching or separating witness",
+                ["left", "right", ("--bound", {"type": int, "default": 16}), _FORMAT],
+            ),
+        },
+    ),
+    "substructure": (
+        "induced process on a carrier",
+        [
+            "file",
+            [("--state", {}), ("--carrier", {})],
+            ("--bound", {"type": int, "help": "cap the enumeration closure"}),
+            _FORMAT,
+        ],
+    ),
+    "eval": (
+        "evaluate a formula on a process or tree",
+        ["formula", "target", ("--state", {}), _FORMAT],
+    ),
+    "verify": (
+        "run the theorem re-check suites",
+        [("--suite", {"default": "all"}), ("--seed", _INT), _FORMAT],
+    ),
+    "export-dot": (
+        "render a value as DOT",
+        [
+            "file",
+            ("--kind", {"choices": ("lts", "nlmp", "tree", "multitree")}),
+            ("--depth", _INT),
+            ("--width", _INT),
+            ("--out", {}),
+        ],
+    ),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _handler(*path: str) -> Callable[[SimpleNamespace], int]:
+    return globals()["_".join(("_cmd",) + path).replace("-", "_")]
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a plain command line, else None.
+
+    A plain line is the verb (and e0's sub-verb), then positionals and
+    exact long option names in any order, where no positional or option
+    value starts with "-". Every other line -- help, abbreviations,
+    "--opt=value", "--", negative numbers, bad values, missing or extra
+    arguments -- is left to argparse, which alone prints help and errors.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    path = argv[:1]
+    values = {"verb": argv[0]}
+    arguments = VERBS[argv[0]][1]
+    if isinstance(arguments, dict):
+        if len(argv) < 2 or argv[1] not in arguments:
+            return None
+        path = argv[:2]
+        values[f"{argv[0]}_verb"] = argv[1]
+        arguments = arguments[argv[1]][1]
+    positionals = []
+    options = {}
+    one_of = set()
+    for argument in arguments:
+        if isinstance(argument, str):
+            positionals.append(argument)
+            continue
+        if isinstance(argument, list):
+            one_of = {name for name, _ in argument}
+        else:
+            argument = [argument]
+        for name, keywords in argument:
+            dest = name[2:].replace("-", "_")
+            options[name] = dest, keywords
+            store_true = keywords.get("action") == "store_true"
+            values[dest] = keywords.get("default", False if store_true else None)
+    given = set()
+    found = []
+    words = iter(argv[len(path):])
+    for word in words:
+        if not word.startswith("-"):
+            found.append(word)
+            continue
+        if word not in options:
+            return None
+        given.add(word)
+        dest, keywords = options[word]
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    if len(found) != len(positionals) or (one_of and len(given & one_of) != 1):
+        return None
+    values.update(zip(positionals, found))
+    values["run"] = _handler(*path)
+    return SimpleNamespace(**values)
+
+
+def _build_parser():
+    """An argparse parser for the lines _parse_plain leaves, built from VERBS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bisimkit",
         description="Bisimulation toolkit over JSON process descriptions.",
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
-
-    bisim = verbs.add_parser("bisim", help="compare two process roots")
-    bisim.add_argument("left")
-    bisim.add_argument("right")
-    bisim.add_argument("--witness", action="store_true")
-    _add_format(bisim)
-    bisim.set_defaults(run=_cmd_bisim)
-
-    nlmp_bisim = verbs.add_parser("nlmp-bisim", help="compare two NLMP states")
-    nlmp_bisim.add_argument("file")
-    nlmp_bisim.add_argument("state")
-    nlmp_bisim.add_argument("state_prime")
-    nlmp_bisim.add_argument("--other", help="second process for an external check")
-    nlmp_bisim.add_argument("--witness", action="store_true")
-    _add_format(nlmp_bisim)
-    nlmp_bisim.set_defaults(run=_cmd_nlmp_bisim)
-
-    rank = verbs.add_parser("rank", help="ordinal rank of a state")
-    rank.add_argument("file")
-    rank.add_argument("--state")
-    _add_format(rank)
-    rank.set_defaults(run=_cmd_rank)
-
-    expand = verbs.add_parser("expand", help="omega-expansion of a state")
-    expand.add_argument("file")
-    expand.add_argument("--state")
-    expand.add_argument("--depth", type=int)
-    _add_format(expand)
-    expand.set_defaults(run=_cmd_expand)
-
-    iso = verbs.add_parser("iso", help="compare two multiplicity trees")
-    iso.add_argument("left")
-    iso.add_argument("right")
-    iso.add_argument("--witness", action="store_true")
-    _add_format(iso)
-    iso.set_defaults(run=_cmd_iso)
-
-    e0 = verbs.add_parser("e0", help="eventual-equality reduction gadgets")
-    e0_verbs = e0.add_subparsers(dest="e0_verb", required=True)
-    check = e0_verbs.add_parser("check", help="decide eventual equality")
-    check.add_argument("left")
-    check.add_argument("right")
-    _add_format(check)
-    check.set_defaults(run=_cmd_e0_check)
-    reduce_ = e0_verbs.add_parser("reduce", help="emit the gadget tree of a set")
-    reduce_.add_argument("set")
-    reduce_.add_argument("--depth", type=int)
-    reduce_.add_argument("--width", type=int)
-    _add_format(reduce_)
-    reduce_.set_defaults(run=_cmd_e0_reduce)
-    witness = e0_verbs.add_parser("witness", help="matching or separating witness")
-    witness.add_argument("left")
-    witness.add_argument("right")
-    witness.add_argument("--bound", type=int, default=16)
-    _add_format(witness)
-    witness.set_defaults(run=_cmd_e0_witness)
-
-    sub = verbs.add_parser("substructure", help="induced process on a carrier")
-    sub.add_argument("file")
-    pick = sub.add_mutually_exclusive_group(required=True)
-    pick.add_argument("--state")
-    pick.add_argument("--carrier")
-    sub.add_argument("--bound", type=int, help="cap the enumeration closure")
-    _add_format(sub)
-    sub.set_defaults(run=_cmd_substructure)
-
-    eval_ = verbs.add_parser("eval", help="evaluate a formula on a process or tree")
-    eval_.add_argument("formula")
-    eval_.add_argument("target")
-    eval_.add_argument("--state")
-    _add_format(eval_)
-    eval_.set_defaults(run=_cmd_eval)
-
-    verify = verbs.add_parser("verify", help="run the theorem re-check suites")
-    verify.add_argument("--suite", default="all")
-    verify.add_argument("--seed", type=int)
-    _add_format(verify)
-    verify.set_defaults(run=_cmd_verify)
-
-    export = verbs.add_parser("export-dot", help="render a value as DOT")
-    export.add_argument("file")
-    export.add_argument("--kind", choices=("lts", "nlmp", "tree", "multitree"))
-    export.add_argument("--depth", type=int)
-    export.add_argument("--width", type=int)
-    export.add_argument("--out")
-    export.set_defaults(run=_cmd_export_dot)
-
+    for verb, (help_, arguments) in VERBS.items():
+        sub = verbs.add_parser(verb, help=help_)
+        if isinstance(arguments, dict):
+            sub_verbs = sub.add_subparsers(dest=f"{verb}_verb", required=True)
+            for name, (sub_help, sub_arguments) in arguments.items():
+                _add_arguments(
+                    sub_verbs.add_parser(name, help=sub_help),
+                    sub_arguments,
+                    _handler(verb, name),
+                )
+        else:
+            _add_arguments(sub, arguments, _handler(verb))
     return parser
 
 
+def _add_arguments(parser, arguments: list, run: Callable[[SimpleNamespace], int]) -> None:
+    for argument in arguments:
+        if isinstance(argument, str):
+            parser.add_argument(argument)
+        elif isinstance(argument, list):
+            group = parser.add_mutually_exclusive_group(required=True)
+            for name, keywords in argument:
+                group.add_argument(name, **keywords)
+        else:
+            name, keywords = argument
+            parser.add_argument(name, **keywords)
+    parser.set_defaults(run=run)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv, SimpleNamespace())
     try:
         return args.run(args)
     except (ValueError, OSError) as err:

@@ -6,6 +6,7 @@ can be replayed from its seed.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -123,11 +124,14 @@ def random_explicit_tree(
 ) -> ExplicitTree:
     target = rng.randint(1, max_nodes)
     nodes = {()}
+    ordered = [()]  # nodes, kept sorted so each draw matches sorted(nodes)
     for _ in range(3 * target):
         if len(nodes) >= target:
             break
-        parent = rng.choice(sorted(nodes))
-        nodes.add(parent + (rng.randint(0, max_letter),))
+        child = rng.choice(ordered) + (rng.randint(0, max_letter),)
+        if child not in nodes:
+            nodes.add(child)
+            insort(ordered, child)
     return ExplicitTree(frozenset(nodes))
 
 

@@ -128,14 +128,15 @@ def parse_nlmp(data: object) -> PointmassNLMP:
     states = _str_list(fields["states"], "NLMP states")
     if not isinstance(fields["trans"], dict):
         raise ValueError("NLMP trans must be an object keyed by state")
+    known_states, known_labels = set(states), set(labels)
     trans: dict = {}
     for state, by_label in fields["trans"].items():
-        if state not in states:
+        if state not in known_states:
             raise ValueError(f"trans lists unknown state {state!r}")
         if not isinstance(by_label, dict):
             raise ValueError(f"trans[{state!r}] must be an object keyed by label")
         for label, measures in by_label.items():
-            if label not in labels:
+            if label not in known_labels:
                 raise ValueError(f"trans[{state!r}] uses unknown label {label!r}")
             if not isinstance(measures, list):
                 raise ValueError(f"trans[{state!r}][{label!r}] must be a list")
@@ -146,7 +147,7 @@ def parse_nlmp(data: object) -> PointmassNLMP:
                     raise ValueError(f"{where} must be an object")
                 weights = {}
                 for target, text in entry.items():
-                    if target not in states:
+                    if target not in known_states:
                         raise ValueError(f"{where} names unknown state {target!r}")
                     weights[target] = parse_rational(text)
                 parsed.append(SubProbMeasure.from_mapping(weights))
@@ -387,6 +388,8 @@ def parse_uniform(data: object) -> UniformStructure:
                     if not isinstance(entry, list) or len(entry) != 3:
                         raise ValueError(f"{where} entries must be [k, mass, target]")
                     k, mass_text, target = entry
+                    if not isinstance(target, str):
+                        raise ValueError(f"{where} target must be a state name, got {target!r}")
                     entries.append(
                         (_natural(k, f"{where} index"), parse_rational(mass_text), target)
                     )

@@ -1,8 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
-from bisimkit.cli import main
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bisimkit
+from bisimkit import cli
+from bisimkit.cli import VERBS, _parse_plain, main
 
 
 def run_cli(*argv, env=None):
@@ -410,3 +419,302 @@ class TestErrorExits:
     def test_recursion_error_stays_an_input_error(self, monkeypatch, capsys, tmp_path):
         code, err = self.run_failing(monkeypatch, capsys, tmp_path, RecursionError())
         assert (code, err) == (2, "error: input nests too deeply\n")
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--format",
+        choices=("json", "text"),
+        default="json",
+        help="report format on stdout",
+    )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser written out call by call, as it was before the verb table:
+    the oracle that the table's fast path and argparse path are held to."""
+    parser = argparse.ArgumentParser(
+        prog="bisimkit",
+        description="Bisimulation toolkit over JSON process descriptions.",
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True)
+
+    bisim = verbs.add_parser("bisim", help="compare two process roots")
+    bisim.add_argument("left")
+    bisim.add_argument("right")
+    bisim.add_argument("--witness", action="store_true")
+    _add_format(bisim)
+    bisim.set_defaults(run=cli._cmd_bisim)
+
+    nlmp_bisim = verbs.add_parser("nlmp-bisim", help="compare two NLMP states")
+    nlmp_bisim.add_argument("file")
+    nlmp_bisim.add_argument("state")
+    nlmp_bisim.add_argument("state_prime")
+    nlmp_bisim.add_argument("--other", help="second process for an external check")
+    nlmp_bisim.add_argument("--witness", action="store_true")
+    _add_format(nlmp_bisim)
+    nlmp_bisim.set_defaults(run=cli._cmd_nlmp_bisim)
+
+    rank = verbs.add_parser("rank", help="ordinal rank of a state")
+    rank.add_argument("file")
+    rank.add_argument("--state")
+    _add_format(rank)
+    rank.set_defaults(run=cli._cmd_rank)
+
+    expand = verbs.add_parser("expand", help="omega-expansion of a state")
+    expand.add_argument("file")
+    expand.add_argument("--state")
+    expand.add_argument("--depth", type=int)
+    _add_format(expand)
+    expand.set_defaults(run=cli._cmd_expand)
+
+    iso = verbs.add_parser("iso", help="compare two multiplicity trees")
+    iso.add_argument("left")
+    iso.add_argument("right")
+    iso.add_argument("--witness", action="store_true")
+    _add_format(iso)
+    iso.set_defaults(run=cli._cmd_iso)
+
+    e0 = verbs.add_parser("e0", help="eventual-equality reduction gadgets")
+    e0_verbs = e0.add_subparsers(dest="e0_verb", required=True)
+    check = e0_verbs.add_parser("check", help="decide eventual equality")
+    check.add_argument("left")
+    check.add_argument("right")
+    _add_format(check)
+    check.set_defaults(run=cli._cmd_e0_check)
+    reduce_ = e0_verbs.add_parser("reduce", help="emit the gadget tree of a set")
+    reduce_.add_argument("set")
+    reduce_.add_argument("--depth", type=int)
+    reduce_.add_argument("--width", type=int)
+    _add_format(reduce_)
+    reduce_.set_defaults(run=cli._cmd_e0_reduce)
+    witness = e0_verbs.add_parser("witness", help="matching or separating witness")
+    witness.add_argument("left")
+    witness.add_argument("right")
+    witness.add_argument("--bound", type=int, default=16)
+    _add_format(witness)
+    witness.set_defaults(run=cli._cmd_e0_witness)
+
+    sub = verbs.add_parser("substructure", help="induced process on a carrier")
+    sub.add_argument("file")
+    pick = sub.add_mutually_exclusive_group(required=True)
+    pick.add_argument("--state")
+    pick.add_argument("--carrier")
+    sub.add_argument("--bound", type=int, help="cap the enumeration closure")
+    _add_format(sub)
+    sub.set_defaults(run=cli._cmd_substructure)
+
+    eval_ = verbs.add_parser("eval", help="evaluate a formula on a process or tree")
+    eval_.add_argument("formula")
+    eval_.add_argument("target")
+    eval_.add_argument("--state")
+    _add_format(eval_)
+    eval_.set_defaults(run=cli._cmd_eval)
+
+    verify = verbs.add_parser("verify", help="run the theorem re-check suites")
+    verify.add_argument("--suite", default="all")
+    verify.add_argument("--seed", type=int)
+    _add_format(verify)
+    verify.set_defaults(run=cli._cmd_verify)
+
+    export = verbs.add_parser("export-dot", help="render a value as DOT")
+    export.add_argument("file")
+    export.add_argument("--kind", choices=("lts", "nlmp", "tree", "multitree"))
+    export.add_argument("--depth", type=int)
+    export.add_argument("--width", type=int)
+    export.add_argument("--out")
+    export.set_defaults(run=cli._cmd_export_dot)
+
+    return parser
+
+
+def _verb_paths():
+    for verb, (_, arguments) in VERBS.items():
+        if isinstance(arguments, dict):
+            yield from ((verb, sub) for sub in arguments)
+        else:
+            yield (verb,)
+
+
+def _arguments(path):
+    arguments = VERBS[path[0]][1]
+    return arguments[path[1]][1] if len(path) == 2 else arguments
+
+
+def _oracle(parser, argv):
+    """(vars of the namespace or None, stdout, stderr, exit code) from argparse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            found = vars(parser.parse_args(argv))
+            code = None
+        except SystemExit as stop:
+            found, code = None, stop.code
+    return found, out.getvalue(), err.getvalue(), code
+
+
+def _main(argv):
+    """(stdout, stderr, exit code) of cli.main on a line argparse rejects or answers."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+    return out.getvalue(), err.getvalue(), stop.value.code
+
+
+# Values with no leading "-", so a line built from them alone is plain.
+PLAIN_VALUES = st.one_of(
+    st.sampled_from(["a.json", "", "check", "e0", "json", "text", "lts", "3", " 7", "1_0", "x=y", "a b", "\u0663"]),
+    st.text(alphabet="ab.=- ", max_size=4).filter(lambda v: not v.startswith("-")),
+)
+ODD_VALUES = st.sampled_from(["-", "-3", "-1.5", "-x", "--", "--witness", "-h", "two", "xml", "1e3", "--state"])
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, plain): a line from the verb table, perhaps perturbed.
+
+    plain says the line was left unperturbed, gives every positional and
+    exactly one option of a required group, so the fast path must take it.
+    """
+    path = draw(st.sampled_from(list(_verb_paths())))
+    units = []
+    plain = True
+    for argument in _arguments(path):
+        if isinstance(argument, str):
+            units.append([draw(PLAIN_VALUES)])
+            continue
+        options = argument if isinstance(argument, list) else [argument]
+        picked = [o for o in options if draw(st.booleans())]
+        if isinstance(argument, list) and len(picked) != 1:
+            plain = False
+        for name, keywords in picked:
+            if keywords.get("action") == "store_true":
+                units.append([name])
+            elif "choices" in keywords:
+                units.append([name, draw(st.sampled_from(keywords["choices"]))])
+            elif "type" in keywords:
+                units.append([name, str(draw(st.integers(0, 99)))])
+            else:
+                units.append([name, draw(PLAIN_VALUES)])
+    units = draw(st.permutations(units))
+    argv = [word for unit in units for word in unit]
+    perturbations = draw(st.lists(st.integers(0, 8), max_size=3))
+    plain = plain and not perturbations
+    for kind in perturbations:
+        at = draw(st.integers(0, len(argv)))
+        options = [i for i, word in enumerate(argv) if word.startswith("--")]
+        if kind == 0 and options:  # abbreviate an option
+            i = draw(st.sampled_from(options))
+            argv[i] = argv[i][: draw(st.integers(3, max(3, len(argv[i]) - 1)))]
+        elif kind == 1 and options:  # join an option to the next word with "="
+            i = draw(st.sampled_from(options))
+            argv[i : i + 2] = ["=".join(argv[i : i + 2])]
+        elif kind == 2:
+            argv.insert(at, draw(st.sampled_from(["--", "-h", "--help", "--he"])))
+        elif kind == 3 and units:  # repeat a unit
+            argv[at:at] = draw(st.sampled_from(units))
+        elif kind == 4:
+            argv[at:at] = draw(st.sampled_from([["--bogus"], ["--depth", "3"], ["--bound", "2"], ["--witness"]]))
+        elif kind == 5 and argv:  # replace a word by an odd value
+            argv[draw(st.integers(0, len(argv) - 1))] = draw(ODD_VALUES)
+        elif kind == 6 and argv:  # drop a word
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        elif kind == 7:  # an extra positional
+            argv.insert(at, draw(PLAIN_VALUES))
+        else:  # an odd word, as an option's value where there is one
+            at = draw(st.sampled_from(options)) + 1 if options else at
+            argv.insert(at, draw(ODD_VALUES))
+    return [*path, *argv], plain
+
+
+class TestCommandLine:
+    """The verb table's fast path and argparse path against the oracle."""
+
+    oracle = _build_parser()
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_fast_path_agrees_with_argparse(self, line):
+        argv, plain = line
+        parsed = _parse_plain(argv)
+        found, _, _, _ = _oracle(self.oracle, argv)
+        if plain:
+            assert parsed is not None
+        if parsed is not None:
+            assert vars(parsed) == found
+
+    @settings(max_examples=150, deadline=None)
+    @given(command_lines())
+    def test_argparse_path_agrees_with_argparse(self, line):
+        argv, _ = line
+        expect = _oracle(self.oracle, argv)
+        got = _oracle(cli._build_parser(), argv)
+        assert got == expect
+
+    def test_help_is_the_oracles(self):
+        for path in [(), *{p[:1] for p in _verb_paths()}, *_verb_paths()]:
+            for flag in ("--help", "-h"):
+                argv = [*path, flag]
+                _, out, err, code = _oracle(self.oracle, argv)
+                assert _main(argv) == (out, err, code) and code == 0 and out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["bisim"],
+            ["bisim", "a"],
+            ["bisim", "a", "b", "c"],
+            ["bisim", "a", "b", "--depth", "3"],
+            ["bisim", "a", "b", "--witness=yes"],
+            ["expand", "f", "--depth", "two"],
+            ["expand", "f", "--depth", "-3x"],
+            ["expand", "f", "--depth"],
+            ["rank", "-x"],
+            ["rank", "f", "--state", "-x"],
+            ["rank", "f", "--state", "--format", "json"],
+            ["verify", "--format", "xml"],
+            ["verify", "--format=xml"],
+            ["substructure", "f"],
+            ["substructure", "f", "--state", "a", "--carrier", "b"],
+            ["e0"],
+            ["e0", "nope", "a"],
+            ["e0", "--format", "json", "check", "a", "b"],
+            ["e0", "witness", "a", "b", "--bound", "1.5"],
+            ["export-dot", "f", "--kind", "svg"],
+            ["export-dot", "f", "--format", "json"],
+        ],
+    )
+    def test_usage_errors_are_the_oracles(self, argv):
+        _, out, err, code = _oracle(self.oracle, argv)
+        assert _main(argv) == (out, err, code) and code == 2 and err
+
+    def test_plain_lines_skip_argparse(self, tmp_path):
+        left = write(tmp_path, "left.json", loop_lts())
+        right = write(tmp_path, "right.json", two_cycle_lts())
+        src = os.path.dirname(os.path.dirname(bisimkit.__file__))
+        code = (
+            "import sys\n"
+            "from bisimkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules, file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, "bisim", left, right],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.stderr.splitlines()[-1] == "0 False False"
+        assert json.loads(proc.stdout) == {"verb": "bisim", "bisimilar": True}
+
+    def test_abbreviations_still_run(self, tmp_path):
+        left = write(tmp_path, "left.json", loop_lts())
+        right = write(tmp_path, "right.json", two_cycle_lts())
+        assert _parse_plain(["bisim", left, right, "--wit"]) is None
+        proc = run_cli("bisim", left, right, "--wit", "--format=json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["witness"] == [["s", "t0"], ["s", "t1"]]

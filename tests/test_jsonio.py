@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bisimkit import jsonio
 from bisimkit.foundations import Count, EPSet, OMEGA_COUNT, Ordinal
-from bisimkit.gen import random_multitree
+from bisimkit.gen import random_lts, random_multitree
 from bisimkit.jsonio import (
     formula_to_json,
     lts_to_json,
@@ -304,6 +306,15 @@ class TestUniform:
         with pytest.raises(ValueError, match=r"k, mass, target"):
             parse_uniform(data)
 
+    def test_target_must_be_a_state_name(self):
+        data = {
+            "labels": ["a"],
+            "states": ["s"],
+            "rows": {"s": {"a": [[[0, "1/2", ["s"]]]]}},
+        }
+        with pytest.raises(ValueError, match=r"target must be a state name"):
+            parse_uniform(data)
+
 
 class TestFiles:
     def test_carrier(self):
@@ -319,3 +330,93 @@ class TestFiles:
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({"carrier": ["s"]}))
         assert parse_carrier(read_json_file(str(path))) == ("s",)
+
+
+SCHEMA_KEYS = [
+    "labels", "states", "root", "edges", "trans", "carrier", "kind", "nodes",
+    "k", "set", "children", "prefix", "period", "op", "sub", "subs", "label",
+    "bound", "rows", "a", "s0", "s1",
+]
+ODD_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([2**70, -(2**70), 1.5, -0.0, float("nan"), float("inf")]),
+    st.sampled_from(SCHEMA_KEYS),
+    st.sampled_from([
+        "", "omega", "1/2", "1/0", "-1/2", "3/-4", "1/2/3", "01", "10", "x",
+        "top", "neg", "and", "dia", "rank_at_least", "char_set", "explicit",
+        "chain", "A", "B", "glue", "\u00e9", "1" * 5000,
+    ]),
+)
+JSON_VALUES = st.recursive(
+    ODD_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(SCHEMA_KEYS), inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+_TOP = {"op": "top"}
+# One valid document per parser; the test replaces parts of it, so that
+# the checks past each parser's outer shape are reached too.
+VALID = {
+    "parse_carrier": {"carrier": ["s0", "s1"]},
+    "parse_epset": {"prefix": "1", "period": "01"},
+    "parse_formula": {"op": "and", "subs": [
+        {"op": "dia", "label": "a", "sub": _TOP},
+        {"op": "neg", "sub": {"op": "rank_at_least", "bound": [[1, 2], [0, 1]]}},
+        {"op": "or", "subs": [{"op": "char_set", "set": {"prefix": "", "period": "1"}}]},
+    ]},
+    "parse_lts": lts_to_json(random_lts(random.Random(3), 4)),
+    "parse_multitree": {"a": [[{}, 2], [{"b": [[{}, "omega"]]}, 1]], "b": [[{}, 1]]},
+    "parse_nlmp": nlmp_to_json(random_nlmp(random.Random(5))),
+    "parse_tree": {"kind": "glue", "children": [
+        {"kind": "A", "set": {"prefix": "1", "period": "01"}},
+        {"kind": "chain", "k": 2},
+        {"kind": "explicit", "nodes": [[], [0], [0, 1]]},
+    ]},
+    "parse_uniform": uniform_to_json(derive_uniform(random_nlmp(random.Random(5)))),
+}
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, sub in items:
+            yield from _paths(sub, (*path, key))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+class TestMalformedInput:
+    """Every parser answers any JSON value with a value or a ValueError.
+
+    The CLI maps ValueError to exit 2; any other exception would be
+    reported as an internal error (exit 3).
+    """
+
+    @pytest.mark.parametrize("name", sorted(VALID))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_parsers_raise_only_value_errors(self, name, data):
+        document = VALID[name]
+        if data.draw(st.booleans()):
+            document = data.draw(JSON_VALUES)
+        for _ in range(data.draw(st.integers(0, 3))):
+            path = data.draw(st.sampled_from(list(_paths(document))))
+            document = _replaced(document, path, data.draw(JSON_VALUES))
+        try:
+            getattr(jsonio, name)(document)
+        except ValueError:
+            pass
+
+    def test_every_parser_is_fuzzed(self):
+        assert sorted(VALID) == [n for n in jsonio.__all__ if n.startswith("parse_")]
