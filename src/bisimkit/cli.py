@@ -50,7 +50,14 @@ from .lts import PointedLTS, eval_formula, greatest_bisim, state_rank
 from .nlmp import greatest_ext_bisim, greatest_state_bisim
 from .substructures import reachable_carrier, substructure
 from .treeiso import canon, canon_chunks, iso
-from .trees import ExplicitTree, symbolic_rank, truncate_symbolic
+from .trees import (
+    ExplicitTree,
+    PieceText,
+    chunked,
+    symbolic_rank,
+    truncate_symbolic,  # noqa: F401 -- perfbench/traced_cli.py wraps this name
+    truncation_levels,
+)
 from .uniform import composition_enum, derive_uniform, tree_process
 from .verify import SUITES, render_report, run_suites
 
@@ -217,19 +224,36 @@ def _cmd_e0_check(args: SimpleNamespace) -> int:
 def _cmd_e0_reduce(args: SimpleNamespace) -> int:
     x = parse_epset(read_json_file(args.set))
     gadget = mod_glue_tree(x)
+    rank = symbolic_rank(gadget)[1].to_json()
+    summary = f"gadget tree for {x}"
     if args.depth is None and args.width is None:
-        tree_json = tree_to_json(gadget)
-    else:
-        depth = args.depth if args.depth is not None else 6
-        width = args.width if args.width is not None else 6
-        tree_json = tree_to_json(truncate_symbolic(gadget, depth, width))
-    report = {
-        "verb": "e0-reduce",
-        "set": str(x),
-        "tree": tree_json,
-        "rank": symbolic_rank(gadget)[1].to_json(),
-    }
-    _emit(args, report, f"gadget tree for {x}")
+        report = {
+            "verb": "e0-reduce",
+            "set": str(x),
+            "tree": tree_to_json(gadget),
+            "rank": rank,
+        }
+        _emit(args, report, summary)
+        return EXIT_OK
+    depth = args.depth if args.depth is not None else 6
+    width = args.width if args.width is not None else 6
+    # Checks depth and width now, so a bad one leaves stdout empty.
+    nodes = truncation_levels(gadget, depth, width)
+    head = (
+        f'{{"rank": {json.dumps(rank)}, "set": {json.dumps(str(x))},'
+        ' "tree": {"kind": "explicit", "nodes": ['
+    )
+
+    def texts() -> Iterator[str]:
+        # The line json.dumps(..., sort_keys=True) would print, node by node.
+        yield head
+        separator = ""
+        for node in nodes:
+            yield f"{separator}[{', '.join(map(str, node))}]"
+            separator = ", "
+        yield ']}, "verb": "e0-reduce"}'
+
+    _emit(args, lambda: chunked(texts(), PieceText.CHUNK), summary)
     return EXIT_OK
 
 

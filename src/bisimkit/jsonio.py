@@ -6,6 +6,8 @@ field; deeper invariants stay with the value constructors, whose errors
 already carry the culprit. Serializers emit deterministic structures:
 declared orders are kept and everything unordered is sorted.
 
+Multiplicity trees are parsed into a shared DAG: `parse_multitree` walks
+the document with its own stack and builds one node per distinct subtree.
 A multiplicity tree's JSON text can also be streamed:
 `multitree_json_chunks` builds one table entry per distinct node, the
 node's text when it is short and otherwise pieces around its children,
@@ -15,6 +17,7 @@ and yields the text in chunks, so the unfolding is never held whole.
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 from .foundations import Count, EPSet, Ordinal, format_rational, parse_rational
 from .lts import And, CharSet, Dia, Formula, Neg, Or, PointedLTS, RankAtLeast, Top, TOP
@@ -26,6 +29,7 @@ from .trees import (
     Chain,
     ExplicitTree,
     Glue,
+    LEAF,
     MultiTree,
     PieceText,
     postorder,
@@ -236,9 +240,60 @@ def tree_to_json(tree: AnyTree) -> dict:
 
 
 def parse_multitree(data: object) -> MultiTree:
+    """Nested objects keyed by label, parsed into a shared DAG.
+
+    The walk keeps its own stack and builds children before parents. It
+    hash-conses: entry lists equal in each label, child identity and
+    count share one node, and so do JSON objects met twice, so repeated
+    subtrees are built once and deep documents never recurse. The checks
+    run in preorder, so the first error is the one a recursive descent
+    would meet.
+    """
     if not isinstance(data, dict):
         raise ValueError("multiplicity tree JSON must be an object keyed by label")
-    entries = []
+    consed: dict[tuple, MultiTree] = {}
+    parsed: dict[int, MultiTree | None] = {id(data): None}  # None: still open
+    counts: dict[int | str, Count] = {}
+    # A frame: the object, its pending pairs, its entries and their keys so
+    # far, and the label and count JSON its parent holds it under.
+    stack = [(data, _multitree_pairs(data), [], [], None, None)]
+    while True:
+        frame = stack[-1]
+        _, pairs, entries, keys, _, _ = frame
+        for label, sub, raw in pairs:
+            node = parsed.get(id(sub))
+            if node is None:
+                if not isinstance(sub, dict):
+                    raise ValueError(
+                        "multiplicity tree JSON must be an object keyed by label"
+                    )
+                if sub:
+                    if id(sub) in parsed:
+                        raise ValueError("multiplicity tree JSON contains itself")
+                    parsed[id(sub)] = None
+                    stack.append((sub, _multitree_pairs(sub), [], [], label, raw))
+                    break
+                node = LEAF
+            count = _count(raw, counts)
+            entries.append((label, node, count))
+            keys.append((label, id(node), count))
+        else:
+            stack.pop()
+            key = tuple(keys)
+            node = consed.get(key)
+            if node is None:
+                node = consed[key] = MultiTree(tuple(entries))
+            obj, _, _, _, label, raw = frame
+            parsed[id(obj)] = node
+            if not stack:
+                return node
+            count = _count(raw, counts)
+            stack[-1][2].append((label, node, count))
+            stack[-1][3].append((label, id(node), count))
+
+
+def _multitree_pairs(data: dict) -> Iterator[tuple[str, object, object]]:
+    """(label, subtree JSON, count JSON) per child, each checked when reached."""
     for label, children in data.items():
         if not isinstance(children, list):
             raise ValueError(f"children under {label!r} must be a list")
@@ -247,8 +302,17 @@ def parse_multitree(data: object) -> MultiTree:
                 raise ValueError(
                     f"child {i} under {label!r} must be [subtree, multiplicity]"
                 )
-            entries.append((label, parse_multitree(pair[0]), Count.from_json(pair[1])))
-    return MultiTree(tuple(entries))
+            yield label, pair[0], pair[1]
+
+
+def _count(raw: object, counts: dict[int | str, Count]) -> Count:
+    """Count.from_json, reusing the Count of an int or string seen before."""
+    if type(raw) is not int and type(raw) is not str:
+        return Count.from_json(raw)
+    count = counts.get(raw)
+    if count is None:
+        count = counts[raw] = Count.from_json(raw)
+    return count
 
 
 def multitree_to_json(tree: MultiTree) -> dict:

@@ -1,15 +1,19 @@
 """Trees over countable letter alphabets and their ordinal ranks.
 
 Explicit trees are finite prefix-closed node sets, so their ranks are
-natural numbers: node heights, read off the node set without recursion.
-Symbolic trees name four infinite families in closed form: chains, the
-branch-code tree of an eventually periodic set, the glued tree of all its
-finite modifications, and ad hoc gluings. Multiplicity trees attach
-counted child slots to each node and feed the isomorphism machinery.
+natural numbers: node heights, read from a table built once per tree
+without recursion. Symbolic trees name four infinite families in closed
+form: chains, the branch-code tree of an eventually periodic set, the
+glued tree of all its finite modifications, and ad hoc gluings. Their
+finite truncations are read off those closed forms one level at a time,
+in output order, so a truncation can be streamed without holding its
+node set. Multiplicity trees attach counted child slots to each node and
+feed the isomorphism machinery.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 from .foundations import (
@@ -54,16 +58,29 @@ class ExplicitTree:
             key=repr,
         )
 
+    @cached_property
+    def _heights(self) -> dict[Node, int]:
+        """Each node's height, built once: the longest nodes pass theirs up."""
+        heights = dict.fromkeys(self.nodes, 0)
+        for node in sorted(self.nodes, key=len, reverse=True):
+            if node:
+                parent = node[:-1]
+                if heights[parent] <= heights[node]:
+                    heights[parent] = heights[node] + 1
+        return heights
+
+    @cached_property
+    def _sections(self) -> dict[Hashable, ExplicitTree]:
+        return {}
+
     def node_rank(self, node: Node) -> Ordinal:
         """Rank of a position: zero off the tree and at terminal nodes.
 
-        The tree is finite, so the rank is the node's height: the longest
-        extension's length minus its own, in one pass without recursion.
+        The tree is finite, so the rank is the node's height, read from a
+        table the first call builds in one pass without recursion.
         """
-        if node not in self.nodes:
-            return ORD_ZERO
-        k = len(node)
-        return Ordinal.from_int(max(len(u) for u in self.nodes if u[:k] == node) - k)
+        height = self._heights.get(node)
+        return ORD_ZERO if height is None else Ordinal.from_int(height)
 
     def tree_rank(self) -> Ordinal:
         if self.is_empty:
@@ -71,10 +88,16 @@ class ExplicitTree:
         return self.node_rank(()) + 1
 
     def section(self, letter: Hashable) -> ExplicitTree:
-        """The subtree hanging under a first letter, with that letter stripped."""
-        return ExplicitTree(
-            frozenset(u[1:] for u in self.nodes if u and u[0] == letter)
-        )
+        """The subtree hanging under a first letter, with that letter stripped.
+
+        Each letter's section is built once and kept.
+        """
+        sections = self._sections
+        if letter not in sections:
+            sections[letter] = ExplicitTree(
+                frozenset(u[1:] for u in self.nodes if u and u[0] == letter)
+            )
+        return sections[letter]
 
     @classmethod
     def from_nodes(cls, nodes: Iterable) -> ExplicitTree:
@@ -232,7 +255,7 @@ class PieceText:
     within the limit is one string, so memory follows the number of
     distinct nodes, not the length of the text. Iteration walks the
     table with an explicit stack and yields chunks of at most CHUNK
-    characters; it may be repeated.
+    characters, the size of every streamed text; it may be repeated.
     """
 
     INLINE = 16384
@@ -251,31 +274,44 @@ class PieceText:
         return "".join(self)
 
     def __iter__(self) -> Iterator[str]:
-        table, size = self.table, self.CHUNK
-        buffer: list[str] = []
-        held = 0
+        return chunked(self._pieces(), self.CHUNK)
+
+    def _pieces(self) -> Iterator[str]:
+        table = self.table
         stack = [iter((self.root,))]
         while stack:
             for piece in stack[-1]:
                 if type(piece) is int:
                     stack.append(iter(table[piece]))
                     break
-                if held + len(piece) > size:
-                    if buffer:
-                        yield "".join(buffer)
-                        buffer.clear()
-                        held = 0
-                    start = 0
-                    while len(piece) - start > size:
-                        yield piece[start : start + size]
-                        start += size
-                    piece = piece[start:]
-                buffer.append(piece)
-                held += len(piece)
+                yield piece
             else:
                 stack.pop()
-        if buffer:
-            yield "".join(buffer)
+
+
+def chunked(pieces: Iterable[str], size: int) -> Iterator[str]:
+    """The pieces joined, in chunks of at most size characters.
+
+    Short pieces are gathered into one chunk and a longer one is split,
+    so neither a long text nor a long piece is ever held whole.
+    """
+    buffer: list[str] = []
+    held = 0
+    for piece in pieces:
+        if held + len(piece) > size:
+            if buffer:
+                yield "".join(buffer)
+                buffer.clear()
+                held = 0
+            start = 0
+            while len(piece) - start > size:
+                yield piece[start : start + size]
+                start += size
+            piece = piece[start:]
+        buffer.append(piece)
+        held += len(piece)
+    if buffer:
+        yield "".join(buffer)
 
 
 @frozen
@@ -315,6 +351,7 @@ class Glue:
 
 
 SymbolicTree = Union[Chain, ATree, BTree, Glue]
+_SYMBOLIC = (Chain, ATree, BTree, Glue)
 AnyTree = Union[ExplicitTree, SymbolicTree]
 
 
@@ -338,38 +375,66 @@ def symbolic_rank(tree: SymbolicTree) -> tuple[Ordinal, Ordinal]:
     return root, root + 1
 
 
-def truncate_symbolic(tree: SymbolicTree, depth: int, width: int) -> ExplicitTree:
-    """Nodes of depth <= depth whose branching letters are all < width."""
+def truncation_levels(tree: SymbolicTree, depth: int, width: int) -> Iterator[Node]:
+    """Nodes of depth <= depth whose branching letters are all < width.
+
+    They come in (len(u), u) order, one level at a time, each level read
+    off the closed forms and recomputed rather than kept, so memory never
+    holds the node set. Arguments are checked on the call, before the
+    first node.
+    """
     if depth < 0 or width < 0:
         raise ValueError("depth and width must be naturals")
-    nodes: set[Node] = {()}
-    if isinstance(tree, Chain):
-        if width >= 1:
-            for j in range(1, min(tree.length, depth) + 1):
-                nodes.add((0,) * j)
-    elif isinstance(tree, ATree):
-        if depth >= 1:
-            for n in tree.param.elements_below(width):
-                for j in range(min(n, depth - 1) + 1):
-                    nodes.add((n,) + (0,) * j)
-    elif isinstance(tree, BTree):
-        if depth >= 1:
-            for n in range(width):
-                nodes.add((n,))
-                if depth >= 2:
-                    modified = nth_modification(tree.param, n)
-                    for m in modified.elements_below(width):
-                        for j in range(min(m, depth - 2) + 1):
-                            nodes.add((n, m) + (0,) * j)
-    elif isinstance(tree, Glue):
-        if depth >= 1:
-            for i, part in enumerate(tree.parts[:width]):
-                nodes.add((i,))
-                for u in truncate_symbolic(part, depth - 1, width).nodes:
-                    nodes.add((i,) + u)
-    else:
+    if not isinstance(tree, _SYMBOLIC):
         raise TypeError(f"not a symbolic tree: {tree!r}")
-    return ExplicitTree(frozenset(nodes))
+    return _levels(tree, depth, width)
+
+
+def _levels(tree: SymbolicTree, depth: int, width: int) -> Iterator[Node]:
+    for level in range(depth + 1):
+        empty = True
+        for node in _level(tree, level, width):
+            empty = False
+            yield node
+        if empty:  # the tree is prefix-closed: no deeper level either
+            return
+
+
+def _level(tree: SymbolicTree, level: int, width: int) -> Iterator[Node]:
+    """The nodes of one length, sorted; glued parts wait on a stack."""
+    stack = [((), tree, level)]
+    while stack:
+        prefix, tree, level = stack.pop()
+        if not isinstance(tree, _SYMBOLIC):
+            raise TypeError(f"not a symbolic tree: {tree!r}")
+        if level == 0:
+            yield prefix
+        elif isinstance(tree, Glue):
+            parts = enumerate(tree.parts[:width])
+            stack += reversed([(prefix + (i,), part, level - 1) for i, part in parts])
+        elif isinstance(tree, Chain):
+            if width >= 1 and level <= tree.length:
+                yield prefix + (0,) * level
+        elif isinstance(tree, ATree):
+            zeros = (0,) * (level - 1)
+            for n in tree.param.elements_below(width):
+                if n >= level - 1:
+                    yield prefix + (n,) + zeros
+        elif level == 1:  # a BTree from here on
+            for n in range(width):
+                yield prefix + (n,)
+        else:
+            zeros = (0,) * (level - 2)
+            for n in range(width):
+                modified = nth_modification(tree.param, n)
+                for m in range(level - 2, width):
+                    if modified.member(m):
+                        yield prefix + (n, m) + zeros
+
+
+def truncate_symbolic(tree: SymbolicTree, depth: int, width: int) -> ExplicitTree:
+    """Nodes of depth <= depth whose branching letters are all < width."""
+    return ExplicitTree(frozenset(truncation_levels(tree, depth, width)))
 
 
 def root_rank_at_least(tree: AnyTree, alpha: Ordinal) -> bool:

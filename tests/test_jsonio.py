@@ -29,7 +29,7 @@ from bisimkit.jsonio import (
 )
 from bisimkit.lts import And, CharSet, Dia, Neg, RankAtLeast, TOP
 from bisimkit.nlmp import PointmassNLMP, SubProbMeasure, ZERO_MEASURE
-from bisimkit.trees import ATree, BTree, Chain, ExplicitTree, Glue, MultiTree
+from bisimkit.trees import ATree, BTree, Chain, ExplicitTree, Glue, MultiTree, postorder
 from bisimkit.uniform import derive_uniform
 
 
@@ -420,3 +420,124 @@ class TestMalformedInput:
 
     def test_every_parser_is_fuzzed(self):
         assert sorted(VALID) == [n for n in jsonio.__all__ if n.startswith("parse_")]
+
+
+def recursive_parse_multitree(data: object) -> MultiTree:
+    """The former recursive parser, kept as the oracle for the shared one."""
+    if not isinstance(data, dict):
+        raise ValueError("multiplicity tree JSON must be an object keyed by label")
+    entries = []
+    for label, children in data.items():
+        if not isinstance(children, list):
+            raise ValueError(f"children under {label!r} must be a list")
+        for i, pair in enumerate(children):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(
+                    f"child {i} under {label!r} must be [subtree, multiplicity]"
+                )
+            entries.append(
+                (label, recursive_parse_multitree(pair[0]), Count.from_json(pair[1]))
+            )
+    return MultiTree(tuple(entries))
+
+
+def parse_outcome(parse, document) -> tuple:
+    try:
+        return ("tree", parse(document))
+    except ValueError as err:
+        return ("error", str(err))
+
+
+def shuffled_split_json(data: dict, rng: random.Random) -> dict:
+    """A copy with labels and children permuted and finite counts split."""
+    labels = list(data)
+    rng.shuffle(labels)
+    copy = {}
+    for label in labels:
+        children = []
+        for sub, count in data[label]:
+            sub = shuffled_split_json(sub, rng)
+            if isinstance(count, int) and count > 1:
+                children += [[sub, 1], [sub, count - 1]]
+            else:
+                children.append([sub, count])
+        rng.shuffle(children)
+        copy[label] = children
+    return copy
+
+
+class TestSharedMultiTreeParsing:
+    """parse_multitree against the recursive parser it replaced."""
+
+    def test_trees_match_the_recursive_parser(self):
+        rng = random.Random(71)
+        verdicts = []
+        for _ in range(300):
+            tree = random_multitree(rng, 5, ("a", "b", "c"), 3)
+            shared = multitree_to_json(tree)  # one dict per distinct node
+            for document in (
+                shared,
+                json.loads(json.dumps(shared)),
+                shuffled_split_json(shared, rng),
+            ):
+                parsed = parse_multitree(document)
+                verdicts.append(parsed == recursive_parse_multitree(document))
+            verdicts.append(multitree_to_json(parse_multitree(shared)) == shared)
+        assert verdicts == [True] * len(verdicts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_first_error_matches_the_recursive_parser(self, data):
+        document = VALID["parse_multitree"]
+        if data.draw(st.booleans()):
+            document = data.draw(JSON_VALUES)
+        for _ in range(data.draw(st.integers(0, 3))):
+            path = data.draw(st.sampled_from(list(_paths(document))))
+            document = _replaced(document, path, data.draw(JSON_VALUES))
+        assert parse_outcome(parse_multitree, document) == parse_outcome(
+            recursive_parse_multitree, document
+        )
+
+    @pytest.mark.parametrize("odd", [[1], {}, 1, True, 1.0, 0, -1, "1", "omega", None])
+    def test_counts_are_checked_alike_when_reused(self, odd):
+        inner = {"b": [[{}, 1]]}
+        documents = [
+            {"a": [[{}, 1], [{}, odd]]},
+            {"a": [[{}, odd], [{}, 1]]},
+            {"a": [[inner, 1], [inner, odd], ["x", 1]]},
+            {"a": [[{}, "omega"], [{}, odd]], "b": [[{}, 2], [{}, 1], 3]},
+            {"a": [[{}, 0], [{"c": 5}, odd]]},
+        ]
+        for document in documents:
+            assert parse_outcome(parse_multitree, document) == parse_outcome(
+                recursive_parse_multitree, document
+            ), document
+
+    def test_a_shared_dict_dag_parses_once_per_dict(self):
+        document: dict = {}
+        for _ in range(40):
+            document = {"a": [[document, 1], [document, 2]]}
+        tree = parse_multitree(document)
+        assert len(postorder(tree)) == 41
+        node = tree
+        while node.children:
+            (_, left, one), (_, right, two) = node.children
+            assert (left is right, one, two) == (True, Count(1), Count(2))
+            node = left
+
+    def test_a_deep_dict_does_not_recurse(self):
+        document: dict = {}
+        for _ in range(3000):
+            document = {"a": [[document, "omega"]]}
+        tree, depth = parse_multitree(document), 0
+        while tree.children:
+            (label, tree, count), = tree.children
+            assert (label, count) == ("a", OMEGA_COUNT)
+            depth += 1
+        assert depth == 3000
+
+    def test_a_dict_holding_itself_is_rejected(self):
+        document: dict = {"a": []}
+        document["a"].append([{"b": [[document, 1]]}, 1])
+        with pytest.raises(ValueError, match="contains itself"):
+            parse_multitree(document)

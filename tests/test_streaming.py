@@ -1,11 +1,14 @@
-"""Streamed texts: canon and tree chunks from per-node piece tables.
+"""Streamed texts: canon and tree chunks from per-node piece tables, and
+e0 reduce's report from the truncation's levels.
 
 The oracles are the whole-string builders the chunked writers replaced:
-one string per distinct node, joined from its children's strings. The
-streamed text must stay byte-identical to them at every inline limit, so
-the tests also run with the limit lowered until most nodes become pieces.
+one string per distinct node, joined from its children's strings, and
+json.dumps of e0 reduce's whole report. The streamed text must stay
+byte-identical to them at every inline limit and chunk size, so the tests
+also run with both lowered until most nodes become pieces.
 """
 
+import contextlib
 import json
 import os
 import random
@@ -16,8 +19,8 @@ import pytest
 
 from bisimkit.cli import main
 from bisimkit.expansion import omega_expand
-from bisimkit.foundations import Count, OMEGA_COUNT
-from bisimkit.gen import random_multitree
+from bisimkit.foundations import Count, EPSet, OMEGA_COUNT
+from bisimkit.gen import random_epset, random_multitree
 from bisimkit.jsonio import multitree_json_chunks, multitree_json_text, parse_lts
 from bisimkit.treeiso import _type_counts, canon, canon_chunks
 from bisimkit.trees import LEAF, MultiTree, PieceText, postorder
@@ -220,22 +223,35 @@ def test_expand_failing_after_parsing_prints_nothing(tmp_path, monkeypatch, caps
     assert capsys.readouterr() == ("", "error: table too large\n")
 
 
-# Spawns each expand from one small helper, so that both children start from
-# the helper's small high-water mark rather than the test runner's, and
-# reports each child's exit code and ru_maxrss (KiB on Linux).
+# Spawns each CLI call from one small helper, so that all children start
+# from the helper's small high-water mark rather than the test runner's, and
+# reports each child's exit code and ru_maxrss (KiB on Linux). The helper
+# reads a JSON list of [arguments, stdout path] pairs.
 RSS_HELPER = """
 import json, os, subprocess, sys
 results = []
-for path, out in zip(sys.argv[1::2], sys.argv[2::2]):
+for args, out in json.loads(sys.argv[1]):
     with open(out, "w") as handle:
         child = subprocess.Popen(
-            [sys.executable, "-m", "bisimkit.cli", "expand", path],
+            [sys.executable, "-m", "bisimkit.cli", *args],
             stdout=handle, stderr=subprocess.DEVNULL,
         )
         _, status, usage = os.wait4(child.pid, 0)
     results.append([os.waitstatus_to_exitcode(status), usage.ru_maxrss])
 print(json.dumps(results))
 """
+
+
+def peak_rss(*calls: tuple[list[str], object]) -> list[list[int]]:
+    """[exit code, ru_maxrss in KiB] of each CLI call, spawned by RSS_HELPER."""
+    plan = json.dumps([[args, str(out)] for args, out in calls])
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_HELPER, plan],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
@@ -245,16 +261,135 @@ def test_expand_peak_memory_does_not_follow_the_output(tmp_path):
     big = write(tmp_path, "big.json", ladder_lts(20))
     small = write(tmp_path, "small.json", ladder_lts(2))
     big_out, small_out = tmp_path / "big.out", tmp_path / "small.out"
-    proc = subprocess.run(
-        [sys.executable, "-c", RSS_HELPER, big, str(big_out), small, str(small_out)],
-        capture_output=True,
-        text=True,
-        check=True,
+    (big_exit, big_rss), (small_exit, small_rss) = peak_rss(
+        (["expand", big], big_out), (["expand", small], small_out)
     )
-    (big_exit, big_rss), (small_exit, small_rss) = json.loads(proc.stdout)
     assert (big_exit, small_exit) == (0, 0)
     assert big_out.stat().st_size > 70_000_000
     with open(big_out, "rb") as handle:
         handle.seek(-20, os.SEEK_END)
         assert handle.read().endswith(b', "verb": "expand"}\n')
+    assert (big_rss - small_rss) / 1024 < 8
+
+
+# --- e0 reduce ------------------------------------------------------------------
+
+DENSE = {"prefix": "10110", "period": "01"}
+
+
+def gadget_nodes(x: EPSet, depth: int, width: int) -> list[list[int]]:
+    """The gadget's truncation from its definition: child n of the root codes
+    x with the binary digits of n flipped, one chain of length m hanging
+    under it per member m below the width."""
+    nodes = {()}
+    if depth >= 1:
+        for n in range(width):
+            nodes.add((n,))
+            if depth >= 2:
+                for m in range(width):
+                    if x.member(m) != bool(n >> m & 1):
+                        for j in range(min(m, depth - 2) + 1):
+                            nodes.add((n, m) + (0,) * j)
+    return [list(u) for u in sorted(nodes, key=lambda u: (len(u), u))]
+
+
+def oracle_e0_reduce(data: dict, depth, width, text: bool) -> tuple[str, str]:
+    """Stdout and stderr of the whole-string e0 reduce."""
+    x = EPSet.from_json(data)
+    if depth is None and width is None:
+        tree = {"kind": "B", "set": x.to_json()}
+    else:
+        cut = gadget_nodes(x, 6 if depth is None else depth, 6 if width is None else width)
+        tree = {"kind": "explicit", "nodes": cut}
+    # Tree rank omega + 1, or omega + 2 when x is infinite.
+    rank = [[1, 1], [0, 1 if x.is_finite else 2]]
+    report = {"verb": "e0-reduce", "set": str(x), "tree": tree, "rank": rank}
+    summary = f"gadget tree for {x}\n"
+    if text:
+        return summary, ""
+    return json.dumps(report, sort_keys=True) + "\n", summary
+
+
+def reduce_args(path: str, depth, width, text: bool) -> list[str]:
+    args = ["e0", "reduce", path]
+    args += [] if depth is None else ["--depth", str(depth)]
+    args += [] if width is None else ["--width", str(width)]
+    return args + (["--format", "text"] if text else [])
+
+
+def reduce_sets() -> list[dict]:
+    rng = random.Random(913)
+    return [DENSE, {"prefix": "", "period": "0"}, {"prefix": "011", "period": "0"}] + [
+        random_epset(rng, 5, 3).to_json() for _ in range(5)
+    ]
+
+
+def test_e0_reduce_streams_the_whole_string_report(tmp_path, capsys):
+    cuts = [(d, w) for d in (0, 1, 2, 5, 8) for w in (0, 1, 3, 32)]
+    cuts += [(3, None), (None, 4), (None, None)]
+    for i, data in enumerate(reduce_sets()):
+        path = write(tmp_path, f"set{i}.json", data)
+        for depth, width in cuts:
+            for text in (False, True):
+                assert main(reduce_args(path, depth, width, text)) == 0
+                want = oracle_e0_reduce(data, depth, width, text)
+                assert capsys.readouterr() == want, (data, depth, width, text)
+
+
+class Sink:
+    """A stream that keeps each write apart."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 1000])
+def test_e0_reduce_chunks_cross_their_bounds(tmp_path, monkeypatch, capsys, size):
+    monkeypatch.setattr(PieceText, "CHUNK", size)
+    long_prefix = {"prefix": "10" * 300 + "1", "period": "01"}  # a long "set" field
+    for name, data in (("dense", DENSE), ("long", long_prefix)):
+        path = write(tmp_path, f"{name}.json", data)
+        sink = Sink()
+        with contextlib.redirect_stdout(sink):
+            assert main(reduce_args(path, 5, 9, False)) == 0
+        want, _ = oracle_e0_reduce(data, 5, 9, False)
+        *chunks, end = sink.writes
+        assert ("".join(chunks), end) == (want[:-1], "\n")
+        assert all(0 < len(chunk) <= size for chunk in chunks)
+        assert len(chunks) >= -(-len(want[:-1]) // size) > 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--depth", "-1"], ["--width", "-1"], ["--depth", "-3", "--width", "2"]]
+)
+@pytest.mark.parametrize("text", [False, True])
+def test_e0_reduce_bad_cut_prints_nothing(tmp_path, capsys, flags, text):
+    path = write(tmp_path, "dense.json", DENSE)
+    args = ["e0", "reduce", path, *flags] + (["--format", "text"] if text else [])
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", "error: depth and width must be naturals\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_e0_reduce_peak_memory_does_not_follow_the_output(tmp_path):
+    # The 12-by-400 report is 22.9 MB; printing it whole took ~240 MiB more
+    # than the 2-by-2 one.
+    path = write(tmp_path, "dense.json", DENSE)
+    big_out, small_out = tmp_path / "big.out", tmp_path / "small.out"
+    (big_exit, big_rss), (small_exit, small_rss) = peak_rss(
+        (reduce_args(path, 12, 400, False), big_out),
+        (reduce_args(path, 2, 2, False), small_out),
+    )
+    assert (big_exit, small_exit) == (0, 0)
+    # The length json.dumps gives this report, one line.
+    assert big_out.stat().st_size == 22_895_801
+    head = b'{"rank": [[1, 1], [0, 2]], "set": "10110(01)*", "tree": {"kind": "explicit"'
+    with open(big_out, "rb") as handle:
+        assert handle.read(len(head)) == head
+        handle.seek(-40, os.SEEK_END)
+        assert handle.read().endswith(b'0, 0, 0, 0]]}, "verb": "e0-reduce"}\n')
     assert (big_rss - small_rss) / 1024 < 8

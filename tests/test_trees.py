@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bisimkit import gen
 from bisimkit.foundations import (
     Count,
     EPSet,
@@ -26,6 +27,7 @@ from bisimkit.trees import (
     symbolic_rank,
     tail,
     truncate_symbolic,
+    truncation_levels,
     wf_class,
 )
 
@@ -280,6 +282,133 @@ class TestTruncation:
         assert truncate_symbolic(ATree(EVENS), 5, 0) == ExplicitTree.from_nodes([()])
         with pytest.raises(ValueError):
             truncate_symbolic(Chain(2), -1, 3)
+
+
+def scan_node_rank(tree: ExplicitTree, node: tuple) -> Ordinal:
+    """The former node_rank: one scan of the node set per call."""
+    if node not in tree.nodes:
+        return ORD_ZERO
+    k = len(node)
+    return Ordinal.from_int(max(len(u) for u in tree.nodes if u[:k] == node) - k)
+
+
+def scan_section(tree: ExplicitTree, letter) -> ExplicitTree:
+    """The former section: one scan of the node set per call."""
+    return ExplicitTree(frozenset(u[1:] for u in tree.nodes if u and u[0] == letter))
+
+
+class TestExplicitTreeTables:
+    """node_rank and section read tables built once per tree."""
+
+    def test_tables_match_the_scans(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            tree = gen.random_explicit_tree(rng, 40)
+            off = [(9,), (0, 9), (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9), ("x",)]
+            for node in sorted(tree.nodes) + off:
+                assert tree.node_rank(node) == scan_node_rank(tree, node), node
+            for letter in range(5):
+                assert tree.section(letter) == scan_section(tree, letter)
+                assert tree.section(letter) is tree.section(letter)
+
+    def test_built_tables_leave_equality_hash_and_repr_alone(self):
+        rng = random.Random(62)
+        for _ in range(50):
+            tree = gen.random_explicit_tree(rng, 30)
+            fresh = ExplicitTree(frozenset(tree.nodes))
+            tree.node_rank(())
+            tree.section(0)
+            assert "_heights" in vars(tree) and "_sections" in vars(tree)
+            assert tree == fresh and fresh == tree
+            assert hash(tree) == hash(fresh)
+            assert repr(tree) == repr(fresh)
+            assert len({tree, fresh}) == 1
+
+    def test_empty_tree_tables(self):
+        tree = ExplicitTree(frozenset())
+        assert tree.node_rank(()) == ORD_ZERO
+        assert tree.section(0) == EMPTY_TREE
+
+
+def recursive_truncate(tree, depth: int, width: int) -> ExplicitTree:
+    """The former truncate_symbolic: node sets built whole, by recursion."""
+    if depth < 0 or width < 0:
+        raise ValueError("depth and width must be naturals")
+    nodes = {()}
+    if isinstance(tree, Chain):
+        if width >= 1:
+            for j in range(1, min(tree.length, depth) + 1):
+                nodes.add((0,) * j)
+    elif isinstance(tree, ATree):
+        if depth >= 1:
+            for n in tree.param.elements_below(width):
+                for j in range(min(n, depth - 1) + 1):
+                    nodes.add((n,) + (0,) * j)
+    elif isinstance(tree, BTree):
+        if depth >= 1:
+            for n in range(width):
+                nodes.add((n,))
+                if depth >= 2:
+                    modified = nth_modification(tree.param, n)
+                    for m in modified.elements_below(width):
+                        for j in range(min(m, depth - 2) + 1):
+                            nodes.add((n, m) + (0,) * j)
+    elif isinstance(tree, Glue):
+        if depth >= 1:
+            for i, part in enumerate(tree.parts[:width]):
+                nodes.add((i,))
+                for u in recursive_truncate(part, depth - 1, width).nodes:
+                    nodes.add((i,) + u)
+    else:
+        raise TypeError(f"not a symbolic tree: {tree!r}")
+    return ExplicitTree(frozenset(nodes))
+
+
+def random_symbolic_tree(rng: random.Random, nesting: int):
+    kind = rng.randrange(4 if nesting else 3)
+    if kind == 0:
+        return Chain(rng.randrange(7))
+    if kind == 1:
+        return ATree(gen.random_epset(rng))
+    if kind == 2:
+        return BTree(gen.random_epset(rng))
+    return Glue(tuple(random_symbolic_tree(rng, nesting - 1) for _ in range(rng.randrange(4))))
+
+
+class TestTruncationLevels:
+    """truncation_levels against the former whole-set truncation."""
+
+    def test_levels_are_the_sorted_truncation(self):
+        rng = random.Random(63)
+        kinds = set()
+        for _ in range(2000):
+            tree = random_symbolic_tree(rng, 3)
+            kinds.add(type(tree).__name__)
+            depth, width = rng.randrange(7), rng.randrange(7)
+            want = sorted(recursive_truncate(tree, depth, width).nodes, key=lambda u: (len(u), u))
+            assert list(truncation_levels(tree, depth, width)) == want, (tree, depth, width)
+            assert truncate_symbolic(tree, depth, width).nodes == frozenset(want)
+        assert kinds == {"Chain", "ATree", "BTree", "Glue"}
+
+    def test_nested_glue_and_degenerate_cuts(self):
+        nested = Glue((Glue((Chain(3), Glue(()))), BTree(EVENS), Glue((ATree(EVENS),))))
+        for tree in (nested, Glue(()), Chain(0), BTree(EPSet.empty())):
+            for depth, width in ((0, 0), (0, 4), (4, 0), (1, 1), (5, 3), (9, 9)):
+                want = sorted(recursive_truncate(tree, depth, width).nodes, key=lambda u: (len(u), u))
+                assert list(truncation_levels(tree, depth, width)) == want
+
+    def test_bad_arguments_raise_on_the_call(self):
+        for depth, width in ((-1, 3), (3, -1), (-2, -2)):
+            with pytest.raises(ValueError, match="depth and width must be naturals"):
+                truncation_levels(BTree(EVENS), depth, width)
+            with pytest.raises(ValueError, match="depth and width must be naturals"):
+                truncate_symbolic(BTree(EVENS), depth, width)
+        with pytest.raises(TypeError, match="not a symbolic tree"):
+            truncation_levels(ExplicitTree.from_nodes([()]), 2, 2)
+
+    def test_a_long_cut_stops_after_the_last_level(self):
+        levels = truncation_levels(BTree(EPSet.from_finite([1, 3])), 10**12, 4)
+        assert max(map(len, levels)) == 5
 
 
 class TestModifications:
