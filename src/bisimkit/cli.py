@@ -22,7 +22,13 @@ from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
-from .dot import explicit_tree_dot, lts_dot, multitree_dot, nlmp_dot, symbolic_tree_dot
+from .dot import (
+    explicit_tree_dot,
+    lts_dot,
+    multitree_dot,
+    nlmp_dot,
+    symbolic_tree_lines,
+)
 from .e0 import (
     eval_symbolic,
     matching_bijection,
@@ -336,26 +342,29 @@ def _sniff_dot_kind(data: object) -> str:
 def _cmd_export_dot(args: SimpleNamespace) -> int:
     data = read_json_file(args.file)
     kind = args.kind or _sniff_dot_kind(data)
+    pieces: Iterable[str]
     if kind == "lts":
-        text = lts_dot(parse_lts(data))
+        pieces = (lts_dot(parse_lts(data)),)
     elif kind == "nlmp":
-        text = nlmp_dot(parse_nlmp(data))
+        pieces = (nlmp_dot(parse_nlmp(data)),)
     elif kind == "multitree":
-        text = multitree_dot(parse_multitree(data))
+        pieces = (multitree_dot(parse_multitree(data)),)
     else:
         tree = parse_tree(data)
         if isinstance(tree, ExplicitTree):
-            text = explicit_tree_dot(tree)
+            pieces = (explicit_tree_dot(tree),)
         else:
             depth = args.depth if args.depth is not None else 6
             width = args.width if args.width is not None else 6
-            text = symbolic_tree_dot(tree, depth, width)
+            # A symbolic truncation is streamed, never held whole.
+            pieces = symbolic_tree_lines(tree, depth, width)
+    chunks = chunked(pieces, PieceText.CHUNK)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        print(text, end="")
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 

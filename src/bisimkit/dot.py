@@ -6,10 +6,12 @@ exists, sorted otherwise), so equal values yield byte-identical text.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .foundations import format_rational
 from .lts import PointedLTS
 from .nlmp import PointmassNLMP
-from .trees import ExplicitTree, MultiTree, SymbolicTree, truncate_symbolic
+from .trees import ExplicitTree, MultiTree, SymbolicTree, truncation_levels
 
 __all__ = [
     "explicit_tree_dot",
@@ -17,6 +19,7 @@ __all__ = [
     "multitree_dot",
     "nlmp_dot",
     "symbolic_tree_dot",
+    "symbolic_tree_lines",
 ]
 
 
@@ -40,21 +43,39 @@ def _path_name(node: tuple) -> str:
     return ".".join(["e", *map(str, node)])
 
 
-def explicit_tree_dot(tree: ExplicitTree) -> str:
-    nodes = sorted(tree.nodes, key=lambda u: (len(u), u))
-    lines = ["digraph tree {"]
+def _tree_lines(nodes: Iterable[tuple], again: Iterable[tuple]) -> Iterator[str]:
+    """A tree's DOT text line by line: node lines, then edge lines.
+
+    Both iterables give the nodes in (len(u), u) order, so a walk that is
+    recomputed rather than kept can be passed twice.
+    """
+    yield "digraph tree {\n"
     for node in nodes:
-        lines.append(f"  {_quote(_path_name(node))};")
-    for node in nodes:
+        yield f"  {_quote(_path_name(node))};\n"
+    for node in again:
         if node:
             parent = _quote(_path_name(node[:-1]))
-            lines.append(f"  {parent} -> {_quote(_path_name(node))};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  {parent} -> {_quote(_path_name(node))};\n"
+    yield "}\n"
+
+
+def explicit_tree_dot(tree: ExplicitTree) -> str:
+    nodes = sorted(tree.nodes, key=lambda u: (len(u), u))
+    return "".join(_tree_lines(nodes, nodes))
+
+
+def symbolic_tree_lines(tree: SymbolicTree, depth: int, width: int) -> Iterator[str]:
+    """symbolic_tree_dot's lines, from two walks of the truncation's levels.
+
+    The node set is never held, and arguments are checked on the call.
+    """
+    return _tree_lines(
+        truncation_levels(tree, depth, width), truncation_levels(tree, depth, width)
+    )
 
 
 def symbolic_tree_dot(tree: SymbolicTree, depth: int, width: int) -> str:
-    return explicit_tree_dot(truncate_symbolic(tree, depth, width))
+    return "".join(symbolic_tree_lines(tree, depth, width))
 
 
 def multitree_dot(tree: MultiTree) -> str:

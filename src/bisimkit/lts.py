@@ -150,12 +150,8 @@ class PointedLTS:
         return self._succ.get((state, label), ())
 
     def all_successors(self, state: StateId) -> tuple[StateId, ...]:
-        seen: list[StateId] = []
-        for label in self.labels:
-            for t in self.successors(state, label):
-                if t not in seen:
-                    seen.append(t)
-        return tuple(seen)
+        found = (t for label in self.labels for t in self.successors(state, label))
+        return tuple(dict.fromkeys(found))
 
 
 @frozen

@@ -390,23 +390,17 @@ def is_event_bisim(nlmp: PointmassNLMP, events: Iterable[frozenset]) -> bool:
     atom_of = {s: atom for atom in atoms for s in atom}
     for a in nlmp.labels:
         for measurable in algebra:
-            attained = {
-                mu.mass(measurable)
+            masses = {
+                s: [mu.mass(measurable) for mu in nlmp.measures(s, a)]
                 for s in nlmp.states
-                for mu in nlmp.measures(s, a)
             }
-            for threshold in attained:
-                for strict in (True, False):
-                    hit = {
-                        s
-                        for s in nlmp.states
-                        if any(
-                            (mu.mass(measurable) > threshold)
-                            if strict
-                            else (mu.mass(measurable) >= threshold)
-                            for mu in nlmp.measures(s, a)
-                        )
-                    }
+            # A state hits beyond a threshold exactly when its largest mass does.
+            largest = {s: max(found) for s, found in masses.items() if found}
+            for threshold in {m for found in masses.values() for m in found}:
+                for hit in (
+                    {s for s, top in largest.items() if top > threshold},
+                    {s for s, top in largest.items() if top >= threshold},
+                ):
                     if any(not atom_of[s] <= hit for s in hit):
                         return False
     return True

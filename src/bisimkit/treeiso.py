@@ -11,7 +11,9 @@ exactly for isomorphic trees; it is built only where a report prints it.
 `canon_chunks` gives the same string streamed from a per-node table
 (`trees.PieceText`): short node strings are kept whole, longer ones as
 pieces around their children, so an exponential unfolding of a small
-DAG prints in chunks without ever being held whole. `_iso_rec`, a
+DAG prints in chunks without ever being held whole. Long same-label
+siblings are ordered by their entries' piece lists, walked together up
+to the first pair of pieces that differ (`_compare`). `_iso_rec`, a
 recursive pairing of child slots, is the independent oracle that the
 tests and the tree-iso verify suite check both against.
 
@@ -138,83 +140,44 @@ def _kind_order(table: dict[int, list]):
 def _compare(table: dict[int, list], a: str | int, b: str | int, memo: dict) -> int:
     """-1, 0 or 1 as the string of a is below, equal to or above b's.
 
-    The strings are read in step, piece by piece, without joining them.
-    Where both reach the start of a table entry at once and the two
-    entries differ, the answer is theirs: no JSON text is a proper prefix
-    of another, so the first difference lies inside both. The comparison
-    moves on to that pair instead of recursing, and every pair passed on
-    the way is memoized with the answer.
+    Entries' piece lists line up, constants at even positions and forms
+    at odd ones, and no JSON text is a proper prefix of another, so the
+    first pair of pieces that differ decides. Two strings compare
+    directly; a string against an entry reads the entry up to the first
+    difference; two entries pass the comparison on to their pair in this
+    loop instead of recursing, memoizing every pair passed with the answer.
     """
     chain = []
-    while True:
-        if type(a) is int and type(b) is int:
-            if (a, b) in memo:
-                result = memo[a, b]
-                break
-            chain.append((a, b))
-        step = _first_difference(table, a, b)
-        if type(step) is int:
-            result = step
+    while type(a) is int and type(b) is int and a != b:
+        if (a, b) in memo:
+            result = memo[a, b]
             break
-        a, b = step
+        chain.append((a, b))
+        a, b = next((p, q) for p, q in zip(table[a], table[b]) if p != q)
+    else:
+        if type(a) is str and type(b) is str:
+            result = (a > b) - (a < b)
+        elif type(a) is str:
+            result = _text_order(table, a, b)
+        elif type(b) is str:
+            result = -_text_order(table, b, a)
+        else:
+            result = 0
     for a, b in chain:
         memo[a, b] = result
         memo[b, a] = -result
     return result
 
 
-def _next_piece(stack: list) -> str | int | None:
-    while stack:
-        piece = next(stack[-1], None)
-        if piece is not None:
-            return piece
-        stack.pop()
-    return None
-
-
-def _enter(table: dict[int, list], stack: list, key: int) -> str | int | None:
-    stack.append(iter(table[key]))
-    return _next_piece(stack)
-
-
-def _first_difference(table: dict[int, list], a: str | int, b: str | int):
-    """The order of two strings, or the first pair of distinct entries.
-
-    Each string is read through its own stack of piece iterators. The
-    result is -1 or 1 at the first differing character, or the keys of
-    two distinct table entries that both strings start at the same
-    offset. A whole string against an entry reads no more of the entry
-    than the string's length.
-    """
-    left: list = []
-    right: list = []
-    if type(a) is int:
-        a = _enter(table, left, a)
-    if type(b) is int:
-        b = _enter(table, right, b)
-    i = j = 0
-    while True:
-        if type(a) is int and type(b) is int:
-            if a != b:
-                return a, b
-            a, b = _next_piece(left), _next_piece(right)
-        elif type(a) is int:
-            a = _enter(table, left, a)
-        elif type(b) is int:
-            b = _enter(table, right, b)
-        elif a is None or b is None:
-            return (a is not None) - (b is not None)
-        else:
-            n = min(len(a) - i, len(b) - j)
-            x, y = a[i : i + n], b[j : j + n]
-            if x != y:
-                return -1 if x < y else 1
-            i += n
-            j += n
-            if i == len(a):
-                a, i = _next_piece(left), 0
-            if j == len(b):
-                b, j = _next_piece(right), 0
+def _text_order(table: dict[int, list], text: str, key: int) -> int:
+    """The order of a whole string against entry key's, read piece by piece."""
+    start = 0
+    for piece in PieceText(table, key).pieces():
+        part = text[start : start + len(piece)]
+        if part != piece:
+            return -1 if part < piece else 1
+        start += len(piece)
+    return int(start < len(text))
 
 
 def iso(left: MultiTree, right: MultiTree) -> bool:

@@ -274,9 +274,10 @@ class PieceText:
         return "".join(self)
 
     def __iter__(self) -> Iterator[str]:
-        return chunked(self._pieces(), self.CHUNK)
+        return chunked(self.pieces(), self.CHUNK)
 
-    def _pieces(self) -> Iterator[str]:
+    def pieces(self) -> Iterator[str]:
+        """The text's strings in order, entries read through the table."""
         table = self.table
         stack = [iter((self.root,))]
         while stack:

@@ -215,6 +215,19 @@ class TestPartition:
 
 
 class TestRanks:
+    def test_all_successors_by_label_then_declared_state(self):
+        edges = {("s", "b", "v"), ("s", "b", "t"), ("s", "a", "u"), ("s", "a", "t")}
+        lts = PointedLTS(("b", "a"), ("s", "t", "u", "v"), "s", frozenset(edges))
+        assert lts.all_successors("s") == ("t", "v", "u")
+        rng = random.Random(217)
+        for _ in range(30):
+            lts = random_lts(rng, 6, ("a", "b", "c"), 0.3)
+            for s in lts.states:
+                seen = []
+                for label in lts.labels:
+                    seen += [t for t in lts.successors(s, label) if t not in seen]
+                assert lts.all_successors(s) == tuple(seen)
+
     def test_terminal_state_has_rank_zero(self):
         lts = PointedLTS(("a",), ("s",), "s", frozenset())
         assert state_rank(lts, "s") == ORD_ZERO

@@ -338,7 +338,55 @@ class TestHitBisim:
             is_hit_bisim(nlmp, frozenset({("s", "t")}))
 
 
+def oracle_is_event_bisim(nlmp: PointmassNLMP, events) -> bool:
+    """The former is_event_bisim: every mass summed again per threshold."""
+    atoms = event_atoms(events, nlmp.states)
+    algebra = [frozenset(chain.from_iterable(chosen)) for chosen in subsets(atoms)]
+    atom_of = {s: atom for atom in atoms for s in atom}
+    for a in nlmp.labels:
+        for measurable in algebra:
+            attained = {
+                mu.mass(measurable)
+                for s in nlmp.states
+                for mu in nlmp.measures(s, a)
+            }
+            for threshold in attained:
+                for strict in (True, False):
+                    hit = {
+                        s
+                        for s in nlmp.states
+                        if any(
+                            (mu.mass(measurable) > threshold)
+                            if strict
+                            else (mu.mass(measurable) >= threshold)
+                            for mu in nlmp.measures(s, a)
+                        )
+                    }
+                    if any(not atom_of[s] <= hit for s in hit):
+                        return False
+    return True
+
+
 class TestEventBisim:
+    def test_matches_the_summing_oracle(self):
+        rng = random.Random(92)
+        verdicts = []
+        for _ in range(60):
+            nlmp = random_nlmp(rng, rng.randint(2, 5), ("a", "b"))
+            families = [
+                closed_atoms(greatest_state_bisim(nlmp), nlmp.states),
+                [frozenset(s for s in nlmp.states if rng.random() < 0.5)],
+                [
+                    frozenset(s for s in nlmp.states if rng.random() < 0.5)
+                    for _ in range(rng.randint(1, 3))
+                ],
+            ]
+            for events in families:
+                verdict = is_event_bisim(nlmp, events)
+                assert verdict == oracle_is_event_bisim(nlmp, events), (nlmp, events)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
     def test_atom_pattern_partition(self):
         atoms = event_atoms([frozenset({"s", "t"})], ("s", "t", "u"))
         assert set(atoms) == {frozenset({"s", "t"}), frozenset({"u"})}

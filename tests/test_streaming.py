@@ -1,5 +1,6 @@
 """Streamed texts: canon and tree chunks from per-node piece tables, and
-e0 reduce's report from the truncation's levels.
+e0 reduce's report and export-dot's symbolic tree from the truncation's
+levels.
 
 The oracles are the whole-string builders the chunked writers replaced:
 one string per distinct node, joined from its children's strings, and
@@ -14,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -154,6 +156,26 @@ def test_a_label_longer_than_a_chunk_is_split(monkeypatch):
     parts = list(canon_chunks(tree))
     assert max(map(len, parts)) == 64
     assert "".join(parts) == oracle_canon(tree)
+
+
+@pytest.mark.parametrize("limit", [0, 5, PieceText.INLINE])
+def test_long_siblings_are_ordered_without_reading_them_whole(monkeypatch, limit):
+    # Each 40-level sibling unfolds to about 2**40 nodes. The two 40-level
+    # DAGs differ only in the bottom count, the one-node tree is a whole
+    # string against entries, and the 39-level DAG is one level short: an
+    # entry read whole here would never finish.
+    monkeypatch.setattr(PieceText, "INLINE", limit)
+    tree = mt(
+        ("a", doubling_dag(40), Count(1)),
+        ("a", doubling_dag(40, OMEGA_COUNT), Count(1)),
+        ("a", LEAF, Count(1)),
+        ("a", doubling_dag(39), Count(1)),
+    )
+    start = time.perf_counter()
+    first = next(iter(canon_chunks(tree)))
+    assert time.perf_counter() - start < 1
+    assert first.startswith('{"a":[[' * 40)
+    assert 0 < len(first) <= PieceText.CHUNK
 
 
 def write(tmp_path, name, data):
@@ -392,4 +414,23 @@ def test_e0_reduce_peak_memory_does_not_follow_the_output(tmp_path):
         assert handle.read(len(head)) == head
         handle.seek(-40, os.SEEK_END)
         assert handle.read().endswith(b'0, 0, 0, 0]]}, "verb": "e0-reduce"}\n')
+    assert (big_rss - small_rss) / 1024 < 8
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_export_dot_of_a_symbolic_tree_peak_memory_does_not_follow_the_output(tmp_path):
+    # The 12-by-120 DOT text is 5.1 MB; building it whole took ~38 MiB more
+    # than the 2-by-2 one.
+    path = write(tmp_path, "dense.json", {"kind": "B", "set": DENSE})
+    big_out, small_out = tmp_path / "big.dot", tmp_path / "small.dot"
+    (big_exit, big_rss), (small_exit, small_rss) = peak_rss(
+        (["export-dot", path, "--depth", "12", "--width", "120"], big_out),
+        (["export-dot", path, "--depth", "2", "--width", "2"], small_out),
+    )
+    assert (big_exit, small_exit) == (0, 0)
+    assert big_out.stat().st_size == 5_058_059
+    with open(big_out, "rb") as handle:
+        assert handle.read(22) == b'digraph tree {\n  "e";\n'
+        handle.seek(-40, os.SEEK_END)
+        assert handle.read().endswith(b' -> "e.119.118' + b".0" * 10 + b'";\n}\n')
     assert (big_rss - small_rss) / 1024 < 8
