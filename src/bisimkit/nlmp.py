@@ -5,12 +5,23 @@ supported subprobability measures with exact rational weights. The
 module provides the three measure liftings of a relation (internal,
 external, support-based), the bisimulation notions built on them, and
 the greatest relational ones by the partition refinement of ``lts``.
+
+The internal and external liftings ask whether two measures agree on
+every component of the relation's graph, numbered by a union-find
+(``_part_numbers``). A measure's code is the set of its (part, mass)
+pairs, each mass summed over the part and kept as a reduced integer
+(numerator, denominator); every mass is positive, so measures agree
+exactly when their codes are equal, and a code is no larger than the
+measure's support. The bisimulations compare code sets made once per
+relation, from integer masses each process caches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
+from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -111,87 +122,111 @@ class PointmassNLMP:
     def measures(self, state: StateId, label: str) -> frozenset:
         return self.trans.get((state, label), frozenset())
 
+    @cached_property
+    def _masses(self) -> dict:
+        """Each measure's (state, numerator, denominator)s, by (state, label)."""
+        return {key: [_triples(mu) for mu in ms] for key, ms in self.trans.items()}
 
-def _neighbour_map(rel: Rel) -> dict:
-    nbrs: dict[StateId, set] = {}
+
+def _triples(mu: SubProbMeasure) -> list:
+    return [(s, m.numerator, m.denominator) for s, m in mu.weights]
+
+
+def _part_numbers(rel: Rel, left, right=None, where="the universe") -> tuple:
+    """Component numbers of the relation's graph, in first-appearance order.
+
+    A union-find over state indices, linking the larger root under the
+    smaller. Without ``right`` the relation is on ``left`` and one dict
+    serves both sides; with it, ``where`` is pluralised. Returns both
+    sides' numbers and the part count.
+    """
+    left_at = {s: i for i, s in enumerate(dict.fromkeys(left))}
+    right_at = left_at
+    if right is not None:
+        right_at = {t: i for i, t in enumerate(dict.fromkeys(right), len(left_at))}
+        where += "s"
+    parent = list(range(len(left_at) + (right is not None and len(right_at))))
     for x, y in rel:
-        nbrs.setdefault(x, set()).add(y)
-        nbrs.setdefault(y, set()).add(x)
-    return nbrs
+        i, j = left_at.get(x), right_at.get(y)
+        if i is None or j is None:
+            raise ValueError(f"relation pair ({x!r},{y!r}) leaves {where}")
+        while i != parent[i]:
+            parent[i] = i = parent[parent[i]]
+        while j != parent[j]:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            i, j = j, i
+        parent[i] = j
+    # Number the parts in place: a parent precedes its child, so is numbered first.
+    count = 0
+    for i, up in enumerate(parent):
+        if up == i:
+            parent[i], count = count, count + 1
+        else:
+            parent[i] = parent[up]
+    left_part = dict(zip(left_at, parent))
+    if right is None:
+        return left_part, left_part, count
+    return left_part, dict(zip(right_at, parent[len(left_at):])), count
+
+
+def _grouped(part: dict, count: int) -> list:
+    groups: list[set] = [set() for _ in range(count)]
+    for s, p in part.items():
+        groups[p].add(s)
+    return [frozenset(group) for group in groups]
 
 
 def closed_atoms(rel: Rel, states: Iterable[StateId]) -> tuple:
     """Atoms of the family of sets closed under the relation both ways.
 
     These are the weakly connected components of the relation's graph
-    over the given universe, isolated states included.
+    over the given universe, isolated states included, in the order of
+    their first states.
     """
-    universe = list(states)
-    nbrs = _neighbour_map(rel)
-    for x, y in rel:
-        if x not in universe or y not in universe:
-            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the universe")
-    seen: set = set()
-    atoms = []
-    for s in universe:
-        if s in seen:
-            continue
-        component = {s}
-        frontier = [s]
-        while frontier:
-            u = frontier.pop()
-            for v in nbrs.get(u, ()):
-                if v not in component:
-                    component.add(v)
-                    frontier.append(v)
-        seen |= component
-        atoms.append(frozenset(component))
-    return tuple(atoms)
-
-
-def lift_internal(
-    mu: SubProbMeasure,
-    nu: SubProbMeasure,
-    rel: Rel,
-    states: Iterable[StateId],
-) -> bool:
-    """Do the two measures agree on every set closed under the relation?"""
-    universe = list(states)
-    pool = set(universe)
-    if mu.support - pool or nu.support - pool:
-        raise ValueError("measure support leaves the universe")
-    return all(
-        mu.mass(atom) == nu.mass(atom) for atom in closed_atoms(rel, universe)
-    )
+    part, _, count = _part_numbers(rel, states)
+    return tuple(_grouped(part, count))
 
 
 def external_atoms(
-    rel: Rel,
-    left_states: Iterable[StateId],
-    right_states: Iterable[StateId],
+    rel: Rel, left_states: Iterable[StateId], right_states: Iterable[StateId]
 ) -> tuple:
     """Bipartite components of a relation between two universes.
 
     Each component is a (left part, right part) pair; isolated states
     form components with an empty other side.
     """
-    left = list(left_states)
-    right = list(right_states)
-    left_pool, right_pool = set(left), set(right)
-    for x, y in rel:
-        if x not in left_pool or y not in right_pool:
-            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the universes")
-    tagged = frozenset((("l", x), ("r", y)) for x, y in rel)
-    universe = [("l", s) for s in left] + [("r", t) for t in right]
-    components = []
-    for atom in closed_atoms(tagged, universe):
-        components.append(
-            (
-                frozenset(s for side, s in atom if side == "l"),
-                frozenset(t for side, t in atom if side == "r"),
-            )
-        )
-    return tuple(components)
+    left, right, count = _part_numbers(rel, left_states, right_states)
+    return tuple(zip(_grouped(left, count), _grouped(right, count)))
+
+
+def _code(triples: list, part: dict) -> frozenset:
+    """A measure's masses summed per part, as (part number, (num, den)) pairs."""
+    sums: dict = {}
+    for s, n, d in triples:
+        p = part[s]
+        if p in sums:
+            n0, d0 = sums[p]
+            n, d = n0 * d + n * d0, d0 * d
+            g = gcd(n, d)
+            n, d = n // g, d // g
+        sums[p] = n, d
+    return frozenset(sums.items())
+
+
+def _lift(mu: SubProbMeasure, nu: SubProbMeasure, rel: Rel, left, right=None) -> bool:
+    """Do the measures have equal codes over the relation's parts?"""
+    if mu.support - set(left) or nu.support - set(left if right is None else right):
+        raise ValueError("measure support leaves the universe")
+    left_part, right_part, _ = _part_numbers(rel, left, right)
+    return _code(_triples(mu), left_part) == _code(_triples(nu), right_part)
+
+
+def lift_internal(
+    mu: SubProbMeasure, nu: SubProbMeasure, rel: Rel, states: Iterable[StateId]
+) -> bool:
+    """Do the two measures agree on every set closed under the relation?"""
+    return _lift(mu, nu, rel, list(states))
 
 
 def lift_external(
@@ -207,14 +242,7 @@ def lift_external(
     isolated states must carry no mass, which the empty-sided components
     enforce.
     """
-    left = list(left_states)
-    right = list(right_states)
-    if mu.support - set(left) or nu.support - set(right):
-        raise ValueError("measure support leaves the universe")
-    return all(
-        mu.mass(q) == nu.mass(q_prime)
-        for q, q_prime in external_atoms(rel, left, right)
-    )
+    return _lift(mu, nu, rel, list(left_states), list(right_states))
 
 
 def is_z_closed(rel: Rel) -> bool:
@@ -263,33 +291,29 @@ def lift_support(mu: SubProbMeasure, nu: SubProbMeasure, rel: Rel) -> bool:
     return True
 
 
-def _zig(
-    left: PointmassNLMP,
-    right: PointmassNLMP,
-    s: StateId,
-    t: StateId,
-    lift,
-) -> bool:
-    for a in left.labels:
-        for mu in left.measures(s, a):
-            if not any(lift(mu, nu) for nu in right.measures(t, a)):
-                return False
-    return True
+class _Codes(dict):
+    """(state, label) to the set of its measures' codes, made on first use."""
+
+    def __init__(self, nlmp: PointmassNLMP, part: dict) -> None:
+        self.table, self.part = nlmp._masses, part
+
+    def __missing__(self, key: tuple) -> set:
+        part = self.part
+        found = self[key] = {_code(mu, part) for mu in self.table.get(key, ())}
+        return found
+
+
+def _symmetric_codes(nlmp: PointmassNLMP, rel: Rel, kind: str) -> _Codes:
+    if rel != frozenset((y, x) for x, y in rel):
+        raise ValueError(f"a {kind} bisimulation must be symmetric")
+    part, _, _ = _part_numbers(rel, nlmp.states, where="the state set")
+    return _Codes(nlmp, part)
 
 
 def is_state_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
     """Symmetric relation whose pairs match transitions up to internal lifting."""
-    if rel != frozenset((y, x) for x, y in rel):
-        raise ValueError("a state bisimulation must be symmetric")
-    for x, y in rel:
-        if x not in nlmp.states or y not in nlmp.states:
-            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the state set")
-    atoms = closed_atoms(rel, nlmp.states)
-
-    def lift(mu: SubProbMeasure, nu: SubProbMeasure) -> bool:
-        return all(mu.mass(atom) == nu.mass(atom) for atom in atoms)
-
-    return all(_zig(nlmp, nlmp, s, t, lift) for s, t in rel)
+    codes = _symmetric_codes(nlmp, rel, "state")
+    return all(codes[s, a] <= codes[t, a] for s, t in rel for a in nlmp.labels)
 
 
 def _measure_moves(nlmp: PointmassNLMP, state: StateId, label: str) -> list:
@@ -302,28 +326,14 @@ def greatest_state_bisim(nlmp: PointmassNLMP) -> Rel:
     return frozenset((s, t) for block in blocks for _, s in block for _, t in block)
 
 
-def is_ext_state_bisim(
-    left: PointmassNLMP, right: PointmassNLMP, rel: Rel
-) -> bool:
+def is_ext_state_bisim(left: PointmassNLMP, right: PointmassNLMP, rel: Rel) -> bool:
     """Relation between two processes matching transitions externally."""
-    for x, y in rel:
-        if x not in left.states or y not in right.states:
-            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the state sets")
-    components = external_atoms(rel, left.states, right.states)
-
-    def lift(mu: SubProbMeasure, nu: SubProbMeasure) -> bool:
-        return all(mu.mass(q) == nu.mass(qp) for q, qp in components)
-
+    left_part, right_part, _ = _part_numbers(
+        rel, left.states, right.states, "the state set"
+    )
+    left_codes, right_codes = _Codes(left, left_part), _Codes(right, right_part)
     labels = tuple(dict.fromkeys(left.labels + right.labels))
-    for s, t in rel:
-        for a in labels:
-            for mu in left.measures(s, a):
-                if not any(lift(mu, nu) for nu in right.measures(t, a)):
-                    return False
-            for nu in right.measures(t, a):
-                if not any(lift(mu, nu) for mu in left.measures(s, a)):
-                    return False
-    return True
+    return all(left_codes[s, a] == right_codes[t, a] for s, t in rel for a in labels)
 
 
 def greatest_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> Rel:
@@ -335,30 +345,13 @@ def greatest_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> Rel:
     return crossing_pairs(refine_blocks((left, right), labels, _measure_moves))
 
 
-def atom_mass_vector(mu: SubProbMeasure, atoms: tuple) -> tuple:
-    return tuple(mu.mass(atom) for atom in atoms)
-
-
 def is_hit_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
-    """Related states offer the same set of per-atom mass vectors."""
-    if rel != frozenset((y, x) for x, y in rel):
-        raise ValueError("a hit bisimulation must be symmetric")
-    for x, y in rel:
-        if x not in nlmp.states or y not in nlmp.states:
-            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the state set")
-    atoms = closed_atoms(rel, nlmp.states)
-    for s, t in rel:
-        for a in nlmp.labels:
-            left = {atom_mass_vector(mu, atoms) for mu in nlmp.measures(s, a)}
-            right = {atom_mass_vector(nu, atoms) for nu in nlmp.measures(t, a)}
-            if left != right:
-                return False
-    return True
+    """Related states offer the same set of per-atom mass vectors: of codes."""
+    codes = _symmetric_codes(nlmp, rel, "hit")
+    return all(codes[s, a] == codes[t, a] for s, t in rel for a in nlmp.labels)
 
 
-def event_atoms(
-    events: Iterable[frozenset], states: Iterable[StateId]
-) -> tuple:
+def event_atoms(events: Iterable[frozenset], states: Iterable[StateId]) -> tuple:
     """Atoms of the algebra generated by a family of state sets."""
     events = list(events)
     by_pattern: dict[tuple, list] = {}

@@ -1,6 +1,7 @@
 """Measures, liftings, and probabilistic bisimulations."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -277,6 +278,18 @@ class TestStateBisim:
         assert ("s", "t") not in rel
         assert ("s", "s") in rel
 
+    def test_codes_do_not_carry_between_parts(self):
+        # Each mass is paired with its part: mass 1 on u's part is no mass
+        # on v's, though 1 and 1/2 could blur in a packed encoding.
+        trans = {
+            ("s", "a"): frozenset({measure(u="1")}),
+            ("t", "a"): frozenset({measure(v="1/2")}),
+        }
+        nlmp = PointmassNLMP(("a",), ("s", "t", "u", "v"), trans)
+        rel = frozenset({("s", "t"), ("t", "s")}) | {(x, x) for x in nlmp.states}
+        assert not is_state_bisim(nlmp, rel)
+        assert not is_ext_state_bisim(nlmp, nlmp, rel)
+
     def test_probability_values_matter(self):
         trans = {
             ("s", "a"): frozenset({measure(v="1/2")}),
@@ -336,6 +349,245 @@ class TestHitBisim:
         nlmp = PointmassNLMP(("a",), ("s", "t"))
         with pytest.raises(ValueError):
             is_hit_bisim(nlmp, frozenset({("s", "t")}))
+
+
+# The former lifting loops, kept as oracles for the code kernel:
+# a neighbour search per atom and Fraction sums per atom and measure pair.
+
+
+def oracle_closed_atoms(rel, states) -> tuple:
+    universe = list(states)
+    nbrs: dict = {}
+    for x, y in rel:
+        nbrs.setdefault(x, set()).add(y)
+        nbrs.setdefault(y, set()).add(x)
+    for x, y in rel:
+        if x not in universe or y not in universe:
+            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the universe")
+    seen: set = set()
+    atoms = []
+    for s in universe:
+        if s in seen:
+            continue
+        component = {s}
+        frontier = [s]
+        while frontier:
+            for v in nbrs.get(frontier.pop(), ()):
+                if v not in component:
+                    component.add(v)
+                    frontier.append(v)
+        seen |= component
+        atoms.append(frozenset(component))
+    return tuple(atoms)
+
+
+def oracle_external_atoms(rel, left, right) -> tuple:
+    left, right = list(left), list(right)
+    for x, y in rel:
+        if x not in set(left) or y not in set(right):
+            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the universes")
+    tagged = frozenset((("l", x), ("r", y)) for x, y in rel)
+    universe = [("l", s) for s in left] + [("r", t) for t in right]
+    return tuple(
+        (
+            frozenset(s for side, s in atom if side == "l"),
+            frozenset(t for side, t in atom if side == "r"),
+        )
+        for atom in oracle_closed_atoms(tagged, universe)
+    )
+
+
+def oracle_lift_internal(mu, nu, rel, states) -> bool:
+    universe = list(states)
+    if mu.support - set(universe) or nu.support - set(universe):
+        raise ValueError("measure support leaves the universe")
+    return all(
+        mu.mass(atom) == nu.mass(atom) for atom in oracle_closed_atoms(rel, universe)
+    )
+
+
+def oracle_lift_external(mu, nu, rel, left, right) -> bool:
+    if mu.support - set(left) or nu.support - set(right):
+        raise ValueError("measure support leaves the universe")
+    return all(
+        mu.mass(q) == nu.mass(q_prime)
+        for q, q_prime in oracle_external_atoms(rel, left, right)
+    )
+
+
+def oracle_is_state_bisim(nlmp: PointmassNLMP, rel) -> bool:
+    """The zig form: each measure of s meets an internally lifted one of t."""
+    if rel != frozenset((y, x) for x, y in rel):
+        raise ValueError("a state bisimulation must be symmetric")
+    for x, y in rel:
+        if x not in nlmp.states or y not in nlmp.states:
+            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the state set")
+    atoms = oracle_closed_atoms(rel, nlmp.states)
+
+    def lift(mu, nu) -> bool:
+        return all(mu.mass(atom) == nu.mass(atom) for atom in atoms)
+
+    return all(
+        any(lift(mu, nu) for nu in nlmp.measures(t, a))
+        for s, t in rel
+        for a in nlmp.labels
+        for mu in nlmp.measures(s, a)
+    )
+
+
+def oracle_is_hit_bisim(nlmp: PointmassNLMP, rel) -> bool:
+    """Related states offer the same sets of per-atom Fraction vectors."""
+    if rel != frozenset((y, x) for x, y in rel):
+        raise ValueError("a hit bisimulation must be symmetric")
+    for x, y in rel:
+        if x not in nlmp.states or y not in nlmp.states:
+            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the state set")
+    atoms = oracle_closed_atoms(rel, nlmp.states)
+
+    def vectors(state, label) -> set:
+        return {tuple(mu.mass(q) for q in atoms) for mu in nlmp.measures(state, label)}
+
+    return all(vectors(s, a) == vectors(t, a) for s, t in rel for a in nlmp.labels)
+
+
+def oracle_is_ext_state_bisim(left: PointmassNLMP, right: PointmassNLMP, rel) -> bool:
+    """Both ways round: every measure on each side meets one on the other."""
+    for x, y in rel:
+        if x not in left.states or y not in right.states:
+            raise ValueError(f"relation pair ({x!r},{y!r}) leaves the state sets")
+    components = oracle_external_atoms(rel, left.states, right.states)
+
+    def lift(mu, nu) -> bool:
+        return all(mu.mass(q) == nu.mass(qp) for q, qp in components)
+
+    for s, t in rel:
+        for a in dict.fromkeys(left.labels + right.labels):
+            for mu in left.measures(s, a):
+                if not any(lift(mu, nu) for nu in right.measures(t, a)):
+                    return False
+            for nu in right.measures(t, a):
+                if not any(lift(mu, nu) for mu in left.measures(s, a)):
+                    return False
+    return True
+
+
+# Coprime denominators, and sums such as 1/6 + 1/3 that reduce.
+MASSES = [F(1, 3), F(1, 7), F(2, 7), F(1, 2), F(1, 5), F(3, 7), F(1, 6)]
+
+
+def coprime_measure(rng: random.Random, states) -> SubProbMeasure:
+    masses: dict = {}
+    for s in rng.sample(list(states), k=min(len(states), rng.randint(0, 3))):
+        mass = rng.choice(MASSES)
+        if sum(masses.values()) + mass <= 1:
+            masses[s] = mass
+    return SubProbMeasure.from_mapping(masses)
+
+
+def coprime_nlmp(rng: random.Random, prefix: str) -> PointmassNLMP:
+    states = tuple(f"{prefix}{i}" for i in range(rng.randint(1, 5)))
+    labels = ("a", "b")[: rng.randint(1, 2)]
+    trans = {}
+    for s in states:
+        for a in labels:
+            roll = rng.random()
+            if roll < 0.25:
+                continue
+            count = 0 if roll < 0.35 else rng.randint(1, 3)
+            trans[s, a] = frozenset(coprime_measure(rng, states) for _ in range(count))
+    return PointmassNLMP(labels, states, trans)
+
+
+def outcome(fn, *args):
+    """The value, or the text of the ValueError raised."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return f"error: {err}"
+
+
+class TestCodeKernelMatchesOracles:
+    CASES = 2400
+
+    def relations(self, rng, left, right, greatest):
+        pairs = [(x, y) for x in left.states for y in right.states]
+        raw = frozenset(p for p in pairs if rng.random() < rng.choice((0.1, 0.3, 0.6)))
+        part = frozenset(p for p in greatest if rng.random() < 0.7)
+        stray = raw | {(rng.choice(left.states), "zz"), ("yy", rng.choice(right.states))}
+        return [frozenset(), raw, greatest, part, stray]
+
+    def test_verdicts_atoms_and_errors_agree(self):
+        rng = random.Random(93)
+        verdicts: dict = {}
+        cases = 0
+        while cases < self.CASES:
+            left = coprime_nlmp(rng, "s")
+            right = left if rng.random() < 0.2 else coprime_nlmp(rng, "t")
+            inner = greatest_state_bisim(left)
+            outer = greatest_ext_bisim(left, right)
+            symmetric = self.relations(rng, left, left, inner)
+            symmetric = [r | {(y, x) for x, y in r} for r in symmetric] + symmetric[1:2]
+            for rel in symmetric:
+                cases += 1
+                mu, nu = coprime_measure(rng, left.states), coprime_measure(rng, left.states)
+                if rng.random() < 0.1:
+                    nu = measure(zz="1/3")
+                for fn, oracle, args in (
+                    (closed_atoms, oracle_closed_atoms, (rel, left.states)),
+                    (lift_internal, oracle_lift_internal, (mu, nu, rel, left.states)),
+                    (is_state_bisim, oracle_is_state_bisim, (left, rel)),
+                    (is_hit_bisim, oracle_is_hit_bisim, (left, rel)),
+                ):
+                    got = outcome(fn, *args)
+                    assert got == outcome(oracle, *args), (fn.__name__, args)
+                    verdicts.setdefault(fn.__name__, set()).add(str(got)[:6])
+            for rel in self.relations(rng, left, right, outer):
+                cases += 1
+                mu, nu = coprime_measure(rng, left.states), coprime_measure(rng, right.states)
+                if rng.random() < 0.1:
+                    mu = measure(zz="1/7")
+                universes = (rel, left.states, right.states)
+                for fn, oracle, args in (
+                    (external_atoms, oracle_external_atoms, universes),
+                    (lift_external, oracle_lift_external, (mu, nu, *universes)),
+                    (is_ext_state_bisim, oracle_is_ext_state_bisim, (left, right, rel)),
+                ):
+                    got = outcome(fn, *args)
+                    assert got == outcome(oracle, *args), (fn.__name__, args)
+                    verdicts.setdefault(fn.__name__, set()).add(str(got)[:6])
+        for name in ("lift_internal", "is_state_bisim", "lift_external", "is_ext_state_bisim"):
+            assert verdicts[name] >= {"True", "False", "error:"}, name
+
+    def test_coprime_masses_merge_across_an_atom(self):
+        mu = measure(x="1/3", y="1/7")
+        nu = measure(x="10/21")
+        rel = frozenset({("x", "y"), ("y", "x")})
+        assert lift_internal(mu, nu, rel, ("x", "y"))
+        assert not lift_internal(mu, nu, frozenset(), ("x", "y"))
+        onto_u = frozenset({("x", "u"), ("y", "u")})
+        assert lift_external(mu, measure(u="10/21"), onto_u, ("x", "y"), ("u",))
+        assert lift_internal(measure(x="1/6", y="1/3"), measure(y="1/2"), rel, ("x", "y"))
+
+    def test_code_memory_follows_the_supports(self):
+        # One part per state and 100 distinct prime denominators: codes
+        # read on one common scale would take ~n^2 * log(scale) / 2 bits
+        # (tens of MiB here), while (part, mass) pairs stay linear in n.
+        primes = [p for p in range(3, 600) if all(p % q for q in range(2, p))][:100]
+        states = tuple(f"s{i}" for i in range(600))
+        trans = {
+            (s, "a"): frozenset({SubProbMeasure(((s, F(1, primes[i % 100])),))})
+            for i, s in enumerate(states)
+        }
+        nlmp = PointmassNLMP(("a",), states, trans)
+        identity = frozenset((s, s) for s in states)
+        tracemalloc.start()
+        try:
+            assert is_state_bisim(nlmp, identity)
+            assert is_ext_state_bisim(nlmp, nlmp, identity)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
 
 
 def oracle_is_event_bisim(nlmp: PointmassNLMP, events) -> bool:
