@@ -263,7 +263,13 @@ def _cmd_e0_reduce(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
+def _natural_bound(args: SimpleNamespace) -> None:
+    if args.bound is not None and args.bound < 0:
+        raise ValueError("bound must be a natural")
+
+
 def _cmd_e0_witness(args: SimpleNamespace) -> int:
+    _natural_bound(args)
     x = parse_epset(read_json_file(args.left))
     y = parse_epset(read_json_file(args.right))
     if x.sym_diff(y).is_finite:
@@ -288,6 +294,7 @@ def _cmd_e0_witness(args: SimpleNamespace) -> int:
 
 
 def _cmd_substructure(args: SimpleNamespace) -> int:
+    _natural_bound(args)
     nlmp = parse_nlmp(read_json_file(args.file))
     if args.carrier is not None:
         carrier = parse_carrier(read_json_file(args.carrier))

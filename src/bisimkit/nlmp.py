@@ -303,17 +303,17 @@ class _Codes(dict):
         return found
 
 
-def _symmetric_codes(nlmp: PointmassNLMP, rel: Rel, kind: str) -> _Codes:
+def _symmetric_bisim(nlmp: PointmassNLMP, rel: Rel, kind: str) -> bool:
     if rel != frozenset((y, x) for x, y in rel):
         raise ValueError(f"a {kind} bisimulation must be symmetric")
     part, _, _ = _part_numbers(rel, nlmp.states, where="the state set")
-    return _Codes(nlmp, part)
+    codes = _Codes(nlmp, part)
+    return all(codes[s, a] <= codes[t, a] for s, t in rel for a in nlmp.labels)
 
 
 def is_state_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
     """Symmetric relation whose pairs match transitions up to internal lifting."""
-    codes = _symmetric_codes(nlmp, rel, "state")
-    return all(codes[s, a] <= codes[t, a] for s, t in rel for a in nlmp.labels)
+    return _symmetric_bisim(nlmp, rel, "state")
 
 
 def _measure_moves(nlmp: PointmassNLMP, state: StateId, label: str) -> list:
@@ -346,9 +346,13 @@ def greatest_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> Rel:
 
 
 def is_hit_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
-    """Related states offer the same set of per-atom mass vectors: of codes."""
-    codes = _symmetric_codes(nlmp, rel, "hit")
-    return all(codes[s, a] == codes[t, a] for s, t in rel for a in nlmp.labels)
+    """Related states offer the same set of per-atom mass vectors: of codes.
+
+    This is the state check under its own name: the relation is
+    symmetric, so each pair's inclusion also holds the other way round,
+    and inclusion both ways is equality.
+    """
+    return _symmetric_bisim(nlmp, rel, "hit")
 
 
 def event_atoms(events: Iterable[frozenset], states: Iterable[StateId]) -> tuple:

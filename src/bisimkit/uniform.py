@@ -71,11 +71,8 @@ class UniformStructure:
                     raise ValueError(f"row {n} at ({s!r},{a!r}) exceeds mass one")
 
     def row_measure(self, state: StateId, label: str, n: int) -> SubProbMeasure:
-        rows = self.rows.get((state, label))
-        if rows is None or not 0 <= n < len(rows):
-            raise ValueError(f"no row {n} at ({state!r},{label!r})")
         weights: dict[StateId, Fraction] = {}
-        for _, mass, target in rows[n]:
+        for _, mass, target in _row(self, state, label, n):
             weights[target] = weights.get(target, Fraction(0)) + mass
         return SubProbMeasure.from_mapping(weights)
 
@@ -308,69 +305,29 @@ def witness_mass_g(
     return sum((mass for j, mass, _ in row if j in chosen), Fraction(0))
 
 
-def witness_mass_g_prime(
+def _gk_side(
     table: UniformStructure,
     x: StateId,
     x_prime: StateId,
     rel: Rel,
     n: int,
     n_prime: int,
-    k: int,
     a: str,
-) -> Fraction:
-    """Mass row ``n_prime`` puts on states related from entry ``k`` of row ``n``."""
-    anchor = _entry_target(_row(table, x, a, n), k, f"row {n} at ({x!r},{a!r})")
-    prime_row = _row(table, x_prime, a, n_prime)
-    return sum(
-        (mass for _, mass, target in prime_row if (anchor, target) in rel),
-        Fraction(0),
-    )
-
-
-def witness_mass_k(
-    table: UniformStructure,
-    x: StateId,
-    x_prime: StateId,
-    rel: Rel,
-    n: int,
-    n_prime: int,
-    k_prime: int,
-    a: str,
-) -> Fraction:
-    """Mass row ``n`` puts on states related into entry ``k_prime`` of row ``n_prime``."""
-    anchor = _entry_target(
-        _row(table, x_prime, a, n_prime), k_prime, f"row {n_prime} at ({x_prime!r},{a!r})"
-    )
+    bound: int | None,
+) -> bool:
     row = _row(table, x, a, n)
-    return sum(
-        (mass for _, mass, target in row if (target, anchor) in rel), Fraction(0)
-    )
-
-
-def witness_mass_k_prime(
-    table: UniformStructure,
-    x: StateId,
-    x_prime: StateId,
-    rel: Rel,
-    n_prime: int,
-    k_prime: int,
-    a: str,
-    bound: int | None = None,
-) -> Fraction:
-    """Mirror of the shared-witness mass, seen from the second state."""
     prime_row = _row(table, x_prime, a, n_prime)
-    anchor = _entry_target(prime_row, k_prime, f"row {n_prime} at ({x_prime!r},{a!r})")
-    witnesses = [
-        value
-        for value in composition_enum(table, x, bound)
-        if (value, anchor) in rel
-    ]
-    chosen = frozenset(
-        j
-        for j, _, target in prime_row
-        if any((value, target) in rel for value in witnesses)
-    )
-    return sum((mass for j, mass, _ in prime_row if j in chosen), Fraction(0))
+    values = composition_enum(table, x_prime, bound)
+    for k, _, target in row:
+        if not any((target, value) in rel for value in values):
+            return False
+        related = sum(
+            (mass for _, mass, other in prime_row if (target, other) in rel),
+            Fraction(0),
+        )
+        if witness_mass_g(table, x, x_prime, rel, n, k, a, bound) != related:
+            return False
+    return True
 
 
 def gk_block(
@@ -389,26 +346,18 @@ def gk_block(
     and around each entry the paired neighbourhood masses must agree.
     For z-closed relations between the two enumeration closures this
     coincides with the support lifting of the reconstructed measures.
+
+    Each side is the same one-sided check. Along R, entry k of row n
+    compares g(x,x',R,n,k), its ``witness_mass_g``, with g'(x,x',R,n,n',k),
+    the mass row n' puts on states related from k. The back half reads
+    the forth half from the other row along the converse:
+    k(x,x',R,n,n',k') = g'(x',x,R^-1,n',n,k') and
+    k'(x,x',R,n',k') = g(x',x,R^-1,n',k').
     """
-    row = _row(table, x, a, n)
-    prime_row = _row(table, x_prime, a, n_prime)
-    right_values = composition_enum(table, x_prime, bound)
-    left_values = composition_enum(table, x, bound)
-    for k, _, target in row:
-        if not any((target, value) in rel for value in right_values):
-            return False
-        g = witness_mass_g(table, x, x_prime, rel, n, k, a, bound)
-        if g != witness_mass_g_prime(table, x, x_prime, rel, n, n_prime, k, a):
-            return False
-    for k_prime, _, target in prime_row:
-        if not any((value, target) in rel for value in left_values):
-            return False
-        kk = witness_mass_k(table, x, x_prime, rel, n, n_prime, k_prime, a)
-        if kk != witness_mass_k_prime(
-            table, x, x_prime, rel, n_prime, k_prime, a, bound
-        ):
-            return False
-    return True
+    if not _gk_side(table, x, x_prime, rel, n, n_prime, a, bound):
+        return False
+    converse = frozenset((v, u) for u, v in rel)
+    return _gk_side(table, x_prime, x, converse, n_prime, n, a, bound)
 
 
 def uniform_bisim_search(

@@ -213,6 +213,17 @@ class TestSetVerbs:
         assert report["left_sat"] is True
         assert report["right_sat"] is False
 
+    def test_witness_rejects_negative_bound(self, tmp_path):
+        left = write(tmp_path, "left.json", {"prefix": "0110", "period": "0"})
+        right = write(tmp_path, "right.json", {"prefix": "", "period": "0"})
+        evens = write(tmp_path, "evens.json", {"prefix": "", "period": "10"})
+        odds = write(tmp_path, "odds.json", {"prefix": "0", "period": "10"})
+        for pair in ((left, right), (evens, odds)):
+            proc = run_cli("e0", "witness", *pair, "--bound", "-1")
+            assert proc.returncode == 2, pair
+            assert proc.stdout == ""
+            assert "bound must be a natural" in proc.stderr
+
     def test_reduce_emits_the_gadget(self, tmp_path):
         pair = write(tmp_path, "pair.json", {"prefix": "0110", "period": "0"})
         proc = run_cli("e0", "reduce", pair)
@@ -284,9 +295,14 @@ class TestNLMPVerbs:
 
     def test_substructure_rejects_negative_bound(self, tmp_path):
         path = write(tmp_path, "proc.json", self.nlmp())
-        for bound in ("-1", "-3"):
-            proc = run_cli("substructure", path, "--state", "s", "--bound", bound)
-            assert proc.returncode == 2, bound
+        carrier = write(tmp_path, "carrier.json", {"carrier": ["t"]})
+        for argv in (
+            ("--state", "s", "--bound", "-1"),
+            ("--state", "s", "--bound", "-3"),
+            ("--carrier", carrier, "--bound", "-4"),
+        ):
+            proc = run_cli("substructure", path, *argv)
+            assert proc.returncode == 2, argv
             assert proc.stdout == ""
             assert "bound must be a natural" in proc.stderr
 

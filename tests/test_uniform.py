@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bisimkit import gen
 from bisimkit.expansion import omega_code_expand
 from bisimkit.foundations import Ordinal
 from bisimkit.lts import (
@@ -29,7 +30,9 @@ from bisimkit.treeiso import canon
 from bisimkit.uniform import (
     UMLTSStructure,
     UniformStructure,
+    _entry_target,
     _node_name,
+    _row,
     composition_enum,
     derive_umlts,
     derive_uniform,
@@ -341,6 +344,116 @@ class TestWitnessMachinery:
                         )
                         assert block == lifted
         assert checked > 50
+
+
+# The former index-level block, which wrote out the back half's masses
+# k and k' as mirror functions, kept as an oracle for the one-sided check.
+
+
+def oracle_witness_mass_g_prime(table, x, x_prime, rel, n, n_prime, k, a):
+    anchor = _entry_target(_row(table, x, a, n), k, f"row {n} at ({x!r},{a!r})")
+    prime_row = _row(table, x_prime, a, n_prime)
+    return sum(
+        (mass for _, mass, target in prime_row if (anchor, target) in rel),
+        Fraction(0),
+    )
+
+
+def oracle_witness_mass_k(table, x, x_prime, rel, n, n_prime, k_prime, a):
+    anchor = _entry_target(
+        _row(table, x_prime, a, n_prime), k_prime, f"row {n_prime} at ({x_prime!r},{a!r})"
+    )
+    row = _row(table, x, a, n)
+    return sum(
+        (mass for _, mass, target in row if (target, anchor) in rel), Fraction(0)
+    )
+
+
+def oracle_witness_mass_k_prime(
+    table, x, x_prime, rel, n_prime, k_prime, a, bound=None
+):
+    prime_row = _row(table, x_prime, a, n_prime)
+    anchor = _entry_target(prime_row, k_prime, f"row {n_prime} at ({x_prime!r},{a!r})")
+    witnesses = [
+        value
+        for value in composition_enum(table, x, bound)
+        if (value, anchor) in rel
+    ]
+    chosen = frozenset(
+        j
+        for j, _, target in prime_row
+        if any((value, target) in rel for value in witnesses)
+    )
+    return sum((mass for j, mass, _ in prime_row if j in chosen), Fraction(0))
+
+
+def oracle_gk_block(table, x, x_prime, rel, n, n_prime, a, bound=None) -> bool:
+    row = _row(table, x, a, n)
+    prime_row = _row(table, x_prime, a, n_prime)
+    right_values = composition_enum(table, x_prime, bound)
+    left_values = composition_enum(table, x, bound)
+    for k, _, target in row:
+        if not any((target, value) in rel for value in right_values):
+            return False
+        g = witness_mass_g(table, x, x_prime, rel, n, k, a, bound)
+        if g != oracle_witness_mass_g_prime(table, x, x_prime, rel, n, n_prime, k, a):
+            return False
+    for k_prime, _, target in prime_row:
+        if not any((value, target) in rel for value in left_values):
+            return False
+        kk = oracle_witness_mass_k(table, x, x_prime, rel, n, n_prime, k_prime, a)
+        if kk != oracle_witness_mass_k_prime(
+            table, x, x_prime, rel, n_prime, k_prime, a, bound
+        ):
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    """The value, or the text of the ValueError raised."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return f"error: {err}"
+
+
+class TestOneSidedBlockMatchesOracle:
+    TABLES = 2000
+
+    def test_agrees_on_seeded_tables(self):
+        rng = random.Random(211)
+        verdicts: dict = {}
+        for _ in range(self.TABLES):
+            nlmp = gen.random_nlmp(rng)
+            table = derive_uniform(nlmp)
+            x, x_prime = rng.choice(nlmp.states), rng.choice(nlmp.states)
+            pick = rng.random()
+            if pick < 0.25:
+                rel = greatest_state_bisim(nlmp)
+            elif pick < 0.5:
+                left = composition_enum(table, x)
+                right = composition_enum(table, x_prime)
+                rel = gen.random_z_closed(rng, left, right)
+            else:
+                pairs = [(s, t) for s in nlmp.states for t in nlmp.states]
+                rel = frozenset(p for p in pairs if rng.random() < 0.4)
+            a = rng.choice(nlmp.labels)
+            rows = len(table.rows.get((x, a), ()))
+            prime_rows = len(table.rows.get((x_prime, a), ()))
+            bound = rng.choice((None, 0, 1, 2, 3, -1))
+            for n in range(-1, rows + 1):
+                for n_prime in range(-1, prime_rows + 1):
+                    args = (table, x, x_prime, rel, n, n_prime, a, bound)
+                    got = outcome(gk_block, *args)
+                    assert got == outcome(oracle_gk_block, *args), args
+                    if not 0 <= n < rows:
+                        kind = "no row n"
+                    elif not 0 <= n_prime < prime_rows:
+                        kind = "no row n_prime"
+                    else:
+                        kind = got
+                    verdicts[kind] = verdicts.get(kind, 0) + 1
+        assert len(verdicts) == 5 and min(verdicts.values()) > 500, verdicts
 
 
 class TestSearch:
