@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .foundations import EPSet, Ordinal, ORD_OMEGA, nth_modification
+from .foundations import EPSet, nth_modification
 from .lts import (
     And,
     CharSet,
@@ -80,22 +80,13 @@ def leaf_depth_set(tree: SymbolicTree) -> EPSet:
         return EPSet("1" if tree.param.is_finite else "0", "1")
     if isinstance(tree, Glue):
         depths = EPSet.empty()
-        if any(_is_leaf(part) for part in tree.parts):
+        # A part is a leaf exactly when its root has rank 0.
+        if any(symbolic_rank(part)[0].is_zero for part in tree.parts):
             depths = EPSet.from_finite([0])
         for part in tree.parts:
             depths = _union(depths, _shift_up(leaf_depth_set(part)))
         return depths
     raise TypeError(f"not a symbolic tree: {tree!r}")
-
-
-def _is_leaf(tree: SymbolicTree) -> bool:
-    if isinstance(tree, Chain):
-        return tree.length == 0
-    if isinstance(tree, ATree):
-        return tree.param.is_empty
-    if isinstance(tree, BTree):
-        return False
-    return not tree.parts
 
 
 def _union(a: EPSet, b: EPSet) -> EPSet:
@@ -149,7 +140,9 @@ def _dia(tree: SymbolicTree, body: Formula, depths: dict[int, int | str]) -> boo
     if isinstance(body, CharSet):
         return _child_with_leaf_set(tree, body.param)
     if isinstance(body, RankAtLeast):
-        return _child_with_rank(tree, body.bound)
+        # The root's rank is the sup of its children's plus one, so some
+        # child reaches the bound exactly when the root passes it.
+        return symbolic_rank(tree)[0] >= body.bound + 1
     classes = _child_classes(tree, modal_depth(body, depths))
     return any(_eval(child, body, depths) for child in classes)
 
@@ -171,26 +164,6 @@ def _child_with_leaf_set(tree: SymbolicTree, z: EPSet) -> bool:
         # The children realize exactly the sets a finite flip away.
         return tree.param.sym_diff(z).is_finite
     return any(leaf_depth_set(part) == z for part in tree.parts)
-
-
-def _child_with_rank(tree: SymbolicTree, alpha: Ordinal) -> bool:
-    """Does some child's root rank reach alpha?"""
-    if isinstance(tree, Chain):
-        if tree.length == 0:
-            return False
-        return Ordinal.from_int(tree.length - 1) >= alpha
-    if isinstance(tree, ATree):
-        # Child ranks are the members themselves.
-        if not alpha.is_finite:
-            return False
-        return tree.param.has_element_geq(alpha.as_int())
-    if isinstance(tree, BTree):
-        # Finite parameter: modifications of every finite rank, none higher.
-        # Infinite parameter: every modification stays infinite, rank omega.
-        if tree.param.is_finite:
-            return alpha.is_finite
-        return alpha <= ORD_OMEGA
-    return any(symbolic_rank(part)[0] >= alpha for part in tree.parts)
 
 
 def _child_classes(tree: SymbolicTree, depth: int) -> list[SymbolicTree]:

@@ -152,7 +152,7 @@ class Ordinal:
             if (
                 not isinstance(item, list)
                 or len(item) != 2
-                or not all(isinstance(v, int) for v in item)
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
             ):
                 raise ValueError(f"bad ordinal term {item!r}")
             terms.append((item[0], item[1]))
@@ -172,7 +172,6 @@ class Ordinal:
 
 
 ORD_ZERO = Ordinal()
-ORD_ONE = Ordinal.from_int(1)
 ORD_OMEGA = Ordinal(((1, 1),))
 
 

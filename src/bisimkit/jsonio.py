@@ -9,14 +9,16 @@ declared orders are kept and everything unordered is sorted.
 Multiplicity trees are parsed into a shared DAG: `parse_multitree` walks
 the document with its own stack and builds one node per distinct subtree.
 A multiplicity tree's JSON text can also be streamed:
-`multitree_json_chunks` builds one table entry per distinct node, the
-node's text when it is short and otherwise pieces around its children,
-and yields the text in chunks, so the unfolding is never held whole.
+`multitree_json_chunks` lays each node out with `trees.object_pieces`
+and builds its table with `trees.PieceText.build`, the same builder as
+the canonical form, then yields the text in chunks, so the unfolding is
+never held whole.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Iterator
 
 from .foundations import Count, EPSet, Ordinal, format_rational, parse_rational
@@ -32,6 +34,7 @@ from .trees import (
     LEAF,
     MultiTree,
     PieceText,
+    object_pieces,
     postorder,
 )
 from .uniform import UniformStructure
@@ -332,44 +335,19 @@ def multitree_to_json(tree: MultiTree) -> dict:
 def multitree_json_chunks(tree: MultiTree) -> PieceText:
     """``json.dumps(multitree_to_json(tree), sort_keys=True)`` in chunks.
 
-    The table is built before returning, one entry per distinct node:
-    its text when that fits in PieceText.INLINE characters, joined once
-    from its children's texts, or else constant pieces between them. The
-    cost is the DAG size plus the output length, without recursion.
+    Each node's entries, stable-sorted by label, are laid out by
+    `trees.object_pieces` and the table is built by `PieceText.build`
+    before returning. The cost is the DAG size plus the output length,
+    without recursion.
     """
-    limit = PieceText.INLINE
-    texts: dict[int, str | int] = {}
-    table: dict[int, list] = {}
-    for node in postorder(tree):
-        children = node.children
-        if not table or all(type(texts[id(sub)]) is str for _, sub, _ in children):
-            grouped: dict[str, list[str]] = {}
-            for label, sub, count in children:
-                grouped.setdefault(label, []).append(
-                    f"[{texts[id(sub)]}, {count.json_text()}]"
-                )
-            text = "{" + ", ".join(
-                f"{json.dumps(label)}: [{', '.join(grouped[label])}]"
-                for label in sorted(grouped)
-            ) + "}"
-            if len(text) <= limit:
-                texts[id(node)] = text
-                continue
-        by_label: dict[str, list] = {}
-        for label, sub, count in children:
-            by_label.setdefault(label, []).append((texts[id(sub)], count))
-        pieces: list = []
-        text = "{"
-        for n, label in enumerate(sorted(by_label)):
-            text += (", " if n else "") + json.dumps(label) + ": ["
-            for i, (child, count) in enumerate(by_label[label]):
-                pieces += (text + (", [" if i else "["), child)
-                text = f", {count.json_text()}]"
-            text += "]"
-        pieces.append(text + "}")
-        table[id(node)] = pieces
-        texts[id(node)] = id(node)
-    return PieceText(table, texts[id(tree)])
+
+    def pieces_of(node: MultiTree, forms: dict, table: dict) -> list:
+        entries = sorted(node.children, key=itemgetter(0))
+        return object_pieces(
+            [(label, forms[id(sub)], count) for label, sub, count in entries], ", ", ": "
+        )
+
+    return PieceText.build(tree, pieces_of)
 
 
 def multitree_json_text(tree: MultiTree) -> str:

@@ -8,14 +8,14 @@ the forth/back matching clauses all decide by comparing ids.
 
 `canon` is the printed form, a stable compact-JSON string that is equal
 exactly for isomorphic trees; it is built only where a report prints it.
-`canon_chunks` gives the same string streamed from a per-node table
-(`trees.PieceText`): short node strings are kept whole, longer ones as
-pieces around their children, so an exponential unfolding of a small
-DAG prints in chunks without ever being held whole. Long same-label
-siblings are ordered by their entries' piece lists, walked together up
-to the first pair of pieces that differ (`_compare`). `_iso_rec`, a
-recursive pairing of child slots, is the independent oracle that the
-tests and the tree-iso verify suite check both against.
+`canon_chunks` gives the same string streamed: it hands each node's
+merged, sorted children to `trees.object_pieces` for the layout and to
+`trees.PieceText.build` for the table, so an exponential unfolding of a
+small DAG prints in chunks without ever being held whole. Same-label
+siblings kept as table entries are ordered by their piece lists, walked
+together up to the first pair of pieces that differ (`_compare`).
+`_iso_rec`, a recursive pairing of child slots, is the independent
+oracle that the tests and the tree-iso verify suite check both against.
 
 The walks are keyed by node identity and keep nothing between calls, so
 shared subtrees cost once and deep trees never recurse.
@@ -23,12 +23,11 @@ shared subtrees cost once and deep trees never recurse.
 
 from __future__ import annotations
 
-import json
 from functools import cmp_to_key
 from typing import Hashable, Mapping
 
 from .foundations import Count, Ordinal
-from .trees import MultiTree, PieceText, postorder
+from .trees import MultiTree, PieceText, object_pieces, postorder
 
 
 def _type_counts(tree: MultiTree, classes: Mapping[int, Hashable]) -> dict:
@@ -59,39 +58,28 @@ def class_ids(*roots: MultiTree) -> dict[int, int]:
 def canon_chunks(tree: MultiTree) -> PieceText:
     """The canonical string in chunks, from a table built before returning.
 
-    A node whose string fits in PieceText.INLINE characters is built
-    whole, children grouped by label and sorted by string; a longer one
-    is kept as pieces, one entry per isomorphism class, and its
-    same-label children are sorted by `_compare` without being joined.
+    Each node's children are grouped by label and sorted by string: with
+    a plain sort while they are all whole strings, and by `_compare`,
+    without joining them, once some child is a table entry. The pieces
+    are laid out by `trees.object_pieces`, and `PieceText.build` keeps
+    one entry per isomorphism class.
     """
-    limit = PieceText.INLINE
-    forms: dict[int, str | int] = {}
-    table: dict[int, list] = {}
-    classes: dict[frozenset, int] = {}
     order = None
-    for node in postorder(tree):
+
+    def pieces_of(node: MultiTree, forms: dict, table: dict) -> list:
+        nonlocal order
         totals = _type_counts(node, forms)
-        # With the table still empty, every child's form is a string.
         if not table or all(type(child) is str for _, child in totals):
-            by_label: dict[str, list[str]] = {}
-            for label, child in sorted(totals):
-                count = totals[label, child].json_text()
-                by_label.setdefault(label, []).append(f"[{child},{count}]")
-            form = "{" + ",".join(
-                f"{json.dumps(label)}:[{','.join(items)}]"
-                for label, items in by_label.items()
-            ) + "}"
-            if len(form) <= limit:
-                forms[id(node)] = form
-                continue
-        key = frozenset(totals.items())
-        if key not in classes:
+            kinds = sorted(totals)
+        else:
             if order is None:
                 order = _kind_order(table)
-            classes[key] = len(classes)
-            table[classes[key]] = _canon_pieces(sorted(totals, key=order), totals)
-        forms[id(node)] = classes[key]
-    return PieceText(table, forms[id(tree)])
+            kinds = sorted(totals, key=order)
+        return object_pieces(
+            [(label, child, totals[label, child]) for label, child in kinds], ",", ":"
+        )
+
+    return PieceText.build(tree, pieces_of)
 
 
 def canon(tree: MultiTree) -> str:
@@ -99,26 +87,7 @@ def canon(tree: MultiTree) -> str:
     return str(canon_chunks(tree))
 
 
-def _canon_pieces(kinds: list, totals: dict) -> list:
-    """Pieces of one node's string: constants around its children's forms."""
-    pieces: list = []
-    text = "{"
-    last = None
-    for label, child in kinds:
-        if label != last:
-            if last is not None:
-                text += "],"
-            text += json.dumps(label) + ":[["
-            last = label
-        else:
-            text += ",["
-        pieces += (text, child)
-        text = "," + totals[label, child].json_text() + "]"
-    pieces.append(text + ("]}" if last is not None else "}"))
-    return pieces
-
-
-def _kind_order(table: dict[int, list]):
+def _kind_order(table: dict[int, tuple]):
     """Sort key for (label, form) kinds: by label, then by the form's string.
 
     A form is a whole string or the key of a table entry; pairs involving
@@ -137,7 +106,7 @@ def _kind_order(table: dict[int, list]):
     return cmp_to_key(compare)
 
 
-def _compare(table: dict[int, list], a: str | int, b: str | int, memo: dict) -> int:
+def _compare(table: dict[int, tuple], a: str | int, b: str | int, memo: dict) -> int:
     """-1, 0 or 1 as the string of a is below, equal to or above b's.
 
     Entries' piece lists line up, constants at even positions and forms
@@ -169,7 +138,7 @@ def _compare(table: dict[int, list], a: str | int, b: str | int, memo: dict) -> 
     return result
 
 
-def _text_order(table: dict[int, list], text: str, key: int) -> int:
+def _text_order(table: dict[int, tuple], text: str, key: int) -> int:
     """The order of a whole string against entry key's, read piece by piece."""
     start = 0
     for piece in PieceText(table, key).pieces():

@@ -9,10 +9,17 @@ finite truncations are read off those closed forms one level at a time,
 in output order, so a truncation can be streamed without holding its
 node set. Multiplicity trees attach counted child slots to each node and
 feed the isomorphism machinery.
+
+Their texts, the canonical form and the JSON document, are built by one
+builder, `PieceText.build`, from each node's pieces as laid out by
+`object_pieces`: a short node is kept as one string, a longer one as a
+table entry of pieces around its children's forms, one entry per
+distinct piece list, and the text is streamed from that table in chunks.
 """
 
 from __future__ import annotations
 
+import json
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Union
 
@@ -247,7 +254,7 @@ def postorder(*roots: MultiTree) -> list[MultiTree]:
 
 
 class PieceText:
-    """A tree's text kept per distinct node; iterating yields it in chunks.
+    """A tree's text kept as per-node pieces; iterating yields it in chunks.
 
     The root, and each piece below it, is a string or the int key of a
     table entry: the pieces of a node whose text is longer than INLINE
@@ -263,9 +270,40 @@ class PieceText:
 
     __slots__ = ("table", "root")
 
-    def __init__(self, table: dict[int, list], root: str | int) -> None:
+    def __init__(self, table: dict[int, tuple], root: str | int) -> None:
         self.table = table
         self.root = root
+
+    @classmethod
+    def build(cls, root: MultiTree, pieces_of) -> PieceText:
+        """The text of root, from each node's pieces, children first.
+
+        ``pieces_of(node, forms, table)`` gives a node's piece list:
+        constant strings at even positions and its children's forms,
+        read from forms by id(child), at odd ones. A node whose children
+        are all strings and whose joined text fits in INLINE characters
+        is kept as that string; any other becomes the key of a table
+        entry, one per distinct piece list, so equal texts share one.
+        """
+        limit = cls.INLINE
+        forms: dict[int, str | int] = {}
+        table: dict[int, tuple] = {}
+        keys: dict[tuple, int] = {}
+        for node in postorder(root):
+            pieces = pieces_of(node, forms, table)
+            # With the table still empty, every child's form is a string.
+            if not table or all(type(form) is str for form in pieces[1::2]):
+                text = "".join(pieces)
+                if len(text) <= limit:
+                    forms[id(node)] = text
+                    continue
+            pieces = tuple(pieces)
+            key = keys.get(pieces)
+            if key is None:
+                key = keys[pieces] = len(table)
+                table[key] = pieces
+            forms[id(node)] = key
+        return cls(table, forms[id(root)])
 
     def __str__(self) -> str:
         """The whole text, joined from the chunks."""
@@ -288,6 +326,30 @@ class PieceText:
                 yield piece
             else:
                 stack.pop()
+
+
+def object_pieces(entries: Iterable[tuple], comma: str, colon: str) -> list:
+    """Pieces of a JSON object of lists of [form, count] pairs, one per label.
+
+    The (label, form, count) entries come grouped by label, in the order
+    printed; comma and colon are the separators. Forms stand alone at odd
+    positions, between the constant strings around them.
+    """
+    pieces: list = []
+    text = "{"
+    last = None
+    for label, form, count in entries:
+        if label != last:
+            if last is not None:
+                text += "]" + comma
+            text += json.dumps(label) + colon + "[["
+            last = label
+        else:
+            text += comma + "["
+        pieces += (text, form)
+        text = comma + count.json_text() + "]"
+    pieces.append(text + ("]}" if last is not None else "}"))
+    return pieces
 
 
 def chunked(pieces: Iterable[str], size: int) -> Iterator[str]:

@@ -341,6 +341,15 @@ class TestEvalVerb:
         assert run_cli("eval", atom, gadget).returncode == 0
         assert run_cli("eval", atom, gadget, "--state", "e").returncode == 2
 
+    def test_boolean_ordinal_bound_is_an_input_error(self, tmp_path):
+        loop = write(tmp_path, "loop.json", loop_lts())
+        atom = write(
+            tmp_path, "atom.json", {"op": "rank_at_least", "bound": [[True, 1]]}
+        )
+        proc = run_cli("eval", atom, loop)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: bad ordinal term [True, 1]\n"
+
 
 class TestExportVerb:
     def test_lts_export_counts(self, tmp_path):

@@ -89,6 +89,63 @@ def tower(k: int):
     return phi
 
 
+def oracle_child_with_rank(tree, alpha: Ordinal) -> bool:
+    """Does some child's root rank reach alpha? Case by case over the kinds."""
+    if isinstance(tree, Chain):
+        if tree.length == 0:
+            return False
+        return Ordinal.from_int(tree.length - 1) >= alpha
+    if isinstance(tree, ATree):
+        # Child ranks are the members themselves.
+        if not alpha.is_finite:
+            return False
+        return tree.param.has_element_geq(alpha.as_int())
+    if isinstance(tree, BTree):
+        # Finite parameter: modifications of every finite rank, none higher.
+        # Infinite parameter: every modification stays infinite, rank omega.
+        if tree.param.is_finite:
+            return alpha.is_finite
+        return alpha <= ORD_OMEGA
+    return any(symbolic_rank(part)[0] >= alpha for part in tree.parts)
+
+
+def oracle_is_leaf(tree) -> bool:
+    if isinstance(tree, Chain):
+        return tree.length == 0
+    if isinstance(tree, ATree):
+        return tree.param.is_empty
+    if isinstance(tree, BTree):
+        return False
+    return not tree.parts
+
+
+ORACLE_BOUNDS = [Ordinal.from_int(n) for n in range(8)] + [
+    ORD_OMEGA,
+    ORD_OMEGA + 1,
+    ORD_OMEGA + 2,
+    Ordinal(((2, 1),)),
+]
+
+
+class TestChildFactsFromTheRootRank:
+    """The evaluator reads both child facts off the closed-form root rank."""
+
+    def test_against_the_case_by_case_oracles(self):
+        rng = random.Random(14)
+        verdicts = {True: 0, False: 0}
+        for _ in range(1500):
+            tree = random_symbolic(rng, glue_budget=2)
+            for alpha in ORACLE_BOUNDS:
+                want = oracle_child_with_rank(tree, alpha)
+                assert eval_symbolic(tree, Dia("suc", RankAtLeast(alpha))) == want
+                verdicts[want] += 1
+            parts = (tree, random_symbolic(rng, glue_budget=1))
+            want = any(oracle_is_leaf(part) for part in parts)
+            assert leaf_depth_set(Glue(parts)).member(0) == want
+            assert symbolic_rank(tree)[0].is_zero == oracle_is_leaf(tree)
+        assert min(verdicts.values()) > 1000
+
+
 class TestGadgetShapes:
     def test_branch_code_tree_truncation(self):
         got = truncate_symbolic(branch_code_tree(EPSet.from_finite([0, 2])), 3, 3)

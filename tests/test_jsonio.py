@@ -418,6 +418,11 @@ class TestMalformedInput:
         except ValueError:
             pass
 
+    @pytest.mark.parametrize("bound", [[[True, 1]], [[0, True]], [[1, 1], [0, False]]])
+    def test_booleans_are_not_ordinal_terms(self, bound):
+        with pytest.raises(ValueError, match="bad ordinal term"):
+            parse_formula({"op": "rank_at_least", "bound": bound})
+
     def test_every_parser_is_fuzzed(self):
         assert sorted(VALID) == [n for n in jsonio.__all__ if n.startswith("parse_")]
 

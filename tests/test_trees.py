@@ -1,5 +1,6 @@
 """Explicit, symbolic, and multiplicity trees."""
 
+import json
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from bisimkit.foundations import (
     Ordinal,
     nth_modification,
 )
+from bisimkit.jsonio import multitree_json_chunks, multitree_to_json
+from bisimkit.treeiso import canon_chunks
 from bisimkit.trees import (
     ATree,
     BTree,
@@ -23,6 +26,7 @@ from bisimkit.trees import (
     Glue,
     LEAF,
     MultiTree,
+    PieceText,
     root_rank_at_least,
     symbolic_rank,
     tail,
@@ -195,6 +199,27 @@ class TestMultiTrees:
         assert MultiTree((("a", LEAF, Count(1)),)) != MultiTree((("a", LEAF, Count(2)),))
         assert MultiTree((("a", LEAF, Count(1)),)) != MultiTree()
         assert MultiTree().__eq__(object()) is NotImplemented
+
+
+class TestPieceTextBuild:
+    """Both texts come from one builder, one entry per distinct piece list."""
+
+    def test_equal_pieces_share_one_entry(self, monkeypatch):
+        monkeypatch.setattr(PieceText, "INLINE", 0)
+        first = MultiTree((("b", LEAF, Count(2)),))
+        second = MultiTree((("b", LEAF, Count(2)),))
+        split = MultiTree((("b", LEAF, Count(1)), ("b", LEAF, Count(1))))
+        assert first == second and first is not second
+        tree = MultiTree((("a", first, Count(1)), ("a", second, OMEGA_COUNT)))
+        text = multitree_json_chunks(tree)
+        # The leaf, both equal nodes, and the root.
+        assert len(text.table) == 3
+        assert str(text) == json.dumps(multitree_to_json(tree), sort_keys=True)
+        # The JSON text tells the split node apart; canon merges its counts,
+        # so its entries are one per isomorphism class.
+        tree = MultiTree((("a", first, Count(1)), ("c", split, Count(1))))
+        assert len(multitree_json_chunks(tree).table) == 4
+        assert len(canon_chunks(tree).table) == 3
 
 
 class TestSymbolicRanks:
