@@ -7,6 +7,7 @@ for exact rationals. Everything here is immutable and pure.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
@@ -154,7 +155,8 @@ class Ordinal:
                 or len(item) != 2
                 or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
             ):
-                raise ValueError(f"bad ordinal term {item!r}")
+                culprit = json.dumps(item, ensure_ascii=False)
+                raise ValueError(f"bad ordinal term {culprit}")
             terms.append((item[0], item[1]))
         return cls(tuple(terms))
 
@@ -421,7 +423,8 @@ class Count:
             return OMEGA_COUNT
         if isinstance(data, int) and not isinstance(data, bool):
             return cls(data)
-        raise ValueError(f"count JSON must be an int or \"omega\", got {data!r}")
+        culprit = json.dumps(data, ensure_ascii=False)
+        raise ValueError(f"count JSON must be an int or \"omega\", got {culprit}")
 
     def __str__(self) -> str:
         return "omega" if self.is_omega else str(self.finite)

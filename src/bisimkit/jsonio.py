@@ -92,7 +92,8 @@ def _str_list(data: object, what: str) -> tuple[str, ...]:
 
 def _natural(data: object, what: str) -> int:
     if not isinstance(data, int) or isinstance(data, bool) or data < 0:
-        raise ValueError(f"{what} must be a natural number, got {data!r}")
+        culprit = json.dumps(data, ensure_ascii=False)
+        raise ValueError(f"{what} must be a natural number, got {culprit}")
     return data
 
 

@@ -136,10 +136,11 @@ def composition_enum(
 ) -> list[StateId]:
     """Values of iterated target maps applied to a state, breadth first.
 
-    The state itself comes first; each round applies every table position
-    in label, row, entry order to the previous round's fresh values,
-    keeping first occurrences. Runs to the fixed point, then truncates
-    to ``bound`` entries when one is given.
+    The state itself comes first. The walk is one first-in, first-out
+    queue: each listed value in turn applies every table position in
+    label, row, entry order, appending first occurrences, so the rounds
+    of a breadth-first search follow one another. Runs to the fixed
+    point, then truncates to ``bound`` entries when one is given.
     """
     if state not in table.states:
         raise ValueError(f"unknown state {state!r}")
@@ -147,18 +148,13 @@ def composition_enum(
         raise ValueError("bound must be a natural")
     listed = [state]
     seen = {state}
-    frontier = [state]
-    while frontier:
-        fresh = []
-        for value in frontier:
-            for a in table.labels:
-                for row in table.rows.get((value, a), ()):
-                    for _, _, target in row:
-                        if target not in seen:
-                            seen.add(target)
-                            listed.append(target)
-                            fresh.append(target)
-        frontier = fresh
+    for value in listed:
+        for a in table.labels:
+            for row in table.rows.get((value, a), ()):
+                for _, _, target in row:
+                    if target not in seen:
+                        seen.add(target)
+                        listed.append(target)
     return listed if bound is None else listed[:bound]
 
 
@@ -204,17 +200,8 @@ def derive_umlts(lts: PointedLTS) -> UMLTSStructure:
 
 
 def validate_umlts(lts: PointedLTS, structure: UMLTSStructure) -> bool:
-    if structure.labels != lts.labels or structure.states != lts.states:
-        return False
-    for s in lts.states:
-        for a in lts.labels:
-            targets = set(lts.successors(s, a))
-            listed = structure.enum.get((s, a))
-            if (listed is None) != (not targets):
-                return False
-            if listed is not None and set(listed) != targets:
-                return False
-    return True
+    """Does the enumeration's table of unit rows reconstruct the Dirac view?"""
+    return validate_uniform(mlts_to_nlmp(lts), umlts_to_uniform(structure))
 
 
 def umlts_to_uniform(structure: UMLTSStructure) -> UniformStructure:
@@ -257,54 +244,6 @@ def _row(table: UniformStructure, state: StateId, label: str, n: int) -> tuple:
     return rows[n]
 
 
-def _entry_target(row: tuple, k: int, where: str) -> StateId:
-    for j, _, target in row:
-        if j == k:
-            return target
-    raise ValueError(f"{where} has no entry {k}")
-
-
-def witness_indices(
-    table: UniformStructure,
-    x: StateId,
-    x_prime: StateId,
-    rel: Rel,
-    n: int,
-    k: int,
-    a: str,
-    bound: int | None = None,
-) -> frozenset:
-    """Row entries whose targets share a related enumeration value with entry ``k``."""
-    row = _row(table, x, a, n)
-    anchor = _entry_target(row, k, f"row {n} at ({x!r},{a!r})")
-    witnesses = [
-        value
-        for value in composition_enum(table, x_prime, bound)
-        if (anchor, value) in rel
-    ]
-    return frozenset(
-        j
-        for j, _, target in row
-        if any((target, value) in rel for value in witnesses)
-    )
-
-
-def witness_mass_g(
-    table: UniformStructure,
-    x: StateId,
-    x_prime: StateId,
-    rel: Rel,
-    n: int,
-    k: int,
-    a: str,
-    bound: int | None = None,
-) -> Fraction:
-    """Mass of the entries sharing a related enumeration value with entry ``k``."""
-    chosen = witness_indices(table, x, x_prime, rel, n, k, a, bound)
-    row = _row(table, x, a, n)
-    return sum((mass for j, mass, _ in row if j in chosen), Fraction(0))
-
-
 def _gk_side(
     table: UniformStructure,
     x: StateId,
@@ -318,14 +257,24 @@ def _gk_side(
     row = _row(table, x, a, n)
     prime_row = _row(table, x_prime, a, n_prime)
     values = composition_enum(table, x_prime, bound)
-    for k, _, target in row:
-        if not any((target, value) in rel for value in values):
+    # Per target of row n, the enumeration values related to it.
+    witnesses_of = {
+        target: {value for value in values if (target, value) in rel}
+        for _, _, target in row
+    }
+    for _, _, target in row:
+        witnesses = witnesses_of[target]
+        if not witnesses:
             return False
-        related = sum(
+        g = sum(
+            (mass for _, mass, other in row if witnesses & witnesses_of[other]),
+            Fraction(0),
+        )
+        g_prime = sum(
             (mass for _, mass, other in prime_row if (target, other) in rel),
             Fraction(0),
         )
-        if witness_mass_g(table, x, x_prime, rel, n, k, a, bound) != related:
+        if g != g_prime:
             return False
     return True
 
@@ -348,9 +297,11 @@ def gk_block(
     coincides with the support lifting of the reconstructed measures.
 
     Each side is the same one-sided check. Along R, entry k of row n
-    compares g(x,x',R,n,k), its ``witness_mass_g``, with g'(x,x',R,n,n',k),
-    the mass row n' puts on states related from k. The back half reads
-    the forth half from the other row along the converse:
+    compares g(x,x',R,n,k) with g'(x,x',R,n,n',k). g is the mass of the
+    row-n entries whose targets are related to some value of the
+    enumeration of x' that entry k's target is also related to; g' is
+    the mass row n' puts on states related from entry k's target. The
+    back half reads the forth half from the other row along the converse:
     k(x,x',R,n,n',k') = g'(x',x,R^-1,n',n,k') and
     k'(x,x',R,n',k') = g(x',x,R^-1,n',k').
     """

@@ -348,7 +348,30 @@ class TestEvalVerb:
         )
         proc = run_cli("eval", atom, loop)
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == "error: bad ordinal term [True, 1]\n"
+        assert proc.stderr == "error: bad ordinal term [true, 1]\n"
+
+    @pytest.mark.parametrize(
+        ("value", "text"), [(True, "true"), (None, "null"), ("\u00e9", '"\u00e9"')]
+    )
+    def test_json_literal_chain_length_is_echoed_as_json(self, tmp_path, value, text):
+        top = write(tmp_path, "top.json", {"op": "top"})
+        chain = write(tmp_path, "chain.json", {"kind": "chain", "k": value})
+        proc = run_cli("eval", top, chain)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: chain length must be a natural number, got {text}\n"
+        )
+
+    @pytest.mark.parametrize(
+        ("value", "text"), [(True, "true"), (None, "null"), ("\u00e9", '"\u00e9"')]
+    )
+    def test_json_literal_count_is_echoed_as_json(self, tmp_path, value, text):
+        tree = write(tmp_path, "tree.json", {"a": [[{}, value]]})
+        proc = run_cli("iso", tree, tree)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f'error: count JSON must be an int or "omega", got {text}\n'
+        )
 
 
 class TestExportVerb:

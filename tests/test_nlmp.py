@@ -7,6 +7,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from bisimkit import gen
 from bisimkit.nlmp import (
     PointmassNLMP,
     SubProbMeasure,
@@ -333,6 +334,49 @@ class TestExternalBisim:
             nlmp = random_nlmp(rng, 3)
             rel = greatest_ext_bisim(nlmp, nlmp)
             assert all((s, s) in rel for s in nlmp.states)
+
+
+class TestInternalIsExternalOnReflexiveSymmetric:
+    """For S = S', internal and external notions agree on R reflexive and symmetric.
+
+    Such an R links each state to its own copy, so every bipartite
+    component is a closed atom on both sides.
+    """
+
+    def relations(self, rng: random.Random, nlmp: PointmassNLMP):
+        states = nlmp.states
+        yield greatest_state_bisim(nlmp)
+        yield gen.random_equivalence(rng, states, rng.randint(1, 3))
+        pairs = {(s, t) for s in states for t in states if rng.random() < 0.2}
+        identity = {(s, s) for s in states}
+        yield frozenset(pairs | {(t, s) for s, t in pairs} | identity)
+
+    def test_agree_on_seeded_relations(self):
+        rng = random.Random(90)
+        verdicts = {True: 0, False: 0}
+        for _ in range(1000):
+            nlmp = random_nlmp(rng, rng.randint(1, 4), ("a", "b"))
+            states = nlmp.states
+            for rel in self.relations(rng, nlmp):
+                atoms = closed_atoms(rel, states)
+                pairs = external_atoms(rel, states, states)
+                assert all(q == q_prime for q, q_prime in pairs)
+                assert tuple(q for q, _ in pairs) == atoms
+                mu, nu = random_measure(rng, states), random_measure(rng, states)
+                lifted = lift_internal(mu, nu, rel, states)
+                assert lifted == lift_external(mu, nu, rel, states, states)
+                verdict = is_state_bisim(nlmp, rel)
+                assert verdict == is_ext_state_bisim(nlmp, nlmp, rel)
+                verdicts[lifted] += 1
+                verdicts[verdict] += 1
+        assert min(verdicts.values()) > 1000, verdicts
+
+    def test_reflexivity_is_needed(self):
+        states = ("x", "y")
+        rel = frozenset({("x", "y"), ("y", "x")})
+        dirac = SubProbMeasure.dirac("x")
+        assert lift_internal(dirac, dirac, rel, states)
+        assert not lift_external(dirac, dirac, rel, states, states)
 
 
 class TestHitBisim:

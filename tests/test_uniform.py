@@ -30,7 +30,6 @@ from bisimkit.treeiso import canon
 from bisimkit.uniform import (
     UMLTSStructure,
     UniformStructure,
-    _entry_target,
     _node_name,
     _row,
     composition_enum,
@@ -48,8 +47,6 @@ from bisimkit.uniform import (
     uniform_mismatches,
     validate_umlts,
     validate_uniform,
-    witness_indices,
-    witness_mass_g,
 )
 
 F = Fraction
@@ -274,6 +271,60 @@ class TestUMLTS:
             nlmp_to_mlts(nlmp, "s")
 
 
+def oracle_validate_umlts(lts: PointedLTS, structure: UMLTSStructure) -> bool:
+    """The former direct check, kept as an oracle for the Dirac-view one."""
+    if structure.labels != lts.labels or structure.states != lts.states:
+        return False
+    for s in lts.states:
+        for a in lts.labels:
+            targets = set(lts.successors(s, a))
+            listed = structure.enum.get((s, a))
+            if (listed is None) != (not targets):
+                return False
+            if listed is not None and set(listed) != targets:
+                return False
+    return True
+
+
+def perturbed_enumeration(rng: random.Random, lts: PointedLTS) -> UMLTSStructure:
+    """The derived enumeration, often with one change that may break it."""
+    labels, states = lts.labels, lts.states
+    enum = dict(derive_umlts(lts).enum)
+    key = (rng.choice(states), rng.choice(labels))
+    listed = list(enum.get(key, ()))
+    pick = rng.randrange(7)
+    if pick == 0 and listed:
+        listed.pop(rng.randrange(len(listed)))
+    elif pick == 1:
+        listed += [t for t in states if t not in listed][:1]
+    elif pick == 2:
+        rng.shuffle(listed)
+    elif pick == 3:
+        listed = []
+    elif pick == 4:
+        states = states[::-1]
+    elif pick == 5:
+        labels = labels + ("z",)
+    if listed:
+        enum[key] = tuple(listed)
+    else:
+        enum.pop(key, None)
+    return UMLTSStructure(labels, states, enum)
+
+
+class TestValidateUMLTSMatchesOracle:
+    def test_agrees_on_seeded_perturbations(self):
+        rng = random.Random(212)
+        verdicts = {True: 0, False: 0}
+        for _ in range(4000):
+            lts = gen.random_lts(rng)
+            structure = perturbed_enumeration(rng, lts)
+            verdict = validate_umlts(lts, structure)
+            assert verdict == oracle_validate_umlts(lts, structure), structure
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) > 1000, verdicts
+
+
 class TestWitnessMachinery:
     def build_table(self) -> UniformStructure:
         trans = {
@@ -346,8 +397,39 @@ class TestWitnessMachinery:
         assert checked > 50
 
 
-# The former index-level block, which wrote out the back half's masses
+# The former index-level block, which wrote out the entry lookup, the
+# index set and the mass g of the forth half, and the back half's masses
 # k and k' as mirror functions, kept as an oracle for the one-sided check.
+
+
+def _entry_target(row: tuple, k: int, where: str):
+    for j, _, target in row:
+        if j == k:
+            return target
+    raise ValueError(f"{where} has no entry {k}")
+
+
+def witness_indices(table, x, x_prime, rel, n, k, a, bound=None) -> frozenset:
+    """Row entries whose targets share a related enumeration value with entry ``k``."""
+    row = _row(table, x, a, n)
+    anchor = _entry_target(row, k, f"row {n} at ({x!r},{a!r})")
+    witnesses = [
+        value
+        for value in composition_enum(table, x_prime, bound)
+        if (anchor, value) in rel
+    ]
+    return frozenset(
+        j
+        for j, _, target in row
+        if any((target, value) in rel for value in witnesses)
+    )
+
+
+def witness_mass_g(table, x, x_prime, rel, n, k, a, bound=None) -> Fraction:
+    """Mass of the entries sharing a related enumeration value with entry ``k``."""
+    chosen = witness_indices(table, x, x_prime, rel, n, k, a, bound)
+    row = _row(table, x, a, n)
+    return sum((mass for j, mass, _ in row if j in chosen), Fraction(0))
 
 
 def oracle_witness_mass_g_prime(table, x, x_prime, rel, n, n_prime, k, a):
