@@ -18,7 +18,6 @@ __all__ = [
     "lts_dot",
     "multitree_dot",
     "nlmp_dot",
-    "symbolic_tree_dot",
     "symbolic_tree_lines",
 ]
 
@@ -65,17 +64,13 @@ def explicit_tree_dot(tree: ExplicitTree) -> str:
 
 
 def symbolic_tree_lines(tree: SymbolicTree, depth: int, width: int) -> Iterator[str]:
-    """symbolic_tree_dot's lines, from two walks of the truncation's levels.
+    """DOT lines of a symbolic tree's truncation, from two walks of its levels.
 
     The node set is never held, and arguments are checked on the call.
     """
     return _tree_lines(
         truncation_levels(tree, depth, width), truncation_levels(tree, depth, width)
     )
-
-
-def symbolic_tree_dot(tree: SymbolicTree, depth: int, width: int) -> str:
-    return "".join(symbolic_tree_lines(tree, depth, width))
 
 
 def multitree_dot(tree: MultiTree) -> str:

@@ -32,7 +32,6 @@ from .trees import ATree, BTree, Chain, Glue, SUC_LABEL, SymbolicTree, symbolic_
 
 __all__ = [
     "branch_code_tree",
-    "char_formula_sat",
     "diamond_depth_sat",
     "eval_symbolic",
     "leaf_depth_set",
@@ -238,16 +237,6 @@ def diamond_depth_sat(x: EPSet, k: int) -> bool:
     if k < 0:
         raise ValueError("tower height must be a natural")
     return eval_symbolic(branch_code_tree(x), _diamond_tower(k))
-
-
-def char_formula_sat(w: EPSet, z: EPSet) -> bool:
-    """Does the branch-code tree of w satisfy the characterizing atom of z?
-
-    The atom stands for the full tower family: one positive conjunct per
-    member of z, one negated conjunct per non-member. On branch-code
-    trees it holds exactly when w equals z.
-    """
-    return eval_symbolic(branch_code_tree(w), CharSet(z))
 
 
 def mod_glue_bisim(x: EPSet, y: EPSet) -> bool:

@@ -3,15 +3,14 @@
 Every successor is duplicated countably often, so each distinct child
 expansion appears with multiplicity omega. Well-founded states expand to
 a multiplicity tree outright; arbitrary states expand to any finite
-depth. Coded systems also unfold into explicit path trees whose letters
-record (target node, label, duplicate index).
+depth, and coded systems expand at their root.
 """
 
 from __future__ import annotations
 
 from .foundations import OMEGA_COUNT
 from .lts import OmegaLTSCode, PointedLTS, StateId, code_to_lts, state_rank
-from .trees import ExplicitTree, MultiTree
+from .trees import MultiTree
 
 
 def omega_expand(lts: PointedLTS, state: StateId) -> MultiTree:
@@ -77,29 +76,3 @@ def omega_code_expand(code: OmegaLTSCode) -> MultiTree:
     bound = len(code.mentioned_nodes())
     lts = code_to_lts(code, reachable_bound=bound)
     return omega_expand(lts, lts.root)
-
-
-def omega_code_tree(code: OmegaLTSCode, depth: int, width: int) -> ExplicitTree:
-    """Explicit path tree of a coded system.
-
-    Nodes are sequences of (target node, label, duplicate index) triples;
-    only paths of length <= depth with duplicate indices < width appear.
-    """
-    if depth < 0 or width < 0:
-        raise ValueError("depth and width must be naturals")
-    succ: dict[int, list[tuple[str, int]]] = {}
-    for label in sorted(code.edges):
-        for m, n in sorted(code.edges[label]):
-            succ.setdefault(m, []).append((label, n))
-    nodes: set[tuple] = {()}
-    frontier: list[tuple[tuple, int]] = [((), code.root)]
-    while frontier:
-        path, cur = frontier.pop()
-        if len(path) >= depth:
-            continue
-        for label, target in succ.get(cur, ()):
-            for i in range(width):
-                child = path + ((target, label, i),)
-                nodes.add(child)
-                frontier.append((child, target))
-    return ExplicitTree(frozenset(nodes))

@@ -384,10 +384,6 @@ class Count:
         if self.finite is not None and self.finite < 0:
             raise ValueError("counts are not negative")
 
-    @classmethod
-    def of(cls, n: int) -> Count:
-        return cls(n)
-
     @property
     def is_omega(self) -> bool:
         return self.finite is None
@@ -396,19 +392,6 @@ class Count:
         if self.is_omega or other.is_omega:
             return OMEGA_COUNT
         return Count(self.finite + other.finite)
-
-    def at_least(self, other: Count) -> bool:
-        if self.is_omega:
-            return True
-        if other.is_omega:
-            return False
-        return self.finite >= other.finite
-
-    def capped(self, k: int) -> Count:
-        """min with a natural; omega caps to k."""
-        if self.is_omega or self.finite > k:
-            return Count(k)
-        return self
 
     def to_json(self) -> int | str:
         return "omega" if self.is_omega else self.finite

@@ -37,13 +37,10 @@ from .trees import (
     object_pieces,
     postorder,
 )
-from .uniform import UniformStructure
 
 __all__ = [
     "formula_to_json",
-    "lts_to_json",
     "multitree_json_chunks",
-    "multitree_json_text",
     "multitree_to_json",
     "nlmp_to_json",
     "parse_carrier",
@@ -53,10 +50,8 @@ __all__ = [
     "parse_multitree",
     "parse_nlmp",
     "parse_tree",
-    "parse_uniform",
     "read_json_file",
     "tree_to_json",
-    "uniform_to_json",
 ]
 
 
@@ -119,15 +114,6 @@ def parse_lts(data: object) -> PointedLTS:
             raise ValueError(f"LTS edge must be [source, label, target], got {entry!r}")
         edges.add(tuple(entry))
     return PointedLTS(labels, states, fields["root"], frozenset(edges))
-
-
-def lts_to_json(lts: PointedLTS) -> dict:
-    return {
-        "labels": list(lts.labels),
-        "states": list(lts.states),
-        "root": lts.root,
-        "edges": [list(edge) for edge in sorted(lts.edges)],
-    }
 
 
 def parse_nlmp(data: object) -> PointmassNLMP:
@@ -351,11 +337,6 @@ def multitree_json_chunks(tree: MultiTree) -> PieceText:
     return PieceText.build(tree, pieces_of)
 
 
-def multitree_json_text(tree: MultiTree) -> str:
-    """``json.dumps(multitree_to_json(tree), sort_keys=True)``, node by node."""
-    return str(multitree_json_chunks(tree))
-
-
 def parse_formula(data: object) -> Formula:
     if not isinstance(data, dict) or "op" not in data:
         raise ValueError('formula JSON must be an object with an "op"')
@@ -402,60 +383,3 @@ def formula_to_json(phi: Formula) -> dict:
     if isinstance(phi, CharSet):
         return {"op": "char_set", "set": phi.param.to_json()}
     raise ValueError(f"not a formula value: {phi!r}")
-
-
-def parse_uniform(data: object) -> UniformStructure:
-    fields = _shape(data, {"labels", "states", "rows"}, "uniform table")
-    labels = _str_list(fields["labels"], "uniform labels")
-    states = _str_list(fields["states"], "uniform states")
-    if not isinstance(fields["rows"], dict):
-        raise ValueError("uniform rows must be an object keyed by state")
-    rows: dict = {}
-    for state, by_label in fields["rows"].items():
-        if state not in states:
-            raise ValueError(f"rows list unknown state {state!r}")
-        if not isinstance(by_label, dict):
-            raise ValueError(f"rows[{state!r}] must be an object keyed by label")
-        for label, row_list in by_label.items():
-            if label not in labels:
-                raise ValueError(f"rows[{state!r}] uses unknown label {label!r}")
-            if not isinstance(row_list, list):
-                raise ValueError(f"rows[{state!r}][{label!r}] must be a list of rows")
-            parsed_rows = []
-            for n, row in enumerate(row_list):
-                where = f"row {n} at ({state!r},{label!r})"
-                if not isinstance(row, list):
-                    raise ValueError(f"{where} must be a list of entries")
-                entries = []
-                for entry in row:
-                    if not isinstance(entry, list) or len(entry) != 3:
-                        raise ValueError(f"{where} entries must be [k, mass, target]")
-                    k, mass_text, target = entry
-                    if not isinstance(target, str):
-                        raise ValueError(f"{where} target must be a state name, got {target!r}")
-                    entries.append(
-                        (_natural(k, f"{where} index"), parse_rational(mass_text), target)
-                    )
-                parsed_rows.append(tuple(entries))
-            rows[(state, label)] = tuple(parsed_rows)
-    return UniformStructure(labels, states, rows)
-
-
-def uniform_to_json(table: UniformStructure) -> dict:
-    rows: dict = {}
-    for state in table.states:
-        per_label: dict = {}
-        for label in table.labels:
-            if (state, label) not in table.rows:
-                continue
-            per_label[label] = [
-                [[k, format_rational(mass), target] for k, mass, target in row]
-                for row in table.rows[(state, label)]
-            ]
-        if per_label:
-            rows[state] = per_label
-    return {
-        "labels": list(table.labels),
-        "states": list(table.states),
-        "rows": rows,
-    }

@@ -210,25 +210,6 @@ def code_to_lts(code: OmegaLTSCode, reachable_bound: int) -> PointedLTS:
     return PointedLTS(labels, states, str(code.root), edges)
 
 
-def lts_to_code(lts: PointedLTS, numbering: Mapping[StateId, int]) -> OmegaLTSCode:
-    """Encode an LTS through an injective numbering of its states."""
-    values = list(numbering.values())
-    if len(set(values)) != len(values):
-        raise ValueError("numbering must be injective")
-    for s in lts.states:
-        if s not in numbering:
-            raise ValueError(f"numbering misses state {s!r}")
-    edges = {
-        label: frozenset(
-            (numbering[src], numbering[dst])
-            for src, lab, dst in lts.edges
-            if lab == label
-        )
-        for label in lts.labels
-    }
-    return OmegaLTSCode(numbering[lts.root], edges)
-
-
 def _label_universe(left: PointedLTS, right: PointedLTS) -> tuple[str, ...]:
     extra = tuple(l for l in right.labels if l not in left.labels)
     return left.labels + extra
@@ -326,12 +307,6 @@ def bisimilar(left: PointedLTS, right: PointedLTS) -> bool:
     return (left.root, right.root) in greatest_bisim(left, right)
 
 
-def bisim_partition(lts: PointedLTS) -> tuple[tuple[StateId, ...], ...]:
-    """Blocks of the refined system, each sorted by state order."""
-    blocks = refine_blocks((lts,), lts.labels, _edge_moves)
-    return tuple(tuple(s for _, s in block) for block in blocks)
-
-
 def bounded_bisim(left: PointedLTS, right: PointedLTS, depth: int) -> Rel:
     """Depth-d approximant: the crossing pairs after d refinement rounds."""
     labels = _label_universe(left, right)
@@ -398,10 +373,6 @@ def state_rank(lts: PointedLTS, state: StateId) -> Ordinal | None:
     return Ordinal.from_int(heights[state])
 
 
-def well_founded_states(lts: PointedLTS) -> frozenset:
-    return frozenset(s for s in lts.states if state_rank(lts, s) is not None)
-
-
 def rank_formula(alpha: Ordinal, labels: tuple[str, ...]) -> Formula:
     """The alpha-th formula of the rank hierarchy.
 
@@ -416,22 +387,6 @@ def rank_formula(alpha: Ordinal, labels: tuple[str, ...]) -> Formula:
     for _ in range(alpha.as_int()):
         phi = Or(tuple(Dia(a, phi) for a in labels))
     return phi
-
-
-def diamond_formula(alpha: Ordinal, label: str = "suc") -> Formula:
-    """Single-diamond variant of the rank hierarchy, for single-label trees."""
-    if alpha.is_zero:
-        return TOP
-    if not alpha.is_finite:
-        return RankAtLeast(alpha)
-    phi: Formula = TOP
-    for _ in range(alpha.as_int()):
-        phi = Dia(label, phi)
-    return phi
-
-
-def total_rel(left_states: Iterable[StateId], right_states: Iterable[StateId]) -> Rel:
-    return frozenset((s, t) for s in left_states for t in right_states)
 
 
 def identity_rel(states: Iterable[StateId]) -> Rel:

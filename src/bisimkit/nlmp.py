@@ -2,25 +2,25 @@
 
 Transitions assign each state and label a finite set of finitely
 supported subprobability measures with exact rational weights. The
-module provides the three measure liftings of a relation (internal,
-external, support-based), the bisimulation notions built on them, and
-the greatest relational ones by the partition refinement of ``lts``.
+module provides the external and support-based measure liftings of a
+relation, the state and external bisimulations, and the greatest of
+each by the partition refinement of ``lts``.
 
-The internal and external liftings ask whether two measures agree on
-every component of the relation's graph, numbered by a union-find
-(``_part_numbers``). A measure's code is the set of its (part, mass)
-pairs, each mass summed over the part and kept as a reduced integer
-(numerator, denominator); every mass is positive, so measures agree
-exactly when their codes are equal, and a code is no larger than the
-measure's support. The bisimulations compare code sets made once per
-relation, from integer masses each process caches.
+State bisimulations lift internally and external ones externally: both
+ask whether two measures agree on every component of the relation's
+graph, numbered by a union-find (``_part_numbers``). A measure's code is
+the set of its (part, mass) pairs, each mass summed over the part and
+kept as a reduced integer (numerator, denominator); every mass is
+positive, so measures agree exactly when their codes are equal, and a
+code is no larger than the measure's support. The bisimulations compare
+code sets made once per relation, from integer masses each process
+caches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -74,12 +74,6 @@ class SubProbMeasure:
 
     def total(self) -> Fraction:
         return sum((m for _, m in self.weights), Fraction(0))
-
-    def mass_of(self, state: StateId) -> Fraction:
-        for s, m in self.weights:
-            if s == state:
-                return m
-        return Fraction(0)
 
     def mass(self, states: Iterable[StateId]) -> Fraction:
         pool = set(states)
@@ -214,21 +208,6 @@ def _code(triples: list, part: dict) -> frozenset:
     return frozenset(sums.items())
 
 
-def _lift(mu: SubProbMeasure, nu: SubProbMeasure, rel: Rel, left, right=None) -> bool:
-    """Do the measures have equal codes over the relation's parts?"""
-    if mu.support - set(left) or nu.support - set(left if right is None else right):
-        raise ValueError("measure support leaves the universe")
-    left_part, right_part, _ = _part_numbers(rel, left, right)
-    return _code(_triples(mu), left_part) == _code(_triples(nu), right_part)
-
-
-def lift_internal(
-    mu: SubProbMeasure, nu: SubProbMeasure, rel: Rel, states: Iterable[StateId]
-) -> bool:
-    """Do the two measures agree on every set closed under the relation?"""
-    return _lift(mu, nu, rel, list(states))
-
-
 def lift_external(
     mu: SubProbMeasure,
     nu: SubProbMeasure,
@@ -238,11 +217,15 @@ def lift_external(
 ) -> bool:
     """Do the measures agree on every closed pair of sets?
 
-    Equivalent to agreeing componentwise on the bipartite components;
-    isolated states must carry no mass, which the empty-sided components
-    enforce.
+    Equivalent to agreeing componentwise on the bipartite components, that
+    is to having equal codes over the relation's parts; isolated states
+    must carry no mass, which the empty-sided components enforce.
     """
-    return _lift(mu, nu, rel, list(left_states), list(right_states))
+    left, right = list(left_states), list(right_states)
+    if mu.support - set(left) or nu.support - set(right):
+        raise ValueError("measure support leaves the universe")
+    left_part, right_part, _ = _part_numbers(rel, left, right)
+    return _code(_triples(mu), left_part) == _code(_triples(nu), right_part)
 
 
 def is_z_closed(rel: Rel) -> bool:
@@ -303,17 +286,13 @@ class _Codes(dict):
         return found
 
 
-def _symmetric_bisim(nlmp: PointmassNLMP, rel: Rel, kind: str) -> bool:
+def is_state_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
+    """Symmetric relation whose pairs match transitions up to internal lifting."""
     if rel != frozenset((y, x) for x, y in rel):
-        raise ValueError(f"a {kind} bisimulation must be symmetric")
+        raise ValueError("a state bisimulation must be symmetric")
     part, _, _ = _part_numbers(rel, nlmp.states, where="the state set")
     codes = _Codes(nlmp, part)
     return all(codes[s, a] <= codes[t, a] for s, t in rel for a in nlmp.labels)
-
-
-def is_state_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
-    """Symmetric relation whose pairs match transitions up to internal lifting."""
-    return _symmetric_bisim(nlmp, rel, "state")
 
 
 def _measure_moves(nlmp: PointmassNLMP, state: StateId, label: str) -> list:
@@ -343,61 +322,3 @@ def greatest_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> Rel:
     """
     labels = tuple(dict.fromkeys(left.labels + right.labels))
     return crossing_pairs(refine_blocks((left, right), labels, _measure_moves))
-
-
-def is_hit_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
-    """Related states offer the same set of per-atom mass vectors: of codes.
-
-    This is the state check under its own name: the relation is
-    symmetric, so each pair's inclusion also holds the other way round,
-    and inclusion both ways is equality.
-    """
-    return _symmetric_bisim(nlmp, rel, "hit")
-
-
-def event_atoms(events: Iterable[frozenset], states: Iterable[StateId]) -> tuple:
-    """Atoms of the algebra generated by a family of state sets."""
-    events = list(events)
-    by_pattern: dict[tuple, list] = {}
-    for s in states:
-        pattern = tuple(s in event for event in events)
-        by_pattern.setdefault(pattern, []).append(s)
-    return tuple(frozenset(block) for block in by_pattern.values())
-
-
-def is_event_bisim(nlmp: PointmassNLMP, events: Iterable[frozenset]) -> bool:
-    """Is the algebra generated by the events stable under hit preimages?
-
-    For every label, every set in the generated algebra, and every mass
-    threshold, the states owning a measure beyond the threshold must form
-    a set of the algebra. Thresholds only change at attained masses, so
-    those suffice.
-    """
-    events = [frozenset(e) for e in events]
-    for event in events:
-        stray = event - set(nlmp.states)
-        if stray:
-            raise ValueError(f"event mentions unknown states {sorted(stray)}")
-    atoms = event_atoms(events, nlmp.states)
-    algebra = [
-        frozenset(chain.from_iterable(chosen))
-        for r in range(len(atoms) + 1)
-        for chosen in combinations(atoms, r)
-    ]
-    atom_of = {s: atom for atom in atoms for s in atom}
-    for a in nlmp.labels:
-        for measurable in algebra:
-            masses = {
-                s: [mu.mass(measurable) for mu in nlmp.measures(s, a)]
-                for s in nlmp.states
-            }
-            # A state hits beyond a threshold exactly when its largest mass does.
-            largest = {s: max(found) for s, found in masses.items() if found}
-            for threshold in {m for found in masses.values() for m in found}:
-                for hit in (
-                    {s for s, top in largest.items() if top > threshold},
-                    {s for s, top in largest.items() if top >= threshold},
-                ):
-                    if any(not atom_of[s] <= hit for s in hit):
-                        return False
-    return True

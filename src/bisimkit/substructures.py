@@ -25,27 +25,12 @@ def is_thick(mu: SubProbMeasure, carrier: Iterable[StateId]) -> bool:
     return mu.support <= set(carrier)
 
 
-def restrict_measure(mu: SubProbMeasure, carrier: Iterable[StateId]) -> SubProbMeasure:
-    """The measure viewed on the carrier; requires thickness."""
-    if not is_thick(mu, carrier):
-        stray = sorted(mu.support - set(carrier))
-        raise ValueError(f"measure puts mass outside the carrier: {stray}")
-    return mu
-
-
 def support_successors(nlmp: PointmassNLMP, state: StateId, label: str) -> frozenset:
     """Union of transition supports: the label's successor candidates."""
     points: set[StateId] = set()
     for mu in nlmp.measures(state, label):
         points |= mu.support
     return frozenset(points)
-
-
-def is_carrier(nlmp: PointmassNLMP, carrier: Iterable[StateId]) -> bool:
-    pool = set(carrier)
-    return all(
-        support_successors(nlmp, s, a) <= pool for s in pool for a in nlmp.labels
-    )
 
 
 def substructure(nlmp: PointmassNLMP, carrier: Iterable[StateId]) -> PointmassNLMP:

@@ -3,8 +3,8 @@
 `class_ids` numbers the nodes of the given trees bottom-up, as in Aho,
 Hopcroft and Ullman's tree isomorphism: a node's key is the set of its
 (label, child id) pairs with summed multiplicities, so two nodes share an
-id exactly when they are isomorphic. `iso`, rank-indexed isomorphism and
-the forth/back matching clauses all decide by comparing ids.
+id exactly when they are isomorphic. `iso` and rank-indexed isomorphism
+decide by comparing ids.
 
 `canon` is the printed form, a stable compact-JSON string that is equal
 exactly for isomorphic trees; it is built only where a report prints it.
@@ -212,45 +212,4 @@ def iso_at_rank(left: MultiTree, right: MultiTree, alpha: Ordinal) -> bool:
         left.tree_rank() == alpha
         and right.tree_rank() == alpha
         and iso(left, right)
-    )
-
-
-def matching_clause(
-    source: MultiTree, target: MultiTree, alpha: Ordinal, k: int
-) -> bool:
-    """Can every injective k-tuple of source children be matched in target?
-
-    A match pairs each chosen child with a distinct target child of the
-    same label, isomorphic at some rank below alpha. A type of
-    multiplicity m never needs more than min(m, k) partners, so the
-    quantifier over tuples collapses to a per-type count comparison.
-    """
-    if k < 0:
-        raise ValueError("tuple length must be a natural")
-    total = source.total_children()
-    if not total.is_omega and total.finite < k:
-        return True
-    if k == 0:
-        return True
-    # Some child has rank >= alpha exactly when the source has rank > alpha.
-    if source.tree_rank() > alpha:
-        return False
-    ids = class_ids(source, target)
-    available = _type_counts(target, ids)
-    return all(
-        available.get(kind, Count(0)).at_least(count.capped(k))
-        for kind, count in _type_counts(source, ids).items()
-    )
-
-
-def forth_condition(
-    source: MultiTree, target: MultiTree, alpha: Ordinal, k: int
-) -> bool:
-    return source.tree_rank() == alpha and matching_clause(source, target, alpha, k)
-
-
-def forth_back(left: MultiTree, right: MultiTree, alpha: Ordinal, k: int) -> bool:
-    """Both one-sided conditions at rank alpha and tuple length k."""
-    return forth_condition(left, right, alpha, k) and forth_condition(
-        right, left, alpha, k
     )

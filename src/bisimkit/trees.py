@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping, Union
 
 from .foundations import (
-    Count,
     EPSet,
     ORD_OMEGA,
     ORD_ZERO,
@@ -58,12 +57,6 @@ class ExplicitTree:
 
     def __contains__(self, node: Node) -> bool:
         return node in self.nodes
-
-    def immediate_extensions(self, node: Node) -> list[Node]:
-        return sorted(
-            (u for u in self.nodes if len(u) == len(node) + 1 and u[: len(node)] == node),
-            key=repr,
-        )
 
     @cached_property
     def _heights(self) -> dict[Node, int]:
@@ -192,16 +185,6 @@ class MultiTree:
                 stack.pop()
                 object.__setattr__(node, "_hash", hash((node.children,)))
         return self._hash
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def total_children(self) -> Count:
-        total = Count(0)
-        for _, _, count in self.children:
-            total = total + count
-        return total
 
     def tree_rank(self) -> Ordinal:
         """Rank of the whole tree; multiplicities are irrelevant to it.
@@ -498,30 +481,3 @@ def _level(tree: SymbolicTree, level: int, width: int) -> Iterator[Node]:
 def truncate_symbolic(tree: SymbolicTree, depth: int, width: int) -> ExplicitTree:
     """Nodes of depth <= depth whose branching letters are all < width."""
     return ExplicitTree(frozenset(truncation_levels(tree, depth, width)))
-
-
-def root_rank_at_least(tree: AnyTree, alpha: Ordinal) -> bool:
-    """Does the root position have rank at least alpha?"""
-    if isinstance(tree, ExplicitTree):
-        return tree.node_rank(()) >= alpha
-    return symbolic_rank(tree)[0] >= alpha
-
-
-_COMPARATORS = {
-    "lt": Ordinal.__lt__,
-    "le": Ordinal.__le__,
-    "eq": Ordinal.__eq__,
-    "ge": Ordinal.__ge__,
-    "gt": Ordinal.__gt__,
-}
-
-
-def wf_class(tree: AnyTree, alpha: Ordinal, cmp: str = "eq") -> bool:
-    """Compare the tree rank against alpha; cmp in lt/le/eq/ge/gt."""
-    if cmp not in _COMPARATORS:
-        raise ValueError(f"unknown comparison {cmp!r}")
-    if isinstance(tree, ExplicitTree):
-        rank = tree.tree_rank()
-    else:
-        rank = symbolic_rank(tree)[1]
-    return _COMPARATORS[cmp](rank, alpha)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .foundations import Ordinal, frozen
 from .lts import OmegaLTSCode, PointedLTS, Rel, StateId, state_rank
 from .nlmp import PointmassNLMP, SubProbMeasure, greatest_ext_bisim
-from .substructures import carrier_levels, substructure
+from .substructures import substructure
 from .trees import SUC_LABEL, ExplicitTree
 from .expansion import omega_code_expand
 from .treeiso import iso
@@ -140,7 +140,8 @@ def composition_enum(
     queue: each listed value in turn applies every table position in
     label, row, entry order, appending first occurrences, so the rounds
     of a breadth-first search follow one another. Runs to the fixed
-    point, then truncates to ``bound`` entries when one is given.
+    point; with a ``bound``, takes no further value once that many are
+    listed, so no row of a later value is read, and truncates to it.
     """
     if state not in table.states:
         raise ValueError(f"unknown state {state!r}")
@@ -149,6 +150,8 @@ def composition_enum(
     listed = [state]
     seen = {state}
     for value in listed:
+        if bound is not None and len(listed) >= bound:
+            break
         for a in table.labels:
             for row in table.rows.get((value, a), ()):
                 for _, _, target in row:
@@ -223,18 +226,6 @@ def mlts_to_nlmp(lts: PointedLTS) -> PointmassNLMP:
             if targets:
                 trans[(s, a)] = frozenset(SubProbMeasure.dirac(t) for t in targets)
     return PointmassNLMP(lts.labels, lts.states, trans)
-
-
-def nlmp_to_mlts(nlmp: PointmassNLMP, root: StateId) -> PointedLTS:
-    """Inverse view for processes whose measures are all point masses."""
-    edges = set()
-    for (s, a), measures in nlmp.trans.items():
-        for mu in measures:
-            if len(mu.weights) != 1 or mu.total() != 1:
-                raise ValueError(f"measure at ({s!r},{a!r}) is not a point mass")
-            ((target, _),) = mu.weights
-            edges.add((s, a, target))
-    return PointedLTS(nlmp.labels, nlmp.states, root, frozenset(edges))
 
 
 def _row(table: UniformStructure, state: StateId, label: str, n: int) -> tuple:
@@ -324,26 +315,6 @@ def uniform_bisim_search(
     right = substructure(nlmp, tuple(composition_enum(table, s_prime)))
     witness = greatest_ext_bisim(left, right)
     return (s, s_prime) in witness, witness
-
-
-def is_saturated_pair(
-    nlmp: PointmassNLMP, rel: Rel, s: StateId, s_prime: StateId
-) -> bool:
-    """Do the reachability levels of the two states cover each other?
-
-    Level by level, every state on either side must be related to some
-    state on the matching level of the other side.
-    """
-    left_levels = carrier_levels(nlmp, s)
-    right_levels = carrier_levels(nlmp, s_prime)
-    for n in range(max(len(left_levels), len(right_levels))):
-        level = left_levels[min(n, len(left_levels) - 1)]
-        level_prime = right_levels[min(n, len(right_levels) - 1)]
-        if not all(any((x, y) in rel for x in level) for y in level_prime):
-            return False
-        if not all(any((x, y) in rel for y in level_prime) for x in level):
-            return False
-    return True
 
 
 def _node_name(node: tuple) -> StateId:

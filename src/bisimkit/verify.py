@@ -2,7 +2,7 @@
 
 Each suite rebuilds one headline correspondence with an oracle that is
 independent of the implementation under test and reports the verdicts
-as data; run_all stitches the suite reports into one deterministic
+as data; run_suites stitches the suite reports into one deterministic
 document.
 """
 
@@ -80,7 +80,7 @@ from .uniform import (
     uniform_bisim_search,
 )
 
-__all__ = ["SUITES", "render_report", "run_all", "run_suites"]
+__all__ = ["SUITES", "render_report", "run_suites"]
 
 FAILURE_CAP = 12
 
@@ -582,10 +582,6 @@ def run_suites(seed: int, names: Iterable[str]) -> dict:
         "suites": results,
         "passed": all(result["passed"] for result in results),
     }
-
-
-def run_all(seed: int) -> dict:
-    return run_suites(seed, tuple(SUITES))
 
 
 def render_report(report: dict) -> str:

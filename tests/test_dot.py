@@ -8,7 +8,7 @@ from bisimkit.dot import (
     lts_dot,
     multitree_dot,
     nlmp_dot,
-    symbolic_tree_dot,
+    symbolic_tree_lines,
 )
 from bisimkit.dot import _quote
 from bisimkit.foundations import Count, EPSet, OMEGA_COUNT
@@ -44,12 +44,14 @@ GOLDEN_EVEN_CODE_TREE = """digraph tree {
 def test_even_branch_code_figure_portion():
     # Branches of lengths 1, 3, 5 below one root: the visible start of the
     # even-set code tree.
-    assert symbolic_tree_dot(ATree(EPSet("", "10")), 5, 5) == GOLDEN_EVEN_CODE_TREE
+    lines = symbolic_tree_lines(ATree(EPSet("", "10")), 5, 5)
+    assert "".join(lines) == GOLDEN_EVEN_CODE_TREE
 
 
 def test_deterministic_across_runs():
     tree = BTree(EPSet.from_finite([0, 2]))
-    assert symbolic_tree_dot(tree, 3, 4) == symbolic_tree_dot(tree, 3, 4)
+    first, second = symbolic_tree_lines(tree, 3, 4), symbolic_tree_lines(tree, 3, 4)
+    assert "".join(first) == "".join(second)
 
 
 def test_lts_counts_and_root_marker():

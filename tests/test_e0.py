@@ -6,7 +6,6 @@ import pytest
 
 from bisimkit.e0 import (
     branch_code_tree,
-    char_formula_sat,
     diamond_depth_sat,
     eval_symbolic,
     leaf_depth_set,
@@ -188,10 +187,9 @@ class TestLeafDepthSets:
             ):
                 continue  # width cuts fake leaves into glued modification trees
             cut = truncate_symbolic(tree, 12, 16)
+            parents = {u[:-1] for u in cut.nodes if u}
             shallow_leaves = {
-                len(u) - 1
-                for u in cut.nodes
-                if 1 <= len(u) <= 8 and not cut.immediate_extensions(u)
+                len(u) - 1 for u in cut.nodes if 1 <= len(u) <= 8 and u not in parents
             }
             assert shallow_leaves == set(leaf_depth_set(tree).elements_below(8))
 
@@ -234,18 +232,18 @@ class TestDiamondTower:
 class TestCharAtom:
     def test_reflexive_on_catalog(self):
         for x in CATALOG:
-            assert char_formula_sat(x, x)
+            assert eval_symbolic(branch_code_tree(x), CharSet(x))
 
     def test_separates_even_finite_differences(self):
-        assert not char_formula_sat(EVENS, ODDS)
-        assert not char_formula_sat(EVENS, EVENS.xor_finite({3}))
+        assert not eval_symbolic(branch_code_tree(EVENS), CharSet(ODDS))
+        assert not eval_symbolic(branch_code_tree(EVENS), CharSet(EVENS.xor_finite({3})))
 
     def test_decides_equality_with_conjunct_audit(self):
         rng = random.Random(14)
         for _ in range(60):
             w = random_epset(rng)
             z = w if rng.random() < 0.3 else random_epset(rng)
-            verdict = char_formula_sat(w, z)
+            verdict = eval_symbolic(branch_code_tree(w), CharSet(z))
             assert verdict == (w == z)
             conjuncts = all(
                 diamond_depth_sat(w, k) == z.member(k) for k in range(9)

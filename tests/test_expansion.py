@@ -1,4 +1,4 @@
-"""Expansion into counted-run trees and explicit path trees."""
+"""Expansion into counted-run trees."""
 
 import random
 
@@ -8,7 +8,6 @@ from bisimkit.foundations import OMEGA_COUNT, Ordinal
 from bisimkit.lts import OmegaLTSCode, PointedLTS, state_rank
 from bisimkit.expansion import (
     omega_code_expand,
-    omega_code_tree,
     omega_expand,
     omega_expand_truncated,
 )
@@ -137,27 +136,3 @@ class TestCodeExpansion:
         code = OmegaLTSCode(0, {"a": frozenset({(0, 0)})})
         with pytest.raises(ValueError):
             omega_code_expand(code)
-
-
-class TestCodePathTree:
-    def test_single_edge_duplicates(self):
-        code = OmegaLTSCode(0, {"a": frozenset({(0, 1)})})
-        tree = omega_code_tree(code, depth=1, width=2)
-        assert ((1, "a", 0),) in tree
-        assert ((1, "a", 1),) in tree
-        assert tree.nodes == frozenset({(), ((1, "a", 0),), ((1, "a", 1),)})
-
-    def test_cycle_unrolls_to_depth(self):
-        code = OmegaLTSCode(0, {"a": frozenset({(0, 0)})})
-        tree = omega_code_tree(code, depth=2, width=1)
-        step = (0, "a", 0)
-        assert tree.nodes == frozenset({(), (step,), (step, step)})
-
-    def test_path_tree_rank_tracks_state_rank(self):
-        code = OmegaLTSCode(0, {"a": frozenset({(0, 1), (1, 2)})})
-        tree = omega_code_tree(code, depth=10, width=1)
-        assert tree.tree_rank() == Ordinal.from_int(3)
-
-    def test_width_zero_keeps_only_root(self):
-        code = OmegaLTSCode(0, {"a": frozenset({(0, 1)})})
-        assert omega_code_tree(code, depth=3, width=0).nodes == frozenset({()})

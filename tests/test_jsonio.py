@@ -1,19 +1,24 @@
 """File-format codecs: round trips and precise rejection messages."""
 
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisimkit import jsonio
+from bisimkit.cli import VERBS, main
 from bisimkit.foundations import Count, EPSet, OMEGA_COUNT, Ordinal
 from bisimkit.gen import random_lts, random_multitree
 from bisimkit.jsonio import (
     formula_to_json,
-    lts_to_json,
-    multitree_json_text,
+    multitree_json_chunks,
     multitree_to_json,
     nlmp_to_json,
     parse_carrier,
@@ -22,21 +27,21 @@ from bisimkit.jsonio import (
     parse_multitree,
     parse_nlmp,
     parse_tree,
-    parse_uniform,
     read_json_file,
     tree_to_json,
-    uniform_to_json,
 )
-from bisimkit.lts import And, CharSet, Dia, Neg, RankAtLeast, TOP
+from bisimkit.lts import And, CharSet, Dia, Neg, PointedLTS, RankAtLeast, TOP
 from bisimkit.nlmp import PointmassNLMP, SubProbMeasure, ZERO_MEASURE
 from bisimkit.trees import ATree, BTree, Chain, ExplicitTree, Glue, MultiTree, postorder
-from bisimkit.uniform import derive_uniform
 
 
-def measure(**masses) -> SubProbMeasure:
-    return SubProbMeasure.from_mapping(
-        {state: Fraction(text) for state, text in masses.items()}
-    )
+def lts_to_json(lts: PointedLTS) -> dict:
+    return {
+        "labels": list(lts.labels),
+        "states": list(lts.states),
+        "root": lts.root,
+        "edges": [list(edge) for edge in sorted(lts.edges)],
+    }
 
 
 def random_nlmp(rng: random.Random) -> PointmassNLMP:
@@ -245,7 +250,7 @@ def text_oracle_inputs() -> list[MultiTree]:
 class TestMultiTreeText:
     def test_text_matches_dumps_of_the_recursive_oracle(self):
         verdicts = [
-            multitree_json_text(tree)
+            str(multitree_json_chunks(tree))
             == json.dumps(recursive_multitree_to_json(tree), sort_keys=True)
             for tree in text_oracle_inputs()
         ]
@@ -266,7 +271,7 @@ class TestMultiTreeText:
 
     def test_deep_chain_does_not_recurse(self):
         tree = deep_chain(3000)
-        assert multitree_json_text(tree) == '{"a": [[' * 3000 + "{}" + ', "omega"]]}' * 3000
+        assert str(multitree_json_chunks(tree)) == '{"a": [[' * 3000 + "{}" + ', "omega"]]}' * 3000
         data, depth = multitree_to_json(tree), 0
         while data:
             data, depth = data["a"][0][0], depth + 1
@@ -289,33 +294,6 @@ class TestFormulas:
             parse_formula({"op": "box", "sub": {"op": "top"}})
 
 
-class TestUniform:
-    def test_round_trip_from_derivation(self):
-        rng = random.Random(22)
-        for _ in range(20):
-            nlmp = random_nlmp(rng)
-            table = derive_uniform(nlmp)
-            assert parse_uniform(uniform_to_json(table)) == table
-
-    def test_entry_shape_rejected(self):
-        data = {
-            "labels": ["a"],
-            "states": ["s"],
-            "rows": {"s": {"a": [[[0, "1/2"]]]}},
-        }
-        with pytest.raises(ValueError, match=r"k, mass, target"):
-            parse_uniform(data)
-
-    def test_target_must_be_a_state_name(self):
-        data = {
-            "labels": ["a"],
-            "states": ["s"],
-            "rows": {"s": {"a": [[[0, "1/2", ["s"]]]]}},
-        }
-        with pytest.raises(ValueError, match=r"target must be a state name"):
-            parse_uniform(data)
-
-
 class TestFiles:
     def test_carrier(self):
         assert parse_carrier({"carrier": ["s", "t"]}) == ("s", "t")
@@ -335,7 +313,7 @@ class TestFiles:
 SCHEMA_KEYS = [
     "labels", "states", "root", "edges", "trans", "carrier", "kind", "nodes",
     "k", "set", "children", "prefix", "period", "op", "sub", "subs", "label",
-    "bound", "rows", "a", "s0", "s1",
+    "bound", "a", "s0", "s1",
 ]
 ODD_SCALARS = st.one_of(
     st.none(),
@@ -376,7 +354,6 @@ VALID = {
         {"kind": "chain", "k": 2},
         {"kind": "explicit", "nodes": [[], [0], [0, 1]]},
     ]},
-    "parse_uniform": uniform_to_json(derive_uniform(random_nlmp(random.Random(5)))),
 }
 
 
@@ -396,6 +373,17 @@ def _replaced(value, path, new):
     return copy
 
 
+def malformed(data, name: str) -> object:
+    """A parser's valid document, or any JSON value, with up to three parts replaced."""
+    document = VALID[name]
+    if data.draw(st.booleans()):
+        document = data.draw(JSON_VALUES)
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from(list(_paths(document))))
+        document = _replaced(document, path, data.draw(JSON_VALUES))
+    return document
+
+
 class TestMalformedInput:
     """Every parser answers any JSON value with a value or a ValueError.
 
@@ -407,12 +395,7 @@ class TestMalformedInput:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_parsers_raise_only_value_errors(self, name, data):
-        document = VALID[name]
-        if data.draw(st.booleans()):
-            document = data.draw(JSON_VALUES)
-        for _ in range(data.draw(st.integers(0, 3))):
-            path = data.draw(st.sampled_from(list(_paths(document))))
-            document = _replaced(document, path, data.draw(JSON_VALUES))
+        document = malformed(data, name)
         try:
             getattr(jsonio, name)(document)
         except ValueError:
@@ -425,6 +408,53 @@ class TestMalformedInput:
 
     def test_every_parser_is_fuzzed(self):
         assert sorted(VALID) == [n for n in jsonio.__all__ if n.startswith("parse_")]
+
+
+# Each verb's command line, with every file argument named by the parser
+# whose valid document goes there.
+CLI_LINES = {
+    "bisim": ["bisim", "parse_lts", "parse_lts", "--witness"],
+    "nlmp-bisim": ["nlmp-bisim", "parse_nlmp", "s0", "s1", "--other", "parse_nlmp"],
+    "rank": ["rank", "parse_lts"],
+    "expand": ["expand", "parse_lts"],
+    "iso": ["iso", "parse_multitree", "parse_multitree", "--witness"],
+    "e0 check": ["e0", "check", "parse_epset", "parse_epset"],
+    "e0 reduce": ["e0", "reduce", "parse_epset", "--depth", "3", "--width", "3"],
+    "e0 witness": ["e0", "witness", "parse_epset", "parse_epset", "--bound", "4"],
+    "substructure": ["substructure", "parse_nlmp", "--carrier", "parse_carrier"],
+    "substructure --state": ["substructure", "parse_nlmp", "--state", "s0", "--bound", "2"],
+    "eval": ["eval", "parse_formula", "parse_tree"],
+    "export-dot": ["export-dot", "parse_tree"],
+}
+
+
+class TestMalformedFilesThroughTheCLI:
+    """Every verb answers a malformed file with exit 0, 1 or 2, never 3."""
+
+    @pytest.mark.parametrize("verb", sorted(CLI_LINES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_no_internal_errors(self, verb, data):
+        line = CLI_LINES[verb]
+        with tempfile.TemporaryDirectory() as folder:
+
+            def saved(name: str, document: object) -> str:
+                path = os.path.join(folder, name)
+                Path(path).write_text(json.dumps(document), encoding="utf-8")
+                return path
+
+            valid = [saved(f"{i}.json", VALID[arg]) if arg in VALID else arg for i, arg in enumerate(line)]
+            for i, arg in enumerate(line):
+                if arg in VALID:
+                    argv = valid[:i] + [saved("bad.json", malformed(data, arg))] + valid[i + 1:]
+                    err = io.StringIO()
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        code = main(argv)
+                    assert code in (0, 1, 2), (argv, err.getvalue())
+                    assert "internal error" not in err.getvalue()
+
+    def test_every_verb_with_files_is_fuzzed(self):
+        assert {line[0] for line in CLI_LINES.values()} == set(VERBS) - {"verify"}
 
 
 def recursive_parse_multitree(data: object) -> MultiTree:
@@ -493,12 +523,7 @@ class TestSharedMultiTreeParsing:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_first_error_matches_the_recursive_parser(self, data):
-        document = VALID["parse_multitree"]
-        if data.draw(st.booleans()):
-            document = data.draw(JSON_VALUES)
-        for _ in range(data.draw(st.integers(0, 3))):
-            path = data.draw(st.sampled_from(list(_paths(document))))
-            document = _replaced(document, path, data.draw(JSON_VALUES))
+        document = malformed(data, "parse_multitree")
         assert parse_outcome(parse_multitree, document) == parse_outcome(
             recursive_parse_multitree, document
         )

@@ -19,12 +19,19 @@ from bisimkit.uniform import _node_name, tree_process
 # --- oracles: the recursive and ordinal-folding ranks --------------------
 
 
+def immediate_extensions(tree: ExplicitTree, node: tuple) -> list:
+    return sorted(
+        (u for u in tree.nodes if len(u) == len(node) + 1 and u[: len(node)] == node),
+        key=repr,
+    )
+
+
 def oracle_node_rank(tree: ExplicitTree, node: tuple) -> Ordinal:
     """Recursive rank over the sorted immediate extensions."""
     if node not in tree.nodes:
         return ORD_ZERO
     return ordinal_sup(
-        oracle_node_rank(tree, u) + 1 for u in tree.immediate_extensions(node)
+        oracle_node_rank(tree, u) + 1 for u in immediate_extensions(tree, node)
     )
 
 
@@ -73,7 +80,7 @@ def oracle_tree_edges(tree: ExplicitTree) -> frozenset:
     return frozenset(
         (_node_name(node), SUC_LABEL, _node_name(ext))
         for node in tree.nodes
-        for ext in tree.immediate_extensions(node)
+        for ext in immediate_extensions(tree, node)
     )
 
 

@@ -14,9 +14,10 @@ from fractions import Fraction
 from bisimkit.gen import random_lts, random_nlmp
 from bisimkit.lts import (
     PointedLTS,
-    bisim_partition,
+    _edge_moves,
     bounded_bisim,
     greatest_bisim,
+    refine_blocks,
 )
 from bisimkit.nlmp import (
     PointmassNLMP,
@@ -245,7 +246,8 @@ class TestLTSRefinement:
         merged = 0
         for left, right in lts_pairs(102, 80):
             for lts in (left, right):
-                blocks = bisim_partition(lts)
+                refined = refine_blocks((lts,), lts.labels, _edge_moves)
+                blocks = tuple(tuple(s for _, s in block) for block in refined)
                 assert blocks == fixpoint_partition(lts)
                 merged += len(blocks) < len(lts.states)
         assert merged >= 70

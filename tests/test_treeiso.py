@@ -13,15 +13,7 @@ import pytest
 
 from bisimkit.foundations import Count, OMEGA_COUNT, Ordinal
 from bisimkit.trees import LEAF, MultiTree
-from bisimkit.treeiso import (
-    canon,
-    forth_back,
-    forth_condition,
-    iso,
-    iso_at_rank,
-    matching_clause,
-)
-from bisimkit.treeiso import _iso_rec
+from bisimkit.treeiso import _iso_rec, _type_counts, canon, class_ids, iso, iso_at_rank
 
 
 def mt(*entries) -> MultiTree:
@@ -49,6 +41,72 @@ def _oracle_canon_data(tree: MultiTree) -> dict:
 
 def oracle_canon(tree: MultiTree) -> str:
     return json.dumps(_oracle_canon_data(tree), sort_keys=True, separators=(",", ":"))
+
+
+# --- oracle: the forth/back matching clauses ----------------------------------
+
+
+def count_at_least(count: Count, other: Count) -> bool:
+    if count.is_omega:
+        return True
+    if other.is_omega:
+        return False
+    return count.finite >= other.finite
+
+
+def count_capped(count: Count, k: int) -> Count:
+    """min with a natural; omega caps to k."""
+    if count.is_omega or count.finite > k:
+        return Count(k)
+    return count
+
+
+def total_children(tree: MultiTree) -> Count:
+    total = Count(0)
+    for _, _, count in tree.children:
+        total = total + count
+    return total
+
+
+def matching_clause(
+    source: MultiTree, target: MultiTree, alpha: Ordinal, k: int
+) -> bool:
+    """Can every injective k-tuple of source children be matched in target?
+
+    A match pairs each chosen child with a distinct target child of the
+    same label, isomorphic at some rank below alpha. A type of
+    multiplicity m never needs more than min(m, k) partners, so the
+    quantifier over tuples collapses to a per-type count comparison.
+    """
+    if k < 0:
+        raise ValueError("tuple length must be a natural")
+    total = total_children(source)
+    if not total.is_omega and total.finite < k:
+        return True
+    if k == 0:
+        return True
+    # Some child has rank >= alpha exactly when the source has rank > alpha.
+    if source.tree_rank() > alpha:
+        return False
+    ids = class_ids(source, target)
+    available = _type_counts(target, ids)
+    return all(
+        count_at_least(available.get(kind, Count(0)), count_capped(count, k))
+        for kind, count in _type_counts(source, ids).items()
+    )
+
+
+def forth_condition(
+    source: MultiTree, target: MultiTree, alpha: Ordinal, k: int
+) -> bool:
+    return source.tree_rank() == alpha and matching_clause(source, target, alpha, k)
+
+
+def oracle_forth_back(left: MultiTree, right: MultiTree, alpha: Ordinal, k: int) -> bool:
+    """Both one-sided conditions at rank alpha and tuple length k."""
+    return forth_condition(left, right, alpha, k) and forth_condition(
+        right, left, alpha, k
+    )
 
 
 # --- inputs -------------------------------------------------------------------
@@ -233,28 +291,35 @@ class TestIsoAtRank:
 
 
 class TestForthBack:
+    def test_count_comparisons_and_capping(self):
+        assert count_at_least(OMEGA_COUNT, Count(10 ** 9))
+        assert not count_at_least(Count(3), OMEGA_COUNT)
+        assert count_at_least(Count(3), Count(3))
+        assert count_capped(OMEGA_COUNT, 4) == Count(4)
+        assert count_capped(Count(2), 4) == Count(2)
+
     def test_count_two_versus_three(self):
         two = mt(("a", LEAF, Count(2)))
         three = mt(("a", LEAF, Count(3)))
         alpha = Ordinal.from_int(2)
-        assert forth_back(two, three, alpha, 1)
-        assert forth_back(two, three, alpha, 2)
-        assert not forth_back(two, three, alpha, 3)
+        assert oracle_forth_back(two, three, alpha, 1)
+        assert oracle_forth_back(two, three, alpha, 2)
+        assert not oracle_forth_back(two, three, alpha, 3)
 
     def test_omega_versus_finite(self):
         many = mt(("a", LEAF, OMEGA_COUNT))
         five = mt(("a", LEAF, Count(5)))
         alpha = Ordinal.from_int(2)
         for k in range(6):
-            assert forth_back(many, five, alpha, k)
-        assert not forth_back(many, five, alpha, 6)
+            assert oracle_forth_back(many, five, alpha, k)
+        assert not oracle_forth_back(many, five, alpha, 6)
 
     def test_vacuous_when_too_few_children(self):
         one = mt(("a", LEAF, Count(1)))
         other = mt(("b", LEAF, Count(1)))
         alpha = Ordinal.from_int(2)
-        assert not forth_back(one, other, alpha, 1)
-        assert forth_back(one, other, alpha, 2)
+        assert not oracle_forth_back(one, other, alpha, 1)
+        assert oracle_forth_back(one, other, alpha, 2)
 
     def test_wrong_rank_fails_immediately(self):
         assert not forth_condition(LEAF, LEAF, Ordinal.from_int(2), 1)
@@ -273,7 +338,7 @@ class TestForthBack:
             alpha = left.tree_rank()
             if right.tree_rank() != alpha:
                 continue
-            all_k = all(forth_back(left, right, alpha, k) for k in range(1, 7))
+            all_k = all(oracle_forth_back(left, right, alpha, k) for k in range(1, 7))
             assert all_k == iso_at_rank(left, right, alpha)
 
     def test_matching_clauses_bound_tree_rank(self):
@@ -294,7 +359,7 @@ class TestForthBack:
         other = doubling_dag(40, OMEGA_COUNT)
         alpha = Ordinal.from_int(41)
         verdicts = [
-            (forth_back(left, right, alpha, k), forth_back(left, other, alpha, k))
+            (oracle_forth_back(left, right, alpha, k), oracle_forth_back(left, other, alpha, k))
             for k in range(1, 4)
         ]
         assert verdicts == [(True, False)] * 3

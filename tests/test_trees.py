@@ -27,12 +27,10 @@ from bisimkit.trees import (
     LEAF,
     MultiTree,
     PieceText,
-    root_rank_at_least,
     symbolic_rank,
     tail,
     truncate_symbolic,
     truncation_levels,
-    wf_class,
 )
 
 EVENS = EPSet("", "10")
@@ -71,12 +69,11 @@ class TestExplicitTrees:
     def test_empty_tree(self):
         assert EMPTY_TREE.is_empty
         assert EMPTY_TREE.tree_rank() == ORD_ZERO
-        assert wf_class(EMPTY_TREE, ORD_ZERO, "eq")
 
     def test_singleton_tree(self):
         tree = ExplicitTree.from_nodes([()])
         assert tree.tree_rank() == Ordinal.from_int(1)
-        assert not root_rank_at_least(tree, Ordinal.from_int(1))
+        assert tree.node_rank(()) == ORD_ZERO
 
     def test_prefix_closure_enforced(self):
         with pytest.raises(ValueError):
@@ -126,7 +123,7 @@ class TestExplicitTrees:
 
 class TestMultiTrees:
     def test_leaf_rank(self):
-        assert LEAF.is_leaf
+        assert not LEAF.children
         assert LEAF.tree_rank() == Ordinal.from_int(1)
 
     def test_counts_do_not_change_rank(self):
@@ -148,9 +145,9 @@ class TestMultiTrees:
         tree = MultiTree(
             (("a", LEAF, Count(2)), ("b", LEAF, OMEGA_COUNT))
         )
-        assert tree.total_children() == OMEGA_COUNT
+        assert sum((count for _, _, count in tree.children), Count(0)) == OMEGA_COUNT
         finite = MultiTree((("a", LEAF, Count(2)), ("b", LEAF, Count(3))))
-        assert finite.total_children() == Count(5)
+        assert sum((count for _, _, count in finite.children), Count(0)) == Count(5)
 
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(ValueError):
@@ -226,7 +223,7 @@ class TestSymbolicRanks:
     def test_chain(self):
         assert symbolic_rank(Chain(0)) == (ORD_ZERO, Ordinal.from_int(1))
         assert symbolic_rank(Chain(2)) == (Ordinal.from_int(2), Ordinal.from_int(3))
-        assert wf_class(Chain(1), Ordinal.from_int(2), "eq")
+        assert symbolic_rank(Chain(1))[1] == Ordinal.from_int(2)
 
     def test_branch_code_tree(self):
         assert symbolic_rank(ATree(EPSet.empty())) == (ORD_ZERO, Ordinal.from_int(1))
@@ -248,18 +245,16 @@ class TestSymbolicRanks:
         assert symbolic_rank(Glue(())) == (ORD_ZERO, Ordinal.from_int(1))
 
     def test_root_rank_threshold(self):
-        assert root_rank_at_least(ATree(EVENS), ORD_OMEGA)
-        assert not root_rank_at_least(ATree(EVENS), ORD_OMEGA + 1)
-        assert root_rank_at_least(BTree(EVENS), ORD_OMEGA + 1)
-        assert not root_rank_at_least(BTree(EVENS), ORD_OMEGA + 2)
+        assert symbolic_rank(ATree(EVENS))[0] >= ORD_OMEGA
+        assert not symbolic_rank(ATree(EVENS))[0] >= ORD_OMEGA + 1
+        assert symbolic_rank(BTree(EVENS))[0] >= ORD_OMEGA + 1
+        assert not symbolic_rank(BTree(EVENS))[0] >= ORD_OMEGA + 2
 
     def test_wf_class_comparisons(self):
-        assert wf_class(Chain(2), Ordinal.from_int(4), "lt")
-        assert wf_class(Chain(2), Ordinal.from_int(3), "le")
-        assert wf_class(BTree(EVENS), ORD_OMEGA, "gt")
-        assert not wf_class(Chain(2), Ordinal.from_int(3), "gt")
-        with pytest.raises(ValueError):
-            wf_class(Chain(2), Ordinal.from_int(3), "==")
+        assert symbolic_rank(Chain(2))[1] < Ordinal.from_int(4)
+        assert symbolic_rank(Chain(2))[1] <= Ordinal.from_int(3)
+        assert symbolic_rank(BTree(EVENS))[1] > ORD_OMEGA
+        assert not symbolic_rank(Chain(2))[1] > Ordinal.from_int(3)
 
 
 class TestTruncation:

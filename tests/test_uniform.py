@@ -24,7 +24,7 @@ from bisimkit.nlmp import (
     is_z_closed,
     lift_support,
 )
-from bisimkit.substructures import is_carrier, reachable_carrier
+from bisimkit.substructures import carrier_levels, reachable_carrier, support_successors
 from bisimkit.trees import ExplicitTree
 from bisimkit.treeiso import canon
 from bisimkit.uniform import (
@@ -37,9 +37,7 @@ from bisimkit.uniform import (
     derive_uniform,
     encode_state,
     gk_block,
-    is_saturated_pair,
     mlts_to_nlmp,
-    nlmp_to_mlts,
     pipeline_bisim,
     tree_process,
     umlts_to_uniform,
@@ -56,6 +54,43 @@ def measure(**masses) -> SubProbMeasure:
     return SubProbMeasure.from_mapping(
         {state: F(text) for state, text in masses.items()}
     )
+
+
+def is_carrier(nlmp: PointmassNLMP, carrier) -> bool:
+    pool = set(carrier)
+    return all(
+        support_successors(nlmp, s, a) <= pool for s in pool for a in nlmp.labels
+    )
+
+
+def nlmp_to_mlts(nlmp: PointmassNLMP, root: str) -> PointedLTS:
+    """Inverse view for processes whose measures are all point masses."""
+    edges = set()
+    for (s, a), measures in nlmp.trans.items():
+        for mu in measures:
+            if len(mu.weights) != 1 or mu.total() != 1:
+                raise ValueError(f"measure at ({s!r},{a!r}) is not a point mass")
+            ((target, _),) = mu.weights
+            edges.add((s, a, target))
+    return PointedLTS(nlmp.labels, nlmp.states, root, frozenset(edges))
+
+
+def oracle_is_saturated_pair(nlmp: PointmassNLMP, rel, s: str, s_prime: str) -> bool:
+    """Do the reachability levels of the two states cover each other?
+
+    Level by level, every state on either side must be related to some
+    state on the matching level of the other side.
+    """
+    left_levels = carrier_levels(nlmp, s)
+    right_levels = carrier_levels(nlmp, s_prime)
+    for n in range(max(len(left_levels), len(right_levels))):
+        level = left_levels[min(n, len(left_levels) - 1)]
+        level_prime = right_levels[min(n, len(right_levels) - 1)]
+        if not all(any((x, y) in rel for x in level) for y in level_prime):
+            return False
+        if not all(any((x, y) in rel for y in level_prime) for x in level):
+            return False
+    return True
 
 
 def random_measure(rng: random.Random, states) -> SubProbMeasure:
@@ -221,6 +256,31 @@ class TestCompositionEnum:
         full = composition_enum(table, "s")
         assert full == ["s", "t", "u", "v"]
         assert composition_enum(table, "s", bound=2) == full[:2]
+
+    def test_bound_stops_the_walk(self):
+        rng = random.Random(208)
+        for _ in range(500):
+            derived = derive_uniform(gen.random_nlmp(rng, max_states=7))
+            rows = RecordedRows(derived.rows)
+            table = UniformStructure(derived.labels, derived.states, rows)
+            s = rng.choice(table.states)
+            full = composition_enum(table, s)
+            for bound in range(len(full) + 2):
+                rows.read.clear()
+                assert composition_enum(table, s, bound) == full[:bound]
+                assert {value for value, _ in rows.read} <= set(full[:bound])
+
+
+class RecordedRows(dict):
+    """Table rows that record the key of every ``get``."""
+
+    def __init__(self, rows: dict) -> None:
+        super().__init__(rows)
+        self.read: list = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
 
 
 class TestUMLTS:
@@ -571,7 +631,7 @@ class TestSearch:
             verdict, witness = uniform_bisim_search(table, s, s_prime)
             assert verdict == ((s, s_prime) in ambient)
             if verdict:
-                assert is_saturated_pair(nlmp, witness, s, s_prime)
+                assert oracle_is_saturated_pair(nlmp, witness, s, s_prime)
 
 
 class TestTreeProcess:
