@@ -11,7 +11,9 @@ many nodes.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import lcm
+from typing import Callable, Iterable, Iterator
 
 from .foundations import EPSet, nth_modification
 from .lts import (
@@ -25,6 +27,7 @@ from .lts import (
     Top,
     TOP,
     UnsupportedFormula,
+    formula_postorder,
     modal_depth,
     modal_depths,
 )
@@ -100,50 +103,96 @@ def _shift_up(s: EPSet) -> EPSet:
     return EPSet("0" + s.prefix, s.period)
 
 
+# The most distinct top-level diamonds a body under <suc> may have on a
+# glued modification tree: deciding it walks up to 2^m profiles.
+PROFILE_BUDGET = 16
+
+
 def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
     """Decide a modal formula at the root of a symbolic tree.
 
-    Booleans recurse, the set-characterizing atom compares leaf-depth
-    sets, and rank atoms read the closed-form root rank. A diamond over
-    a finite-depth body samples one actual child per depth-bounded
-    behavior class, which is exhaustive even though the child family may
-    be infinite; diamonds directly over the symbolic atoms get dedicated
-    rules. Deeper nesting of those atoms raises UnsupportedFormula.
+    Booleans short-circuit left to right, the set-characterizing atom
+    compares leaf-depth sets, and rank atoms read the closed-form root
+    rank. A diamond over a finite-depth body reads the body's chain
+    bitmask (see `_chain_masks`), directly on chains and branch-code
+    trees and through the reachable diamond profiles on glued
+    modification trees; diamonds directly over the symbolic atoms get
+    dedicated rules. Deeper nesting of those atoms raises
+    UnsupportedFormula. The walk keeps its own stack, so formula depth
+    is not bounded by the recursion limit.
     """
-    return _eval(tree, phi, modal_depths(phi))
+    depths = modal_depths(phi)
+    top = max((d for d in depths.values() if not isinstance(d, str)), default=0)
+    masks = _chain_masks(phi, depths, top)
 
-
-def _eval(tree: SymbolicTree, phi: Formula, depths: dict[int, int | str]) -> bool:
-    """`eval_symbolic`, with the modal depths of the top formula's parts."""
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Neg):
-        return not _eval(tree, phi.sub, depths)
-    if isinstance(phi, And):
-        return all(_eval(tree, sub, depths) for sub in phi.subs)
-    if isinstance(phi, Or):
-        return any(_eval(tree, sub, depths) for sub in phi.subs)
-    if isinstance(phi, CharSet):
-        return leaf_depth_set(tree) == phi.param
-    if isinstance(phi, RankAtLeast):
-        return symbolic_rank(tree)[0] >= phi.bound
-    if isinstance(phi, Dia):
-        if phi.label != SUC_LABEL:
+    def leaf(tree: SymbolicTree, node: Formula) -> bool | Iterable:
+        if isinstance(node, CharSet):
+            return leaf_depth_set(tree) == node.param
+        if isinstance(node, RankAtLeast):
+            return symbolic_rank(tree)[0] >= node.bound
+        if not isinstance(node, Dia):
+            raise UnsupportedFormula(
+                f"cannot evaluate {type(node).__name__} symbolically"
+            )
+        if node.label != SUC_LABEL:
             return False
-        return _dia(tree, phi.sub, depths)
-    raise UnsupportedFormula(f"cannot evaluate {type(phi).__name__} symbolically")
+        body = node.sub
+        if isinstance(body, CharSet):
+            return _child_with_leaf_set(tree, body.param)
+        if isinstance(body, RankAtLeast):
+            # The root's rank is the sup of its children's plus one, so some
+            # child reaches the bound exactly when the root passes it.
+            return symbolic_rank(tree)[0] >= body.bound + 1
+        modal_depth(body, depths)  # raises when the body nests an atom
+        mask = masks[id(body)]
+        if isinstance(tree, Chain):
+            return tree.length >= 1 and bool(mask >> min(tree.length - 1, top) & 1)
+        if isinstance(tree, ATree):
+            return bool(_members(tree.param, top) & mask)
+        if isinstance(tree, BTree):
+            return _some_modification(tree.param, body, masks, top)
+        return zip(tree.parts, repeat(body))
+
+    return _walk(tree, phi, leaf)
 
 
-def _dia(tree: SymbolicTree, body: Formula, depths: dict[int, int | str]) -> bool:
-    """Does some child of the root satisfy the body?"""
-    if isinstance(body, CharSet):
-        return _child_with_leaf_set(tree, body.param)
-    if isinstance(body, RankAtLeast):
-        # The root's rank is the sup of its children's plus one, so some
-        # child reaches the bound exactly when the root passes it.
-        return symbolic_rank(tree)[0] >= body.bound + 1
-    classes = _child_classes(tree, modal_depth(body, depths))
-    return any(_eval(child, body, depths) for child in classes)
+def _walk(place: object, phi: Formula, leaf: Callable) -> bool:
+    """Decide phi at a place on an explicit stack, left to right.
+
+    Booleans are expanded here, with the short circuits of `all` and
+    `any`. ``leaf(place, node)`` decides every other node, or returns the
+    (place, subformula) pairs of which some must hold.
+    """
+    frames: list[tuple[Iterator, bool, bool]] = []  # (pairs, early verdict, negate)
+    todo: tuple | None = (place, phi)
+    while todo is not None:
+        place, node = todo
+        if isinstance(node, Top):
+            step: bool | tuple = True
+        elif isinstance(node, Neg):
+            step = iter(((place, node.sub),)), True, True
+        elif isinstance(node, And):
+            step = zip(repeat(place), node.subs), False, False
+        elif isinstance(node, Or):
+            step = zip(repeat(place), node.subs), True, False
+        else:
+            step = leaf(place, node)
+            if not isinstance(step, bool):
+                step = iter(step), True, False
+        if isinstance(step, bool):
+            value = step
+        else:
+            frames.append(step)
+            value = not step[1]
+        todo = None
+        while frames and todo is None:
+            pairs, early, negate = frames[-1]
+            if value != early:
+                todo = next(pairs, None)
+            if todo is None:
+                frames.pop()
+                value = value != negate
+    return value
 
 
 def _child_with_leaf_set(tree: SymbolicTree, z: EPSet) -> bool:
@@ -165,58 +214,96 @@ def _child_with_leaf_set(tree: SymbolicTree, z: EPSet) -> bool:
     return any(leaf_depth_set(part) == z for part in tree.parts)
 
 
-def _child_classes(tree: SymbolicTree, depth: int) -> list[SymbolicTree]:
-    """Children of the root, one per depth-bounded behavior class.
+def _chain_masks(phi: Formula, depths: dict[int, int | str], top: int) -> dict:
+    """L(psi) = {k <= top : Chain(k) satisfies psi} per subformula, by id.
 
-    Formulas of modal depth d cannot tell two chains of length >= d
-    apart, nor two branch-code trees agreeing below d - 1 and on having
-    some member past it. Every returned tree is a genuine child; each
-    omitted child behaves like a returned one under every depth-d body.
+    Bit top stands for every longer chain, which no formula of depth at
+    most top tells apart. <suc> shifts by one, booleans are bit
+    operations and other labels give the empty mask. Subformulas without
+    finite modal depth map to None.
     """
-    if isinstance(tree, Chain):
-        return [Chain(tree.length - 1)] if tree.length >= 1 else []
-    if isinstance(tree, ATree):
-        classes: list[SymbolicTree] = [
-            Chain(k) for k in tree.param.elements_below(depth)
-        ]
-        if tree.param.has_element_geq(depth):
-            classes.append(Chain(depth))
-        return classes
-    if isinstance(tree, BTree):
-        return _modification_classes(tree.param, depth)
-    return list(tree.parts)
-
-
-def _modification_classes(x: EPSet, depth: int) -> list[SymbolicTree]:
-    """Representative modifications of x for depth-bounded bodies.
-
-    The class of a branch-code child is its member pattern on the window
-    [0, depth - 1) together with one bit for membership beyond it. Flips
-    inside the window realize every pattern; the extra bit is forced to 1
-    when x is infinite and is free otherwise.
-    """
-    window = max(depth - 1, 0)
-    inside = set(x.elements_below(window))
-    seen: set[EPSet] = set()
-    classes: list[SymbolicTree] = []
-
-    def add(param: EPSet) -> None:
-        if param not in seen:
-            seen.add(param)
-            classes.append(ATree(param))
-
-    for bits in range(1 << window):
-        pattern = {i for i in range(window) if bits >> i & 1}
-        base = inside ^ pattern
-        rep = x.xor_finite(base)
-        add(rep)
-        if rep.has_element_geq(window):
-            if rep.is_finite:
-                tail = {e for e in rep.finite_elements() if e >= window}
-                add(x.xor_finite(base | tail))
+    full = (1 << top + 1) - 1
+    masks: dict[int, int | None] = {}
+    for node in formula_postorder(phi):
+        if isinstance(depths[id(node)], str):
+            mask = None
+        elif isinstance(node, Top):
+            mask = full
+        elif isinstance(node, Neg):
+            mask = full ^ masks[id(node.sub)]
+        elif isinstance(node, Dia):
+            mask = masks[id(node.sub)] << 1 & full if node.label == SUC_LABEL else 0
+        elif isinstance(node, And):
+            mask = full
+            for sub in node.subs:
+                mask &= masks[id(sub)]
         else:
-            add(x.xor_finite(base | {window}))
-    return classes
+            mask = 0
+            for sub in node.subs:
+                mask |= masks[id(sub)]
+        masks[id(node)] = mask
+    return masks
+
+
+def _members(x: EPSet, top: int) -> int:
+    """x as a mask over 0..top, bit top standing for every member >= top."""
+    return sum(1 << k for k in x.elements_below(top)) | x.has_element_geq(top) << top
+
+
+def _some_modification(x: EPSet, body: Formula, masks: dict, top: int) -> bool:
+    """Does the branch-code tree of some finite modification of x satisfy body?
+
+    At ATree(x') the body's top-level diamond <suc>psi_i holds iff x'
+    meets L(psi_i), so the body sees only the profile of x': which of the
+    m masks it meets. Flips below top choose x''s window freely, so the
+    profiles are the OR-closure of the position profiles, joined with the
+    tail profile, and also without it when x is finite (x' may then end
+    below top). That is 2^m profiles at most, instead of 2^(top-1)
+    windows.
+    """
+    diamonds = _top_diamonds(body)
+    if len(diamonds) > PROFILE_BUDGET:
+        raise ValueError(
+            f"a diamond body on a glued modification tree has {len(diamonds)} "
+            f"distinct top-level diamonds, over the budget of {PROFILE_BUDGET}"
+        )
+    lifted = [masks[id(dia.sub)] for dia in diamonds]
+
+    def profile(k: int) -> int:
+        return sum((mask >> k & 1) << i for i, mask in enumerate(lifted))
+
+    reach = {0}
+    for p in {profile(k) for k in range(top)}:
+        if p not in reach:
+            reach |= {c | p for c in reach}
+    tail = profile(top)
+    tails = {c | tail for c in reach}
+    reach = reach | tails if x.is_finite else tails
+    index = {id(dia): i for i, dia in enumerate(diamonds)}
+
+    def leaf(c: int, node: Dia) -> bool:
+        return node.label == SUC_LABEL and bool(c >> index[id(node)] & 1)
+
+    return any(_walk(c, body, leaf) for c in reach)
+
+
+def _top_diamonds(body: Formula) -> list[Dia]:
+    """The distinct <suc> diamonds reached from body through booleans, by id."""
+    found: list[Dia] = []
+    seen: set[int] = set()
+    stack = [body]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, (And, Or)):
+            stack.extend(node.subs)
+        elif isinstance(node, Neg):
+            stack.append(node.sub)
+        elif isinstance(node, Dia) and node.label == SUC_LABEL:
+            found.append(node)
+    return found
 
 
 def _diamond_tower(k: int) -> Formula:

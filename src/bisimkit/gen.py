@@ -91,8 +91,8 @@ def random_measure(
     budget = denom if rng.random() < 0.5 else rng.randint(size, denom)
     cuts = sorted(rng.sample(range(1, budget), k=size - 1)) if size > 1 else []
     parts = [b - a for a, b in zip([0, *cuts], [*cuts, budget])]
-    return SubProbMeasure.from_mapping(
-        {s: Fraction(p, denom) for s, p in zip(support, parts)}
+    return SubProbMeasure(
+        tuple(sorted((s, Fraction(p, denom)) for s, p in zip(support, parts)))
     )
 
 

@@ -61,37 +61,58 @@ Formula = Union[Top, Neg, And, Or, Dia, RankAtLeast, CharSet]
 TOP = Top()
 
 
+def formula_postorder(phi: Formula) -> list:
+    """The distinct subformulas of phi, each after its parts.
+
+    Formulas are told apart by identity, never hashed (a formula hashes
+    its whole tree), so shared parts are listed once; the walk keeps its
+    own stack.
+    """
+    order: list = []
+    seen: set[int] = set()
+    stack: list = [(phi, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        if isinstance(node, (And, Or)):
+            stack.extend((sub, False) for sub in reversed(node.subs))
+        elif isinstance(node, (Neg, Dia)):
+            stack.append((node.sub, False))
+    return order
+
+
 def modal_depths(phi: Formula) -> dict[int, int | str]:
     """Modal depth of every subformula of phi, keyed by id, in one walk.
 
     A subformula over an atom without finite depth maps to the type name
-    of its first such atom instead. Formulas are told apart by identity,
-    never hashed (a formula hashes its whole tree), so the table is
-    meaningful only while phi is alive; the walk keeps its own stack.
+    of its first such atom instead. The table is keyed by identity (see
+    `formula_postorder`), so it is meaningful only while phi is alive.
     """
     depths: dict[int, int | str] = {}
-    stack = [phi]
-    while stack:
-        node = stack[-1]
-        if isinstance(node, (And, Or)):
-            subs = node.subs
-        elif isinstance(node, (Neg, Dia)):
-            subs = (node.sub,)
+    for node in formula_postorder(phi):
+        if isinstance(node, (Neg, Dia)):
+            depth = depths[id(node.sub)]
+            if isinstance(node, Dia) and not isinstance(depth, str):
+                depth += 1
+        elif isinstance(node, (And, Or)):
+            depth = 0
+            for sub in node.subs:
+                found = depths[id(sub)]
+                if isinstance(found, str):
+                    depth = found
+                    break
+                depth = max(depth, found)
+        elif isinstance(node, Top):
+            depth = 0
         else:
-            subs = ()
-        pending = [sub for sub in subs if id(sub) not in depths]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        found = [depths[id(sub)] for sub in subs]
-        blocked = [d for d in found if isinstance(d, str)]
-        if not isinstance(node, (Top, Neg, And, Or, Dia)):
-            depths[id(node)] = type(node).__name__
-        elif blocked:
-            depths[id(node)] = blocked[0]
-        else:
-            depths[id(node)] = max(found, default=0) + (1 if isinstance(node, Dia) else 0)
+            depth = type(node).__name__
+        depths[id(node)] = depth
     return depths
 
 

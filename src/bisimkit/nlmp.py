@@ -29,6 +29,17 @@ from .foundations import frozen
 from .lts import Rel, StateId, crossing_pairs, refine_blocks
 
 
+def _total(masses: Iterable[Fraction]) -> tuple[int, int]:
+    """The exact sum of the masses as a reduced integer (num, den) pair."""
+    n, d = 0, 1
+    for mass in masses:
+        n = n * mass.denominator + mass.numerator * d
+        d *= mass.denominator
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    return n, d
+
+
 @frozen
 class SubProbMeasure:
     """Finitely supported measure of total mass at most one.
@@ -40,19 +51,18 @@ class SubProbMeasure:
     weights: tuple = ()
 
     def __post_init__(self) -> None:
-        total = Fraction(0)
         prev: StateId | None = None
         for state, mass in self.weights:
             if not isinstance(mass, Fraction):
                 raise ValueError(f"mass of {state!r} must be a Fraction")
-            if mass <= 0:
+            if mass.numerator <= 0:
                 raise ValueError(f"mass of {state!r} must be positive")
             if prev is not None and state <= prev:
                 raise ValueError("weights must be strictly sorted by state")
             prev = state
-            total += mass
-        if total > 1:
-            raise ValueError(f"total mass {total} exceeds one")
+        n, d = _total(mass for _, mass in self.weights)
+        if n > d:
+            raise ValueError(f"total mass {Fraction(n, d)} exceeds one")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[StateId, Fraction]) -> SubProbMeasure:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .foundations import Ordinal, frozen
 from .lts import OmegaLTSCode, PointedLTS, Rel, StateId, state_rank
-from .nlmp import PointmassNLMP, SubProbMeasure, greatest_ext_bisim
+from .nlmp import PointmassNLMP, SubProbMeasure, _total, greatest_ext_bisim
 from .substructures import substructure
 from .trees import SUC_LABEL, ExplicitTree
 from .expansion import omega_code_expand
@@ -51,14 +51,13 @@ class UniformStructure:
                 raise ValueError(f"table at ({s!r},{a!r}) lists no rows")
             for n, row in enumerate(rows):
                 previous = -1
-                total = Fraction(0)
                 for k, mass, target in row:
                     if k <= previous:
                         raise ValueError(
                             f"row {n} at ({s!r},{a!r}) repeats or unsorts indices"
                         )
                     previous = k
-                    if not isinstance(mass, Fraction) or mass <= 0:
+                    if not isinstance(mass, Fraction) or mass.numerator <= 0:
                         raise ValueError(
                             f"row {n} at ({s!r},{a!r}) needs positive rational masses"
                         )
@@ -66,8 +65,8 @@ class UniformStructure:
                         raise ValueError(
                             f"row {n} at ({s!r},{a!r}) targets unknown {target!r}"
                         )
-                    total += mass
-                if total > 1:
+                num, den = _total(mass for _, mass, _ in row)
+                if num > den:
                     raise ValueError(f"row {n} at ({s!r},{a!r}) exceeds mass one")
 
     def row_measure(self, state: StateId, label: str, n: int) -> SubProbMeasure:

@@ -9,7 +9,6 @@ document.
 from __future__ import annotations
 
 import json
-from itertools import compress
 from random import Random
 from typing import Callable, Iterable
 
@@ -100,20 +99,29 @@ def _rng(seed: int, name: str) -> Random:
 
 
 def _subsets(pool: tuple) -> list[frozenset]:
-    return [
-        frozenset(compress(pool, (bits >> i & 1 for i in range(len(pool)))))
-        for bits in range(1 << len(pool))
-    ]
+    """Every subset of the pool; bit i of a subset's index means pool[i]."""
+    subsets = [frozenset()]
+    for item in pool:
+        subsets += [subset | {item} for subset in subsets]
+    return subsets
 
 
 def _closed_pairs(rel: frozenset, left: tuple, right: tuple) -> list:
-    """All subset pairs stable under the relation, by brute enumeration."""
+    """All subset pairs stable under the relation, by brute enumeration.
+
+    A pair is closed when its two sides meet the relation's pairs in the
+    same pattern, so the right side's subsets are bucketed by pattern and
+    each left subset reads its bucket.
+    """
     ordered = sorted(rel)
+    buckets: dict[tuple, list] = {}
+    for q_prime in _subsets(right):
+        pattern = tuple(y in q_prime for _, y in ordered)
+        buckets.setdefault(pattern, []).append(q_prime)
     return [
         (q, q_prime)
         for q in _subsets(left)
-        for q_prime in _subsets(right)
-        if all((x in q) == (y in q_prime) for x, y in ordered)
+        for q_prime in buckets.get(tuple(x in q for x, _ in ordered), ())
     ]
 
 

@@ -1,10 +1,14 @@
 """Reduction gadgets and the symbolic formula evaluator."""
 
+import json
 import random
+import time
 
 import pytest
 
+from bisimkit.cli import main
 from bisimkit.e0 import (
+    PROFILE_BUDGET,
     branch_code_tree,
     diamond_depth_sat,
     eval_symbolic,
@@ -29,9 +33,11 @@ from bisimkit.lts import (
     Or,
     RankAtLeast,
     TOP,
+    Top,
     UnsupportedFormula,
     bounded_bisim,
     eval_formula,
+    modal_depth,
     modal_depths,
 )
 from bisimkit.trees import (
@@ -40,6 +46,7 @@ from bisimkit.trees import (
     Chain,
     ExplicitTree,
     Glue,
+    SUC_LABEL,
     symbolic_rank,
     truncate_symbolic,
 )
@@ -334,6 +341,210 @@ class TestEvaluator:
         buried = Dia("suc", Dia("suc", Neg(CharSet(EVENS))))
         with pytest.raises(UnsupportedFormula, match="^CharSet has no finite modal depth$"):
             eval_symbolic(Chain(3), buried)
+
+
+def oracle_modification_classes(x: EPSet, depth: int) -> list:
+    """Representative modifications of x for depth-bounded bodies.
+
+    The class of a branch-code child is its member pattern on the window
+    [0, depth - 1) together with one bit for membership beyond it. Flips
+    inside the window realize every pattern; the extra bit is forced to 1
+    when x is infinite and is free otherwise.
+    """
+    window = max(depth - 1, 0)
+    inside = set(x.elements_below(window))
+    seen = set()
+    classes = []
+
+    def add(param: EPSet) -> None:
+        if param not in seen:
+            seen.add(param)
+            classes.append(ATree(param))
+
+    for bits in range(1 << window):
+        pattern = {i for i in range(window) if bits >> i & 1}
+        base = inside ^ pattern
+        rep = x.xor_finite(base)
+        add(rep)
+        if rep.has_element_geq(window):
+            if rep.is_finite:
+                tail = {e for e in rep.finite_elements() if e >= window}
+                add(x.xor_finite(base | tail))
+        else:
+            add(x.xor_finite(base | {window}))
+    return classes
+
+
+def oracle_child_classes(tree, depth: int) -> list:
+    """Children of the root, one per depth-bounded behavior class."""
+    if isinstance(tree, Chain):
+        return [Chain(tree.length - 1)] if tree.length >= 1 else []
+    if isinstance(tree, ATree):
+        classes = [Chain(k) for k in tree.param.elements_below(depth)]
+        if tree.param.has_element_geq(depth):
+            classes.append(Chain(depth))
+        return classes
+    if isinstance(tree, BTree):
+        return oracle_modification_classes(tree.param, depth)
+    return list(tree.parts)
+
+
+def oracle_eval_symbolic(tree, phi) -> bool:
+    """A pure modal formula at the root, one child per behavior class."""
+    if isinstance(phi, Top):
+        return True
+    if isinstance(phi, Neg):
+        return not oracle_eval_symbolic(tree, phi.sub)
+    if isinstance(phi, And):
+        return all(oracle_eval_symbolic(tree, sub) for sub in phi.subs)
+    if isinstance(phi, Or):
+        return any(oracle_eval_symbolic(tree, sub) for sub in phi.subs)
+    if phi.label != SUC_LABEL:
+        return False
+    classes = oracle_child_classes(tree, modal_depth(phi.sub))
+    return any(oracle_eval_symbolic(child, phi.sub) for child in classes)
+
+
+def random_modal(rng: random.Random, depth: int):
+    """A pure modal formula of modal depth at most depth."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        return TOP if rng.random() < 0.8 else Dia("other", TOP)
+    if roll < 0.3:
+        return Neg(random_modal(rng, depth - 1))
+    if roll < 0.6:
+        subs = tuple(random_modal(rng, depth - 1) for _ in range(rng.randint(0, 2)))
+        return And(subs) if roll < 0.45 else Or(subs)
+    return Dia("suc", random_modal(rng, depth - 1))
+
+
+def random_body(rng: random.Random):
+    """A boolean combination of at most three distinct top-level diamonds,
+    each used any number of times, of modal depth at most 6."""
+    atoms = [
+        Dia("suc", random_modal(rng, rng.randint(0, 5)))
+        for _ in range(rng.randint(1, 3))
+    ]
+
+    def combine(budget: int):
+        roll = rng.random()
+        if budget == 0 or roll < 0.3:
+            return rng.choice(atoms + [TOP])
+        if roll < 0.5:
+            return Neg(combine(budget - 1))
+        subs = tuple(combine(budget - 1) for _ in range(rng.randint(0, 3)))
+        return And(subs) if roll < 0.75 else Or(subs)
+
+    return combine(3)
+
+
+def random_gadget(rng: random.Random):
+    kind = rng.choice(["chain", "atree", "finite", "infinite", "glue"])
+    if kind == "chain":
+        return Chain(rng.randint(0, 8))
+    if kind == "atree":
+        return ATree(random_epset(rng, 6))
+    if kind == "finite":
+        return BTree(EPSet(random_epset(rng, 6).prefix, "0"))
+    if kind == "infinite":
+        return BTree(EPSet(random_epset(rng, 6).prefix, "0" * rng.randint(0, 2) + "1"))
+    return Glue(tuple(random_symbolic(rng) for _ in range(rng.randint(0, 3))))
+
+
+class TestDiamondsAgainstModificationClasses:
+    """Chain bitmasks and diamond profiles against one child per class."""
+
+    def test_seeded_bodies_on_every_tree_kind(self):
+        rng = random.Random(18)
+        verdicts = {True: 0, False: 0}
+        kinds = set()
+        for _ in range(3000):
+            tree = random_gadget(rng)
+            body = random_body(rng)
+            for phi in (Dia("suc", body), body):
+                want = oracle_eval_symbolic(tree, phi)
+                assert eval_symbolic(tree, phi) == want, (tree, phi)
+                verdicts[want] += 1
+            kinds.add((type(tree).__name__, isinstance(tree, BTree) and tree.param.is_finite))
+        assert len(kinds) == 5
+        assert min(verdicts.values()) > 2000, verdicts
+
+    def test_a_shared_diamond_counts_once(self):
+        # Top-level diamonds are told apart by identity, as modal_depths
+        # tells subformulas apart: one object used many times is one of m.
+        inner = Dia("suc", Neg(Dia("suc", TOP)))
+        phi = Dia("suc", And((inner,) * (PROFILE_BUDGET + 1)))
+        for x in CATALOG:
+            assert eval_symbolic(BTree(x), phi) == oracle_eval_symbolic(BTree(x), phi)
+        copies = tuple(Dia("suc", Neg(Dia("suc", TOP))) for _ in range(PROFILE_BUDGET + 1))
+        with pytest.raises(ValueError, match=f"has {PROFILE_BUDGET + 1} distinct"):
+            eval_symbolic(BTree(EVENS), Dia("suc", And(copies)))
+
+
+def tower_file(tmp_path, k: int) -> str:
+    path = tmp_path / f"tower{k}.json"
+    phi = {"op": "neg", "sub": {"op": "dia", "label": "suc", "sub": {"op": "top"}}}
+    for _ in range(k + 1):
+        phi = {"op": "dia", "label": "suc", "sub": phi}
+    path.write_text(json.dumps(phi))
+    return str(path)
+
+
+def gadget_file(tmp_path, name: str, x: EPSet) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"kind": "B", "set": x.to_json()}))
+    return str(path)
+
+
+class TestDeepFormulas:
+    def test_forty_deep_tower_on_a_glued_gadget(self, tmp_path, capsys):
+        # A tower of height k + 1 holds exactly when k is a leaf depth:
+        # every k >= 1, and k = 0 when the parameter is finite.
+        for name, x in (("finite", EPSet.from_finite([0, 2])), ("infinite", EVENS)):
+            gadget = gadget_file(tmp_path, name, x)
+            for k in (0, 39):
+                tower = tower_file(tmp_path, k)
+                start = time.perf_counter()
+                code = main(["eval", tower, gadget])
+                elapsed = time.perf_counter() - start
+                holds = k >= 1 or x.is_finite
+                assert code == (0 if holds else 1)
+                assert json.loads(capsys.readouterr().out) == {"verb": "eval", "holds": holds}
+                assert elapsed < 1.0
+
+    def test_nest_deeper_than_the_recursion_limit(self):
+        # g_0 = top and g_(j+1) = not <suc> g_j. At Chain(n), g_j holds iff
+        # n is even when n < j, and iff j is even otherwise.
+        nest = TOP
+        for _ in range(1500):
+            nest = Neg(Dia("suc", nest))
+        assert eval_symbolic(Chain(1000), nest)
+        assert not eval_symbolic(Chain(999), nest)
+        assert eval_symbolic(Chain(2001), nest)
+        # <suc> g_1499 holds where some child chain has even length < 1499.
+        assert not eval_symbolic(ATree(EVENS), nest)
+        assert eval_symbolic(ATree(ODDS), nest)
+        assert eval_symbolic(Glue((Chain(3),)), nest)
+        # A branch-code tree satisfies g_1499 iff its set has no even
+        # member below 1498 and none from 1498 on, as {1} does; no
+        # modification of an infinite set does.
+        assert not eval_symbolic(BTree(EPSet.empty()), nest)
+        assert eval_symbolic(BTree(ODDS), nest)
+
+    def test_too_many_diamonds_exit_two(self, tmp_path, capsys):
+        diamonds = [
+            {"op": "dia", "label": "suc", "sub": {"op": "top"}}
+            for _ in range(PROFILE_BUDGET + 1)
+        ]
+        body = {"op": "and", "subs": diamonds}
+        formula = tmp_path / "wide.json"
+        formula.write_text(json.dumps({"op": "dia", "label": "suc", "sub": body}))
+        code = main(["eval", str(formula), gadget_file(tmp_path, "gadget", EVENS)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert f"{PROFILE_BUDGET + 1} distinct top-level diamonds" in err
+        assert f"budget of {PROFILE_BUDGET}" in err
 
 
 class TestReduction:

@@ -108,6 +108,26 @@ class TestMeasures:
         with pytest.raises(ValueError):
             SubProbMeasure((("x", 0.5),))
 
+    def test_total_mass_is_checked_exactly(self):
+        # Checks run in order: each mass, then the sorting, then the total.
+        with pytest.raises(ValueError, match="^total mass 5/4 exceeds one$"):
+            SubProbMeasure((("x", F(1, 2)), ("y", F(3, 4))))
+        with pytest.raises(ValueError, match="^total mass 2 exceeds one$"):
+            SubProbMeasure((("x", F(1)), ("y", F(1))))
+        with pytest.raises(ValueError, match="sorted"):
+            SubProbMeasure((("y", F(1)), ("x", F(1))))
+        thirds = tuple((f"s{i}", F(1, 3)) for i in range(3))
+        assert SubProbMeasure(thirds).total() == 1
+        rng = random.Random(41)
+        for _ in range(500):
+            masses = [F(rng.randint(1, 9), rng.randint(1, 40)) for _ in range(rng.randint(1, 5))]
+            weights = tuple((f"s{i}", m) for i, m in enumerate(masses))
+            if sum(masses) > 1:
+                with pytest.raises(ValueError, match=f"^total mass {sum(masses)} exceeds one$"):
+                    SubProbMeasure(weights)
+            else:
+                assert SubProbMeasure(weights).total() == sum(masses)
+
 
 class TestClosedAtoms:
     def test_single_pair(self):

@@ -210,6 +210,17 @@ class TestUniformStructure:
                 ("a",), ("s",), {("s", "a"): (((0, F(2, 3), "s"), (1, F(1, 2), "s")),)}
             )
 
+    def test_row_mass_is_checked_exactly(self):
+        third = ((0, F(1, 3), "s"), (1, F(1, 3), "s"), (2, F(1, 3), "s"))
+        assert UniformStructure(("a",), ("s",), {("s", "a"): (third,)})
+        heavy = third + ((3, F(1, 1000), "s"),)
+        with pytest.raises(ValueError, match=r"^row 1 at \('s','a'\) exceeds mass one$"):
+            UniformStructure(("a",), ("s",), {("s", "a"): (third, heavy)})
+        # An unknown target is reported before the row's total.
+        stray = ((0, F(1), "s"), (1, F(1), "t"))
+        with pytest.raises(ValueError, match="targets unknown 't'"):
+            UniformStructure(("a",), ("s",), {("s", "a"): (stray,)})
+
     def test_random_round_trips(self):
         rng = random.Random(201)
         for _ in range(30):

@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 
 import pytest
 
@@ -15,7 +16,7 @@ from bisimkit.gen import (
 )
 from bisimkit.lts import state_rank
 from bisimkit.nlmp import is_z_closed
-from bisimkit.verify import SUITES, render_report, run_suites
+from bisimkit.verify import SUITES, _closed_pairs, _subsets, render_report, run_suites
 
 
 class TestGenerators:
@@ -115,3 +116,46 @@ class TestHarness:
             assert result["failures"] == []
         assert report["suites"][0]["cases"] >= 200
         assert report["suites"][1]["cases"] >= 1600
+
+
+def oracle_subsets(pool: tuple) -> list[frozenset]:
+    return [
+        frozenset(compress(pool, (bits >> i & 1 for i in range(len(pool)))))
+        for bits in range(1 << len(pool))
+    ]
+
+
+def oracle_closed_pairs(rel: frozenset, left: tuple, right: tuple) -> list:
+    """All subset pairs stable under the relation, pair by pair."""
+    ordered = sorted(rel)
+    return [
+        (q, q_prime)
+        for q in oracle_subsets(left)
+        for q_prime in oracle_subsets(right)
+        if all((x in q) == (y in q_prime) for x, y in ordered)
+    ]
+
+
+class TestEnumerationOracles:
+    def test_subsets_in_bit_order(self):
+        for n in range(6):
+            pool = tuple(f"s{i}" for i in range(n))
+            assert _subsets(pool) == oracle_subsets(pool)
+        assert _subsets(()) == [frozenset()]
+
+    def test_closed_pairs_on_seeded_relations(self):
+        rng = random.Random(307)
+        sizes = set()
+        for case in range(300):
+            left = tuple(f"l{i}" for i in range(rng.randint(0, 4)))
+            right = tuple(f"r{i}" for i in range(rng.randint(0, 4)))
+            chance = 0.0 if case % 5 == 0 else rng.random()
+            rel = frozenset(
+                (x, y) for x in left for y in right if rng.random() < chance
+            )
+            got = _closed_pairs(rel, left, right)
+            assert got == oracle_closed_pairs(rel, left, right)
+            sizes.add(len(got))
+            if not rel:
+                assert len(got) == 1 << (len(left) + len(right))
+        assert len(sizes) > 5
