@@ -118,10 +118,14 @@ def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
     trees and through the reachable diamond profiles on glued
     modification trees; diamonds directly over the symbolic atoms get
     dedicated rules. Deeper nesting of those atoms raises
-    UnsupportedFormula. The walk keeps its own stack, so formula depth
-    is not bounded by the recursion limit.
+    UnsupportedFormula, checked before the walk so that the short
+    circuits cannot hide it. The walk keeps its own stack, so formula
+    depth is not bounded by the recursion limit.
     """
     depths = modal_depths(phi)
+    for dia in _top_diamonds(phi):
+        if not isinstance(dia.sub, (CharSet, RankAtLeast)):
+            modal_depth(dia.sub, depths)  # raises when the body nests an atom
     top = max((d for d in depths.values() if not isinstance(d, str)), default=0)
     masks = _chain_masks(phi, depths, top)
 
@@ -143,7 +147,6 @@ def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
             # The root's rank is the sup of its children's plus one, so some
             # child reaches the bound exactly when the root passes it.
             return symbolic_rank(tree)[0] >= body.bound + 1
-        modal_depth(body, depths)  # raises when the body nests an atom
         mask = masks[id(body)]
         if isinstance(tree, Chain):
             return tree.length >= 1 and bool(mask >> min(tree.length - 1, top) & 1)
@@ -288,7 +291,10 @@ def _some_modification(x: EPSet, body: Formula, masks: dict, top: int) -> bool:
 
 
 def _top_diamonds(body: Formula) -> list[Dia]:
-    """The distinct <suc> diamonds reached from body through booleans, by id."""
+    """The distinct <suc> diamonds reached from body through booleans.
+
+    Told apart by id, and listed left to right in first-reached order.
+    """
     found: list[Dia] = []
     seen: set[int] = set()
     stack = [body]
@@ -298,7 +304,7 @@ def _top_diamonds(body: Formula) -> list[Dia]:
             continue
         seen.add(id(node))
         if isinstance(node, (And, Or)):
-            stack.extend(node.subs)
+            stack.extend(reversed(node.subs))
         elif isinstance(node, Neg):
             stack.append(node.sub)
         elif isinstance(node, Dia) and node.label == SUC_LABEL:

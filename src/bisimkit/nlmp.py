@@ -70,10 +70,6 @@ class SubProbMeasure:
             tuple(sorted((s, m) for s, m in mapping.items() if m != 0))
         )
 
-    @classmethod
-    def dirac(cls, state: StateId) -> SubProbMeasure:
-        return cls(((state, Fraction(1)),))
-
     @property
     def support(self) -> frozenset:
         return frozenset(s for s, _ in self.weights)

@@ -1,11 +1,12 @@
-"""Tabulated transition enumerations and the encodings built on them.
+"""Tabulated transition enumerations, and the coding pipeline.
 
 A uniform table lists, per state and label, every transition measure as
 a row of weighted targets. Iterating the target maps enumerates the
-part of the process a state generates, which drives three constructions:
-an index-level reformulation of measure lifting, a bisimilarity search
-between generated substructures, and a numeric coding of processes whose
-measures are all point masses.
+part of the process a state generates. Of the constructions here, only
+two iterate tables: an index-level reformulation of measure lifting and
+a bisimilarity search between generated substructures. The coding
+pipeline for bounded-rank states walks the LTS itself: it numbers the
+states a state reaches and compares the expansions of the codes.
 """
 
 from __future__ import annotations
@@ -99,37 +100,6 @@ def derive_uniform(nlmp: PointmassNLMP) -> UniformStructure:
     return UniformStructure(nlmp.labels, nlmp.states, rows)
 
 
-def uniform_mismatches(nlmp: PointmassNLMP, table: UniformStructure) -> list[str]:
-    """Ways the table fails to reconstruct the process, worst first."""
-    problems = []
-    if table.labels != nlmp.labels or table.states != nlmp.states:
-        problems.append("label or state listings differ")
-        return problems
-    keyed = {(s, a) for (s, a), measures in nlmp.trans.items() if measures}
-    for s, a in sorted(keyed - set(table.rows)):
-        problems.append(f"no table at ({s!r},{a!r})")
-    for s, a in sorted(set(table.rows) - keyed):
-        problems.append(f"table at ({s!r},{a!r}) has no transitions to match")
-    for s, a in sorted(keyed & set(table.rows)):
-        wanted = nlmp.measures(s, a)
-        count = len(table.rows[(s, a)])
-        rebuilt = set()
-        for n in range(count):
-            measure = table.row_measure(s, a, n)
-            rebuilt.add(measure)
-            if measure not in wanted:
-                problems.append(
-                    f"row {n} at ({s!r},{a!r}) reconstructs a foreign measure"
-                )
-        if not wanted <= rebuilt:
-            problems.append(f"table at ({s!r},{a!r}) misses a transition measure")
-    return problems
-
-
-def validate_uniform(nlmp: PointmassNLMP, table: UniformStructure) -> bool:
-    return not uniform_mismatches(nlmp, table)
-
-
 def composition_enum(
     table: UniformStructure, state: StateId, bound: int | None = None
 ) -> list[StateId]:
@@ -158,73 +128,6 @@ def composition_enum(
                         seen.add(target)
                         listed.append(target)
     return listed if bound is None else listed[:bound]
-
-
-@frozen
-class UMLTSStructure:
-    """Per state and label, an enumeration of the successor states."""
-
-    labels: tuple[str, ...]
-    states: tuple[StateId, ...]
-    enum: dict  # (state, label) -> tuple of targets
-
-    def __post_init__(self) -> None:
-        states = set(self.states)
-        if len(states) != len(self.states):
-            raise ValueError("duplicate state ids")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate labels")
-        for (s, a), targets in self.enum.items():
-            if s not in states:
-                raise ValueError(f"enumeration source {s!r} is not a state")
-            if a not in self.labels:
-                raise ValueError(f"enumeration label {a!r} is not declared")
-            if not targets:
-                raise ValueError(f"enumeration at ({s!r},{a!r}) is empty")
-            if len(set(targets)) != len(targets):
-                raise ValueError(f"enumeration at ({s!r},{a!r}) repeats a target")
-            for t in targets:
-                if t not in states:
-                    raise ValueError(
-                        f"enumeration at ({s!r},{a!r}) targets unknown {t!r}"
-                    )
-
-
-def derive_umlts(lts: PointedLTS) -> UMLTSStructure:
-    """Enumerate every successor set in declared state order."""
-    enum = {}
-    for s in lts.states:
-        for a in lts.labels:
-            targets = lts.successors(s, a)
-            if targets:
-                enum[(s, a)] = targets
-    return UMLTSStructure(lts.labels, lts.states, enum)
-
-
-def validate_umlts(lts: PointedLTS, structure: UMLTSStructure) -> bool:
-    """Does the enumeration's table of unit rows reconstruct the Dirac view?"""
-    return validate_uniform(mlts_to_nlmp(lts), umlts_to_uniform(structure))
-
-
-def umlts_to_uniform(structure: UMLTSStructure) -> UniformStructure:
-    """View an enumeration as a table of single-entry unit rows."""
-    one = Fraction(1)
-    rows = {
-        key: tuple(((0, one, target),) for target in targets)
-        for key, targets in structure.enum.items()
-    }
-    return UniformStructure(structure.labels, structure.states, rows)
-
-
-def mlts_to_nlmp(lts: PointedLTS) -> PointmassNLMP:
-    """Process with one Dirac measure per edge target, never the zero one."""
-    trans = {}
-    for s in lts.states:
-        for a in lts.labels:
-            targets = lts.successors(s, a)
-            if targets:
-                trans[(s, a)] = frozenset(SubProbMeasure.dirac(t) for t in targets)
-    return PointmassNLMP(lts.labels, lts.states, trans)
 
 
 def _row(table: UniformStructure, state: StateId, label: str, n: int) -> tuple:
@@ -337,29 +240,26 @@ def tree_process(tree: ExplicitTree) -> PointedLTS:
     return PointedLTS((SUC_LABEL,), tuple(names.values()), "e", edges)
 
 
-def encode_state(
-    lts: PointedLTS, state: StateId, structure: UMLTSStructure | None = None
-) -> OmegaLTSCode:
-    """Code the part of the process the enumeration reaches from a state.
+def encode_state(lts: PointedLTS, state: StateId) -> OmegaLTSCode:
+    """Code the part of the process a state reaches.
 
-    Nodes are numbered by first appearance in the enumeration order, the
-    given state becoming the root 0.
+    One breadth-first walk numbers the states by first appearance, the
+    given state becoming the root 0; each state lists its successors
+    label by label in declared order, targets in declared state order.
     """
-    if structure is None:
-        structure = derive_umlts(lts)
-    elif not validate_umlts(lts, structure):
-        raise ValueError("enumeration does not match the process")
-    values = composition_enum(umlts_to_uniform(structure), state)
-    numbering = {value: i for i, value in enumerate(values)}
-    edges = {
-        a: frozenset(
-            (numbering[u], numbering[v])
-            for u in values
-            for v in lts.successors(u, a)
-        )
-        for a in lts.labels
-    }
-    return OmegaLTSCode(0, edges)
+    if state not in lts.states:
+        raise ValueError(f"unknown state {state!r}")
+    numbering = {state: 0}
+    listed = [state]
+    edges: dict[str, set] = {a: set() for a in lts.labels}
+    for u in listed:
+        for a in lts.labels:
+            for v in lts.successors(u, a):
+                if v not in numbering:
+                    numbering[v] = len(listed)
+                    listed.append(v)
+                edges[a].add((numbering[u], numbering[v]))
+    return OmegaLTSCode(0, {a: frozenset(pairs) for a, pairs in edges.items()})
 
 
 def pipeline_bisim(

@@ -136,22 +136,22 @@ def _suite_measure_lifting(seed: int) -> dict:
     failures: list[str] = []
     cases = 0
     for i in range(300):
-        left = random_nlmp(rng, 4)
-        right = random_nlmp(rng, 4)
-        rel = _random_rel(rng, left.states, right.states)
-        z_rel = random_z_closed(rng, left.states, right.states)
-        closed = _closed_pairs(rel, left.states, right.states)
+        left = tuple(f"s{k}" for k in range(rng.randint(1, 4)))
+        right = tuple(f"s{k}" for k in range(rng.randint(1, 4)))
+        rel = _random_rel(rng, left, right)
+        z_rel = random_z_closed(rng, left, right)
+        closed = _closed_pairs(rel, left, right)
         for _ in range(2):
-            mu = random_measure(rng, left.states)
-            nu = random_measure(rng, right.states)
+            mu = random_measure(rng, left)
+            nu = random_measure(rng, right)
             cases += 2
             oracle = all(
                 mu.mass(q) == nu.mass(q_prime) for q, q_prime in closed
             )
-            if lift_external(mu, nu, rel, left.states, right.states) != oracle:
+            if lift_external(mu, nu, rel, left, right) != oracle:
                 failures.append(f"case {i}: external lift disagrees with closed pairs")
             supported = lift_support(mu, nu, z_rel)
-            external = lift_external(mu, nu, z_rel, left.states, right.states)
+            external = lift_external(mu, nu, z_rel, left, right)
             if supported != external:
                 failures.append(f"case {i}: support lift strays on a z-closed relation")
     return _result("measure-lifting", cases, failures)

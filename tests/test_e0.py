@@ -25,6 +25,7 @@ from bisimkit.foundations import (
     Ordinal,
     nth_modification,
 )
+from bisimkit.jsonio import formula_to_json, tree_to_json
 from bisimkit.lts import (
     And,
     CharSet,
@@ -341,6 +342,35 @@ class TestEvaluator:
         buried = Dia("suc", Dia("suc", Neg(CharSet(EVENS))))
         with pytest.raises(UnsupportedFormula, match="^CharSet has no finite modal depth$"):
             eval_symbolic(Chain(3), buried)
+
+    def test_unsupported_nesting_whatever_the_order(self, tmp_path, capsys):
+        # A short circuit before the bad diamond must not hide it.
+        bad = Dia("suc", Dia("suc", CharSet(EPSet.empty())))
+        formulas = [
+            And((Neg(TOP), bad)),
+            And((bad, Neg(TOP))),
+            Or((TOP, bad)),
+            Or((bad, TOP)),
+            Neg(And((Neg(TOP), Or((TOP, Neg(bad)))))),
+        ]
+        # Diamonds under other labels are false without reading their body.
+        foreign = Dia("b", bad.sub)
+        trees = [Chain(3), ATree(EVENS), BTree(EVENS), Glue((Chain(2), BTree(ODDS)))]
+        for i, tree in enumerate(trees):
+            tree_path = tmp_path / f"tree{i}.json"
+            tree_path.write_text(json.dumps(tree_to_json(tree)))
+            for j, phi in enumerate(formulas):
+                with pytest.raises(UnsupportedFormula, match="^CharSet has no finite modal depth$"):
+                    eval_symbolic(tree, phi)
+                phi_path = tmp_path / f"phi{j}.json"
+                phi_path.write_text(json.dumps(formula_to_json(phi)))
+                code = main(["eval", str(phi_path), str(tree_path)])
+                out, err = capsys.readouterr()
+                assert (code, out) == (2, "")
+                assert "CharSet has no finite modal depth" in err
+            assert not eval_symbolic(tree, And((foreign, TOP)))
+            assert not eval_symbolic(tree, And((TOP, foreign)))
+            assert eval_symbolic(tree, Or((foreign, TOP)))
 
 
 def oracle_modification_classes(x: EPSet, depth: int) -> list:

@@ -96,7 +96,9 @@ class TestMeasures:
         assert SubProbMeasure.from_mapping({"x": F(0)}) == ZERO_MEASURE
 
     def test_dirac(self):
-        assert SubProbMeasure.dirac("x").mass({"x"}) == 1
+        point = measure(x="1")
+        assert point == SubProbMeasure((("x", F(1)),))
+        assert point.mass({"x"}) == 1 and point.mass({"y"}) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -390,7 +392,7 @@ class TestInternalIsExternalOnReflexiveSymmetric:
     def test_reflexivity_is_needed(self):
         states = ("x", "y")
         rel = frozenset({("x", "y"), ("y", "x")})
-        dirac = SubProbMeasure.dirac("x")
+        dirac = measure(x="1")
         assert oracle_lift_internal(dirac, dirac, rel, states)
         assert not lift_external(dirac, dirac, rel, states, states)
 

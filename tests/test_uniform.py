@@ -7,7 +7,7 @@ import pytest
 
 from bisimkit import gen
 from bisimkit.expansion import omega_code_expand
-from bisimkit.foundations import Ordinal
+from bisimkit.foundations import Ordinal, frozen
 from bisimkit.lts import (
     OmegaLTSCode,
     PointedLTS,
@@ -28,23 +28,16 @@ from bisimkit.substructures import carrier_levels, reachable_carrier, support_su
 from bisimkit.trees import ExplicitTree
 from bisimkit.treeiso import canon
 from bisimkit.uniform import (
-    UMLTSStructure,
     UniformStructure,
     _node_name,
     _row,
     composition_enum,
-    derive_umlts,
     derive_uniform,
     encode_state,
     gk_block,
-    mlts_to_nlmp,
     pipeline_bisim,
     tree_process,
-    umlts_to_uniform,
     uniform_bisim_search,
-    uniform_mismatches,
-    validate_umlts,
-    validate_uniform,
 )
 
 F = Fraction
@@ -141,6 +134,41 @@ def random_explicit_tree(rng: random.Random, size: int) -> ExplicitTree:
     return ExplicitTree.from_nodes(nodes)
 
 
+# The former table validator, kept as an oracle for the round trips of
+# `derive_uniform`.
+
+
+def oracle_uniform_mismatches(nlmp: PointmassNLMP, table: UniformStructure) -> list[str]:
+    """Ways the table fails to reconstruct the process, worst first."""
+    problems = []
+    if table.labels != nlmp.labels or table.states != nlmp.states:
+        problems.append("label or state listings differ")
+        return problems
+    keyed = {(s, a) for (s, a), measures in nlmp.trans.items() if measures}
+    for s, a in sorted(keyed - set(table.rows)):
+        problems.append(f"no table at ({s!r},{a!r})")
+    for s, a in sorted(set(table.rows) - keyed):
+        problems.append(f"table at ({s!r},{a!r}) has no transitions to match")
+    for s, a in sorted(keyed & set(table.rows)):
+        wanted = nlmp.measures(s, a)
+        count = len(table.rows[(s, a)])
+        rebuilt = set()
+        for n in range(count):
+            measure = table.row_measure(s, a, n)
+            rebuilt.add(measure)
+            if measure not in wanted:
+                problems.append(
+                    f"row {n} at ({s!r},{a!r}) reconstructs a foreign measure"
+                )
+        if not wanted <= rebuilt:
+            problems.append(f"table at ({s!r},{a!r}) misses a transition measure")
+    return problems
+
+
+def oracle_validate_uniform(nlmp: PointmassNLMP, table: UniformStructure) -> bool:
+    return not oracle_uniform_mismatches(nlmp, table)
+
+
 class TestUniformStructure:
     def build(self) -> PointmassNLMP:
         trans = {
@@ -152,7 +180,7 @@ class TestUniformStructure:
     def test_derived_table_validates(self):
         nlmp = self.build()
         table = derive_uniform(nlmp)
-        assert validate_uniform(nlmp, table)
+        assert oracle_validate_uniform(nlmp, table)
         assert table.to_nlmp() == nlmp
 
     def test_row_order_is_irrelevant(self):
@@ -163,7 +191,7 @@ class TestUniformStructure:
             table.states,
             {key: tuple(reversed(rows)) for key, rows in table.rows.items()},
         )
-        assert validate_uniform(nlmp, shuffled)
+        assert oracle_validate_uniform(nlmp, shuffled)
 
     def test_dropped_row_is_reported(self):
         nlmp = self.build()
@@ -171,8 +199,8 @@ class TestUniformStructure:
         rows = dict(table.rows)
         rows[("s", "a")] = rows[("s", "a")][:1]
         broken = UniformStructure(table.labels, table.states, rows)
-        problems = uniform_mismatches(nlmp, broken)
-        assert not validate_uniform(nlmp, broken)
+        problems = oracle_uniform_mismatches(nlmp, broken)
+        assert not oracle_validate_uniform(nlmp, broken)
         assert any("misses" in line for line in problems)
 
     def test_foreign_row_is_reported(self):
@@ -183,7 +211,7 @@ class TestUniformStructure:
         broken = UniformStructure(table.labels, table.states, rows)
         assert any(
             "row 0" in line and "'t'" in line
-            for line in uniform_mismatches(nlmp, broken)
+            for line in oracle_uniform_mismatches(nlmp, broken)
         )
 
     def test_row_measure_merges_repeated_targets(self):
@@ -226,7 +254,7 @@ class TestUniformStructure:
         for _ in range(30):
             nlmp = random_nlmp(rng, 4)
             table = derive_uniform(nlmp)
-            assert validate_uniform(nlmp, table)
+            assert oracle_validate_uniform(nlmp, table)
             rebuilt = table.to_nlmp()
             for s in nlmp.states:
                 for a in nlmp.labels:
@@ -294,56 +322,77 @@ class RecordedRows(dict):
         return super().get(key, default)
 
 
-class TestUMLTS:
-    def chain(self) -> PointedLTS:
-        edges = frozenset({("s", "a", "t"), ("t", "a", "u"), ("s", "b", "u")})
-        return PointedLTS(("a", "b"), ("s", "t", "u"), "s", edges)
+# The former enumeration layer that `encode_state` went through: an
+# enumeration of every successor set, viewed as a table of unit rows and
+# walked with `composition_enum`. Kept as the oracle of the direct walk.
 
-    def test_derive_and_validate(self):
-        lts = self.chain()
-        structure = derive_umlts(lts)
-        assert validate_umlts(lts, structure)
-        assert structure.enum[("s", "a")] == ("t",)
 
-    def test_validate_rejects_wrong_enum(self):
-        lts = self.chain()
-        structure = derive_umlts(lts)
-        enum = dict(structure.enum)
-        del enum[("s", "b")]
-        assert not validate_umlts(
-            lts, UMLTSStructure(structure.labels, structure.states, enum)
-        )
+@frozen
+class UMLTSStructure:
+    """Per state and label, an enumeration of the successor states."""
 
-    def test_uniform_view_reconstructs_the_dirac_process(self):
-        lts = self.chain()
-        table = umlts_to_uniform(derive_umlts(lts))
-        assert table.to_nlmp() == mlts_to_nlmp(lts)
-        assert validate_uniform(mlts_to_nlmp(lts), table)
+    labels: tuple[str, ...]
+    states: tuple[str, ...]
+    enum: dict  # (state, label) -> tuple of targets
 
-    def test_edge_law(self):
-        lts = self.chain()
-        structure = derive_umlts(lts)
-        values = composition_enum(umlts_to_uniform(structure), "s")
-        for u in values:
-            for a in lts.labels:
-                targets = set(lts.successors(u, a))
-                listed = set(structure.enum.get((u, a), ()))
-                assert targets == listed
+    def __post_init__(self) -> None:
+        states = set(self.states)
+        if len(states) != len(self.states):
+            raise ValueError("duplicate state ids")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("duplicate labels")
+        for (s, a), targets in self.enum.items():
+            if s not in states:
+                raise ValueError(f"enumeration source {s!r} is not a state")
+            if a not in self.labels:
+                raise ValueError(f"enumeration label {a!r} is not declared")
+            if not targets:
+                raise ValueError(f"enumeration at ({s!r},{a!r}) is empty")
+            if len(set(targets)) != len(targets):
+                raise ValueError(f"enumeration at ({s!r},{a!r}) repeats a target")
+            for t in targets:
+                if t not in states:
+                    raise ValueError(
+                        f"enumeration at ({s!r},{a!r}) targets unknown {t!r}"
+                    )
 
-    def test_mlts_round_trip(self):
-        lts = self.chain()
-        back = nlmp_to_mlts(mlts_to_nlmp(lts), "s")
-        assert back.edges == lts.edges
-        assert back.states == lts.states
 
-    def test_non_dirac_rejected(self):
-        nlmp = PointmassNLMP(("a",), ("s", "t"), {("s", "a"): frozenset({measure(t="1/2")})})
-        with pytest.raises(ValueError):
-            nlmp_to_mlts(nlmp, "s")
+def oracle_derive_umlts(lts: PointedLTS) -> UMLTSStructure:
+    """Enumerate every successor set in declared state order."""
+    enum = {}
+    for s in lts.states:
+        for a in lts.labels:
+            targets = lts.successors(s, a)
+            if targets:
+                enum[(s, a)] = targets
+    return UMLTSStructure(lts.labels, lts.states, enum)
+
+
+def oracle_umlts_to_uniform(structure: UMLTSStructure) -> UniformStructure:
+    """View an enumeration as a table of single-entry unit rows."""
+    one = Fraction(1)
+    rows = {
+        key: tuple(((0, one, target),) for target in targets)
+        for key, targets in structure.enum.items()
+    }
+    return UniformStructure(structure.labels, structure.states, rows)
+
+
+def oracle_mlts_to_nlmp(lts: PointedLTS) -> PointmassNLMP:
+    """Process with one Dirac measure per edge target, never the zero one."""
+    trans = {}
+    for s in lts.states:
+        for a in lts.labels:
+            targets = lts.successors(s, a)
+            if targets:
+                trans[(s, a)] = frozenset(
+                    SubProbMeasure(((t, Fraction(1)),)) for t in targets
+                )
+    return PointmassNLMP(lts.labels, lts.states, trans)
 
 
 def oracle_validate_umlts(lts: PointedLTS, structure: UMLTSStructure) -> bool:
-    """The former direct check, kept as an oracle for the Dirac-view one."""
+    """Does the enumeration list exactly the successors of every pair?"""
     if structure.labels != lts.labels or structure.states != lts.states:
         return False
     for s in lts.states:
@@ -357,43 +406,83 @@ def oracle_validate_umlts(lts: PointedLTS, structure: UMLTSStructure) -> bool:
     return True
 
 
-def perturbed_enumeration(rng: random.Random, lts: PointedLTS) -> UMLTSStructure:
-    """The derived enumeration, often with one change that may break it."""
-    labels, states = lts.labels, lts.states
-    enum = dict(derive_umlts(lts).enum)
-    key = (rng.choice(states), rng.choice(labels))
-    listed = list(enum.get(key, ()))
-    pick = rng.randrange(7)
-    if pick == 0 and listed:
-        listed.pop(rng.randrange(len(listed)))
-    elif pick == 1:
-        listed += [t for t in states if t not in listed][:1]
-    elif pick == 2:
-        rng.shuffle(listed)
-    elif pick == 3:
-        listed = []
-    elif pick == 4:
-        states = states[::-1]
-    elif pick == 5:
-        labels = labels + ("z",)
-    if listed:
-        enum[key] = tuple(listed)
-    else:
-        enum.pop(key, None)
-    return UMLTSStructure(labels, states, enum)
+def oracle_encode_state(lts: PointedLTS, state: str) -> OmegaLTSCode:
+    """Number nodes by first appearance in the enumeration order."""
+    structure = oracle_derive_umlts(lts)
+    values = composition_enum(oracle_umlts_to_uniform(structure), state)
+    numbering = {value: i for i, value in enumerate(values)}
+    edges = {
+        a: frozenset(
+            (numbering[u], numbering[v])
+            for u in values
+            for v in lts.successors(u, a)
+        )
+        for a in lts.labels
+    }
+    return OmegaLTSCode(0, edges)
 
 
-class TestValidateUMLTSMatchesOracle:
-    def test_agrees_on_seeded_perturbations(self):
-        rng = random.Random(212)
-        verdicts = {True: 0, False: 0}
-        for _ in range(4000):
-            lts = gen.random_lts(rng)
-            structure = perturbed_enumeration(rng, lts)
-            verdict = validate_umlts(lts, structure)
-            assert verdict == oracle_validate_umlts(lts, structure), structure
-            verdicts[verdict] += 1
-        assert min(verdicts.values()) > 1000, verdicts
+class TestUMLTS:
+    def chain(self) -> PointedLTS:
+        edges = frozenset({("s", "a", "t"), ("t", "a", "u"), ("s", "b", "u")})
+        return PointedLTS(("a", "b"), ("s", "t", "u"), "s", edges)
+
+    def test_derive_and_validate(self):
+        lts = self.chain()
+        structure = oracle_derive_umlts(lts)
+        assert oracle_validate_umlts(lts, structure)
+        assert structure.enum[("s", "a")] == ("t",)
+
+    def test_validate_rejects_wrong_enum(self):
+        lts = self.chain()
+        structure = oracle_derive_umlts(lts)
+        enum = dict(structure.enum)
+        del enum[("s", "b")]
+        assert not oracle_validate_umlts(
+            lts, UMLTSStructure(structure.labels, structure.states, enum)
+        )
+
+    def test_uniform_view_reconstructs_the_dirac_process(self):
+        lts = self.chain()
+        table = oracle_umlts_to_uniform(oracle_derive_umlts(lts))
+        assert table.to_nlmp() == oracle_mlts_to_nlmp(lts)
+        assert oracle_validate_uniform(oracle_mlts_to_nlmp(lts), table)
+
+    def test_edge_law(self):
+        lts = self.chain()
+        structure = oracle_derive_umlts(lts)
+        values = composition_enum(oracle_umlts_to_uniform(structure), "s")
+        for u in values:
+            for a in lts.labels:
+                targets = set(lts.successors(u, a))
+                listed = set(structure.enum.get((u, a), ()))
+                assert targets == listed
+
+    def test_mlts_round_trip(self):
+        lts = self.chain()
+        back = nlmp_to_mlts(oracle_mlts_to_nlmp(lts), "s")
+        assert back.edges == lts.edges
+        assert back.states == lts.states
+
+    def test_non_dirac_rejected(self):
+        nlmp = PointmassNLMP(("a",), ("s", "t"), {("s", "a"): frozenset({measure(t="1/2")})})
+        with pytest.raises(ValueError):
+            nlmp_to_mlts(nlmp, "s")
+
+
+class TestEncodeStateMatchesOracle:
+    def test_agrees_on_seeded_systems(self):
+        rng = random.Random(213)
+        codes = systems = 0
+        for _ in range(2000):
+            lts = gen.random_lts(
+                rng, max_states=8, max_labels=3, edge_chance=rng.choice((0.1, 0.3, 0.6))
+            )
+            systems += len(lts.labels) == 3
+            for s in lts.states:
+                assert encode_state(lts, s) == oracle_encode_state(lts, s), (lts, s)
+                codes += 1
+        assert codes > 8000 and systems > 500, (codes, systems)
 
 
 class TestWitnessMachinery:
@@ -701,11 +790,10 @@ class TestEncoding:
             decoded = code_to_lts(code, n + 1)
             assert bisimilar(decoded, PointedLTS(lts.labels, lts.states, s, lts.edges))
 
-    def test_mismatched_enumeration_rejected(self):
+    def test_unknown_state_rejected(self):
         lts = PointedLTS(("a",), ("s", "t"), "s", frozenset({("s", "a", "t")}))
-        other = UMLTSStructure(("a",), ("s", "t"), {("t", "a"): ("s",)})
-        with pytest.raises(ValueError):
-            encode_state(lts, "s", other)
+        with pytest.raises(ValueError, match="^unknown state 'u'$"):
+            encode_state(lts, "u")
 
 
 class TestPipeline:
@@ -746,12 +834,34 @@ class TestPipeline:
                         (s, t) in rel
                     )
 
+    def test_pipeline_agrees_on_labelled_dags(self):
+        # Two labels, and states that share successors, unlike tree processes.
+        rng = random.Random(214)
+        bound = Ordinal.from_int(6)
+        verdicts = {True: 0, False: 0}
+        systems = shared = 0
+        while systems < 400:
+            lts = gen.random_wf_lts(rng, max_states=6, max_labels=2)
+            if len(lts.labels) < 2:
+                continue
+            systems += 1
+            targets = [t for s in lts.states for t in lts.all_successors(s)]
+            shared += len(set(targets)) < len(targets)
+            rel = greatest_bisim(lts, lts)
+            for s in lts.states:
+                for t in lts.states:
+                    verdict = pipeline_bisim(lts, s, t, bound)
+                    assert verdict == ((s, t) in rel), (lts, s, t)
+                    if s != t:
+                        verdicts[verdict] += 1
+        assert shared > 150 and min(verdicts.values()) > 300, (shared, verdicts)
+
     def test_expansion_canon_route_matches_search_route(self):
         rng = random.Random(210)
         for _ in range(10):
             tree = random_explicit_tree(rng, rng.randint(1, 6))
             lts = tree_process(tree)
-            table = derive_uniform(mlts_to_nlmp(lts))
+            table = derive_uniform(oracle_mlts_to_nlmp(lts))
             for s in lts.states:
                 for t in lts.states:
                     via_codes = canon(

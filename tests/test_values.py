@@ -32,7 +32,7 @@ from bisimkit.lts import (
 )
 from bisimkit.nlmp import PointmassNLMP, SubProbMeasure
 from bisimkit.trees import LEAF, ATree, BTree, Chain, ExplicitTree, Glue, MultiTree
-from bisimkit.uniform import UMLTSStructure, UniformStructure
+from bisimkit.uniform import UniformStructure
 
 REQUIRED = dataclasses.MISSING
 
@@ -67,7 +67,6 @@ FIELDS = {
     BTree: [("param", REQUIRED)],
     Glue: [("parts", REQUIRED)],
     UniformStructure: [("labels", REQUIRED), ("states", REQUIRED), ("rows", REQUIRED)],
-    UMLTSStructure: [("labels", REQUIRED), ("states", REQUIRED), ("enum", REQUIRED)],
 }
 
 
@@ -134,11 +133,6 @@ ARGS = {
         ("s", "t"),
         {("s", "a"): (((0, F(1, 2), rng.choice("st")),),)} if rng.random() < 0.7 else {},
     ),
-    UMLTSStructure: lambda rng: (
-        ("a",),
-        ("s", "t"),
-        {("s", "a"): (rng.choice("st"),)} if rng.random() < 0.7 else {},
-    ),
 }
 
 MEASURE = frozenset({SubProbMeasure((("zz", F(1, 2)),))})
@@ -185,15 +179,6 @@ BAD_ARGS = {
         (("a",), ("s",), {("s", "a"): (((0, F(1), "zz"),),)}),
         (("a",), ("s",), {("s", "a"): (((0, F(2, 3), "s"), (1, F(1, 2), "s")),)}),
     ],
-    UMLTSStructure: [
-        (("a",), ("s", "s"), {}),
-        (("a", "a"), ("s",), {}),
-        (("a",), ("s",), {("t", "a"): ("s",)}),
-        (("a",), ("s",), {("s", "b"): ("s",)}),
-        (("a",), ("s",), {("s", "a"): ()}),
-        (("a",), ("s",), {("s", "a"): ("s", "s")}),
-        (("a",), ("s",), {("s", "a"): ("zz",)}),
-    ],
 }
 
 
@@ -225,7 +210,7 @@ def seeded(seed, per_class=12):
 
 
 def test_every_value_class_has_a_twin():
-    assert len(FIELDS) == 22
+    assert len(FIELDS) == 21
     for cls in FIELDS:
         assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
 
