@@ -50,6 +50,7 @@ from .jsonio import (
     parse_nlmp,
     parse_tree,
     read_json_file,
+    read_multitree,
     tree_to_json,
 )
 from .lts import PointedLTS, eval_formula, greatest_bisim, state_rank
@@ -202,8 +203,8 @@ def _cmd_expand(args: SimpleNamespace) -> int:
 
 
 def _cmd_iso(args: SimpleNamespace) -> int:
-    left = parse_multitree(read_json_file(args.left))
-    right = parse_multitree(read_json_file(args.right))
+    left = read_multitree(args.left)
+    right = read_multitree(args.right)
     good = iso(left, right)
     report = {"verb": "iso", "isomorphic": good}
     if args.witness:

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 from .foundations import format_rational
 from .lts import PointedLTS
 from .nlmp import PointmassNLMP
-from .trees import ExplicitTree, MultiTree, SymbolicTree, truncation_levels
+from .trees import ExplicitTree, MultiTree, SymbolicTree, node_name, truncation_levels
 
 __all__ = [
     "explicit_tree_dot",
@@ -38,10 +38,6 @@ def lts_dot(lts: PointedLTS) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _path_name(node: tuple) -> str:
-    return ".".join(["e", *map(str, node)])
-
-
 def _tree_lines(nodes: Iterable[tuple], again: Iterable[tuple]) -> Iterator[str]:
     """A tree's DOT text line by line: node lines, then edge lines.
 
@@ -50,11 +46,11 @@ def _tree_lines(nodes: Iterable[tuple], again: Iterable[tuple]) -> Iterator[str]
     """
     yield "digraph tree {\n"
     for node in nodes:
-        yield f"  {_quote(_path_name(node))};\n"
+        yield f"  {_quote(node_name(node))};\n"
     for node in again:
         if node:
-            parent = _quote(_path_name(node[:-1]))
-            yield f"  {parent} -> {_quote(_path_name(node))};\n"
+            parent = _quote(node_name(node[:-1]))
+            yield f"  {parent} -> {_quote(node_name(node))};\n"
     yield "}\n"
 
 

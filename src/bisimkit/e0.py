@@ -118,14 +118,16 @@ def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
     trees and through the reachable diamond profiles on glued
     modification trees; diamonds directly over the symbolic atoms get
     dedicated rules. Deeper nesting of those atoms raises
-    UnsupportedFormula, checked before the walk so that the short
-    circuits cannot hide it. The walk keeps its own stack, so formula
-    depth is not bounded by the recursion limit.
+    UnsupportedFormula, and a diamond body too wide for a glued
+    modification tree raises ValueError; both are checked before the
+    walk, so that the short circuits cannot hide them. The walk keeps its
+    own stack, so formula depth is not bounded by the recursion limit.
     """
     depths = modal_depths(phi)
     for dia in _top_diamonds(phi):
         if not isinstance(dia.sub, (CharSet, RankAtLeast)):
             modal_depth(dia.sub, depths)  # raises when the body nests an atom
+    _check_profile_budget(tree, phi)
     top = max((d for d in depths.values() if not isinstance(d, str)), default=0)
     masks = _chain_masks(phi, depths, top)
 
@@ -265,11 +267,6 @@ def _some_modification(x: EPSet, body: Formula, masks: dict, top: int) -> bool:
     windows.
     """
     diamonds = _top_diamonds(body)
-    if len(diamonds) > PROFILE_BUDGET:
-        raise ValueError(
-            f"a diamond body on a glued modification tree has {len(diamonds)} "
-            f"distinct top-level diamonds, over the budget of {PROFILE_BUDGET}"
-        )
     lifted = [masks[id(dia.sub)] for dia in diamonds]
 
     def profile(k: int) -> int:
@@ -288,6 +285,41 @@ def _some_modification(x: EPSet, body: Formula, masks: dict, top: int) -> bool:
         return node.label == SUC_LABEL and bool(c >> index[id(node)] & 1)
 
     return any(_walk(c, body, leaf) for c in reach)
+
+
+def _check_profile_budget(tree: SymbolicTree, phi: Formula) -> None:
+    """Raise where the walk would hand `_some_modification` too wide a body.
+
+    That is the body of a <suc> diamond over anything but an atom, met at
+    a glued modification tree. This walk takes every boolean branch,
+    left to right, and follows <suc> bodies into glued parts as the walk
+    does, so what the short circuits skip is checked as well.
+    """
+    seen: set[tuple[int, int]] = set()
+    stack = [(tree, phi)]
+    while stack:
+        place, node = stack.pop()
+        if (id(place), id(node)) in seen:
+            continue
+        seen.add((id(place), id(node)))
+        if isinstance(node, (And, Or)):
+            stack.extend((place, sub) for sub in reversed(node.subs))
+        elif isinstance(node, Neg):
+            stack.append((place, node.sub))
+        elif (
+            isinstance(node, Dia)
+            and node.label == SUC_LABEL
+            and not isinstance(node.sub, (CharSet, RankAtLeast))
+        ):
+            if isinstance(place, BTree):
+                width = len(_top_diamonds(node.sub))
+                if width > PROFILE_BUDGET:
+                    raise ValueError(
+                        f"a diamond body on a glued modification tree has {width} "
+                        f"distinct top-level diamonds, over the budget of {PROFILE_BUDGET}"
+                    )
+            elif isinstance(place, Glue):
+                stack.extend((part, node.sub) for part in reversed(place.parts))
 
 
 def _top_diamonds(body: Formula) -> list[Dia]:

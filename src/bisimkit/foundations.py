@@ -138,9 +138,6 @@ class Ordinal:
                 return c
         return 0
 
-    def succ(self) -> Ordinal:
-        return self + 1
-
     def to_json(self) -> list[list[int]]:
         return [[e, c] for e, c in self.terms]
 

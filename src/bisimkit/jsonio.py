@@ -6,8 +6,17 @@ field; deeper invariants stay with the value constructors, whose errors
 already carry the culprit. Serializers emit deterministic structures:
 declared orders are kept and everything unordered is sorted.
 
-Multiplicity trees are parsed into a shared DAG: `parse_multitree` walks
-the document with its own stack and builds one node per distinct subtree.
+Multiplicity trees are built as a shared DAG, one node per distinct
+subtree, by two readers. `read_multitree` builds each node from a file
+while the JSON decoder closes its object, so memory follows the distinct
+subtrees rather than the unfolded document; it checks only enough to
+build a node. `parse_multitree` walks an already decoded document with
+its own stack and checks every field in preorder, so its first error is
+the one a recursive descent would meet. Both stay: the first is `iso`'s
+fast path and hands any file it stops on to the second, so every error
+is the second's; and `export-dot` needs the second, since it decodes a
+file before it knows whether it holds a multiplicity tree.
+
 A multiplicity tree's JSON text can also be streamed:
 `multitree_json_chunks` lays each node out with `trees.object_pieces`
 and builds its table with `trees.PieceText.build`, the same builder as
@@ -51,16 +60,26 @@ __all__ = [
     "parse_nlmp",
     "parse_tree",
     "read_json_file",
+    "read_multitree",
     "tree_to_json",
 ]
 
 
 def read_json_file(path: str) -> object:
+    return _decoded(path, _read_text(path))
+
+
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+
+
+def _decoded(path: str, text: str) -> object:
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
@@ -303,6 +322,44 @@ def _count(raw: object, counts: dict[int | str, Count]) -> Count:
     if count is None:
         count = counts[raw] = Count.from_json(raw)
     return count
+
+
+def read_multitree(path: str) -> MultiTree:
+    """A multiplicity tree file, built into a shared DAG while it is decoded.
+
+    The decoder hands each JSON object to a hook as it closes, and the
+    hook turns it into its node at once, consed like `parse_multitree`'s,
+    so no document tree is held. Whatever stops that read (a shape error,
+    a bad count, invalid JSON, too deep a nesting, a non-object root)
+    hands the same text to ``parse_multitree`` of the decoded document,
+    whose value or first error in preorder is the file's.
+    """
+    text = _read_text(path)
+    consed: dict[tuple, MultiTree] = {(): LEAF}
+    counts: dict[int | str, Count] = {}
+
+    def node(pairs: list[tuple[str, object]]) -> MultiTree:
+        entries, keys = [], []
+        for label, children in dict(pairs).items():  # json's rule for repeated keys
+            if type(children) is not list:
+                raise ValueError
+            for sub, raw in children:  # MultiTree rejects a sub that is no node
+                count = _count(raw, counts)
+                entries.append((label, sub, count))
+                keys.append((label, id(sub), count))
+        key = tuple(keys)
+        tree = consed.get(key)
+        if tree is None:
+            tree = consed[key] = MultiTree(tuple(entries))
+        return tree
+
+    try:
+        tree = json.loads(text, object_pairs_hook=node)
+    except (ValueError, TypeError, RecursionError):  # reported by the checked path
+        tree = None
+    if type(tree) is MultiTree:
+        return tree
+    return parse_multitree(_decoded(path, text))
 
 
 def multitree_to_json(tree: MultiTree) -> dict:

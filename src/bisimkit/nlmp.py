@@ -78,9 +78,6 @@ class SubProbMeasure:
     def is_zero(self) -> bool:
         return not self.weights
 
-    def total(self) -> Fraction:
-        return sum((m for _, m in self.weights), Fraction(0))
-
     def mass(self, states: Iterable[StateId]) -> Fraction:
         pool = set(states)
         return sum((m for s, m in self.weights if s in pool), Fraction(0))

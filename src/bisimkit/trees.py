@@ -38,6 +38,11 @@ SUC_LABEL = "suc"
 Node = tuple  # of hashable letters
 
 
+def node_name(node: Node) -> str:
+    """The node's path written from the root: "e", "e.1", "e.1.2", ..."""
+    return ".".join(["e", *map(str, node)])
+
+
 @frozen
 class ExplicitTree:
     """Finite prefix-closed set of nodes; nonempty trees contain the root."""

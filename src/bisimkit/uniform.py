@@ -17,7 +17,7 @@ from .foundations import Ordinal, frozen
 from .lts import OmegaLTSCode, PointedLTS, Rel, StateId, state_rank
 from .nlmp import PointmassNLMP, SubProbMeasure, _total, greatest_ext_bisim
 from .substructures import substructure
-from .trees import SUC_LABEL, ExplicitTree
+from .trees import SUC_LABEL, ExplicitTree, node_name
 from .expansion import omega_code_expand
 from .treeiso import iso
 
@@ -219,10 +219,6 @@ def uniform_bisim_search(
     return (s, s_prime) in witness, witness
 
 
-def _node_name(node: tuple) -> StateId:
-    return "e" if not node else "e." + ".".join(str(part) for part in node)
-
-
 def tree_process(tree: ExplicitTree) -> PointedLTS:
     """Single-label process whose states are the tree's nodes.
 
@@ -233,7 +229,7 @@ def tree_process(tree: ExplicitTree) -> PointedLTS:
     if tree.is_empty:
         raise ValueError("cannot root a process on the empty tree")
     nodes = sorted(tree.nodes, key=lambda node: (len(node), node))
-    names = {node: _node_name(node) for node in nodes}
+    names = {node: node_name(node) for node in nodes}
     edges = frozenset(
         (names[node[:-1]], SUC_LABEL, names[node]) for node in nodes if node
     )

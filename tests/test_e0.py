@@ -576,6 +576,27 @@ class TestDeepFormulas:
         assert f"{PROFILE_BUDGET + 1} distinct top-level diamonds" in err
         assert f"budget of {PROFILE_BUDGET}" in err
 
+    def test_too_many_diamonds_exit_two_whatever_the_order(self, tmp_path, capsys):
+        # A short circuit before the wide diamond must not hide it.
+        diamonds = [
+            {"op": "dia", "label": "suc", "sub": {"op": "top"}}
+            for _ in range(PROFILE_BUDGET + 1)
+        ]
+        wide = {"op": "dia", "label": "suc", "sub": {"op": "and", "subs": diamonds}}
+        false = {"op": "neg", "sub": {"op": "top"}}
+        gadget = gadget_file(tmp_path, "gadget", EPSet("", "10"))
+        for subs in ([false, wide], [wide, false]):
+            formula = tmp_path / "phi.json"
+            formula.write_text(json.dumps({"op": "and", "subs": subs}))
+            code = main(["eval", str(formula), gadget])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: a diamond body on a glued modification tree has "
+                f"{PROFILE_BUDGET + 1} distinct top-level diamonds, "
+                f"over the budget of {PROFILE_BUDGET}\n"
+            )
+
 
 class TestReduction:
     def test_every_sixth_modification_is_equivalent(self):

@@ -58,7 +58,7 @@ def test_ordinal_addition_cases():
     assert Ordinal.from_int(2) + ORD_OMEGA == ORD_OMEGA
     assert (ORD_OMEGA + 1) + 1 == ORD_OMEGA + 2
     assert ORD_ZERO + 0 == ORD_ZERO
-    assert Ordinal.from_int(3).succ() == Ordinal.from_int(4)
+    assert Ordinal.from_int(3) + 1 == Ordinal.from_int(4)
 
 
 def test_ordinal_json_round_trip():

@@ -28,6 +28,7 @@ from bisimkit.jsonio import (
     parse_nlmp,
     parse_tree,
     read_json_file,
+    read_multitree,
     tree_to_json,
 )
 from bisimkit.lts import And, CharSet, Dia, Neg, PointedLTS, RankAtLeast, TOP
@@ -571,3 +572,116 @@ class TestSharedMultiTreeParsing:
         document["a"].append([{"b": [[document, 1]]}, 1])
         with pytest.raises(ValueError, match="contains itself"):
             parse_multitree(document)
+
+
+def read_parsed(path: str) -> MultiTree:
+    return parse_multitree(read_json_file(path))
+
+
+def text_with_repeats(value, rng: random.Random) -> str:
+    """JSON text of value in which objects may repeat one of their labels."""
+    if isinstance(value, dict):
+        pairs = list(value.items())
+        if pairs and rng.random() < 0.5:
+            label = rng.choice(pairs)[0]
+            other = rng.choice([[], [[{}, 1]], [[{}, 0]], 5, {}, [[{"b": []}, "omega"]]])
+            pairs.insert(rng.randint(0, len(pairs)), (label, other))
+        return "{" + ", ".join(
+            f"{json.dumps(label)}: {text_with_repeats(sub, rng)}" for label, sub in pairs
+        ) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(text_with_repeats(sub, rng) for sub in value) + "]"
+    return json.dumps(value)
+
+
+class TestReadMultiTreeFromFiles:
+    """read_multitree against parse_multitree of the decoded file."""
+
+    @staticmethod
+    def assert_alike(tmp_path, text: str | bytes) -> tuple:
+        path = tmp_path / "tree.json"
+        if isinstance(text, str):
+            text = text.encode("utf-8")
+        path.write_bytes(text)
+        got = parse_outcome(read_multitree, str(path))
+        assert got == parse_outcome(read_parsed, str(path)), text[:200]
+        return got
+
+    def test_valid_documents(self, tmp_path):
+        rng = random.Random(83)
+        for _ in range(200):
+            shared = multitree_to_json(random_multitree(rng, 5, ("a", "b", "c"), 3))
+            for document in (shared, shuffled_split_json(shared, rng)):
+                assert self.assert_alike(tmp_path, json.dumps(document))[0] == "tree"
+        for text in ("{}", '{"a": []}', '{"a": [[{}, 1]], "b": [[{"a": [[{}, "omega"]]}, 2]]}'):
+            assert self.assert_alike(tmp_path, text)[0] == "tree"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_malformed_documents(self, tmp_path_factory, data):
+        document = malformed(data, "parse_multitree")
+        self.assert_alike(tmp_path_factory.mktemp("m"), json.dumps(document))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_syntax_error_after_a_shape_error(self, tmp_path_factory, data):
+        # The shape error comes first in the text, the syntax error later;
+        # the decoder meets the shape error only if it reads on.
+        document = data.draw(st.sampled_from([
+            {"a": 5, "b": [[{}, 1]]},
+            {"a": [[{}, 0]], "b": [[{}, 1], [{}, 2]]},
+            {"a": [[{"c": [[{}, "x"]]}, 1]], "b": [[{}, 1]]},
+            {"a": [[{}]], "b": [[{"c": []}, 1]]},
+            malformed(data, "parse_multitree"),
+        ]))
+        text = json.dumps(document)
+        at = data.draw(st.integers(len(text) // 2, len(text)))
+        junk = data.draw(st.sampled_from(["", "]", "}", ",", "{", "x", '"', "[[{}, 1]]"]))
+        cut = data.draw(st.integers(0, 2))
+        self.assert_alike(tmp_path_factory.mktemp("s"), text[:at] + junk + text[at + cut:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32))
+    def test_repeated_labels(self, tmp_path_factory, data, seed):
+        text = text_with_repeats(malformed(data, "parse_multitree"), random.Random(seed))
+        self.assert_alike(tmp_path_factory.mktemp("r"), text)
+
+    def test_repeated_labels_keep_the_last_value_at_the_first_place(self, tmp_path):
+        cases = {
+            '{"a": 5, "b": [[{}, 2]], "a": [[{}, 1]]}': True,
+            '{"a": [[{}, 1]], "a": [[{}, 0]]}': False,
+            '{"a": [[{"c": 1, "c": [[{}, 3]]}, 1]], "b": []}': True,
+            '{"a": [[{}, 1]], "a": "x"}': False,
+        }
+        for text, valid in cases.items():
+            outcome = self.assert_alike(tmp_path, text)
+            assert (outcome[0] == "tree") == valid, text
+        path = tmp_path / "order.json"
+        path.write_text('{"b": [[{}, 1]], "a": [[{}, 2]], "b": [[{}, 3]]}')
+        assert [(label, count) for label, _, count in read_multitree(str(path)).children] == [
+            ("b", Count(3)),
+            ("a", Count(2)),
+        ]
+
+    def test_deep_documents(self, tmp_path):
+        for depth, outcome in ((100, "tree"), (3000, "error")):
+            text = '{"a": [[' * depth + "{}" + ', "omega"]]}' * depth
+            assert self.assert_alike(tmp_path, text)[0] == outcome
+        assert self.assert_alike(tmp_path, text)[1].endswith("nests too deeply to decode")
+
+    def test_other_failures(self, tmp_path):
+        for text in (
+            "", "[]", "1", '"x"', "null", '{"a": [[{}, 1]]} x', b"{\xff}",
+            '{"a": [[{}, 1e999]]}', '{"a": ""}', '{"a": [[{}, 1]], "b": ""}',
+            '{"a": [[[], 1]]}', '{"a": [["ab", 1]]}', '{"a": ["ab"]}', '{"a": [[{}, {}]]}',
+        ):
+            assert self.assert_alike(tmp_path, text)[0] == "error"
+        missing = str(tmp_path / "missing.json")
+        assert parse_outcome(read_multitree, missing) == parse_outcome(read_parsed, missing)
+
+    def test_shared_subtrees_are_built_once(self, tmp_path):
+        path = tmp_path / "dag.json"
+        path.write_text(str(multitree_json_chunks(doubling_dag(16))))
+        tree = read_multitree(str(path))
+        assert len(postorder(tree)) == 17
+        assert tree == parse_multitree(multitree_to_json(doubling_dag(16)))

@@ -12,8 +12,8 @@ import random
 from bisimkit.foundations import ORD_ZERO, Ordinal, ordinal_sup
 from bisimkit.gen import random_explicit_tree, random_lts, random_wf_lts
 from bisimkit.lts import PointedLTS, state_rank
-from bisimkit.trees import SUC_LABEL, ExplicitTree
-from bisimkit.uniform import _node_name, tree_process
+from bisimkit.trees import SUC_LABEL, ExplicitTree, node_name
+from bisimkit.uniform import tree_process
 
 
 # --- oracles: the recursive and ordinal-folding ranks --------------------
@@ -78,7 +78,7 @@ def oracle_state_rank(lts: PointedLTS, state: str) -> Ordinal | None:
 def oracle_tree_edges(tree: ExplicitTree) -> frozenset:
     """Edges from every node to each of its immediate extensions."""
     return frozenset(
-        (_node_name(node), SUC_LABEL, _node_name(ext))
+        (node_name(node), SUC_LABEL, node_name(ext))
         for node in tree.nodes
         for ext in immediate_extensions(tree, node)
     )

@@ -294,6 +294,24 @@ def test_expand_peak_memory_does_not_follow_the_output(tmp_path):
     assert (big_rss - small_rss) / 1024 < 8
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_iso_peak_memory_follows_the_distinct_subtrees(tmp_path):
+    # The 14-rung tree's text is 0.57 MB with 28 distinct subtrees;
+    # decoding it whole before sharing took ~11 MiB more than the small pair.
+    lts = parse_lts(ladder_lts(14))
+    big = tmp_path / "big.json"
+    big.write_text(str(multitree_json_chunks(omega_expand(lts, lts.root))))
+    small = write(tmp_path, "small.json", {"a": [[{}, 1]]})
+    big_out, small_out = tmp_path / "big.out", tmp_path / "small.out"
+    (big_exit, big_rss), (small_exit, small_rss) = peak_rss(
+        (["iso", str(big), str(big)], big_out), (["iso", small, small], small_out)
+    )
+    assert (big_exit, small_exit) == (0, 0)
+    assert big.stat().st_size > 500_000
+    assert big_out.read_text() == '{"isomorphic": true, "verb": "iso"}\n'
+    assert (big_rss - small_rss) / 1024 < 4
+
+
 # --- e0 reduce ------------------------------------------------------------------
 
 DENSE = {"prefix": "10110", "period": "01"}

@@ -25,11 +25,10 @@ from bisimkit.nlmp import (
     lift_support,
 )
 from bisimkit.substructures import carrier_levels, reachable_carrier, support_successors
-from bisimkit.trees import ExplicitTree
+from bisimkit.trees import ExplicitTree, node_name
 from bisimkit.treeiso import canon
 from bisimkit.uniform import (
     UniformStructure,
-    _node_name,
     _row,
     composition_enum,
     derive_uniform,
@@ -61,7 +60,7 @@ def nlmp_to_mlts(nlmp: PointmassNLMP, root: str) -> PointedLTS:
     edges = set()
     for (s, a), measures in nlmp.trans.items():
         for mu in measures:
-            if len(mu.weights) != 1 or mu.total() != 1:
+            if len(mu.weights) != 1 or sum(m for _, m in mu.weights) != 1:
                 raise ValueError(f"measure at ({s!r},{a!r}) is not a point mass")
             ((target, _),) = mu.weights
             edges.add((s, a, target))
@@ -757,7 +756,7 @@ class TestTreeProcess:
             tree = random_explicit_tree(rng, rng.randint(1, 10))
             lts = tree_process(tree)
             for node in tree.nodes:
-                assert state_rank(lts, _node_name(node)) == tree.node_rank(node)
+                assert state_rank(lts, node_name(node)) == tree.node_rank(node)
 
 
 class TestEncoding:

@@ -33,11 +33,11 @@ class TestGenerators:
         saw_zero = saw_full = False
         for _ in range(200):
             mu = random_measure(rng, states)
-            assert 0 <= mu.total() <= 1
+            assert 0 <= sum(m for _, m in mu.weights) <= 1
             assert len(mu.support) <= 3
             assert all(mass > 0 for _, mass in mu.weights)
             saw_zero |= mu.is_zero
-            saw_full |= mu.total() == 1
+            saw_full |= sum(m for _, m in mu.weights) == 1
         assert saw_zero and saw_full
 
     def test_nlmp_bundles_are_bounded(self):
