@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 from .dot import (
     explicit_tree_dot,
     lts_dot,
-    multitree_dot,
+    multitree_dot_lines,
     nlmp_dot,
     symbolic_tree_lines,
 )
@@ -356,7 +356,7 @@ def _cmd_export_dot(args: SimpleNamespace) -> int:
     elif kind == "nlmp":
         pieces = (nlmp_dot(parse_nlmp(data)),)
     elif kind == "multitree":
-        pieces = (multitree_dot(parse_multitree(data)),)
+        pieces = multitree_dot_lines(parse_multitree(data))
     else:
         tree = parse_tree(data)
         if isinstance(tree, ExplicitTree):

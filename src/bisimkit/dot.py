@@ -16,7 +16,7 @@ from .trees import ExplicitTree, MultiTree, SymbolicTree, node_name, truncation_
 __all__ = [
     "explicit_tree_dot",
     "lts_dot",
-    "multitree_dot",
+    "multitree_dot_lines",
     "nlmp_dot",
     "symbolic_tree_lines",
 ]
@@ -69,14 +69,15 @@ def symbolic_tree_lines(tree: SymbolicTree, depth: int, width: int) -> Iterator[
     )
 
 
-def multitree_dot(tree: MultiTree) -> str:
+def multitree_dot_lines(tree: MultiTree) -> Iterator[str]:
     """One DOT node per node of the unfolding, named n0, n1, ... in preorder.
 
-    Each edge line follows the lines of its child's whole subtree. The walk
-    keeps its own stack of (name, remaining children, edge line to add
-    when done) instead of recursing.
+    Yields the text line by line. Each edge line follows the lines of its
+    child's whole subtree. The walk keeps its own stack of (name,
+    remaining children, edge line to add when done) instead of recursing.
     """
-    lines = ["digraph multitree {", f"  {_quote('n0')};"]
+    yield "digraph multitree {\n"
+    yield f"  {_quote('n0')};\n"
     counter = 1
     stack = [("n0", iter(tree.children), None)]
     while stack:
@@ -84,22 +85,21 @@ def multitree_dot(tree: MultiTree) -> str:
         for label, child, count in children:
             child_name = f"n{counter}"
             counter += 1
-            lines.append(f"  {_quote(child_name)};")
+            yield f"  {_quote(child_name)};\n"
             stack.append(
                 (
                     child_name,
                     iter(child.children),
                     f"  {_quote(name)} -> {_quote(child_name)}"
-                    f" [label={_quote(f'{label}*{count}')}];",
+                    f" [label={_quote(f'{label}*{count}')}];\n",
                 )
             )
             break
         else:
             stack.pop()
             if edge is not None:
-                lines.append(edge)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                yield edge
+    yield "}\n"
 
 
 def nlmp_dot(nlmp: PointmassNLMP) -> str:

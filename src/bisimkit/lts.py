@@ -1,13 +1,15 @@
 """Finite pointed labelled transition systems.
 
 Zig/zag bisimulation and its depth-bounded approximants by partition
-refinement (the kernel ``nlmp`` shares), modal formula evaluation,
-ordinal state ranks, and numeric codes of finitely supported systems.
+refinement into {state: block} maps (the kernel ``nlmp`` shares), modal
+formula evaluation, ordinal state ranks, and numeric codes of finitely
+supported systems.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .foundations import EPSet, Ordinal, frozen
@@ -263,75 +265,90 @@ def is_bisimulation(left: PointedLTS, right: PointedLTS, rel: Iterable) -> bool:
 
 def refine_blocks(
     systems: Sequence, labels: Sequence[str], moves: Callable, rounds: int | None = None
-) -> list[list[tuple[int, StateId]]]:
+) -> list[dict[StateId, int]]:
     """Signature refinement of the disjoint union of ``systems``.
 
-    ``moves(system, state, label)`` lists a state's moves as sequences of
-    (target, mass) pairs. From one block, each round splits blocks by
-    signature: the block and, per label, the set of the moves' block-mass
-    vectors. Stops at the coarsest stable partition, within one round per
-    state, or after ``rounds`` rounds; returns its blocks as lists of
-    (system index, state).
+    ``moves(system, state, label)`` lists a state's moves, each a sequence
+    of (target, numerator, denominator) triples. From one block, each round
+    splits blocks by signature: the block and, per label, the
+    `mass_codes` of the moves. Stops at the coarsest stable partition,
+    within one round per state, or after ``rounds`` rounds; returns one
+    {state: block} map per system, blocks numbered across the union in
+    order of first appearance.
     """
-    nodes = [(i, s) for i, system in enumerate(systems) for s in system.states]
-    table = [[moves(systems[i], s, a) for a in labels] for i, s in nodes]
-    block, n_blocks = dict.fromkeys(nodes, 0), 1
-    for _ in range(len(nodes) if rounds is None else rounds):
+    tables = [
+        [(s, [moves(system, s, a) for a in labels]) for s in system.states]
+        for system in systems
+    ]
+    parts, n_blocks = [dict.fromkeys(system.states, 0) for system in systems], 1
+    for _ in range(sum(map(len, parts)) if rounds is None else rounds):
         ids: dict = {}
-        new = {
-            node: ids.setdefault((block[node], _vectors(node[0], row, block)), len(ids))
-            for node, row in zip(nodes, table)
-        }
+        new = [
+            {
+                s: ids.setdefault(
+                    (part[s], tuple([mass_codes(ms, part) for ms in row])), len(ids)
+                )
+                for s, row in table
+            }
+            for part, table in zip(parts, tables)
+        ]
         if len(ids) == n_blocks:
             break
-        block, n_blocks = new, len(ids)
-    groups: dict[int, list] = {}
-    for node, b in block.items():
-        groups.setdefault(b, []).append(node)
-    return list(groups.values())
+        parts, n_blocks = new, len(ids)
+    return parts
 
 
-def _vectors(i: int, row: list, block: dict) -> tuple:
-    """Per label, the block-mass vectors of a system-``i`` state's moves."""
-    signature = []
-    for label_moves in row:
-        vectors = set()
-        for move in label_moves:
-            vector: dict = {}
-            for t, mass in move:
-                vector[block[i, t]] = vector.get(block[i, t], 0) + mass
-            vectors.add(frozenset(vector.items()))
-        signature.append(frozenset(vectors))
-    return tuple(signature)
+def mass_codes(measures: Iterable, part: Mapping[StateId, int]) -> frozenset:
+    """The codes of measures given as (state, numerator, denominator) triples.
+
+    A code is the set of (part number, (num, den)) pairs, each mass summed
+    over the part and kept reduced. Masses are positive and arrive reduced,
+    so two measures agree on every part exactly when their codes are equal.
+    """
+    codes = []
+    for triples in measures:
+        sums: dict = {}
+        for s, n, d in triples:
+            p = part[s]
+            if p in sums:
+                n0, d0 = sums[p]
+                n, d = n0 * d + n * d0, d0 * d
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            sums[p] = n, d
+        codes.append(frozenset(sums.items()))
+    return frozenset(codes)
 
 
-def crossing_pairs(blocks: list) -> Rel:
-    """Pairs (s, t) of a first- and a second-system state sharing a block."""
-    pairs: set = set()
-    for block in blocks:
-        right = [t for i, t in block if i == 1]
-        pairs.update((s, t) for i, s in block if i == 0 for t in right)
-    return frozenset(pairs)
+def same_part_pairs(left_part: Mapping, right_part: Mapping) -> Rel:
+    """Pairs (s, t) of a left and a right state with the same part number."""
+    by_part: dict[int, list] = {}
+    for t, p in right_part.items():
+        by_part.setdefault(p, []).append(t)
+    return frozenset((s, t) for s, p in left_part.items() for t in by_part.get(p, ()))
 
 
 def _edge_moves(lts: PointedLTS, state: StateId, label: str) -> list:
-    return [((t, 1),) for t in lts.successors(state, label)]
+    return [((t, 1, 1),) for t in lts.successors(state, label)]
 
 
 def greatest_bisim(left: PointedLTS, right: PointedLTS) -> Rel:
     """Largest zig/zag relation: the crossing pairs of the refined union."""
     labels = _label_universe(left, right)
-    return crossing_pairs(refine_blocks((left, right), labels, _edge_moves))
+    return same_part_pairs(*refine_blocks((left, right), labels, _edge_moves))
 
 
 def bisimilar(left: PointedLTS, right: PointedLTS) -> bool:
-    return (left.root, right.root) in greatest_bisim(left, right)
+    """Do the roots share a block of the refined union?"""
+    labels = _label_universe(left, right)
+    left_part, right_part = refine_blocks((left, right), labels, _edge_moves)
+    return left_part[left.root] == right_part[right.root]
 
 
 def bounded_bisim(left: PointedLTS, right: PointedLTS, depth: int) -> Rel:
     """Depth-d approximant: the crossing pairs after d refinement rounds."""
     labels = _label_universe(left, right)
-    return crossing_pairs(refine_blocks((left, right), labels, _edge_moves, depth))
+    return same_part_pairs(*refine_blocks((left, right), labels, _edge_moves, depth))
 
 
 def eval_formula(lts: PointedLTS, state: StateId, phi: Formula) -> bool:

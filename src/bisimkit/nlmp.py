@@ -8,13 +8,12 @@ each by the partition refinement of ``lts``.
 
 State bisimulations lift internally and external ones externally: both
 ask whether two measures agree on every component of the relation's
-graph, numbered by a union-find (``_part_numbers``). A measure's code is
-the set of its (part, mass) pairs, each mass summed over the part and
-kept as a reduced integer (numerator, denominator); every mass is
-positive, so measures agree exactly when their codes are equal, and a
-code is no larger than the measure's support. The bisimulations compare
-code sets made once per relation, from integer masses each process
-caches.
+graph. A union-find (``_part_numbers``) numbers the components into
+{state: part} maps, the shape the refinement returns, and measures agree
+exactly when their ``lts.mass_codes`` over those maps are equal. The
+checkers, the liftings and the refinement compare these codes, made from
+the integer masses each process caches, and ``lts.same_part_pairs``
+turns part maps back into relations.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .foundations import frozen
-from .lts import Rel, StateId, crossing_pairs, refine_blocks
+from .lts import Rel, StateId, mass_codes, refine_blocks, same_part_pairs
 
 
 def _total(masses: Iterable[Fraction]) -> tuple[int, int]:
@@ -197,20 +196,6 @@ def external_atoms(
     return tuple(zip(_grouped(left, count), _grouped(right, count)))
 
 
-def _code(triples: list, part: dict) -> frozenset:
-    """A measure's masses summed per part, as (part number, (num, den)) pairs."""
-    sums: dict = {}
-    for s, n, d in triples:
-        p = part[s]
-        if p in sums:
-            n0, d0 = sums[p]
-            n, d = n0 * d + n * d0, d0 * d
-            g = gcd(n, d)
-            n, d = n // g, d // g
-        sums[p] = n, d
-    return frozenset(sums.items())
-
-
 def lift_external(
     mu: SubProbMeasure,
     nu: SubProbMeasure,
@@ -228,7 +213,8 @@ def lift_external(
     if mu.support - set(left) or nu.support - set(right):
         raise ValueError("measure support leaves the universe")
     left_part, right_part, _ = _part_numbers(rel, left, right)
-    return _code(_triples(mu), left_part) == _code(_triples(nu), right_part)
+    left_code = mass_codes([_triples(mu)], left_part)
+    return left_code == mass_codes([_triples(nu)], right_part)
 
 
 def is_z_closed(rel: Rel) -> bool:
@@ -283,9 +269,8 @@ class _Codes(dict):
     def __init__(self, nlmp: PointmassNLMP, part: dict) -> None:
         self.table, self.part = nlmp._masses, part
 
-    def __missing__(self, key: tuple) -> set:
-        part = self.part
-        found = self[key] = {_code(mu, part) for mu in self.table.get(key, ())}
+    def __missing__(self, key: tuple) -> frozenset:
+        found = self[key] = mass_codes(self.table.get(key, ()), self.part)
         return found
 
 
@@ -299,13 +284,13 @@ def is_state_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
 
 
 def _measure_moves(nlmp: PointmassNLMP, state: StateId, label: str) -> list:
-    return [mu.weights for mu in nlmp.measures(state, label)]
+    return nlmp._masses.get((state, label), ())
 
 
 def greatest_state_bisim(nlmp: PointmassNLMP) -> Rel:
     """Largest internally matching relation: the pairs inside refined blocks."""
-    blocks = refine_blocks((nlmp,), nlmp.labels, _measure_moves)
-    return frozenset((s, t) for block in blocks for _, s in block for _, t in block)
+    (part,) = refine_blocks((nlmp,), nlmp.labels, _measure_moves)
+    return same_part_pairs(part, part)
 
 
 def is_ext_state_bisim(left: PointmassNLMP, right: PointmassNLMP, rel: Rel) -> bool:
@@ -324,4 +309,4 @@ def greatest_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> Rel:
     Being difunctional, it is the crossing pairs of the refined union.
     """
     labels = tuple(dict.fromkeys(left.labels + right.labels))
-    return crossing_pairs(refine_blocks((left, right), labels, _measure_moves))
+    return same_part_pairs(*refine_blocks((left, right), labels, _measure_moves))

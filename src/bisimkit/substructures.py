@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .lts import Rel, StateId, identity_rel
-from .nlmp import (
-    PointmassNLMP,
-    SubProbMeasure,
-    closed_atoms,
-    external_atoms,
-)
+from .lts import Rel, StateId, identity_rel, same_part_pairs
+from .nlmp import PointmassNLMP, SubProbMeasure, _part_numbers
 
 
 def is_thick(mu: SubProbMeasure, carrier: Iterable[StateId]) -> bool:
@@ -98,10 +93,8 @@ def internal_closure(rel: Rel, states: Iterable[StateId]) -> Rel:
     These are exactly the pairs inside a single atom, so the closure is
     the union of the atom squares and is always an equivalence.
     """
-    pairs: set = set()
-    for atom in closed_atoms(rel, states):
-        pairs |= {(x, y) for x in atom for y in atom}
-    return frozenset(pairs)
+    part, _, _ = _part_numbers(rel, states)
+    return same_part_pairs(part, part)
 
 
 def pair_closure(
@@ -113,11 +106,8 @@ def pair_closure(
     so they drop out; what remains is the union of the component
     rectangles with both sides inhabited.
     """
-    pairs: set = set()
-    for q, q_prime in external_atoms(rel, left, right):
-        if q and q_prime:
-            pairs |= {(x, y) for x in q for y in q_prime}
-    return frozenset(pairs)
+    left_part, right_part, _ = _part_numbers(rel, left, right)
+    return same_part_pairs(left_part, right_part)
 
 
 def inl_state(state: StateId) -> StateId:

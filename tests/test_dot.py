@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 from bisimkit.dot import (
     explicit_tree_dot,
     lts_dot,
-    multitree_dot,
+    multitree_dot_lines,
     nlmp_dot,
     symbolic_tree_lines,
 )
 from bisimkit.dot import _quote
+from bisimkit.expansion import omega_expand
 from bisimkit.foundations import Count, EPSet, OMEGA_COUNT
 from bisimkit.gen import random_multitree
 from bisimkit.lts import PointedLTS
@@ -69,7 +71,7 @@ def test_multitree_multiplicity_annotations():
     tree = MultiTree.from_mapping(
         {"a": [(leaf, OMEGA_COUNT)], "b": [(leaf, Count(3))]}
     )
-    text = multitree_dot(tree)
+    text = "".join(multitree_dot_lines(tree))
     assert '[label="a*omega"]' in text
     assert '[label="b*3"]' in text
     assert text.count("->") == 2
@@ -101,7 +103,9 @@ def test_multitree_matches_the_recursive_oracle():
     trees = [MultiTree(), MultiTree((("a", MultiTree(), Count(1)),))] + [
         random_multitree(rng, 4, ("a", 'q"\\', "\u00e9"), 3) for _ in range(150)
     ]
-    verdicts = [multitree_dot(tree) == recursive_multitree_dot(tree) for tree in trees]
+    verdicts = [
+        "".join(multitree_dot_lines(tree)) == recursive_multitree_dot(tree) for tree in trees
+    ]
     assert verdicts == [True] * len(verdicts)
 
 
@@ -109,10 +113,30 @@ def test_multitree_of_a_deep_chain():
     tree = MultiTree()
     for _ in range(3000):
         tree = MultiTree((("a", tree, Count(1)),))
-    lines = multitree_dot(tree).splitlines()
+    lines = "".join(multitree_dot_lines(tree)).splitlines()
     assert len(lines) == 2 + 3001 + 3000
     assert lines[3002] == '  "n2999" -> "n3000" [label="a*1"];'
     assert lines[-2] == '  "n0" -> "n1" [label="a*1"];'
+
+
+def test_multitree_lines_are_lazy():
+    # The 40-rung ladder's unfolding has 2**40 nodes, so only an emitter that
+    # yields as it walks returns its first lines.
+    rungs = 40
+    states = tuple(f"{rail}{i}" for rail in "lr" for i in range(rungs + 1))
+    edges = frozenset(
+        edge
+        for i in range(rungs)
+        for edge in (
+            (f"l{i}", "a", f"l{i + 1}"),
+            (f"l{i}", "b", f"r{i + 1}"),
+            (f"r{i}", "a", f"l{i + 1}"),
+            (f"r{i}", "a", f"r{i + 1}"),
+        )
+    )
+    tree = omega_expand(PointedLTS(("a", "b"), states, "l0", edges), "l0")
+    lines = list(islice(multitree_dot_lines(tree), 5))
+    assert lines == ["digraph multitree {\n"] + [f'  "n{i}";\n' for i in range(4)]
 
 
 def test_nlmp_measure_hubs():

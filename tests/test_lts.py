@@ -193,8 +193,11 @@ def lts_to_code(lts: PointedLTS, numbering: Mapping[str, int]) -> OmegaLTSCode:
 
 def bisim_partition(lts: PointedLTS) -> tuple[tuple[str, ...], ...]:
     """Blocks of the refined system, each sorted by state order."""
-    blocks = refine_blocks((lts,), lts.labels, _edge_moves)
-    return tuple(tuple(s for _, s in block) for block in blocks)
+    (part,) = refine_blocks((lts,), lts.labels, _edge_moves)
+    blocks: dict[int, list] = {}
+    for s, b in part.items():
+        blocks.setdefault(b, []).append(s)
+    return tuple(tuple(block) for block in blocks.values())
 
 
 class TestBoundedBisim:

@@ -389,6 +389,16 @@ class TestInternalIsExternalOnReflexiveSymmetric:
                 verdicts[verdict] += 1
         assert min(verdicts.values()) > 1000, verdicts
 
+    def test_greatest_state_bisim_is_the_greatest_ext_bisim_with_itself(self):
+        rng = random.Random(91)
+        merged = 0
+        for _ in range(200):
+            nlmp = gen.random_nlmp(rng, max_states=6)
+            rel = greatest_state_bisim(nlmp)
+            assert rel == greatest_ext_bisim(nlmp, nlmp)
+            merged += len(rel) > len(nlmp.states)
+        assert merged >= 40
+
     def test_reflexivity_is_needed(self):
         states = ("x", "y")
         rel = frozenset({("x", "y"), ("y", "x")})

@@ -5,29 +5,35 @@ so they stop at three states. The oracles here are the decreasing pairwise
 fixpoints from the total relation, written out independently of the
 refinement kernel, and they reach the 5-8 state systems below. Most
 systems are blown up from a smaller base, so that bisimilar states are
-common, and some then get one extra transition.
+common, and some then get one extra transition. The former kernel, which
+summed Fraction masses into blocks of (system, state) pairs, and the
+atom-square closures are kept as oracles for the part maps.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 from bisimkit.gen import random_lts, random_nlmp
 from bisimkit.lts import (
     PointedLTS,
     _edge_moves,
+    bisimilar,
     bounded_bisim,
     greatest_bisim,
     refine_blocks,
+    same_part_pairs,
 )
 from bisimkit.nlmp import (
     PointmassNLMP,
     SubProbMeasure,
+    _measure_moves,
     closed_atoms,
     external_atoms,
     greatest_ext_bisim,
     greatest_state_bisim,
 )
-from bisimkit.substructures import project_rel, sum_nlmp
+from bisimkit.substructures import internal_closure, pair_closure, project_rel, sum_nlmp
 
 F = Fraction
 
@@ -138,6 +144,83 @@ def fixpoint_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> frozenset:
         rel -= bad
 
 
+# --- oracles: the former kernel and closures ----------------------------
+
+
+def oracle_refine_blocks(systems, labels, moves, rounds=None) -> list:
+    """The former kernel: blocks as lists of (system index, state), split by
+    per-label sets of Fraction block-mass vectors."""
+    nodes = [(i, s) for i, system in enumerate(systems) for s in system.states]
+    table = [[moves(systems[i], s, a) for a in labels] for i, s in nodes]
+    block, n_blocks = dict.fromkeys(nodes, 0), 1
+    for _ in range(len(nodes) if rounds is None else rounds):
+        ids: dict = {}
+        new = {
+            node: ids.setdefault((block[node], oracle_vectors(node[0], row, block)), len(ids))
+            for node, row in zip(nodes, table)
+        }
+        if len(ids) == n_blocks:
+            break
+        block, n_blocks = new, len(ids)
+    groups: dict[int, list] = {}
+    for node, b in block.items():
+        groups.setdefault(b, []).append(node)
+    return list(groups.values())
+
+
+def oracle_vectors(i: int, row: list, block: dict) -> tuple:
+    signature = []
+    for label_moves in row:
+        vectors = set()
+        for move in label_moves:
+            vector: dict = {}
+            for t, mass in move:
+                vector[block[i, t]] = vector.get(block[i, t], 0) + mass
+            vectors.add(frozenset(vector.items()))
+        signature.append(frozenset(vectors))
+    return tuple(signature)
+
+
+def oracle_crossing_pairs(blocks: list) -> frozenset:
+    pairs: set = set()
+    for block in blocks:
+        right = [t for i, t in block if i == 1]
+        pairs.update((s, t) for i, s in block if i == 0 for t in right)
+    return frozenset(pairs)
+
+
+def oracle_edge_moves(lts: PointedLTS, state: str, label: str) -> list:
+    return [((t, F(1)),) for t in lts.successors(state, label)]
+
+
+def oracle_measure_moves(nlmp: PointmassNLMP, state: str, label: str) -> list:
+    return [mu.weights for mu in nlmp.measures(state, label)]
+
+
+def oracle_internal_closure(rel, states) -> frozenset:
+    pairs: set = set()
+    for atom in closed_atoms(rel, states):
+        pairs |= {(x, y) for x in atom for y in atom}
+    return frozenset(pairs)
+
+
+def oracle_pair_closure(rel, left, right) -> frozenset:
+    pairs: set = set()
+    for q, q_prime in external_atoms(rel, left, right):
+        if q and q_prime:
+            pairs |= {(x, y) for x in q for y in q_prime}
+    return frozenset(pairs)
+
+
+def union_blocks(parts: list) -> list:
+    """Part maps of a union as the former kernel's blocks, in block order."""
+    blocks: dict[int, list] = {}
+    for i, part in enumerate(parts):
+        for s, b in part.items():
+            blocks.setdefault(b, []).append((i, s))
+    return [blocks[b] for b in sorted(blocks)]
+
+
 # --- generators: 5-8 states with many bisimilar ones ---------------------
 
 
@@ -246,8 +329,8 @@ class TestLTSRefinement:
         merged = 0
         for left, right in lts_pairs(102, 80):
             for lts in (left, right):
-                refined = refine_blocks((lts,), lts.labels, _edge_moves)
-                blocks = tuple(tuple(s for _, s in block) for block in refined)
+                parts = refine_blocks((lts,), lts.labels, _edge_moves)
+                blocks = tuple(tuple(s for _, s in block) for block in union_blocks(parts))
                 assert blocks == fixpoint_partition(lts)
                 merged += len(blocks) < len(lts.states)
         assert merged >= 70
@@ -284,3 +367,85 @@ class TestNLMPRefinement:
             assert greatest_ext_bisim(left, right) == project_rel(
                 greatest_state_bisim(sum_nlmp(left, right))
             )
+
+
+class TestKernelAgainstTheFormerKernel:
+    ROUNDS = (None, 0, 1, 2, 3)
+
+    def check(self, systems, labels, moves, oracle_moves) -> int:
+        """Compare every round count; return how many splits happened."""
+        splits = 0
+        for rounds in self.ROUNDS:
+            parts = refine_blocks(systems, labels, moves, rounds)
+            blocks = oracle_refine_blocks(systems, labels, oracle_moves, rounds)
+            assert union_blocks(parts) == blocks
+            if len(systems) == 2:
+                assert same_part_pairs(*parts) == oracle_crossing_pairs(blocks)
+            splits += len(blocks) > 1
+        return splits
+
+    def test_lts_unions(self):
+        splits = 0
+        for left, right in lts_pairs(104, 60):
+            labels = _labels(left, right)
+            for systems in ((left, right), (left,), (right, left)):
+                splits += self.check(systems, labels, _edge_moves, oracle_edge_moves)
+        assert splits >= 350
+
+    def test_nlmp_unions(self):
+        splits = 0
+        for left, right in nlmp_pairs(204, 60):
+            labels = _labels(left, right)
+            for systems in ((left, right), (left,), (right, left)):
+                splits += self.check(systems, labels, _measure_moves, oracle_measure_moves)
+        assert splits >= 450
+
+
+def seeded_relation(rng: random.Random, left: tuple, right: tuple) -> frozenset:
+    chance = rng.choice((0.05, 0.15, 0.4))
+    return frozenset((s, t) for s in left for t in right if rng.random() < chance)
+
+
+class TestClosuresAgainstAtomSquares:
+    def test_internal_closure(self):
+        rng = random.Random(301)
+        for _ in range(300):
+            states = tuple(f"s{i}" for i in range(rng.randint(1, 9)))
+            rel = seeded_relation(rng, states, states)
+            assert internal_closure(rel, states) == oracle_internal_closure(rel, states)
+
+    def test_pair_closure(self):
+        rng = random.Random(302)
+        for _ in range(300):
+            left = tuple(f"s{i}" for i in range(rng.randint(1, 7)))
+            right = tuple(f"{rng.choice('st')}{i}" for i in range(rng.randint(1, 7)))
+            right = tuple(dict.fromkeys(right))
+            rel = seeded_relation(rng, left, right)
+            assert pair_closure(rel, left, right) == oracle_pair_closure(rel, left, right)
+
+
+class TestBisimilarDecidesFromBlocks:
+    def test_matches_the_relation(self):
+        verdicts = {True: 0, False: 0}
+        for left, right in lts_pairs(105, 120):
+            verdict = bisimilar(left, right)
+            assert verdict == ((left.root, right.root) in greatest_bisim(left, right))
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 20, verdicts
+
+    def test_builds_no_relation(self):
+        # Every state of two 1000-state cycles is bisimilar to every other:
+        # the relation holds 10**6 pairs, the two part maps 2000 entries.
+        def cycle(prefix: str) -> PointedLTS:
+            states = tuple(f"{prefix}{i}" for i in range(1000))
+            edges = frozenset((states[i], "a", states[i - 1]) for i in range(1000))
+            return PointedLTS(("a",), states, states[0], edges)
+
+        left, right = cycle("s"), cycle("t")
+        tracemalloc.start()
+        try:
+            assert bisimilar(left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
