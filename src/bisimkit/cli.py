@@ -38,6 +38,7 @@ from .e0 import (
 )
 from .expansion import omega_expand, omega_expand_truncated
 from .jsonio import (
+    decode_multitree,
     formula_to_json,
     multitree_json_chunks,
     multitree_to_json,  # noqa: F401 -- perfbench/traced_cli.py wraps this name
@@ -51,11 +52,12 @@ from .jsonio import (
     parse_tree,
     read_json_file,
     read_multitree,
+    read_text,
     tree_to_json,
 )
 from .lts import PointedLTS, eval_formula, greatest_bisim, state_rank
 from .nlmp import greatest_ext_bisim, greatest_state_bisim
-from .substructures import reachable_carrier, substructure
+from .substructures import composition_enum, substructure
 from .treeiso import canon, canon_chunks, iso
 from .trees import (
     ExplicitTree,
@@ -65,7 +67,7 @@ from .trees import (
     truncate_symbolic,  # noqa: F401 -- perfbench/traced_cli.py wraps this name
     truncation_levels,
 )
-from .uniform import composition_enum, derive_uniform, tree_process
+from .uniform import tree_process
 from .verify import SUITES, render_report, run_suites
 
 EXIT_OK = 0
@@ -300,12 +302,7 @@ def _cmd_substructure(args: SimpleNamespace) -> int:
     if args.carrier is not None:
         carrier = parse_carrier(read_json_file(args.carrier))
     else:
-        if args.state not in nlmp.states:
-            raise ValueError(f"unknown state {args.state!r}")
-        if args.bound is not None:
-            carrier = composition_enum(derive_uniform(nlmp), args.state, args.bound)
-        else:
-            carrier = reachable_carrier(nlmp, args.state)
+        carrier = composition_enum(nlmp, args.state, args.bound)
     sub = substructure(nlmp, carrier)
     report = {
         "verb": "substructure",
@@ -348,24 +345,16 @@ def _sniff_dot_kind(data: object) -> str:
 
 
 def _cmd_export_dot(args: SimpleNamespace) -> int:
-    data = read_json_file(args.file)
-    kind = args.kind or _sniff_dot_kind(data)
     pieces: Iterable[str]
-    if kind == "lts":
-        pieces = (lts_dot(parse_lts(data)),)
-    elif kind == "nlmp":
-        pieces = (nlmp_dot(parse_nlmp(data)),)
-    elif kind == "multitree":
-        pieces = multitree_dot_lines(parse_multitree(data))
+    # A multiplicity tree is built while it is decoded, so the document is
+    # never held; any other file takes the checked path.
+    decoded = None
+    if args.kind in (None, "multitree"):
+        decoded = decode_multitree(read_text(args.file))
+    if decoded is not None and (args.kind or _sniff_dot_kind(decoded[1])) == "multitree":
+        pieces = multitree_dot_lines(decoded[0])
     else:
-        tree = parse_tree(data)
-        if isinstance(tree, ExplicitTree):
-            pieces = (explicit_tree_dot(tree),)
-        else:
-            depth = args.depth if args.depth is not None else 6
-            width = args.width if args.width is not None else 6
-            # A symbolic truncation is streamed, never held whole.
-            pieces = symbolic_tree_lines(tree, depth, width)
+        pieces = _dot_pieces(args, read_json_file(args.file))
     chunks = chunked(pieces, PieceText.CHUNK)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -374,6 +363,23 @@ def _cmd_export_dot(args: SimpleNamespace) -> int:
     else:
         sys.stdout.writelines(chunks)
     return EXIT_OK
+
+
+def _dot_pieces(args: SimpleNamespace, data: object) -> Iterable[str]:
+    kind = args.kind or _sniff_dot_kind(data)
+    if kind == "lts":
+        return (lts_dot(parse_lts(data)),)
+    if kind == "nlmp":
+        return (nlmp_dot(parse_nlmp(data)),)
+    if kind == "multitree":
+        return multitree_dot_lines(parse_multitree(data))
+    tree = parse_tree(data)
+    if isinstance(tree, ExplicitTree):
+        return (explicit_tree_dot(tree),)
+    depth = args.depth if args.depth is not None else 6
+    width = args.width if args.width is not None else 6
+    # A symbolic truncation is streamed, never held whole.
+    return symbolic_tree_lines(tree, depth, width)
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:

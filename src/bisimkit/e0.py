@@ -31,7 +31,16 @@ from .lts import (
     modal_depth,
     modal_depths,
 )
-from .trees import ATree, BTree, Chain, Glue, SUC_LABEL, SymbolicTree, symbolic_rank
+from .trees import (
+    ATree,
+    BTree,
+    Chain,
+    Glue,
+    SUC_LABEL,
+    SymbolicTree,
+    fold_symbolic,
+    symbolic_rank,
+)
 
 __all__ = [
     "branch_code_tree",
@@ -69,6 +78,10 @@ def leaf_depth_set(tree: SymbolicTree) -> EPSet:
     "no successor" true at the root. On a branch-code tree this recovers
     the coded set, which is what makes the set-characterizing atom tick.
     """
+    return fold_symbolic(tree, _leaf_depths, _glue_leaf_depths)
+
+
+def _leaf_depths(tree: SymbolicTree) -> EPSet:
     if isinstance(tree, Chain):
         if tree.length == 0:
             return EPSet.empty()
@@ -80,15 +93,19 @@ def leaf_depth_set(tree: SymbolicTree) -> EPSet:
         # finite parameters; deeper leaves are supplied by flipping in a
         # single member of the right size.
         return EPSet("1" if tree.param.is_finite else "0", "1")
-    if isinstance(tree, Glue):
-        depths = EPSet.empty()
-        # A part is a leaf exactly when its root has rank 0.
-        if any(symbolic_rank(part)[0].is_zero for part in tree.parts):
-            depths = EPSet.from_finite([0])
-        for part in tree.parts:
-            depths = _union(depths, _shift_up(leaf_depth_set(part)))
-        return depths
     raise TypeError(f"not a symbolic tree: {tree!r}")
+
+
+def _glue_leaf_depths(parts: list[EPSet]) -> EPSet:
+    depths = EPSet.empty()
+    # A part is a leaf exactly when it has no leaf below it: every part
+    # with a successor has a leaf somewhere below, so its depth set is
+    # not empty.
+    if any(part.is_empty for part in parts):
+        depths = EPSet.from_finite([0])
+    for part in parts:
+        depths = _union(depths, _shift_up(part))
+    return depths
 
 
 def _union(a: EPSet, b: EPSet) -> EPSet:

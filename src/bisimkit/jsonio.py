@@ -7,15 +7,15 @@ already carry the culprit. Serializers emit deterministic structures:
 declared orders are kept and everything unordered is sorted.
 
 Multiplicity trees are built as a shared DAG, one node per distinct
-subtree, by two readers. `read_multitree` builds each node from a file
-while the JSON decoder closes its object, so memory follows the distinct
-subtrees rather than the unfolded document; it checks only enough to
-build a node. `parse_multitree` walks an already decoded document with
-its own stack and checks every field in preorder, so its first error is
-the one a recursive descent would meet. Both stay: the first is `iso`'s
-fast path and hands any file it stops on to the second, so every error
-is the second's; and `export-dot` needs the second, since it decodes a
-file before it knows whether it holds a multiplicity tree.
+subtree, by two readers. `decode_multitree` builds each node while the
+JSON decoder closes its object, so memory follows the distinct subtrees
+rather than the unfolded document; it checks only enough to build a
+node, and gives up on anything else. `parse_multitree` walks an already
+decoded document with its own stack and checks every field in preorder,
+so its first error is the one a recursive descent would meet. The first
+is the fast path of `iso` (through `read_multitree`) and of `export-dot`;
+both hand any file it gives up on to the second, so every error is the
+second's.
 
 A multiplicity tree's JSON text can also be streamed:
 `multitree_json_chunks` lays each node out with `trees.object_pieces`
@@ -48,6 +48,7 @@ from .trees import (
 )
 
 __all__ = [
+    "decode_multitree",
     "formula_to_json",
     "multitree_json_chunks",
     "multitree_to_json",
@@ -61,15 +62,16 @@ __all__ = [
     "parse_tree",
     "read_json_file",
     "read_multitree",
+    "read_text",
     "tree_to_json",
 ]
 
 
 def read_json_file(path: str) -> object:
-    return _decoded(path, _read_text(path))
+    return _decoded(path, read_text(path))
 
 
-def _read_text(path: str) -> str:
+def read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
@@ -324,23 +326,25 @@ def _count(raw: object, counts: dict[int | str, Count]) -> Count:
     return count
 
 
-def read_multitree(path: str) -> MultiTree:
-    """A multiplicity tree file, built into a shared DAG while it is decoded.
+def decode_multitree(text: str) -> tuple[MultiTree, dict] | None:
+    """A multiplicity tree built into a shared DAG while its text is decoded.
 
     The decoder hands each JSON object to a hook as it closes, and the
     hook turns it into its node at once, consed like `parse_multitree`'s,
-    so no document tree is held. Whatever stops that read (a shape error,
-    a bad count, invalid JSON, too deep a nesting, a non-object root)
-    hands the same text to ``parse_multitree`` of the decoded document,
-    whose value or first error in preorder is the file's.
+    so no document tree is held. Returns the tree with its root object as
+    json decodes it, whose values hold the root's children, or None if
+    anything stops the read: a shape error, a bad count, invalid JSON,
+    too deep a nesting or a non-object root.
     """
-    text = _read_text(path)
     consed: dict[tuple, MultiTree] = {(): LEAF}
     counts: dict[int | str, Count] = {}
+    fields: dict = {}  # the last object closed, which ends as the root
 
     def node(pairs: list[tuple[str, object]]) -> MultiTree:
+        nonlocal fields
+        fields = dict(pairs)  # json's rule for repeated keys
         entries, keys = [], []
-        for label, children in dict(pairs).items():  # json's rule for repeated keys
+        for label, children in fields.items():
             if type(children) is not list:
                 raise ValueError
             for sub, raw in children:  # MultiTree rejects a sub that is no node
@@ -356,9 +360,21 @@ def read_multitree(path: str) -> MultiTree:
     try:
         tree = json.loads(text, object_pairs_hook=node)
     except (ValueError, TypeError, RecursionError):  # reported by the checked path
-        tree = None
-    if type(tree) is MultiTree:
-        return tree
+        return None
+    return (tree, fields) if type(tree) is MultiTree else None
+
+
+def read_multitree(path: str) -> MultiTree:
+    """A multiplicity tree file, read by `decode_multitree`.
+
+    Whatever stops that read hands the same text to ``parse_multitree`` of
+    the decoded document, whose value or first error in preorder is the
+    file's.
+    """
+    text = read_text(path)
+    decoded = decode_multitree(text)
+    if decoded is not None:
+        return decoded[0]
     return parse_multitree(_decoded(path, text))
 
 

@@ -5,6 +5,10 @@ stays within (up to thickness, which for finitely supported measures
 means support containment). Substructures inherit transitions verbatim;
 relations move between a process and its substructures by restriction,
 closure, and embedding into the disjoint sum.
+
+The least carrier around a state comes from one walk, `composition_enum`,
+which lists the support points the state's measures reach, breadth first,
+in a fixed order of labels, measures and points.
 """
 
 from __future__ import annotations
@@ -18,14 +22,6 @@ from .nlmp import PointmassNLMP, SubProbMeasure, _part_numbers
 def is_thick(mu: SubProbMeasure, carrier: Iterable[StateId]) -> bool:
     """Finitely supported reading of thickness: all mass inside the carrier."""
     return mu.support <= set(carrier)
-
-
-def support_successors(nlmp: PointmassNLMP, state: StateId, label: str) -> frozenset:
-    """Union of transition supports: the label's successor candidates."""
-    points: set[StateId] = set()
-    for mu in nlmp.measures(state, label):
-        points |= mu.support
-    return frozenset(points)
 
 
 def substructure(nlmp: PointmassNLMP, carrier: Iterable[StateId]) -> PointmassNLMP:
@@ -50,25 +46,45 @@ def substructure(nlmp: PointmassNLMP, carrier: Iterable[StateId]) -> PointmassNL
     return PointmassNLMP(nlmp.labels, states, trans)
 
 
-def carrier_levels(nlmp: PointmassNLMP, state: StateId) -> list[frozenset]:
-    """Stages of the least carrier around a state: supports added level by level."""
+def ordered_measures(nlmp: PointmassNLMP, state: StateId, label: str) -> list:
+    """A state's measures under a label, ordered by their weight listings."""
+    return sorted(nlmp.measures(state, label), key=lambda mu: mu.weights)
+
+
+def composition_enum(
+    nlmp: PointmassNLMP, state: StateId, bound: int | None = None
+) -> list[StateId]:
+    """The states a state's measures reach, iterated, breadth first.
+
+    The state itself comes first. The walk is one first-in, first-out
+    queue: each listed value in turn reads its measures label by label in
+    declared order, measures in `ordered_measures` order and support
+    points in weight order, appending first occurrences, so the rounds of
+    a breadth-first search follow one another. Runs to the least carrier;
+    with a ``bound``, takes no further value once that many are listed,
+    so no measure of a later value is read, and truncates to it.
+    """
     if state not in nlmp.states:
         raise ValueError(f"unknown state {state!r}")
-    levels = [frozenset({state})]
-    while True:
-        cur = levels[-1]
-        nxt = set(cur)
-        for s in cur:
-            for a in nlmp.labels:
-                nxt |= support_successors(nlmp, s, a)
-        if nxt == cur:
-            return levels
-        levels.append(frozenset(nxt))
+    if bound is not None and bound < 0:
+        raise ValueError("bound must be a natural")
+    listed = [state]
+    seen = {state}
+    for value in listed:
+        if bound is not None and len(listed) >= bound:
+            break
+        for a in nlmp.labels:
+            for mu in ordered_measures(nlmp, value, a):
+                for target, _ in mu.weights:
+                    if target not in seen:
+                        seen.add(target)
+                        listed.append(target)
+    return listed if bound is None else listed[:bound]
 
 
 def reachable_carrier(nlmp: PointmassNLMP, state: StateId) -> tuple[StateId, ...]:
     """Least carrier containing the state, in declared state order."""
-    closure = carrier_levels(nlmp, state)[-1]
+    closure = set(composition_enum(nlmp, state))
     return tuple(s for s in nlmp.states if s in closure)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 from .foundations import (
     EPSet,
@@ -406,6 +406,33 @@ _SYMBOLIC = (Chain, ATree, BTree, Glue)
 AnyTree = Union[ExplicitTree, SymbolicTree]
 
 
+def fold_symbolic(tree: SymbolicTree, leaf: Callable, glue: Callable):
+    """A symbolic tree's value, computed bottom-up over its glue parts.
+
+    ``leaf`` gives the value of a chain, A or B tree, and ``glue`` that of
+    a glue node from the list of its parts' values, in order. Each
+    distinct node is folded once, first parts first, on an explicit stack,
+    so deep glue never recurses.
+    """
+    values: dict[int, object] = {}
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if id(node) in values:
+            stack.pop()
+        elif not isinstance(node, Glue):
+            values[id(node)] = leaf(node)
+            stack.pop()
+        else:
+            waiting = [part for part in node.parts if id(part) not in values]
+            if waiting:
+                stack.extend(reversed(waiting))
+            else:
+                values[id(node)] = glue([values[id(part)] for part in node.parts])
+                stack.pop()
+    return values[id(tree)]
+
+
 def symbolic_rank(tree: SymbolicTree) -> tuple[Ordinal, Ordinal]:
     """(root node rank, tree rank) of a symbolic tree.
 
@@ -413,17 +440,20 @@ def symbolic_rank(tree: SymbolicTree) -> tuple[Ordinal, Ordinal]:
     in closed form: finite sets have finite modifications of unbounded
     rank, infinite sets have modifications of rank exactly omega.
     """
-    if isinstance(tree, Chain):
-        root = Ordinal.from_int(tree.length)
-    elif isinstance(tree, ATree):
-        root = tree.param.sup_succ()
-    elif isinstance(tree, BTree):
-        root = ORD_OMEGA + 1 if not tree.param.is_finite else ORD_OMEGA
-    elif isinstance(tree, Glue):
-        root = ordinal_sup(symbolic_rank(part)[0] + 1 for part in tree.parts)
-    else:
-        raise TypeError(f"not a symbolic tree: {tree!r}")
+    root = fold_symbolic(
+        tree, _root_rank, lambda ranks: ordinal_sup(rank + 1 for rank in ranks)
+    )
     return root, root + 1
+
+
+def _root_rank(tree: SymbolicTree) -> Ordinal:
+    if isinstance(tree, Chain):
+        return Ordinal.from_int(tree.length)
+    if isinstance(tree, ATree):
+        return tree.param.sup_succ()
+    if isinstance(tree, BTree):
+        return ORD_OMEGA + 1 if not tree.param.is_finite else ORD_OMEGA
+    raise TypeError(f"not a symbolic tree: {tree!r}")
 
 
 def truncation_levels(tree: SymbolicTree, depth: int, width: int) -> Iterator[Node]:

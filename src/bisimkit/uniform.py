@@ -1,10 +1,11 @@
-"""Tabulated transition enumerations, and the coding pipeline.
+"""Index-level measure lifting, substructure search, and the coding pipeline.
 
-A uniform table lists, per state and label, every transition measure as
-a row of weighted targets. Iterating the target maps enumerates the
-part of the process a state generates. Of the constructions here, only
-two iterate tables: an index-level reformulation of measure lifting and
-a bisimilarity search between generated substructures. The coding
+Two constructions read a process's transitions as rows: row n at a
+state and label is the weight listing of the nth measure in
+`substructures.ordered_measures` order. An index-level reformulation of
+measure lifting compares two rows over the enumeration that
+`substructures.composition_enum` walks, and a bisimilarity search
+compares the substructures two enumerations generate. The coding
 pipeline for bounded-rank states walks the LTS itself: it numbers the
 states a state reaches and compares the expansions of the codes.
 """
@@ -13,132 +14,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .foundations import Ordinal, frozen
+from .foundations import Ordinal
 from .lts import OmegaLTSCode, PointedLTS, Rel, StateId, state_rank
-from .nlmp import PointmassNLMP, SubProbMeasure, _total, greatest_ext_bisim
-from .substructures import substructure
+from .nlmp import PointmassNLMP, greatest_ext_bisim
+from .substructures import composition_enum, ordered_measures, substructure
 from .trees import SUC_LABEL, ExplicitTree, node_name
 from .expansion import omega_code_expand
 from .treeiso import iso
 
 
-@frozen
-class UniformStructure:
-    """Per state and label, rows of weighted targets.
-
-    Each row lists entries ``(index, mass, target)`` with strictly
-    increasing indices and positive masses summing to at most one; it
-    reconstructs one transition measure as the weighted sum of point
-    masses at its targets. The empty row is the zero measure. Pairs
-    absent from ``rows`` have no transitions at all.
-    """
-
-    labels: tuple[str, ...]
-    states: tuple[StateId, ...]
-    rows: dict  # (state, label) -> tuple of rows
-
-    def __post_init__(self) -> None:
-        states = set(self.states)
-        if len(states) != len(self.states):
-            raise ValueError("duplicate state ids")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate labels")
-        for (s, a), rows in self.rows.items():
-            if s not in states:
-                raise ValueError(f"table source {s!r} is not a state")
-            if a not in self.labels:
-                raise ValueError(f"table label {a!r} is not declared")
-            if not rows:
-                raise ValueError(f"table at ({s!r},{a!r}) lists no rows")
-            for n, row in enumerate(rows):
-                previous = -1
-                for k, mass, target in row:
-                    if k <= previous:
-                        raise ValueError(
-                            f"row {n} at ({s!r},{a!r}) repeats or unsorts indices"
-                        )
-                    previous = k
-                    if not isinstance(mass, Fraction) or mass.numerator <= 0:
-                        raise ValueError(
-                            f"row {n} at ({s!r},{a!r}) needs positive rational masses"
-                        )
-                    if target not in states:
-                        raise ValueError(
-                            f"row {n} at ({s!r},{a!r}) targets unknown {target!r}"
-                        )
-                num, den = _total(mass for _, mass, _ in row)
-                if num > den:
-                    raise ValueError(f"row {n} at ({s!r},{a!r}) exceeds mass one")
-
-    def row_measure(self, state: StateId, label: str, n: int) -> SubProbMeasure:
-        weights: dict[StateId, Fraction] = {}
-        for _, mass, target in _row(self, state, label, n):
-            weights[target] = weights.get(target, Fraction(0)) + mass
-        return SubProbMeasure.from_mapping(weights)
-
-    def to_nlmp(self) -> PointmassNLMP:
-        trans = {
-            (s, a): frozenset(
-                self.row_measure(s, a, n) for n in range(len(rows))
-            )
-            for (s, a), rows in self.rows.items()
-        }
-        return PointmassNLMP(self.labels, self.states, trans)
-
-
-def derive_uniform(nlmp: PointmassNLMP) -> UniformStructure:
-    """Tabulate a process, ordering measures by their weight listings."""
-    rows = {}
-    for (s, a), measures in nlmp.trans.items():
-        if not measures:
-            continue
-        ordered = sorted(measures, key=lambda mu: mu.weights)
-        rows[(s, a)] = tuple(
-            tuple((k, mass, target) for k, (target, mass) in enumerate(mu.weights))
-            for mu in ordered
-        )
-    return UniformStructure(nlmp.labels, nlmp.states, rows)
-
-
-def composition_enum(
-    table: UniformStructure, state: StateId, bound: int | None = None
-) -> list[StateId]:
-    """Values of iterated target maps applied to a state, breadth first.
-
-    The state itself comes first. The walk is one first-in, first-out
-    queue: each listed value in turn applies every table position in
-    label, row, entry order, appending first occurrences, so the rounds
-    of a breadth-first search follow one another. Runs to the fixed
-    point; with a ``bound``, takes no further value once that many are
-    listed, so no row of a later value is read, and truncates to it.
-    """
-    if state not in table.states:
-        raise ValueError(f"unknown state {state!r}")
-    if bound is not None and bound < 0:
-        raise ValueError("bound must be a natural")
-    listed = [state]
-    seen = {state}
-    for value in listed:
-        if bound is not None and len(listed) >= bound:
-            break
-        for a in table.labels:
-            for row in table.rows.get((value, a), ()):
-                for _, _, target in row:
-                    if target not in seen:
-                        seen.add(target)
-                        listed.append(target)
-    return listed if bound is None else listed[:bound]
-
-
-def _row(table: UniformStructure, state: StateId, label: str, n: int) -> tuple:
-    rows = table.rows.get((state, label))
-    if rows is None or not 0 <= n < len(rows):
+def _row(nlmp: PointmassNLMP, state: StateId, label: str, n: int) -> tuple:
+    """The weights of the nth measure in `ordered_measures` order."""
+    rows = ordered_measures(nlmp, state, label)
+    if not 0 <= n < len(rows):
         raise ValueError(f"no row {n} at ({state!r},{label!r})")
-    return rows[n]
+    return rows[n].weights
 
 
 def _gk_side(
-    table: UniformStructure,
+    nlmp: PointmassNLMP,
     x: StateId,
     x_prime: StateId,
     rel: Rel,
@@ -147,24 +41,24 @@ def _gk_side(
     a: str,
     bound: int | None,
 ) -> bool:
-    row = _row(table, x, a, n)
-    prime_row = _row(table, x_prime, a, n_prime)
-    values = composition_enum(table, x_prime, bound)
+    row = _row(nlmp, x, a, n)
+    prime_row = _row(nlmp, x_prime, a, n_prime)
+    values = composition_enum(nlmp, x_prime, bound)
     # Per target of row n, the enumeration values related to it.
     witnesses_of = {
         target: {value for value in values if (target, value) in rel}
-        for _, _, target in row
+        for target, _ in row
     }
-    for _, _, target in row:
+    for target, _ in row:
         witnesses = witnesses_of[target]
         if not witnesses:
             return False
         g = sum(
-            (mass for _, mass, other in row if witnesses & witnesses_of[other]),
+            (mass for other, mass in row if witnesses & witnesses_of[other]),
             Fraction(0),
         )
         g_prime = sum(
-            (mass for _, mass, other in prime_row if (target, other) in rel),
+            (mass for other, mass in prime_row if (target, other) in rel),
             Fraction(0),
         )
         if g != g_prime:
@@ -173,7 +67,7 @@ def _gk_side(
 
 
 def gk_block(
-    table: UniformStructure,
+    nlmp: PointmassNLMP,
     x: StateId,
     x_prime: StateId,
     rel: Rel,
@@ -187,7 +81,7 @@ def gk_block(
     Every entry must find a related enumeration value on the other side,
     and around each entry the paired neighbourhood masses must agree.
     For z-closed relations between the two enumeration closures this
-    coincides with the support lifting of the reconstructed measures.
+    coincides with the support lifting of the two measures.
 
     Each side is the same one-sided check. Along R, entry k of row n
     compares g(x,x',R,n,k) with g'(x,x',R,n,n',k). g is the mass of the
@@ -198,23 +92,22 @@ def gk_block(
     k(x,x',R,n,n',k') = g'(x',x,R^-1,n',n,k') and
     k'(x,x',R,n',k') = g(x',x,R^-1,n',k').
     """
-    if not _gk_side(table, x, x_prime, rel, n, n_prime, a, bound):
+    if not _gk_side(nlmp, x, x_prime, rel, n, n_prime, a, bound):
         return False
     converse = frozenset((v, u) for u, v in rel)
-    return _gk_side(table, x_prime, x, converse, n_prime, n, a, bound)
+    return _gk_side(nlmp, x_prime, x, converse, n_prime, n, a, bound)
 
 
 def uniform_bisim_search(
-    table: UniformStructure, s: StateId, s_prime: StateId
+    nlmp: PointmassNLMP, s: StateId, s_prime: StateId
 ) -> tuple[bool, Rel]:
     """Decide relatedness by searching between the generated substructures.
 
     Returns the largest external witness between the two enumeration
     closures together with its verdict on the given pair.
     """
-    nlmp = table.to_nlmp()
-    left = substructure(nlmp, tuple(composition_enum(table, s)))
-    right = substructure(nlmp, tuple(composition_enum(table, s_prime)))
+    left = substructure(nlmp, tuple(composition_enum(nlmp, s)))
+    right = substructure(nlmp, tuple(composition_enum(nlmp, s_prime)))
     witness = greatest_ext_bisim(left, right)
     return (s, s_prime) in witness, witness
 

@@ -56,12 +56,14 @@ from .nlmp import (
     lift_support,
 )
 from .substructures import (
+    composition_enum,
     inl_state,
     inr_state,
     internal_closure,
     pair_closure,
     project_rel,
     embed_rel,
+    ordered_measures,
     reachable_carrier,
     restrict_rel,
     substructure,
@@ -71,8 +73,6 @@ from .substructures import (
 from .treeiso import _iso_rec, canon, iso, iso_at_rank
 from .trees import BTree, MultiTree, symbolic_rank
 from .uniform import (
-    composition_enum,
-    derive_uniform,
     gk_block,
     pipeline_bisim,
     tree_process,
@@ -490,32 +490,23 @@ def _suite_uniform_search(seed: int) -> dict:
     cases = 0
     for i in range(100):
         nlmp = random_nlmp(rng, 4)
-        table = derive_uniform(nlmp)
         s = rng.choice(nlmp.states)
         s_prime = rng.choice(nlmp.states)
         cases += 1
-        verdict, _ = uniform_bisim_search(table, s, s_prime)
+        verdict, _ = uniform_bisim_search(nlmp, s, s_prime)
         if verdict != ((s, s_prime) in greatest_state_bisim(nlmp)):
             failures.append(f"case {i}: search verdict strays at ({s},{s_prime})")
 
-        left_values = composition_enum(table, s)
-        right_values = composition_enum(table, s_prime)
+        left_values = composition_enum(nlmp, s)
+        right_values = composition_enum(nlmp, s_prime)
         rel = random_z_closed(rng, left_values, right_values)
         for a in nlmp.labels:
-            rows = table.rows.get((s, a))
-            prime_rows = table.rows.get((s_prime, a))
-            if rows is None or prime_rows is None:
-                continue
-            for n in range(len(rows)):
-                for n_prime in range(len(prime_rows)):
+            prime_rows = ordered_measures(nlmp, s_prime, a)
+            for n, mu in enumerate(ordered_measures(nlmp, s, a)):
+                for n_prime, nu in enumerate(prime_rows):
                     cases += 1
-                    block = gk_block(table, s, s_prime, rel, n, n_prime, a)
-                    lifted = lift_support(
-                        table.row_measure(s, a, n),
-                        table.row_measure(s_prime, a, n_prime),
-                        rel,
-                    )
-                    if block != lifted:
+                    block = gk_block(nlmp, s, s_prime, rel, n, n_prime, a)
+                    if block != lift_support(mu, nu, rel):
                         failures.append(
                             f"case {i}: index block strays at row ({n},{n_prime},{a})"
                         )

@@ -341,6 +341,29 @@ class TestEvalVerb:
         assert run_cli("eval", atom, gadget).returncode == 0
         assert run_cli("eval", atom, gadget, "--state", "e").returncode == 2
 
+    @pytest.mark.parametrize(
+        ("formula", "code"),
+        [
+            ({"op": "rank_at_least", "bound": [[0, 3]]}, 0),
+            ({"op": "char_set", "set": {"prefix": "001", "period": "0"}}, 1),
+        ],
+    )
+    def test_deep_glue_gives_a_verdict(self, tmp_path, formula, code):
+        # The ranks and leaf depths of a glue tree are folded on a stack, so
+        # 450 levels, which decode, never reach the recursion limit.
+        tree = {"kind": "chain", "k": 2}
+        for _ in range(450):
+            tree = {"kind": "glue", "children": [tree]}
+        proc = run_cli(
+            "eval",
+            write(tmp_path, "phi.json", formula),
+            write(tmp_path, "glue.json", tree),
+        )
+        assert (proc.returncode, proc.stderr) == (
+            code,
+            "formula holds\n" if code == 0 else "formula fails\n",
+        )
+
     def test_boolean_ordinal_bound_is_an_input_error(self, tmp_path):
         loop = write(tmp_path, "loop.json", loop_lts())
         atom = write(

@@ -13,8 +13,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "bisimkit"
 
 ALLOWED = {
-    "leaf_depth_set",
-    "symbolic_rank",
     "parse_tree",
     "tree_to_json",
     "parse_formula",

@@ -243,7 +243,8 @@ def blown_up_lts(
     """Every copy of s reaches some copies of each base successor of s."""
     states, copies = _copies(rng, base.states, prefix)
     edges = set()
-    for src, a, dst in base.edges:
+    # Sorted, not hash, order keeps the instance behind a seed fixed.
+    for src, a, dst in sorted(base.edges):
         for c in copies[src]:
             for t in rng.sample(copies[dst], rng.randint(1, len(copies[dst]))):
                 edges.add((c, a, t))
@@ -287,8 +288,10 @@ def blown_up_nlmp(
     states, copies = _copies(rng, base.states, prefix)
     trans = {}
     for (s, a), measures in base.trans.items():
+        # Sorted, not hash, order keeps the instance behind a seed fixed.
+        ordered = sorted(measures, key=lambda mu: mu.weights)
         for c in copies[s]:
-            trans[c, a] = frozenset(_split(rng, mu, copies) for mu in measures)
+            trans[c, a] = frozenset(_split(rng, mu, copies) for mu in ordered)
     if extra:
         key = (rng.choice(states), rng.choice(labels))
         target = rng.choice(states)

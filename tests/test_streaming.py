@@ -312,6 +312,30 @@ def test_iso_peak_memory_follows_the_distinct_subtrees(tmp_path):
     assert (big_rss - small_rss) / 1024 < 4
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("flags", [[], ["--kind", "multitree"]])
+def test_export_dot_of_a_multitree_peak_memory_follows_the_distinct_subtrees(
+    tmp_path, flags
+):
+    # The 14-rung tree's DOT text is 1.5 MB; decoding the document whole
+    # before building the tree took ~11 MiB more than a one-entry tree.
+    lts = parse_lts(ladder_lts(14))
+    big = tmp_path / "big.json"
+    big.write_text(str(multitree_json_chunks(omega_expand(lts, lts.root))))
+    small = write(tmp_path, "small.json", {"a": [[{}, 1]]})
+    big_out, small_out = tmp_path / "big.dot", tmp_path / "small.dot"
+    (big_exit, big_rss), (small_exit, small_rss) = peak_rss(
+        (["export-dot", str(big), *flags], big_out),
+        (["export-dot", small, *flags], small_out),
+    )
+    assert (big_exit, small_exit) == (0, 0)
+    assert big_out.stat().st_size == 1_514_855
+    assert small_out.read_text() == (
+        'digraph multitree {\n  "n0";\n  "n1";\n  "n0" -> "n1" [label="a*1"];\n}\n'
+    )
+    assert (big_rss - small_rss) / 1024 < 4
+
+
 # --- e0 reduce ------------------------------------------------------------------
 
 DENSE = {"prefix": "10110", "period": "01"}

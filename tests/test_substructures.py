@@ -17,7 +17,7 @@ from bisimkit.nlmp import (
     is_z_closed,
 )
 from bisimkit.substructures import (
-    carrier_levels,
+    composition_enum,
     embed_rel,
     inl_state,
     inr_state,
@@ -29,7 +29,6 @@ from bisimkit.substructures import (
     restrict_rel,
     substructure,
     sum_nlmp,
-    support_successors,
     up_coherence_witness,
 )
 
@@ -123,7 +122,8 @@ class TestSubstructure:
     def test_support_successors_ignores_zero_measure(self):
         trans = {("s", "a"): frozenset({ZERO_MEASURE})}
         nlmp = PointmassNLMP(("a",), ("s", "t"), trans)
-        assert support_successors(nlmp, "s", "a") == frozenset()
+        assert composition_enum(nlmp, "s") == ["s"]
+        assert reachable_carrier(nlmp, "s") == ("s",)
 
     def test_reachable_carrier(self):
         nlmp = self.build()
@@ -136,11 +136,11 @@ class TestSubstructure:
 
     def test_carrier_levels_grow(self):
         nlmp = self.build()
-        levels = carrier_levels(nlmp, "u")
-        assert levels[0] == frozenset({"u"})
-        assert levels[-1] == frozenset({"s", "t", "u"})
-        for small, big in zip(levels, levels[1:]):
-            assert small < big
+        full = composition_enum(nlmp, "u")
+        assert full[0] == "u"
+        assert set(full) == {"s", "t", "u"}
+        for bound in range(len(full) + 1):
+            assert composition_enum(nlmp, "u", bound) == full[:bound]
 
 
 class TestUpCoherence:

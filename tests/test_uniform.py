@@ -1,4 +1,4 @@
-"""Transition tables, enumeration closures, and the coding pipeline."""
+"""Enumeration closures, index-level lifting, search, and the coding pipeline."""
 
 import random
 from fractions import Fraction
@@ -24,14 +24,10 @@ from bisimkit.nlmp import (
     is_z_closed,
     lift_support,
 )
-from bisimkit.substructures import carrier_levels, reachable_carrier, support_successors
+from bisimkit.substructures import composition_enum, ordered_measures, reachable_carrier
 from bisimkit.trees import ExplicitTree, node_name
 from bisimkit.treeiso import canon
 from bisimkit.uniform import (
-    UniformStructure,
-    _row,
-    composition_enum,
-    derive_uniform,
     encode_state,
     gk_block,
     pipeline_bisim,
@@ -51,7 +47,10 @@ def measure(**masses) -> SubProbMeasure:
 def is_carrier(nlmp: PointmassNLMP, carrier) -> bool:
     pool = set(carrier)
     return all(
-        support_successors(nlmp, s, a) <= pool for s in pool for a in nlmp.labels
+        mu.support <= pool
+        for s in pool
+        for a in nlmp.labels
+        for mu in nlmp.measures(s, a)
     )
 
 
@@ -73,8 +72,8 @@ def oracle_is_saturated_pair(nlmp: PointmassNLMP, rel, s: str, s_prime: str) -> 
     Level by level, every state on either side must be related to some
     state on the matching level of the other side.
     """
-    left_levels = carrier_levels(nlmp, s)
-    right_levels = carrier_levels(nlmp, s_prime)
+    left_levels = oracle_carrier_levels(nlmp, s)
+    right_levels = oracle_carrier_levels(nlmp, s_prime)
     for n in range(max(len(left_levels), len(right_levels))):
         level = left_levels[min(n, len(left_levels) - 1)]
         level_prime = right_levels[min(n, len(right_levels) - 1)]
@@ -133,8 +132,92 @@ def random_explicit_tree(rng: random.Random, size: int) -> ExplicitTree:
     return ExplicitTree.from_nodes(nodes)
 
 
-# The former table validator, kept as an oracle for the round trips of
-# `derive_uniform`.
+# The former table layer: per state and label, each transition measure as
+# a row of (index, mass, target) entries, the walk over those rows and the
+# level walk of the least carrier. The walk, the index-level block and the
+# search now read the process directly; these are their oracles.
+
+
+@frozen
+class UniformStructure:
+    """Per state and label, rows of weighted targets; absent pairs have none."""
+
+    labels: tuple[str, ...]
+    states: tuple[str, ...]
+    rows: dict  # (state, label) -> tuple of rows
+
+    def row_measure(self, state: str, label: str, n: int) -> SubProbMeasure:
+        weights: dict[str, Fraction] = {}
+        for _, mass, target in oracle_row(self, state, label, n):
+            weights[target] = weights.get(target, Fraction(0)) + mass
+        return SubProbMeasure.from_mapping(weights)
+
+    def to_nlmp(self) -> PointmassNLMP:
+        trans = {
+            (s, a): frozenset(self.row_measure(s, a, n) for n in range(len(rows)))
+            for (s, a), rows in self.rows.items()
+        }
+        return PointmassNLMP(self.labels, self.states, trans)
+
+
+def oracle_derive_uniform(nlmp: PointmassNLMP) -> UniformStructure:
+    """Tabulate a process, ordering measures by their weight listings."""
+    rows = {}
+    for (s, a), measures in nlmp.trans.items():
+        if not measures:
+            continue
+        ordered = sorted(measures, key=lambda mu: mu.weights)
+        rows[(s, a)] = tuple(
+            tuple((k, mass, target) for k, (target, mass) in enumerate(mu.weights))
+            for mu in ordered
+        )
+    return UniformStructure(nlmp.labels, nlmp.states, rows)
+
+
+def oracle_row(table: UniformStructure, state: str, label: str, n: int) -> tuple:
+    rows = table.rows.get((state, label))
+    if rows is None or not 0 <= n < len(rows):
+        raise ValueError(f"no row {n} at ({state!r},{label!r})")
+    return rows[n]
+
+
+def oracle_composition_enum(
+    table: UniformStructure, state: str, bound: int | None = None
+) -> list[str]:
+    """Values of the iterated target maps, breadth first over the table."""
+    if state not in table.states:
+        raise ValueError(f"unknown state {state!r}")
+    if bound is not None and bound < 0:
+        raise ValueError("bound must be a natural")
+    listed = [state]
+    seen = {state}
+    for value in listed:
+        if bound is not None and len(listed) >= bound:
+            break
+        for a in table.labels:
+            for row in table.rows.get((value, a), ()):
+                for _, _, target in row:
+                    if target not in seen:
+                        seen.add(target)
+                        listed.append(target)
+    return listed if bound is None else listed[:bound]
+
+
+def oracle_carrier_levels(nlmp: PointmassNLMP, state: str) -> list[frozenset]:
+    """Stages of the least carrier around a state: supports added level by level."""
+    if state not in nlmp.states:
+        raise ValueError(f"unknown state {state!r}")
+    levels = [frozenset({state})]
+    while True:
+        cur = levels[-1]
+        nxt = set(cur)
+        for s in cur:
+            for a in nlmp.labels:
+                for mu in nlmp.measures(s, a):
+                    nxt |= mu.support
+        if nxt == cur:
+            return levels
+        levels.append(frozenset(nxt))
 
 
 def oracle_uniform_mismatches(nlmp: PointmassNLMP, table: UniformStructure) -> list[str]:
@@ -178,13 +261,13 @@ class TestUniformStructure:
 
     def test_derived_table_validates(self):
         nlmp = self.build()
-        table = derive_uniform(nlmp)
+        table = oracle_derive_uniform(nlmp)
         assert oracle_validate_uniform(nlmp, table)
         assert table.to_nlmp() == nlmp
 
     def test_row_order_is_irrelevant(self):
         nlmp = self.build()
-        table = derive_uniform(nlmp)
+        table = oracle_derive_uniform(nlmp)
         shuffled = UniformStructure(
             table.labels,
             table.states,
@@ -194,7 +277,7 @@ class TestUniformStructure:
 
     def test_dropped_row_is_reported(self):
         nlmp = self.build()
-        table = derive_uniform(nlmp)
+        table = oracle_derive_uniform(nlmp)
         rows = dict(table.rows)
         rows[("s", "a")] = rows[("s", "a")][:1]
         broken = UniformStructure(table.labels, table.states, rows)
@@ -204,7 +287,7 @@ class TestUniformStructure:
 
     def test_foreign_row_is_reported(self):
         nlmp = self.build()
-        table = derive_uniform(nlmp)
+        table = oracle_derive_uniform(nlmp)
         rows = dict(table.rows)
         rows[("t", "a")] = (((0, F(1, 3), "u"),),)
         broken = UniformStructure(table.labels, table.states, rows)
@@ -221,38 +304,11 @@ class TestUniformStructure:
         )
         assert table.row_measure("s", "a", 0) == measure(t="1/2")
 
-    def test_validation_rejects_bad_tables(self):
-        with pytest.raises(ValueError):
-            UniformStructure(("a",), ("s",), {("s", "a"): ()})
-        with pytest.raises(ValueError):
-            UniformStructure(
-                ("a",), ("s",), {("s", "a"): (((1, F(1), "s"), (0, F(1), "s")),)}
-            )
-        with pytest.raises(ValueError):
-            UniformStructure(("a",), ("s",), {("s", "a"): (((0, F(0), "s"),),)})
-        with pytest.raises(ValueError):
-            UniformStructure(("a",), ("s",), {("s", "a"): (((0, F(1), "zz"),),)})
-        with pytest.raises(ValueError):
-            UniformStructure(
-                ("a",), ("s",), {("s", "a"): (((0, F(2, 3), "s"), (1, F(1, 2), "s")),)}
-            )
-
-    def test_row_mass_is_checked_exactly(self):
-        third = ((0, F(1, 3), "s"), (1, F(1, 3), "s"), (2, F(1, 3), "s"))
-        assert UniformStructure(("a",), ("s",), {("s", "a"): (third,)})
-        heavy = third + ((3, F(1, 1000), "s"),)
-        with pytest.raises(ValueError, match=r"^row 1 at \('s','a'\) exceeds mass one$"):
-            UniformStructure(("a",), ("s",), {("s", "a"): (third, heavy)})
-        # An unknown target is reported before the row's total.
-        stray = ((0, F(1), "s"), (1, F(1), "t"))
-        with pytest.raises(ValueError, match="targets unknown 't'"):
-            UniformStructure(("a",), ("s",), {("s", "a"): (stray,)})
-
     def test_random_round_trips(self):
         rng = random.Random(201)
         for _ in range(30):
             nlmp = random_nlmp(rng, 4)
-            table = derive_uniform(nlmp)
+            table = oracle_derive_uniform(nlmp)
             assert oracle_validate_uniform(nlmp, table)
             rebuilt = table.to_nlmp()
             for s in nlmp.states:
@@ -265,21 +321,19 @@ class TestCompositionEnum:
         rng = random.Random(202)
         for _ in range(20):
             nlmp = random_nlmp(rng, 4)
-            table = derive_uniform(nlmp)
             s = rng.choice(nlmp.states)
-            assert composition_enum(table, s)[0] == s
+            assert composition_enum(nlmp, s)[0] == s
 
     def test_terminal_state_is_alone(self):
         nlmp = PointmassNLMP(("a",), ("s",), {})
-        assert composition_enum(derive_uniform(nlmp), "s") == ["s"]
+        assert composition_enum(nlmp, "s") == ["s"]
 
     def test_closure_is_the_reachable_carrier(self):
         rng = random.Random(203)
         for _ in range(30):
             nlmp = random_nlmp(rng, 5)
-            table = derive_uniform(nlmp)
             s = rng.choice(nlmp.states)
-            values = composition_enum(table, s)
+            values = composition_enum(nlmp, s)
             assert len(set(values)) == len(values)
             assert set(values) == set(reachable_carrier(nlmp, s))
             assert is_carrier(nlmp, tuple(values))
@@ -290,27 +344,45 @@ class TestCompositionEnum:
             ("t", "a"): frozenset({measure(v="1")}),
         }
         nlmp = PointmassNLMP(("a",), ("s", "t", "u", "v"), trans)
-        table = derive_uniform(nlmp)
-        full = composition_enum(table, "s")
+        full = composition_enum(nlmp, "s")
         assert full == ["s", "t", "u", "v"]
-        assert composition_enum(table, "s", bound=2) == full[:2]
+        assert composition_enum(nlmp, "s", bound=2) == full[:2]
 
     def test_bound_stops_the_walk(self):
         rng = random.Random(208)
         for _ in range(500):
-            derived = derive_uniform(gen.random_nlmp(rng, max_states=7))
-            rows = RecordedRows(derived.rows)
-            table = UniformStructure(derived.labels, derived.states, rows)
-            s = rng.choice(table.states)
-            full = composition_enum(table, s)
+            drawn = gen.random_nlmp(rng, max_states=7)
+            trans = RecordedRows(drawn.trans)
+            nlmp = PointmassNLMP(drawn.labels, drawn.states, trans)
+            s = rng.choice(nlmp.states)
+            full = composition_enum(nlmp, s)
             for bound in range(len(full) + 2):
-                rows.read.clear()
-                assert composition_enum(table, s, bound) == full[:bound]
-                assert {value for value, _ in rows.read} <= set(full[:bound])
+                trans.read.clear()
+                assert composition_enum(nlmp, s, bound) == full[:bound]
+                assert {value for value, _ in trans.read} <= set(full[:bound])
+
+    def test_matches_the_table_walk(self):
+        rng = random.Random(214)
+        for _ in range(300):
+            nlmp = gen.random_nlmp(rng, max_states=7)
+            table = oracle_derive_uniform(nlmp)
+            for s in nlmp.states:
+                for bound in (None, 0, 1, 2, 3, 5):
+                    expected = oracle_composition_enum(table, s, bound)
+                    assert composition_enum(nlmp, s, bound) == expected, (nlmp, s, bound)
+
+    def test_reachable_carrier_matches_the_level_walk(self):
+        rng = random.Random(215)
+        for _ in range(300):
+            nlmp = gen.random_nlmp(rng, max_states=7)
+            for s in nlmp.states:
+                closure = oracle_carrier_levels(nlmp, s)[-1]
+                expected = tuple(t for t in nlmp.states if t in closure)
+                assert reachable_carrier(nlmp, s) == expected, (nlmp, s)
 
 
 class RecordedRows(dict):
-    """Table rows that record the key of every ``get``."""
+    """Transitions that record the key of every ``get``."""
 
     def __init__(self, rows: dict) -> None:
         super().__init__(rows)
@@ -323,7 +395,7 @@ class RecordedRows(dict):
 
 # The former enumeration layer that `encode_state` went through: an
 # enumeration of every successor set, viewed as a table of unit rows and
-# walked with `composition_enum`. Kept as the oracle of the direct walk.
+# walked with `oracle_composition_enum`. Kept as the oracle of the direct walk.
 
 
 @frozen
@@ -408,7 +480,7 @@ def oracle_validate_umlts(lts: PointedLTS, structure: UMLTSStructure) -> bool:
 def oracle_encode_state(lts: PointedLTS, state: str) -> OmegaLTSCode:
     """Number nodes by first appearance in the enumeration order."""
     structure = oracle_derive_umlts(lts)
-    values = composition_enum(oracle_umlts_to_uniform(structure), state)
+    values = oracle_composition_enum(oracle_umlts_to_uniform(structure), state)
     numbering = {value: i for i, value in enumerate(values)}
     edges = {
         a: frozenset(
@@ -450,7 +522,7 @@ class TestUMLTS:
     def test_edge_law(self):
         lts = self.chain()
         structure = oracle_derive_umlts(lts)
-        values = composition_enum(oracle_umlts_to_uniform(structure), "s")
+        values = oracle_composition_enum(oracle_umlts_to_uniform(structure), "s")
         for u in values:
             for a in lts.labels:
                 targets = set(lts.successors(u, a))
@@ -485,34 +557,35 @@ class TestEncodeStateMatchesOracle:
 
 
 class TestWitnessMachinery:
-    def build_table(self) -> UniformStructure:
+    def build(self) -> PointmassNLMP:
         trans = {
             ("s", "a"): frozenset({measure(t="1/2", u="1/2")}),
             ("s2", "a"): frozenset({measure(t2="1/2", u2="1/2")}),
         }
         states = ("s", "t", "u", "s2", "t2", "u2")
-        return derive_uniform(PointmassNLMP(("a",), states, trans))
+        return PointmassNLMP(("a",), states, trans)
 
     def test_empty_relation_gives_empty_witnesses(self):
-        table = self.build_table()
+        table = oracle_derive_uniform(self.build())
         assert witness_indices(table, "s", "s2", frozenset(), 0, 0, "a") == frozenset()
         assert witness_mass_g(table, "s", "s2", frozenset(), 0, 0, "a") == 0
 
     def test_full_block_collects_both_entries(self):
-        table = self.build_table()
+        nlmp = self.build()
+        table = oracle_derive_uniform(nlmp)
         rel = frozenset(
             (x, y) for x in ("t", "u") for y in ("t2", "u2")
         )
         assert witness_indices(table, "s", "s2", rel, 0, 0, "a") == {0, 1}
         assert witness_mass_g(table, "s", "s2", rel, 0, 0, "a") == 1
-        assert gk_block(table, "s", "s2", rel, 0, 0, "a")
+        assert gk_block(nlmp, "s", "s2", rel, 0, 0, "a")
 
     def test_singleton_rows_have_tiny_index_sets(self):
         trans = {
             ("s", "a"): frozenset({measure(t="1")}),
             ("s2", "a"): frozenset({measure(t2="1")}),
         }
-        table = derive_uniform(
+        table = oracle_derive_uniform(
             PointmassNLMP(("a",), ("s", "t", "s2", "t2"), trans)
         )
         assert witness_indices(table, "s", "s2", frozenset(), 0, 0, "a") == frozenset()
@@ -520,7 +593,7 @@ class TestWitnessMachinery:
         assert witness_indices(table, "s", "s2", rel, 0, 0, "a") == {0}
 
     def test_missing_rows_are_errors(self):
-        table = self.build_table()
+        table = oracle_derive_uniform(self.build())
         with pytest.raises(ValueError):
             witness_indices(table, "s", "s2", frozenset(), 1, 0, "a")
         with pytest.raises(ValueError):
@@ -531,28 +604,19 @@ class TestWitnessMachinery:
         checked = 0
         for _ in range(80):
             nlmp = random_nlmp(rng, 4)
-            table = derive_uniform(nlmp)
             states = nlmp.states
             x, x_prime = rng.choice(states), rng.choice(states)
-            left = composition_enum(table, x)
-            right = composition_enum(table, x_prime)
+            left = composition_enum(nlmp, x)
+            right = composition_enum(nlmp, x_prime)
             rel = random_z_closed(rng, left, right)
             assert is_z_closed(rel)
             for a in nlmp.labels:
-                rows = table.rows.get((x, a))
-                prime_rows = table.rows.get((x_prime, a))
-                if rows is None or prime_rows is None:
-                    continue
-                for n in range(len(rows)):
-                    for n_prime in range(len(prime_rows)):
+                prime_rows = ordered_measures(nlmp, x_prime, a)
+                for n, mu in enumerate(ordered_measures(nlmp, x, a)):
+                    for n_prime, nu in enumerate(prime_rows):
                         checked += 1
-                        block = gk_block(table, x, x_prime, rel, n, n_prime, a)
-                        lifted = lift_support(
-                            table.row_measure(x, a, n),
-                            table.row_measure(x_prime, a, n_prime),
-                            rel,
-                        )
-                        assert block == lifted
+                        block = gk_block(nlmp, x, x_prime, rel, n, n_prime, a)
+                        assert block == lift_support(mu, nu, rel)
         assert checked > 50
 
 
@@ -570,11 +634,11 @@ def _entry_target(row: tuple, k: int, where: str):
 
 def witness_indices(table, x, x_prime, rel, n, k, a, bound=None) -> frozenset:
     """Row entries whose targets share a related enumeration value with entry ``k``."""
-    row = _row(table, x, a, n)
+    row = oracle_row(table, x, a, n)
     anchor = _entry_target(row, k, f"row {n} at ({x!r},{a!r})")
     witnesses = [
         value
-        for value in composition_enum(table, x_prime, bound)
+        for value in oracle_composition_enum(table, x_prime, bound)
         if (anchor, value) in rel
     ]
     return frozenset(
@@ -587,13 +651,13 @@ def witness_indices(table, x, x_prime, rel, n, k, a, bound=None) -> frozenset:
 def witness_mass_g(table, x, x_prime, rel, n, k, a, bound=None) -> Fraction:
     """Mass of the entries sharing a related enumeration value with entry ``k``."""
     chosen = witness_indices(table, x, x_prime, rel, n, k, a, bound)
-    row = _row(table, x, a, n)
+    row = oracle_row(table, x, a, n)
     return sum((mass for j, mass, _ in row if j in chosen), Fraction(0))
 
 
 def oracle_witness_mass_g_prime(table, x, x_prime, rel, n, n_prime, k, a):
-    anchor = _entry_target(_row(table, x, a, n), k, f"row {n} at ({x!r},{a!r})")
-    prime_row = _row(table, x_prime, a, n_prime)
+    anchor = _entry_target(oracle_row(table, x, a, n), k, f"row {n} at ({x!r},{a!r})")
+    prime_row = oracle_row(table, x_prime, a, n_prime)
     return sum(
         (mass for _, mass, target in prime_row if (anchor, target) in rel),
         Fraction(0),
@@ -602,9 +666,9 @@ def oracle_witness_mass_g_prime(table, x, x_prime, rel, n, n_prime, k, a):
 
 def oracle_witness_mass_k(table, x, x_prime, rel, n, n_prime, k_prime, a):
     anchor = _entry_target(
-        _row(table, x_prime, a, n_prime), k_prime, f"row {n_prime} at ({x_prime!r},{a!r})"
+        oracle_row(table, x_prime, a, n_prime), k_prime, f"row {n_prime} at ({x_prime!r},{a!r})"
     )
-    row = _row(table, x, a, n)
+    row = oracle_row(table, x, a, n)
     return sum(
         (mass for _, mass, target in row if (target, anchor) in rel), Fraction(0)
     )
@@ -613,11 +677,11 @@ def oracle_witness_mass_k(table, x, x_prime, rel, n, n_prime, k_prime, a):
 def oracle_witness_mass_k_prime(
     table, x, x_prime, rel, n_prime, k_prime, a, bound=None
 ):
-    prime_row = _row(table, x_prime, a, n_prime)
+    prime_row = oracle_row(table, x_prime, a, n_prime)
     anchor = _entry_target(prime_row, k_prime, f"row {n_prime} at ({x_prime!r},{a!r})")
     witnesses = [
         value
-        for value in composition_enum(table, x, bound)
+        for value in oracle_composition_enum(table, x, bound)
         if (value, anchor) in rel
     ]
     chosen = frozenset(
@@ -629,10 +693,10 @@ def oracle_witness_mass_k_prime(
 
 
 def oracle_gk_block(table, x, x_prime, rel, n, n_prime, a, bound=None) -> bool:
-    row = _row(table, x, a, n)
-    prime_row = _row(table, x_prime, a, n_prime)
-    right_values = composition_enum(table, x_prime, bound)
-    left_values = composition_enum(table, x, bound)
+    row = oracle_row(table, x, a, n)
+    prime_row = oracle_row(table, x_prime, a, n_prime)
+    right_values = oracle_composition_enum(table, x_prime, bound)
+    left_values = oracle_composition_enum(table, x, bound)
     for k, _, target in row:
         if not any((target, value) in rel for value in right_values):
             return False
@@ -666,14 +730,14 @@ class TestOneSidedBlockMatchesOracle:
         verdicts: dict = {}
         for _ in range(self.TABLES):
             nlmp = gen.random_nlmp(rng)
-            table = derive_uniform(nlmp)
+            table = oracle_derive_uniform(nlmp)
             x, x_prime = rng.choice(nlmp.states), rng.choice(nlmp.states)
             pick = rng.random()
             if pick < 0.25:
                 rel = greatest_state_bisim(nlmp)
             elif pick < 0.5:
-                left = composition_enum(table, x)
-                right = composition_enum(table, x_prime)
+                left = composition_enum(nlmp, x)
+                right = composition_enum(nlmp, x_prime)
                 rel = gen.random_z_closed(rng, left, right)
             else:
                 pairs = [(s, t) for s in nlmp.states for t in nlmp.states]
@@ -684,9 +748,9 @@ class TestOneSidedBlockMatchesOracle:
             bound = rng.choice((None, 0, 1, 2, 3, -1))
             for n in range(-1, rows + 1):
                 for n_prime in range(-1, prime_rows + 1):
-                    args = (table, x, x_prime, rel, n, n_prime, a, bound)
-                    got = outcome(gk_block, *args)
-                    assert got == outcome(oracle_gk_block, *args), args
+                    args = (x, x_prime, rel, n, n_prime, a, bound)
+                    got = outcome(gk_block, nlmp, *args)
+                    assert got == outcome(oracle_gk_block, table, *args), args
                     if not 0 <= n < rows:
                         kind = "no row n"
                     elif not 0 <= n_prime < prime_rows:
@@ -701,11 +765,10 @@ class TestSearch:
     def test_state_against_itself(self):
         rng = random.Random(205)
         nlmp = random_nlmp(rng, 4)
-        table = derive_uniform(nlmp)
         s = nlmp.states[0]
-        verdict, witness = uniform_bisim_search(table, s, s)
+        verdict, witness = uniform_bisim_search(nlmp, s, s)
         assert verdict
-        for value in composition_enum(table, s):
+        for value in composition_enum(nlmp, s):
             assert (value, value) in witness
 
     def test_mass_mismatch(self):
@@ -713,10 +776,8 @@ class TestSearch:
             ("s", "a"): frozenset({measure(t="1/2")}),
             ("s2", "a"): frozenset({measure(t2="1/3")}),
         }
-        table = derive_uniform(
-            PointmassNLMP(("a",), ("s", "t", "s2", "t2"), trans)
-        )
-        verdict, witness = uniform_bisim_search(table, "s", "s2")
+        nlmp = PointmassNLMP(("a",), ("s", "t", "s2", "t2"), trans)
+        verdict, witness = uniform_bisim_search(nlmp, "s", "s2")
         assert not verdict
         assert ("s", "s2") not in witness
 
@@ -724,10 +785,9 @@ class TestSearch:
         rng = random.Random(206)
         for _ in range(25):
             nlmp = random_nlmp(rng, 4)
-            table = derive_uniform(nlmp)
             ambient = greatest_state_bisim(nlmp)
             s, s_prime = rng.choice(nlmp.states), rng.choice(nlmp.states)
-            verdict, witness = uniform_bisim_search(table, s, s_prime)
+            verdict, witness = uniform_bisim_search(nlmp, s, s_prime)
             assert verdict == ((s, s_prime) in ambient)
             if verdict:
                 assert oracle_is_saturated_pair(nlmp, witness, s, s_prime)
@@ -860,11 +920,11 @@ class TestPipeline:
         for _ in range(10):
             tree = random_explicit_tree(rng, rng.randint(1, 6))
             lts = tree_process(tree)
-            table = derive_uniform(oracle_mlts_to_nlmp(lts))
+            nlmp = oracle_mlts_to_nlmp(lts)
             for s in lts.states:
                 for t in lts.states:
                     via_codes = canon(
                         omega_code_expand(encode_state(lts, s))
                     ) == canon(omega_code_expand(encode_state(lts, t)))
-                    verdict, _ = uniform_bisim_search(table, s, t)
+                    verdict, _ = uniform_bisim_search(nlmp, s, t)
                     assert via_codes == verdict

@@ -32,7 +32,6 @@ from bisimkit.lts import (
 )
 from bisimkit.nlmp import PointmassNLMP, SubProbMeasure
 from bisimkit.trees import LEAF, ATree, BTree, Chain, ExplicitTree, Glue, MultiTree
-from bisimkit.uniform import UniformStructure
 
 REQUIRED = dataclasses.MISSING
 
@@ -66,7 +65,6 @@ FIELDS = {
     ATree: [("param", REQUIRED)],
     BTree: [("param", REQUIRED)],
     Glue: [("parts", REQUIRED)],
-    UniformStructure: [("labels", REQUIRED), ("states", REQUIRED), ("rows", REQUIRED)],
 }
 
 
@@ -128,11 +126,6 @@ ARGS = {
     ATree: lambda rng: (EPSet(bits(rng, 0, 2), bits(rng, 1, 2)),),
     BTree: lambda rng: (EPSet(bits(rng, 0, 2), bits(rng, 1, 2)),),
     Glue: lambda rng: (tuple(rng.choices((Chain(0), Chain(1), ATree(EPSet())), k=rng.randint(0, 2))),),
-    UniformStructure: lambda rng: (
-        ("a",),
-        ("s", "t"),
-        {("s", "a"): (((0, F(1, 2), rng.choice("st")),),)} if rng.random() < 0.7 else {},
-    ),
 }
 
 MEASURE = frozenset({SubProbMeasure((("zz", F(1, 2)),))})
@@ -168,17 +161,6 @@ BAD_ARGS = {
         ((("a", LEAF, Count(0)),),),
     ],
     Chain: [(-1,)],
-    UniformStructure: [
-        (("a",), ("s", "s"), {}),
-        (("a", "a"), ("s",), {}),
-        (("a",), ("s",), {("t", "a"): ((),)}),
-        (("a",), ("s",), {("s", "b"): ((),)}),
-        (("a",), ("s",), {("s", "a"): ()}),
-        (("a",), ("s",), {("s", "a"): (((1, F(1, 2), "s"), (0, F(1, 2), "s")),)}),
-        (("a",), ("s",), {("s", "a"): (((0, F(0), "s"),),)}),
-        (("a",), ("s",), {("s", "a"): (((0, F(1), "zz"),),)}),
-        (("a",), ("s",), {("s", "a"): (((0, F(2, 3), "s"), (1, F(1, 2), "s")),)}),
-    ],
 }
 
 
@@ -210,7 +192,7 @@ def seeded(seed, per_class=12):
 
 
 def test_every_value_class_has_a_twin():
-    assert len(FIELDS) == 21
+    assert len(FIELDS) == 20
     for cls in FIELDS:
         assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
 
