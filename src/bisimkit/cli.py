@@ -38,6 +38,7 @@ from .e0 import (
 )
 from .expansion import omega_expand, omega_expand_truncated
 from .jsonio import (
+    decode_json,
     decode_multitree,
     formula_to_json,
     multitree_json_chunks,
@@ -347,14 +348,14 @@ def _sniff_dot_kind(data: object) -> str:
 def _cmd_export_dot(args: SimpleNamespace) -> int:
     pieces: Iterable[str]
     # A multiplicity tree is built while it is decoded, so the document is
-    # never held; any other file takes the checked path.
-    decoded = None
-    if args.kind in (None, "multitree"):
-        decoded = decode_multitree(read_text(args.file))
+    # never held; any other file takes the checked path on the same text,
+    # which is read once because a pipe cannot be read twice.
+    text = read_text(args.file)
+    decoded = decode_multitree(text) if args.kind in (None, "multitree") else None
     if decoded is not None and (args.kind or _sniff_dot_kind(decoded[1])) == "multitree":
         pieces = multitree_dot_lines(decoded[0])
     else:
-        pieces = _dot_pieces(args, read_json_file(args.file))
+        pieces = _dot_pieces(args, decode_json(args.file, text))
     chunks = chunked(pieces, PieceText.CHUNK)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:

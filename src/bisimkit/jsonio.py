@@ -48,6 +48,7 @@ from .trees import (
 )
 
 __all__ = [
+    "decode_json",
     "decode_multitree",
     "formula_to_json",
     "multitree_json_chunks",
@@ -68,7 +69,7 @@ __all__ = [
 
 
 def read_json_file(path: str) -> object:
-    return _decoded(path, read_text(path))
+    return decode_json(path, read_text(path))
 
 
 def read_text(path: str) -> str:
@@ -79,7 +80,7 @@ def read_text(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 
-def _decoded(path: str, text: str) -> object:
+def decode_json(path: str, text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -375,7 +376,7 @@ def read_multitree(path: str) -> MultiTree:
     decoded = decode_multitree(text)
     if decoded is not None:
         return decoded[0]
-    return parse_multitree(_decoded(path, text))
+    return parse_multitree(decode_json(path, text))
 
 
 def multitree_to_json(tree: MultiTree) -> dict:

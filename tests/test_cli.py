@@ -423,6 +423,36 @@ class TestExportVerb:
         assert proc.returncode == 0
         assert target.read_text().startswith("digraph lts {")
 
+    @pytest.mark.parametrize(
+        "document, flags",
+        [
+            (two_cycle_lts(), []),
+            ({"labels": ["a"], "states": ["u"], "trans": {"u": {"a": [{"u": "1/2"}]}}}, []),
+            ({"kind": "A", "set": {"prefix": "", "period": "10"}}, ["--depth", "3", "--width", "3"]),
+            ({"a": [[{}, 2]], "b": [[{"a": [[{}, 1]]}, "omega"]]}, []),
+            ({"a": [[{"a": [[{}, 0]]}, 1]]}, ["--kind", "multitree"]),
+            ({"a": [[{}, 1]], "b": {"c": []}}, ["--kind", "multitree"]),
+            ({"edges": [[{}, 1]]}, []),
+        ],
+    )
+    def test_a_pipe_is_read_once(self, tmp_path, document, flags):
+        # A pipe cannot be read twice, so every fallback decodes the text
+        # that the multiplicity-tree reader was given.
+        path = write(tmp_path, "doc.json", document)
+        from_file = run_cli("export-dot", path, *flags)
+        piped = subprocess.run(
+            [sys.executable, "-m", "bisimkit.cli", "export-dot", "/dev/stdin", *flags],
+            input=json.dumps(document),
+            capture_output=True,
+            text=True,
+        )
+        assert "not valid JSON" not in from_file.stderr
+        assert (piped.returncode, piped.stdout, piped.stderr) == (
+            from_file.returncode,
+            from_file.stdout,
+            from_file.stderr,
+        )
+
 
 class TestVerifyVerb:
     def test_single_suite_is_byte_identical(self):
