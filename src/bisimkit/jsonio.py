@@ -14,8 +14,8 @@ node, and gives up on anything else. `parse_multitree` walks an already
 decoded document with its own stack and checks every field in preorder,
 so its first error is the one a recursive descent would meet. The first
 is the fast path of `iso` (through `read_multitree`) and of `export-dot`;
-both hand any file it gives up on to the second, so every error is the
-second's.
+both hand the text of any file it gives up on to the second, read only
+once, so every error is the second's.
 
 A multiplicity tree's JSON text can also be streamed:
 `multitree_json_chunks` lays each node out with `trees.object_pieces`
