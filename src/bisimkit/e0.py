@@ -15,7 +15,7 @@ from itertools import repeat
 from math import lcm
 from typing import Callable, Iterable, Iterator
 
-from .foundations import EPSet, nth_modification
+from .foundations import EPSet, dfs_postorder, nth_modification
 from .lts import (
     And,
     CharSet,
@@ -307,36 +307,32 @@ def _some_modification(x: EPSet, body: Formula, masks: dict, top: int) -> bool:
 def _check_profile_budget(tree: SymbolicTree, phi: Formula) -> None:
     """Raise where the walk would hand `_some_modification` too wide a body.
 
-    That is the body of a <suc> diamond over anything but an atom, met at
-    a glued modification tree. This walk takes every boolean branch,
-    left to right, and follows <suc> bodies into glued parts as the walk
-    does, so what the short circuits skip is checked as well.
+    That is the body of a <suc> diamond met at a glued modification tree
+    (an atom has no top-level diamonds). This walk over (place,
+    subformula) pairs takes every boolean branch and follows <suc> bodies
+    into glued parts as the walk does, so what the short circuits skip
+    is checked as well. The checked diamonds end the walk, so postorder
+    lists them left to right in first-reached order.
     """
-    seen: set[tuple[int, int]] = set()
-    stack = [(tree, phi)]
-    while stack:
-        place, node = stack.pop()
-        if (id(place), id(node)) in seen:
-            continue
-        seen.add((id(place), id(node)))
-        if isinstance(node, (And, Or)):
-            stack.extend((place, sub) for sub in reversed(node.subs))
-        elif isinstance(node, Neg):
-            stack.append((place, node.sub))
-        elif (
-            isinstance(node, Dia)
-            and node.label == SUC_LABEL
-            and not isinstance(node.sub, (CharSet, RankAtLeast))
-        ):
-            if isinstance(place, BTree):
-                width = len(_top_diamonds(node.sub))
-                if width > PROFILE_BUDGET:
-                    raise ValueError(
-                        f"a diamond body on a glued modification tree has {width} "
-                        f"distinct top-level diamonds, over the budget of {PROFILE_BUDGET}"
-                    )
-            elif isinstance(place, Glue):
-                stack.extend((part, node.sub) for part in reversed(place.parts))
+    for place, node in dfs_postorder(((tree, phi),), _budget_steps, _pair_ids):
+        if isinstance(place, BTree) and isinstance(node, Dia) and node.label == SUC_LABEL:
+            width = len(_top_diamonds(node.sub))
+            if width > PROFILE_BUDGET:
+                raise ValueError(
+                    f"a diamond body on a glued modification tree has {width} "
+                    f"distinct top-level diamonds, over the budget of {PROFILE_BUDGET}"
+                )
+
+
+def _budget_steps(pair: tuple) -> list[tuple]:
+    place, node = pair
+    if isinstance(place, Glue) and isinstance(node, Dia) and node.label == SUC_LABEL:
+        return [(part, node.sub) for part in place.parts]
+    return [(place, sub) for sub in _boolean_parts(node)]
+
+
+def _pair_ids(pair: tuple) -> tuple[int, int]:
+    return id(pair[0]), id(pair[1])
 
 
 def _top_diamonds(body: Formula) -> list[Dia]:
@@ -344,21 +340,19 @@ def _top_diamonds(body: Formula) -> list[Dia]:
 
     Told apart by id, and listed left to right in first-reached order.
     """
-    found: list[Dia] = []
-    seen: set[int] = set()
-    stack = [body]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, (And, Or)):
-            stack.extend(reversed(node.subs))
-        elif isinstance(node, Neg):
-            stack.append(node.sub)
-        elif isinstance(node, Dia) and node.label == SUC_LABEL:
-            found.append(node)
-    return found
+    return [
+        node
+        for node in dfs_postorder((body,), _boolean_parts, id)
+        if isinstance(node, Dia) and node.label == SUC_LABEL
+    ]
+
+
+def _boolean_parts(node: Formula) -> tuple:
+    if isinstance(node, (And, Or)):
+        return node.subs
+    if isinstance(node, Neg):
+        return (node.sub,)
+    return ()
 
 
 def _diamond_tower(k: int) -> Formula:

@@ -8,19 +8,19 @@ depth, and coded systems expand at their root.
 
 from __future__ import annotations
 
-from .foundations import OMEGA_COUNT
-from .lts import OmegaLTSCode, PointedLTS, StateId, code_to_lts, state_rank
+from operator import itemgetter
+
+from .foundations import OMEGA_COUNT, dfs_postorder
+from .lts import OmegaLTSCode, PointedLTS, StateId, code_to_lts
 from .trees import MultiTree
+
+_target = itemgetter(1)
 
 
 def omega_expand(lts: PointedLTS, state: StateId) -> MultiTree:
     """Full expansion of a state that cannot reach a cycle."""
     if state not in lts.states:
         raise ValueError(f"unknown state {state!r}")
-    if state_rank(lts, state) is None:
-        raise ValueError(
-            f"state {state!r} can reach a cycle; its full expansion is infinite"
-        )
     return _expand(lts, state, None)
 
 
@@ -36,33 +36,33 @@ def omega_expand_truncated(lts: PointedLTS, state: StateId, depth: int) -> Multi
 def _expand(lts: PointedLTS, state: StateId, depth: int | None) -> MultiTree:
     """Expansion cut at a depth, or in full when depth is None.
 
-    Built bottom-up from an explicit stack. Nodes are hash-consed on their
-    (label, id(child)) entries, so equal subtrees are one object and
-    distinct successor expansions are told apart by identity.
+    Built bottom-up over the (state, depth) pairs in postorder, raising
+    at a successor not built yet, which closes a cycle. Nodes are
+    hash-consed on their (label, id(child)) entries, so equal subtrees are
+    one object and distinct successor expansions are told apart by identity.
     """
-    consed: dict[tuple, MultiTree] = {}
-    built: dict[tuple[StateId, int | None], MultiTree] = {}
-    stack = [(state, depth)]
-    while stack:
-        key = stack[-1]
-        if key in built:
-            stack.pop()
-            continue
+    moves: dict[tuple[StateId, int | None], list] = {}
+
+    def children(key: tuple[StateId, int | None]):
         s, d = key
         below = None if d is None else d - 1
-        moves = [
+        found = moves[key] = [
             (label, (t, below))
             for label in (lts.labels if d != 0 else ())
             for t in lts.successors(s, label)
         ]
-        pending = [sub for _, sub in moves if sub not in built]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+        return map(_target, found)
+
+    consed: dict[tuple, MultiTree] = {}
+    built: dict[tuple[StateId, int | None], MultiTree] = {}
+    for key in dfs_postorder(((state, depth),), children):
         entries: dict[tuple[str, int], tuple] = {}
-        for label, sub in moves:
-            tree = built[sub]
+        for label, sub in moves[key]:
+            tree = built.get(sub)
+            if tree is None:
+                raise ValueError(
+                    f"state {state!r} can reach a cycle; its full expansion is infinite"
+                )
             entries.setdefault((label, id(tree)), (label, tree, OMEGA_COUNT))
         shape = tuple(entries)
         if shape not in consed:

@@ -2,7 +2,9 @@
 
 Ordinals below omega^omega in Cantor normal form, eventually periodic
 subsets of the naturals, saturating counts in N + {omega}, and helpers
-for exact rationals. Everything here is immutable and pure.
+for exact rationals. Everything here is immutable and pure. Beside them
+sit `frozen`, which makes a class a value, and `dfs_postorder`, the one
+walk over shared structures (formulas, trees, glue, state graphs).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 def frozen(cls: type) -> type:
@@ -66,6 +68,37 @@ def frozen(cls: type) -> type:
         if body.get(method.__name__) is None:
             setattr(cls, method.__name__, method)
     return cls
+
+
+def dfs_postorder(
+    roots: Iterable, children: Callable[[object], Iterable], key: Callable | None = None
+) -> list:
+    """Each node reachable from the roots once, after the nodes it reaches.
+
+    Depth first, taking the roots and each ``children(node)`` in order,
+    on an explicit stack, so no depth meets the recursion limit.
+    ``key(node)`` tells nodes apart (``id`` for values shared rather than
+    hashed); without a key a node is its own. A successor still open
+    when a node is listed closes a cycle and is listed after it; every
+    other successor is listed before it.
+    """
+    seen: set = set()
+    order: list = []
+    stack: list = []
+    node, pending = None, iter(roots)  # None stands in for the roots' parent
+    while True:
+        for sub in pending:
+            mark = sub if key is None else key(sub)
+            if mark not in seen:
+                seen.add(mark)
+                stack.append((node, pending))
+                node, pending = sub, iter(children(sub))
+                break
+        else:
+            if not stack:
+                return order
+            order.append(node)
+            node, pending = stack.pop()
 
 
 @frozen

@@ -12,7 +12,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .foundations import EPSet, Ordinal, frozen
+from .foundations import EPSet, Ordinal, dfs_postorder, frozen
 
 StateId = str
 Rel = frozenset  # of (StateId, StateId) pairs
@@ -67,26 +67,18 @@ def formula_postorder(phi: Formula) -> list:
     """The distinct subformulas of phi, each after its parts.
 
     Formulas are told apart by identity, never hashed (a formula hashes
-    its whole tree), so shared parts are listed once; the walk keeps its
-    own stack.
+    its whole tree), so shared parts are listed once (see
+    `dfs_postorder`).
     """
-    order: list = []
-    seen: set[int] = set()
-    stack: list = [(phi, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if isinstance(node, (And, Or)):
-            stack.extend((sub, False) for sub in reversed(node.subs))
-        elif isinstance(node, (Neg, Dia)):
-            stack.append((node.sub, False))
-    return order
+    return dfs_postorder((phi,), _formula_parts, id)
+
+
+def _formula_parts(phi: Formula) -> tuple:
+    if isinstance(phi, (And, Or)):
+        return phi.subs
+    if isinstance(phi, (Neg, Dia)):
+        return (phi.sub,)
+    return ()
 
 
 def modal_depths(phi: Formula) -> dict[int, int | str]:
@@ -172,9 +164,16 @@ class PointedLTS:
     def successors(self, state: StateId, label: str) -> tuple[StateId, ...]:
         return self._succ.get((state, label), ())
 
+    @cached_property
+    def _all_succ(self) -> dict[StateId, tuple[StateId, ...]]:
+        succ = self._succ
+        return {
+            s: tuple(dict.fromkeys(t for a in self.labels for t in succ.get((s, a), ())))
+            for s in self.states
+        }
+
     def all_successors(self, state: StateId) -> tuple[StateId, ...]:
-        found = (t for label in self.labels for t in self.successors(state, label))
-        return tuple(dict.fromkeys(found))
+        return self._all_succ.get(state, ())
 
 
 @frozen
@@ -384,30 +383,22 @@ def state_rank(lts: PointedLTS, state: StateId) -> Ordinal | None:
     """Rank of the outgoing behavior; None when a cycle is reachable.
 
     On a finite system the rank is a natural number: the height of the
-    acyclic part below the state. One explicit-stack depth-first walk
-    computes it without recursion, giving up at the first successor that
-    is on the current path.
+    acyclic part below the state, read off the reachable states in
+    postorder. A successor not yet listed when its state is listed is
+    still on the path to it, so it closes a cycle.
     """
     if state not in lts.states:
         raise ValueError(f"unknown state {state!r}")
     heights: dict[StateId, int] = {}
-    on_path = {state}
-    succs = lts.all_successors(state)
-    stack = [(state, succs, iter(succs))]
-    while stack:
-        node, succs, pending = stack[-1]
-        for t in pending:
-            if t in on_path:
+    for node in dfs_postorder((state,), lts.all_successors):
+        height = 0
+        for t in lts.all_successors(node):
+            below = heights.get(t)
+            if below is None:
                 return None
-            if t not in heights:
-                on_path.add(t)
-                t_succs = lts.all_successors(t)
-                stack.append((t, t_succs, iter(t_succs)))
-                break
-        else:
-            stack.pop()
-            on_path.remove(node)
-            heights[node] = max((heights[t] + 1 for t in succs), default=0)
+            if below >= height:
+                height = below + 1
+        heights[node] = height
     return Ordinal.from_int(heights[state])
 
 

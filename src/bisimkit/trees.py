@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 from .foundations import (
@@ -28,6 +29,7 @@ from .foundations import (
     ORD_OMEGA,
     ORD_ZERO,
     Ordinal,
+    dfs_postorder,
     nth_modification,
     frozen,
     ordinal_sup,
@@ -36,6 +38,8 @@ from .foundations import (
 SUC_LABEL = "suc"
 
 Node = tuple  # of hashable letters
+
+_second = itemgetter(1)
 
 
 def node_name(node: Node) -> str:
@@ -171,23 +175,12 @@ class MultiTree:
     def __hash__(self) -> int:
         """``hash((children,))``, as the field-wise hash, cached per node.
 
-        Children are hashed before their parents from an explicit stack,
-        so each distinct node is hashed once and a deep tree never
-        recurses; the tuple hash then reads each child's cached value.
+        The nodes not hashed yet are hashed in postorder, so each distinct
+        node is hashed once and a deep tree never recurses; the tuple hash
+        then reads each child's cached value.
         """
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            if "_hash" in node.__dict__:
-                stack.pop()
-                continue
-            pending = [
-                sub for _, sub, _ in node.children if "_hash" not in sub.__dict__
-            ]
-            if pending:
-                stack += pending
-            else:
-                stack.pop()
+        if "_hash" not in self.__dict__:
+            for node in dfs_postorder((self,), _unhashed_subtrees, id):
                 object.__setattr__(node, "_hash", hash((node.children,)))
         return self._hash
 
@@ -219,26 +212,17 @@ def postorder(*roots: MultiTree) -> list[MultiTree]:
     """Each node reachable from the roots once, after its children.
 
     Nodes are told apart by identity, so shared subtrees are visited
-    once; the walk keeps its own stack instead of recursing.
+    once (see `dfs_postorder`).
     """
-    seen: set[int] = set()
-    order: list[MultiTree] = []
-    for root in roots:
-        if id(root) in seen:
-            continue
-        seen.add(id(root))
-        stack = [(root, iter(root.children))]
-        while stack:
-            node, children = stack[-1]
-            for _, sub, _ in children:
-                if id(sub) not in seen:
-                    seen.add(id(sub))
-                    stack.append((sub, iter(sub.children)))
-                    break
-            else:
-                stack.pop()
-                order.append(node)
-    return order
+    return dfs_postorder(roots, _subtrees, id)
+
+
+def _subtrees(node: MultiTree) -> Iterator[MultiTree]:
+    return map(_second, node.children)
+
+
+def _unhashed_subtrees(node: MultiTree) -> list[MultiTree]:
+    return [sub for _, sub, _ in node.children if "_hash" not in sub.__dict__]
 
 
 class PieceText:
@@ -411,26 +395,20 @@ def fold_symbolic(tree: SymbolicTree, leaf: Callable, glue: Callable):
 
     ``leaf`` gives the value of a chain, A or B tree, and ``glue`` that of
     a glue node from the list of its parts' values, in order. Each
-    distinct node is folded once, first parts first, on an explicit stack,
-    so deep glue never recurses.
+    distinct node is folded once, in postorder, first parts first, so
+    deep glue never recurses.
     """
     values: dict[int, object] = {}
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        if id(node) in values:
-            stack.pop()
-        elif not isinstance(node, Glue):
-            values[id(node)] = leaf(node)
-            stack.pop()
+    for node in dfs_postorder((tree,), _glue_parts, id):
+        if isinstance(node, Glue):
+            values[id(node)] = glue([values[id(part)] for part in node.parts])
         else:
-            waiting = [part for part in node.parts if id(part) not in values]
-            if waiting:
-                stack.extend(reversed(waiting))
-            else:
-                values[id(node)] = glue([values[id(part)] for part in node.parts])
-                stack.pop()
+            values[id(node)] = leaf(node)
     return values[id(tree)]
+
+
+def _glue_parts(tree: SymbolicTree) -> tuple:
+    return tree.parts if isinstance(tree, Glue) else ()
 
 
 def symbolic_rank(tree: SymbolicTree) -> tuple[Ordinal, Ordinal]:

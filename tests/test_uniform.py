@@ -251,71 +251,6 @@ def oracle_validate_uniform(nlmp: PointmassNLMP, table: UniformStructure) -> boo
     return not oracle_uniform_mismatches(nlmp, table)
 
 
-class TestUniformStructure:
-    def build(self) -> PointmassNLMP:
-        trans = {
-            ("s", "a"): frozenset({measure(t="1/2", u="1/4"), ZERO_MEASURE}),
-            ("t", "a"): frozenset({measure(u="1")}),
-        }
-        return PointmassNLMP(("a",), ("s", "t", "u"), trans)
-
-    def test_derived_table_validates(self):
-        nlmp = self.build()
-        table = oracle_derive_uniform(nlmp)
-        assert oracle_validate_uniform(nlmp, table)
-        assert table.to_nlmp() == nlmp
-
-    def test_row_order_is_irrelevant(self):
-        nlmp = self.build()
-        table = oracle_derive_uniform(nlmp)
-        shuffled = UniformStructure(
-            table.labels,
-            table.states,
-            {key: tuple(reversed(rows)) for key, rows in table.rows.items()},
-        )
-        assert oracle_validate_uniform(nlmp, shuffled)
-
-    def test_dropped_row_is_reported(self):
-        nlmp = self.build()
-        table = oracle_derive_uniform(nlmp)
-        rows = dict(table.rows)
-        rows[("s", "a")] = rows[("s", "a")][:1]
-        broken = UniformStructure(table.labels, table.states, rows)
-        problems = oracle_uniform_mismatches(nlmp, broken)
-        assert not oracle_validate_uniform(nlmp, broken)
-        assert any("misses" in line for line in problems)
-
-    def test_foreign_row_is_reported(self):
-        nlmp = self.build()
-        table = oracle_derive_uniform(nlmp)
-        rows = dict(table.rows)
-        rows[("t", "a")] = (((0, F(1, 3), "u"),),)
-        broken = UniformStructure(table.labels, table.states, rows)
-        assert any(
-            "row 0" in line and "'t'" in line
-            for line in oracle_uniform_mismatches(nlmp, broken)
-        )
-
-    def test_row_measure_merges_repeated_targets(self):
-        table = UniformStructure(
-            ("a",),
-            ("s", "t"),
-            {("s", "a"): (((0, F(1, 4), "t"), (1, F(1, 4), "t")),)},
-        )
-        assert table.row_measure("s", "a", 0) == measure(t="1/2")
-
-    def test_random_round_trips(self):
-        rng = random.Random(201)
-        for _ in range(30):
-            nlmp = random_nlmp(rng, 4)
-            table = oracle_derive_uniform(nlmp)
-            assert oracle_validate_uniform(nlmp, table)
-            rebuilt = table.to_nlmp()
-            for s in nlmp.states:
-                for a in nlmp.labels:
-                    assert rebuilt.measures(s, a) == nlmp.measures(s, a)
-
-
 class TestCompositionEnum:
     def test_starts_with_the_state(self):
         rng = random.Random(202)
