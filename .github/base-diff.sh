@@ -127,6 +127,11 @@ save("y", {"prefix": "0110", "period": "10"})
 save("z", {"prefix": "", "period": "011"})
 save("gadget", {"kind": "B", "set": {"prefix": "1", "period": "01"}})
 save("gadget-finite", {"kind": "B", "set": {"prefix": "0101", "period": "0"}})
+save("explicit", {"kind": "explicit", "nodes": [[], [0], [1], [0, 0], [0, 3]]})
+# An NLMP whose first measure is the zero one, which also reads as an
+# empty multiplicity tree, so export-dot decodes its text twice.
+zero_first = {"p": {"a": [{}, {"q": "1/2"}]}, "q": {"a": [{"p": "1"}]}}
+save("nlmp-zero-first", {"labels": ["a"], "states": ["p", "q"], "trans": zero_first})
 save("glue", {"kind": "glue", "children": [
     {"kind": "chain", "k": 0},
     {"kind": "A", "set": {"prefix": "001", "period": "0"}},
@@ -210,7 +215,8 @@ for cmd in \
   "expand $inputs/ladder.json --format text" \
   "expand $inputs/braid.json" \
   "expand $inputs/shift.json --depth 10" \
-  "expand $inputs/shift.json"; do
+  "expand $inputs/shift.json" \
+  "expand $inputs/shift.json --state q3"; do
   PYTHONPATH="$base_src" python -m bisimkit.cli $cmd > report-base.json 2> summary-base.txt || echo "exit $?" >> report-base.json
   PYTHONPATH="$head_src" python -m bisimkit.cli $cmd > report-head.json 2> summary-head.txt || echo "exit $?" >> report-head.json
   diff report-base.json report-head.json
@@ -240,17 +246,17 @@ for cmd in \
 done
 # e0 reduce and export-dot stream a symbolic tree's truncation
 # level by level, multitrees are parsed into a shared DAG while
-# decoding (iso and export-dot, which falls back to the decoded
-# document on any file the decoder gives up on), expand
+# decoding (iso and export-dot, which hand the decoded document
+# of any other file to the checked path), expand
 # orders long same-label siblings piece by piece, and eval reads
 # child ranks off the root's, and substructure cuts a carrier out
 # of the enumeration order (--bound 2 names the state it leaves
 # out, --bound 1 and 0 stop the walk before any measure is read);
-# e0 check decides eventual equality, export-dot draws an LTS
-# and an NLMP, and eval decides diamonds over modal bodies on
-# every gadget kind, checks the profile budget and decides a rank
-# atom on a cyclic system: stdout, stderr and the exit code must
-# match the base.
+# e0 check decides eventual equality, export-dot draws an LTS,
+# NLMPs and trees without --kind, iso rejects an LTS file, and
+# eval decides diamonds over modal bodies on every gadget kind,
+# checks the profile budget and decides a rank atom on a cyclic
+# system: stdout, stderr and the exit code must match the base.
 for cmd in \
   "iso $inputs/ladder-tree.json $inputs/ladder-tree.json --witness" \
   "iso $inputs/bad-count.json $inputs/left.json" \
@@ -300,6 +306,10 @@ for cmd in \
   "e0 check $inputs/x.json $inputs/z.json" \
   "export-dot $inputs/ring6.json" \
   "export-dot $inputs/nlmp-right.json" \
+  "export-dot $inputs/nlmp-zero-first.json" \
+  "export-dot $inputs/explicit.json" \
+  "export-dot $inputs/glue.json" \
+  "iso $inputs/ring6.json $inputs/left.json" \
   "substructure $inputs/nlmp-right.json --carrier $inputs/carrier.json" \
   "substructure $inputs/nlmp-right.json --carrier $inputs/open-carrier.json"; do
   PYTHONPATH="$base_src" python -m bisimkit.cli $cmd > out-base.txt 2> err-base.txt && echo "exit 0" >> out-base.txt || echo "exit $?" >> out-base.txt

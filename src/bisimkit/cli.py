@@ -36,7 +36,7 @@ from .e0 import (
     mod_glue_tree,
     separating_formula,
 )
-from .expansion import omega_expand, omega_expand_truncated
+from .expansion import CycleError, omega_expand, omega_expand_truncated
 from .jsonio import (
     decode_json,
     decode_multitree,
@@ -57,12 +57,13 @@ from .jsonio import (
     tree_to_json,
 )
 from .lts import PointedLTS, eval_formula, greatest_bisim, state_rank
-from .nlmp import greatest_ext_bisim, greatest_state_bisim
+from .nlmp import PointmassNLMP, greatest_ext_bisim, greatest_state_bisim
 from .substructures import composition_enum, substructure
 from .treeiso import canon, canon_chunks, iso
 from .trees import (
     ExplicitTree,
     PieceText,
+    SymbolicTree,
     chunked,
     symbolic_rank,
     truncate_symbolic,  # noqa: F401 -- perfbench/traced_cli.py wraps this name
@@ -109,58 +110,59 @@ def _write_line(stream, chunks: str | Iterable[str]) -> None:
     stream.write("\n")
 
 
+def _read_target(path: str) -> PointedLTS | SymbolicTree:
+    """An LTS file, or a tree file, where an explicit tree unfolds to its process."""
+    data = read_json_file(path)
+    if not (isinstance(data, dict) and "kind" in data):
+        return parse_lts(data)
+    tree = parse_tree(data)
+    return tree_process(tree) if isinstance(tree, ExplicitTree) else tree
+
+
 def _load_process(path: str) -> PointedLTS:
     """A process file: either an LTS or an explicit tree to unfold."""
-    data = read_json_file(path)
-    if isinstance(data, dict) and "kind" in data:
-        tree = parse_tree(data)
-        if not isinstance(tree, ExplicitTree):
-            raise ValueError(f"{path}: only explicit trees unfold to processes")
-        return tree_process(tree)
-    return parse_lts(data)
+    process = _read_target(path)
+    if not isinstance(process, PointedLTS):
+        raise ValueError(f"{path}: only explicit trees unfold to processes")
+    return process
 
 
-def _checked_state(lts: PointedLTS, state: str | None) -> str:
+def _checked_state(process: PointedLTS | PointmassNLMP, state: str | None) -> str:
     if state is None:
-        return lts.root
-    if state not in lts.states:
+        return process.root
+    if state not in process.states:
         raise ValueError(f"unknown state {state!r}")
     return state
+
+
+def _bisim_verdict(args: SimpleNamespace, verb: str, rel, key: tuple, what: str) -> int:
+    """Report whether the key pair is in the relation, listed under --witness."""
+    good = key in rel
+    report = {"verb": verb, "bisimilar": good}
+    if args.witness:
+        report["witness"] = [list(pair) for pair in sorted(rel)]
+    _emit(args, report, f"{what} {'' if good else 'not '}bisimilar")
+    return EXIT_OK if good else EXIT_FAIL
 
 
 def _cmd_bisim(args: SimpleNamespace) -> int:
     left = _load_process(args.left)
     right = _load_process(args.right)
     rel = greatest_bisim(left, right)
-    good = (left.root, right.root) in rel
-    report = {"verb": "bisim", "bisimilar": good}
-    if args.witness:
-        report["witness"] = [list(pair) for pair in sorted(rel)]
-    _emit(args, report, "roots bisimilar" if good else "roots not bisimilar")
-    return EXIT_OK if good else EXIT_FAIL
+    return _bisim_verdict(args, "bisim", rel, (left.root, right.root), "roots")
 
 
 def _cmd_nlmp_bisim(args: SimpleNamespace) -> int:
     nlmp = parse_nlmp(read_json_file(args.file))
     other = nlmp if args.other is None else parse_nlmp(read_json_file(args.other))
-    if args.state not in nlmp.states:
-        raise ValueError(f"unknown state {args.state!r}")
-    if args.state_prime not in other.states:
-        raise ValueError(f"unknown state {args.state_prime!r}")
+    _checked_state(nlmp, args.state)
+    _checked_state(other, args.state_prime)
     if args.other is None:
         rel = greatest_state_bisim(nlmp)
     else:
         rel = greatest_ext_bisim(nlmp, other)
-    good = (args.state, args.state_prime) in rel
-    report = {"verb": "nlmp-bisim", "bisimilar": good}
-    if args.witness:
-        report["witness"] = [list(pair) for pair in sorted(rel)]
-    _emit(
-        args,
-        report,
-        f"states {'' if good else 'not '}bisimilar",
-    )
-    return EXIT_OK if good else EXIT_FAIL
+    key = (args.state, args.state_prime)
+    return _bisim_verdict(args, "nlmp-bisim", rel, key, "states")
 
 
 def _cmd_rank(args: SimpleNamespace) -> int:
@@ -182,10 +184,11 @@ def _cmd_expand(args: SimpleNamespace) -> int:
     state = _checked_state(lts, args.state)
     if args.depth is not None:
         tree = omega_expand_truncated(lts, state, args.depth)
-    elif state_rank(lts, state) is None:
-        raise ValueError(f"state {state!r} reaches a cycle; give --depth to truncate")
     else:
-        tree = omega_expand(lts, state)
+        try:
+            tree = omega_expand(lts, state)
+        except CycleError:
+            raise ValueError(f"state {state!r} reaches a cycle; give --depth to truncate")
     form = canon_chunks(tree)
     # Both texts are tabled before the first byte is written, so a failure
     # leaves stdout empty; text output renders no tree.
@@ -316,19 +319,13 @@ def _cmd_substructure(args: SimpleNamespace) -> int:
 
 def _cmd_eval(args: SimpleNamespace) -> int:
     phi = parse_formula(read_json_file(args.formula))
-    data = read_json_file(args.target)
-    if isinstance(data, dict) and "kind" in data:
-        tree = parse_tree(data)
-        if isinstance(tree, ExplicitTree):
-            lts = tree_process(tree)
-            holds = eval_formula(lts, _checked_state(lts, args.state), phi)
-        elif args.state is not None:
-            raise ValueError("symbolic trees evaluate at their root only")
-        else:
-            holds = eval_symbolic(tree, phi)
+    target = _read_target(args.target)
+    if isinstance(target, PointedLTS):
+        holds = eval_formula(target, _checked_state(target, args.state), phi)
+    elif args.state is not None:
+        raise ValueError("symbolic trees evaluate at their root only")
     else:
-        lts = parse_lts(data)
-        holds = eval_formula(lts, _checked_state(lts, args.state), phi)
+        holds = eval_symbolic(target, phi)
     report = {"verb": "eval", "holds": holds}
     _emit(args, report, "formula holds" if holds else "formula fails")
     return EXIT_OK if holds else EXIT_FAIL
@@ -347,15 +344,15 @@ def _sniff_dot_kind(data: object) -> str:
 
 def _cmd_export_dot(args: SimpleNamespace) -> int:
     pieces: Iterable[str]
-    # A multiplicity tree is built while it is decoded, so the document is
-    # never held; any other file takes the checked path on the same text,
-    # which is read once because a pipe cannot be read twice.
+    # The text is read once, as a pipe cannot be read twice, and decoded once
+    # into a multiplicity tree's DAG, or else into the document.
     text = read_text(args.file)
-    decoded = decode_multitree(text) if args.kind in (None, "multitree") else None
-    if decoded is not None and (args.kind or _sniff_dot_kind(decoded[1])) == "multitree":
-        pieces = multitree_dot_lines(decoded[0])
-    else:
-        pieces = _dot_pieces(args, decode_json(args.file, text))
+    tree, data = decode_multitree(args.file, text)
+    kind = args.kind or _sniff_dot_kind(data)
+    if kind == "multitree":
+        pieces = multitree_dot_lines(parse_multitree(data) if tree is None else tree)
+    else:  # a tree read as another kind, or whose root keys name one, is decoded again
+        pieces = _dot_pieces(args, kind, data if tree is None else decode_json(args.file, text))
     chunks = chunked(pieces, PieceText.CHUNK)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -366,14 +363,11 @@ def _cmd_export_dot(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _dot_pieces(args: SimpleNamespace, data: object) -> Iterable[str]:
-    kind = args.kind or _sniff_dot_kind(data)
+def _dot_pieces(args: SimpleNamespace, kind: str, data: object) -> Iterable[str]:
     if kind == "lts":
         return (lts_dot(parse_lts(data)),)
     if kind == "nlmp":
         return (nlmp_dot(parse_nlmp(data)),)
-    if kind == "multitree":
-        return multitree_dot_lines(parse_multitree(data))
     tree = parse_tree(data)
     if isinstance(tree, ExplicitTree):
         return (explicit_tree_dot(tree),)

@@ -12,7 +12,7 @@ many nodes.
 from __future__ import annotations
 
 from itertools import repeat
-from math import lcm
+from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from .foundations import EPSet, dfs_postorder, nth_modification
@@ -104,15 +104,8 @@ def _glue_leaf_depths(parts: list[EPSet]) -> EPSet:
     if any(part.is_empty for part in parts):
         depths = EPSet.from_finite([0])
     for part in parts:
-        depths = _union(depths, _shift_up(part))
+        depths = depths.pointwise(_shift_up(part), or_)
     return depths
-
-
-def _union(a: EPSet, b: EPSet) -> EPSet:
-    width = max(len(a.prefix), len(b.prefix))
-    cycle = lcm(len(a.period), len(b.period))
-    bits = ["01"[a.member(n) or b.member(n)] for n in range(width + cycle)]
-    return EPSet("".join(bits[:width]), "".join(bits[width:]))
 
 
 def _shift_up(s: EPSet) -> EPSet:
@@ -140,13 +133,14 @@ def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
     walk, so that the short circuits cannot hide them. The walk keeps its
     own stack, so formula depth is not bounded by the recursion limit.
     """
-    depths = modal_depths(phi)
+    order = formula_postorder(phi)
+    depths = modal_depths(order)
     for dia in _top_diamonds(phi):
         if not isinstance(dia.sub, (CharSet, RankAtLeast)):
             modal_depth(dia.sub, depths)  # raises when the body nests an atom
     _check_profile_budget(tree, phi)
     top = max((d for d in depths.values() if not isinstance(d, str)), default=0)
-    masks = _chain_masks(phi, depths, top)
+    masks = _chain_masks(order, depths, top)
 
     def leaf(tree: SymbolicTree, node: Formula) -> bool | Iterable:
         if isinstance(node, CharSet):
@@ -236,7 +230,7 @@ def _child_with_leaf_set(tree: SymbolicTree, z: EPSet) -> bool:
     return any(leaf_depth_set(part) == z for part in tree.parts)
 
 
-def _chain_masks(phi: Formula, depths: dict[int, int | str], top: int) -> dict:
+def _chain_masks(order: list, depths: dict[int, int | str], top: int) -> dict:
     """L(psi) = {k <= top : Chain(k) satisfies psi} per subformula, by id.
 
     Bit top stands for every longer chain, which no formula of depth at
@@ -246,7 +240,7 @@ def _chain_masks(phi: Formula, depths: dict[int, int | str], top: int) -> dict:
     """
     full = (1 << top + 1) - 1
     masks: dict[int, int | None] = {}
-    for node in formula_postorder(phi):
+    for node in order:
         if isinstance(depths[id(node)], str):
             mask = None
         elif isinstance(node, Top):

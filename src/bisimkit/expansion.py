@@ -17,19 +17,17 @@ from .trees import MultiTree
 _target = itemgetter(1)
 
 
+class CycleError(ValueError):
+    """A full expansion asked of a state that can reach a cycle."""
+
+
 def omega_expand(lts: PointedLTS, state: StateId) -> MultiTree:
-    """Full expansion of a state that cannot reach a cycle."""
-    if state not in lts.states:
-        raise ValueError(f"unknown state {state!r}")
+    """Full expansion of a state; CycleError if it can reach a cycle."""
     return _expand(lts, state, None)
 
 
 def omega_expand_truncated(lts: PointedLTS, state: StateId, depth: int) -> MultiTree:
     """Expansion cut at a depth; defined for every state."""
-    if state not in lts.states:
-        raise ValueError(f"unknown state {state!r}")
-    if depth < 0:
-        raise ValueError("depth must be a natural")
     return _expand(lts, state, depth)
 
 
@@ -37,10 +35,14 @@ def _expand(lts: PointedLTS, state: StateId, depth: int | None) -> MultiTree:
     """Expansion cut at a depth, or in full when depth is None.
 
     Built bottom-up over the (state, depth) pairs in postorder, raising
-    at a successor not built yet, which closes a cycle. Nodes are
+    CycleError at a successor not built yet, which closes a cycle. Nodes are
     hash-consed on their (label, id(child)) entries, so equal subtrees are
     one object and distinct successor expansions are told apart by identity.
     """
+    if state not in lts.states:
+        raise ValueError(f"unknown state {state!r}")
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be a natural")
     moves: dict[tuple[StateId, int | None], list] = {}
 
     def children(key: tuple[StateId, int | None]):
@@ -60,7 +62,7 @@ def _expand(lts: PointedLTS, state: StateId, depth: int | None) -> MultiTree:
         for label, sub in moves[key]:
             tree = built.get(sub)
             if tree is None:
-                raise ValueError(
+                raise CycleError(
                     f"state {state!r} can reach a cycle; its full expansion is infinite"
                 )
             entries.setdefault((label, id(tree)), (label, tree, OMEGA_COUNT))

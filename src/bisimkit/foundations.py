@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, xor
 from typing import Callable, Iterable, Iterator
 
 
@@ -321,15 +321,16 @@ class EPSet:
         rotated = self.period[shift:] + self.period[:shift]
         return EPSet("".join(bits), rotated)
 
-    def sym_diff(self, other: EPSet) -> EPSet:
-        """Symmetric difference of two eventually periodic sets."""
+    def pointwise(self, other: EPSet, op: Callable[[bool, bool], bool]) -> EPSet:
+        """The n at which op(n in self, n in other) holds."""
         width = max(len(self.prefix), len(other.prefix))
         cycle = lcm(len(self.period), len(other.period))
-        bits = [
-            ("0", "1")[self.member(n) ^ other.member(n)]
-            for n in range(width + cycle)
-        ]
+        bits = ["01"[op(self.member(n), other.member(n))] for n in range(width + cycle)]
         return EPSet("".join(bits[:width]), "".join(bits[width:]))
+
+    def sym_diff(self, other: EPSet) -> EPSet:
+        """Symmetric difference of two eventually periodic sets."""
+        return self.pointwise(other, xor)
 
     def eventually_equal(self, other: EPSet) -> bool:
         """Do the two sets agree from some point on?

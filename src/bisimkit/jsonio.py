@@ -10,12 +10,11 @@ Multiplicity trees are built as a shared DAG, one node per distinct
 subtree, by two readers. `decode_multitree` builds each node while the
 JSON decoder closes its object, so memory follows the distinct subtrees
 rather than the unfolded document; it checks only enough to build a
-node, and gives up on anything else. `parse_multitree` walks an already
-decoded document with its own stack and checks every field in preorder,
-so its first error is the one a recursive descent would meet. The first
-is the fast path of `iso` (through `read_multitree`) and of `export-dot`;
-both hand the text of any file it gives up on to the second, read only
-once, so every error is the second's.
+node. `parse_multitree` walks a decoded document with its own stack and
+checks every field in preorder, so its first error is the one a
+recursive descent would meet. `iso` and `export-dot` decode each file
+once, through the first, and hand the document of a file that is not a
+tree to the second; only where a node was built first is it decoded again.
 
 A multiplicity tree's JSON text can also be streamed:
 `multitree_json_chunks` lays each node out with `trees.object_pieces`
@@ -327,56 +326,62 @@ def _count(raw: object, counts: dict[int | str, Count]) -> Count:
     return count
 
 
-def decode_multitree(text: str) -> tuple[MultiTree, dict] | None:
-    """A multiplicity tree built into a shared DAG while its text is decoded.
+def decode_multitree(path: str, text: str) -> tuple[MultiTree | None, object]:
+    """The text decoded once, into a shared DAG if it is a multiplicity tree.
 
-    The decoder hands each JSON object to a hook as it closes, and the
-    hook turns it into its node at once, consed like `parse_multitree`'s,
-    so no document tree is held. Returns the tree with its root object as
-    json decodes it, whose values hold the root's children, or None if
-    anything stops the read: a shape error, a bad count, invalid JSON,
-    too deep a nesting or a non-object root.
+    The decoder hands each JSON object to a hook as it closes. If the first
+    to close is a node (``{}`` is one), the hook turns each into its node
+    at once, consed like `parse_multitree`'s, so no document is held; if
+    not, each stays the dict json makes. Returns the tree with its root
+    object, or None with the document, decoded again only if a node was
+    built before a failure.
     """
     consed: dict[tuple, MultiTree] = {(): LEAF}
     counts: dict[int | str, Count] = {}
-    fields: dict = {}  # the last object closed, which ends as the root
+    fields: dict = {}  # the last object made a node, which ends as the root
+    nodes: bool | None = None  # None until the first object closes
 
-    def node(pairs: list[tuple[str, object]]) -> MultiTree:
-        nonlocal fields
-        fields = dict(pairs)  # json's rule for repeated keys
+    def node(obj: dict) -> MultiTree | dict:
+        nonlocal fields, nodes
+        if nodes is False:
+            return obj
+        fields = obj
         entries, keys = [], []
-        for label, children in fields.items():
-            if type(children) is not list:
-                raise ValueError
-            for sub, raw in children:  # MultiTree rejects a sub that is no node
-                count = _count(raw, counts)
-                entries.append((label, sub, count))
-                keys.append((label, id(sub), count))
-        key = tuple(keys)
-        tree = consed.get(key)
-        if tree is None:
-            tree = consed[key] = MultiTree(tuple(entries))
+        try:
+            for label, children in obj.items():
+                if type(children) is not list:
+                    raise ValueError
+                for sub, raw in children:  # MultiTree rejects a sub that is no node
+                    count = _count(raw, counts)
+                    entries.append((label, sub, count))
+                    keys.append((label, id(sub), count))
+            key = tuple(keys)
+            tree = consed.get(key)
+            if tree is None:
+                tree = consed[key] = MultiTree(tuple(entries))
+        except (ValueError, TypeError):
+            if nodes:
+                raise
+            nodes = False
+            return obj
+        nodes = True
         return tree
 
     try:
-        tree = json.loads(text, object_pairs_hook=node)
-    except (ValueError, TypeError, RecursionError):  # reported by the checked path
-        return None
-    return (tree, fields) if type(tree) is MultiTree else None
+        value = json.loads(text, object_hook=node)
+        if type(value) is MultiTree:
+            return value, fields
+        if not nodes:
+            return None, value
+    except (ValueError, TypeError, RecursionError):  # raised again by the second decode
+        pass
+    return None, decode_json(path, text)
 
 
 def read_multitree(path: str) -> MultiTree:
-    """A multiplicity tree file, read by `decode_multitree`.
-
-    Whatever stops that read hands the same text to ``parse_multitree`` of
-    the decoded document, whose value or first error in preorder is the
-    file's.
-    """
-    text = read_text(path)
-    decoded = decode_multitree(text)
-    if decoded is not None:
-        return decoded[0]
-    return parse_multitree(decode_json(path, text))
+    """A multiplicity tree file: `decode_multitree`'s, else `parse_multitree`'s."""
+    tree, data = decode_multitree(path, read_text(path))
+    return parse_multitree(data) if tree is None else tree
 
 
 def multitree_to_json(tree: MultiTree) -> dict:

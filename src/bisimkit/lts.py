@@ -81,15 +81,15 @@ def _formula_parts(phi: Formula) -> tuple:
     return ()
 
 
-def modal_depths(phi: Formula) -> dict[int, int | str]:
-    """Modal depth of every subformula of phi, keyed by id, in one walk.
+def modal_depths(order: list) -> dict[int, int | str]:
+    """Modal depth of every subformula in a `formula_postorder` list, by id.
 
     A subformula over an atom without finite depth maps to the type name
-    of its first such atom instead. The table is keyed by identity (see
-    `formula_postorder`), so it is meaningful only while phi is alive.
+    of its first such atom instead. The table is keyed by identity, so it
+    is meaningful only while the formula is alive.
     """
     depths: dict[int, int | str] = {}
-    for node in formula_postorder(phi):
+    for node in order:
         if isinstance(node, (Neg, Dia)):
             depth = depths[id(node.sub)]
             if isinstance(node, Dia) and not isinstance(depth, str):
@@ -116,7 +116,7 @@ def modal_depth(phi: Formula, depths: dict[int, int | str] | None = None) -> int
     ``depths``, the `modal_depths` table of a formula containing phi,
     saves the walk.
     """
-    depth = (modal_depths(phi) if depths is None else depths)[id(phi)]
+    depth = (modal_depths(formula_postorder(phi)) if depths is None else depths)[id(phi)]
     if isinstance(depth, str):
         raise UnsupportedFormula(f"{depth} has no finite modal depth")
     return depth
@@ -232,9 +232,9 @@ def code_to_lts(code: OmegaLTSCode, reachable_bound: int) -> PointedLTS:
     return PointedLTS(labels, states, str(code.root), edges)
 
 
-def _label_universe(left: PointedLTS, right: PointedLTS) -> tuple[str, ...]:
-    extra = tuple(l for l in right.labels if l not in left.labels)
-    return left.labels + extra
+def _label_universe(left, right) -> tuple[str, ...]:
+    """The labels of two systems or processes, the left's first, in declared order."""
+    return tuple(dict.fromkeys(left.labels + right.labels))
 
 
 def _pair_matches(

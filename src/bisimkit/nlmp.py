@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .foundations import frozen
-from .lts import Rel, StateId, mass_codes, refine_blocks, same_part_pairs
+from .lts import Rel, StateId, _label_universe, mass_codes, refine_blocks, same_part_pairs
 
 
 def _total(masses: Iterable[Fraction]) -> tuple[int, int]:
@@ -299,7 +299,7 @@ def is_ext_state_bisim(left: PointmassNLMP, right: PointmassNLMP, rel: Rel) -> b
         rel, left.states, right.states, "the state set"
     )
     left_codes, right_codes = _Codes(left, left_part), _Codes(right, right_part)
-    labels = tuple(dict.fromkeys(left.labels + right.labels))
+    labels = _label_universe(left, right)
     return all(left_codes[s, a] == right_codes[t, a] for s, t in rel for a in labels)
 
 
@@ -308,5 +308,5 @@ def greatest_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> Rel:
 
     Being difunctional, it is the crossing pairs of the refined union.
     """
-    labels = tuple(dict.fromkeys(left.labels + right.labels))
+    labels = _label_universe(left, right)
     return same_part_pairs(*refine_blocks((left, right), labels, _measure_moves))

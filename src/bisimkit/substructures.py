@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .lts import Rel, StateId, identity_rel, same_part_pairs
+from .lts import Rel, StateId, _label_universe, identity_rel, same_part_pairs
 from .nlmp import PointmassNLMP, SubProbMeasure, _part_numbers
 
 
@@ -140,7 +140,7 @@ def _relabel(mu: SubProbMeasure, prefix) -> SubProbMeasure:
 
 def sum_nlmp(left: PointmassNLMP, right: PointmassNLMP) -> PointmassNLMP:
     """Disjoint sum; left states get an "l:" prefix and right states "r:"."""
-    labels = tuple(dict.fromkeys(left.labels + right.labels))
+    labels = _label_universe(left, right)
     states = tuple(inl_state(s) for s in left.states) + tuple(
         inr_state(t) for t in right.states
     )

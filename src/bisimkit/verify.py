@@ -36,6 +36,7 @@ from .gen import (
 )
 from .lts import (
     PointedLTS,
+    _label_universe,
     bisimilar,
     eval_formula,
     greatest_bisim,
@@ -514,7 +515,7 @@ def _suite_uniform_search(seed: int) -> dict:
 
 
 def _tagged_union(left: PointedLTS, right: PointedLTS) -> PointedLTS:
-    labels = tuple(dict.fromkeys((*left.labels, *right.labels)))
+    labels = _label_universe(left, right)
     states = tuple(
         [*(f"l:{s}" for s in left.states), *(f"r:{s}" for s in right.states)]
     )

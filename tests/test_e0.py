@@ -327,16 +327,16 @@ class TestEvaluator:
     def test_depths_are_walked_once_per_evaluation(self, monkeypatch):
         calls = []
 
-        def counted(phi):
-            calls.append(phi)
-            return modal_depths(phi)
+        def counted(order):
+            calls.append(order)
+            return modal_depths(order)
 
         monkeypatch.setattr("bisimkit.e0.modal_depths", counted)
         monkeypatch.setattr("bisimkit.lts.modal_depths", counted)
         phi = tower(6)
         results = [eval_symbolic(BTree(EVENS), phi), eval_symbolic(ATree(EVENS), phi)]
         assert results == [True, True]
-        assert len(calls) == 2 and all(c is phi for c in calls)
+        assert len(calls) == 2 and all(c[-1] is phi for c in calls)
 
     def test_unsupported_nesting_names_the_atom(self):
         buried = Dia("suc", Dia("suc", Neg(CharSet(EVENS))))

@@ -23,6 +23,7 @@ from bisimkit.lts import (
     bounded_bisim,
     code_to_lts,
     eval_formula,
+    formula_postorder,
     greatest_bisim,
     identity_rel,
     is_bisimulation,
@@ -418,7 +419,7 @@ class TestModalDepths:
         verdicts = []
         for _ in range(300):
             phi = random_shared_formula(rng, rng.randint(1, 12))
-            table = modal_depths(phi)
+            table = modal_depths(formula_postorder(phi))
             for sub in subformulas(phi):
                 want = outcome(recursive_modal_depth, sub)
                 verdicts.append(outcome(lambda f: modal_depth(f, table), sub) == want)

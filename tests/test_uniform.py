@@ -146,19 +146,6 @@ class UniformStructure:
     states: tuple[str, ...]
     rows: dict  # (state, label) -> tuple of rows
 
-    def row_measure(self, state: str, label: str, n: int) -> SubProbMeasure:
-        weights: dict[str, Fraction] = {}
-        for _, mass, target in oracle_row(self, state, label, n):
-            weights[target] = weights.get(target, Fraction(0)) + mass
-        return SubProbMeasure.from_mapping(weights)
-
-    def to_nlmp(self) -> PointmassNLMP:
-        trans = {
-            (s, a): frozenset(self.row_measure(s, a, n) for n in range(len(rows)))
-            for (s, a), rows in self.rows.items()
-        }
-        return PointmassNLMP(self.labels, self.states, trans)
-
 
 def oracle_derive_uniform(nlmp: PointmassNLMP) -> UniformStructure:
     """Tabulate a process, ordering measures by their weight listings."""
@@ -218,37 +205,6 @@ def oracle_carrier_levels(nlmp: PointmassNLMP, state: str) -> list[frozenset]:
         if nxt == cur:
             return levels
         levels.append(frozenset(nxt))
-
-
-def oracle_uniform_mismatches(nlmp: PointmassNLMP, table: UniformStructure) -> list[str]:
-    """Ways the table fails to reconstruct the process, worst first."""
-    problems = []
-    if table.labels != nlmp.labels or table.states != nlmp.states:
-        problems.append("label or state listings differ")
-        return problems
-    keyed = {(s, a) for (s, a), measures in nlmp.trans.items() if measures}
-    for s, a in sorted(keyed - set(table.rows)):
-        problems.append(f"no table at ({s!r},{a!r})")
-    for s, a in sorted(set(table.rows) - keyed):
-        problems.append(f"table at ({s!r},{a!r}) has no transitions to match")
-    for s, a in sorted(keyed & set(table.rows)):
-        wanted = nlmp.measures(s, a)
-        count = len(table.rows[(s, a)])
-        rebuilt = set()
-        for n in range(count):
-            measure = table.row_measure(s, a, n)
-            rebuilt.add(measure)
-            if measure not in wanted:
-                problems.append(
-                    f"row {n} at ({s!r},{a!r}) reconstructs a foreign measure"
-                )
-        if not wanted <= rebuilt:
-            problems.append(f"table at ({s!r},{a!r}) misses a transition measure")
-    return problems
-
-
-def oracle_validate_uniform(nlmp: PointmassNLMP, table: UniformStructure) -> bool:
-    return not oracle_uniform_mismatches(nlmp, table)
 
 
 class TestCompositionEnum:
@@ -447,12 +403,6 @@ class TestUMLTS:
         assert not oracle_validate_umlts(
             lts, UMLTSStructure(structure.labels, structure.states, enum)
         )
-
-    def test_uniform_view_reconstructs_the_dirac_process(self):
-        lts = self.chain()
-        table = oracle_umlts_to_uniform(oracle_derive_umlts(lts))
-        assert table.to_nlmp() == oracle_mlts_to_nlmp(lts)
-        assert oracle_validate_uniform(oracle_mlts_to_nlmp(lts), table)
 
     def test_edge_law(self):
         lts = self.chain()
