@@ -129,7 +129,8 @@ save("gadget", {"kind": "B", "set": {"prefix": "1", "period": "01"}})
 save("gadget-finite", {"kind": "B", "set": {"prefix": "0101", "period": "0"}})
 save("explicit", {"kind": "explicit", "nodes": [[], [0], [1], [0, 0], [0, 3]]})
 # An NLMP whose first measure is the zero one, which also reads as an
-# empty multiplicity tree, so export-dot decodes its text twice.
+# empty multiplicity tree: the decoder leaves it undecided until the
+# second measure closes, and export-dot draws the NLMP.
 zero_first = {"p": {"a": [{}, {"q": "1/2"}]}, "q": {"a": [{"p": "1"}]}}
 save("nlmp-zero-first", {"labels": ["a"], "states": ["p", "q"], "trans": zero_first})
 save("glue", {"kind": "glue", "children": [
@@ -167,6 +168,37 @@ save("psi", {"op": "dia", "label": "suc", "sub": {"op": "and", "subs": [
     {"op": "dia", "label": "suc", "sub": leaf},
     {"op": "neg", "sub": {"op": "dia", "label": "suc", "sub": {"op": "dia", "label": "suc", "sub": leaf}}},
 ]}})
+# Process formulas through every operator that has process semantics,
+# where they hold and where they fail.
+rank2 = {"op": "rank_at_least", "bound": [[0, 2]]}
+save("lts-mix", {"op": "or", "subs": [
+    {"op": "and", "subs": [
+        {"op": "dia", "label": "a", "sub": {"op": "neg", "sub": {"op": "dia", "label": "c", "sub": top}}},
+        {"op": "neg", "sub": rank2},
+    ]},
+    {"op": "dia", "label": "b", "sub": top},
+]})
+save("lts-omega", {"op": "dia", "label": "b", "sub": {"op": "rank_at_least", "bound": [[1, 1]]}})
+save("lts-steps", {"op": "and", "subs": [
+    {"op": "or", "subs": [{"op": "dia", "label": "c", "sub": top}, {"op": "dia", "label": "b", "sub": top}]},
+    {"op": "neg", "sub": {"op": "dia", "label": "c", "sub": {"op": "dia", "label": "c", "sub": top}}},
+    {"op": "neg", "sub": rank2},
+]})
+save("lts-suc", {"op": "and", "subs": [
+    {"op": "dia", "label": "suc", "sub": {"op": "or", "subs": [
+        {"op": "neg", "sub": {"op": "dia", "label": "suc", "sub": top}},
+        rank2,
+    ]}},
+    {"op": "neg", "sub": {"op": "rank_at_least", "bound": [[0, 4]]}},
+]})
+# <a>(and ...) forty deep, deeper than any a-path of the ladder.
+deep = top
+for _ in range(40):
+    deep = {"op": "dia", "label": "a", "sub": {"op": "and", "subs": [deep]}}
+save("tower-a40", deep)
+# Empty objects, which stay undecided while a file is decoded.
+save("empty", {})
+save("list-empty", [{}, {"a": [[{}, 1]]}])
 # Thirteen diamonds around "no successor": a leaf at depth 13.
 tower = leaf
 for _ in range(13):
@@ -307,6 +339,21 @@ for cmd in \
   "export-dot $inputs/ring6.json" \
   "export-dot $inputs/nlmp-right.json" \
   "export-dot $inputs/nlmp-zero-first.json" \
+  "export-dot $inputs/empty.json" \
+  "export-dot $inputs/list-empty.json" \
+  "iso $inputs/empty.json $inputs/empty.json --witness" \
+  "iso $inputs/list-empty.json $inputs/empty.json" \
+  "eval $inputs/lts-mix.json $inputs/ring6.json" \
+  "eval $inputs/lts-omega.json $inputs/ring6.json --state s2" \
+  "eval $inputs/lts-mix.json $inputs/braid.json --state x3.1" \
+  "eval $inputs/lts-steps.json $inputs/braid.json --state x12.1" \
+  "eval $inputs/lts-steps.json $inputs/braid.json --state x12.2" \
+  "eval $inputs/lts-mix.json $inputs/explicit.json" \
+  "eval $inputs/lts-suc.json $inputs/explicit.json" \
+  "eval $inputs/lts-suc.json $inputs/explicit.json --state e.0" \
+  "eval $inputs/lts-suc.json $inputs/explicit.json --state e.0.3" \
+  "eval $inputs/tower-a40.json $inputs/ladder.json" \
+  "eval $inputs/tower-a40.json $inputs/ladder.json --state r11" \
   "export-dot $inputs/explicit.json" \
   "export-dot $inputs/glue.json" \
   "iso $inputs/ring6.json $inputs/left.json" \

@@ -56,7 +56,7 @@ from .jsonio import (
     read_text,
     tree_to_json,
 )
-from .lts import PointedLTS, eval_formula, greatest_bisim, state_rank
+from .lts import CharSet, PointedLTS, eval_formula, formula_postorder, greatest_bisim, state_rank
 from .nlmp import PointmassNLMP, greatest_ext_bisim, greatest_state_bisim
 from .substructures import composition_enum, substructure
 from .treeiso import canon, canon_chunks, iso
@@ -321,7 +321,11 @@ def _cmd_eval(args: SimpleNamespace) -> int:
     phi = parse_formula(read_json_file(args.formula))
     target = _read_target(args.target)
     if isinstance(target, PointedLTS):
-        holds = eval_formula(target, _checked_state(target, args.state), phi)
+        state = _checked_state(target, args.state)
+        # Checked before the walk, so that its short circuits cannot hide one.
+        if any(isinstance(node, CharSet) for node in formula_postorder(phi)):
+            raise ValueError("characteristic-set formulas only evaluate on symbolic trees")
+        holds = eval_formula(target, state, phi)
     elif args.state is not None:
         raise ValueError("symbolic trees evaluate at their root only")
     else:

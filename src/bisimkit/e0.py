@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import or_
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from .foundations import EPSet, dfs_postorder, nth_modification
 from .lts import (
@@ -22,14 +22,15 @@ from .lts import (
     Dia,
     Formula,
     Neg,
-    Or,
     RankAtLeast,
     Top,
     TOP,
     UnsupportedFormula,
+    _boolean_parts,
     formula_postorder,
     modal_depth,
     modal_depths,
+    walk_formula,
 )
 from .trees import (
     ATree,
@@ -169,46 +170,7 @@ def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
             return _some_modification(tree.param, body, masks, top)
         return zip(tree.parts, repeat(body))
 
-    return _walk(tree, phi, leaf)
-
-
-def _walk(place: object, phi: Formula, leaf: Callable) -> bool:
-    """Decide phi at a place on an explicit stack, left to right.
-
-    Booleans are expanded here, with the short circuits of `all` and
-    `any`. ``leaf(place, node)`` decides every other node, or returns the
-    (place, subformula) pairs of which some must hold.
-    """
-    frames: list[tuple[Iterator, bool, bool]] = []  # (pairs, early verdict, negate)
-    todo: tuple | None = (place, phi)
-    while todo is not None:
-        place, node = todo
-        if isinstance(node, Top):
-            step: bool | tuple = True
-        elif isinstance(node, Neg):
-            step = iter(((place, node.sub),)), True, True
-        elif isinstance(node, And):
-            step = zip(repeat(place), node.subs), False, False
-        elif isinstance(node, Or):
-            step = zip(repeat(place), node.subs), True, False
-        else:
-            step = leaf(place, node)
-            if not isinstance(step, bool):
-                step = iter(step), True, False
-        if isinstance(step, bool):
-            value = step
-        else:
-            frames.append(step)
-            value = not step[1]
-        todo = None
-        while frames and todo is None:
-            pairs, early, negate = frames[-1]
-            if value != early:
-                todo = next(pairs, None)
-            if todo is None:
-                frames.pop()
-                value = value != negate
-    return value
+    return walk_formula(tree, phi, leaf)
 
 
 def _child_with_leaf_set(tree: SymbolicTree, z: EPSet) -> bool:
@@ -295,7 +257,7 @@ def _some_modification(x: EPSet, body: Formula, masks: dict, top: int) -> bool:
     def leaf(c: int, node: Dia) -> bool:
         return node.label == SUC_LABEL and bool(c >> index[id(node)] & 1)
 
-    return any(_walk(c, body, leaf) for c in reach)
+    return any(walk_formula(c, body, leaf) for c in reach)
 
 
 def _check_profile_budget(tree: SymbolicTree, phi: Formula) -> None:
@@ -339,14 +301,6 @@ def _top_diamonds(body: Formula) -> list[Dia]:
         for node in dfs_postorder((body,), _boolean_parts, id)
         if isinstance(node, Dia) and node.label == SUC_LABEL
     ]
-
-
-def _boolean_parts(node: Formula) -> tuple:
-    if isinstance(node, (And, Or)):
-        return node.subs
-    if isinstance(node, Neg):
-        return (node.sub,)
-    return ()
 
 
 def _diamond_tower(k: int) -> Formula:

@@ -329,21 +329,22 @@ def _count(raw: object, counts: dict[int | str, Count]) -> Count:
 def decode_multitree(path: str, text: str) -> tuple[MultiTree | None, object]:
     """The text decoded once, into a shared DAG if it is a multiplicity tree.
 
-    The decoder hands each JSON object to a hook as it closes. If the first
-    to close is a node (``{}`` is one), the hook turns each into its node
-    at once, consed like `parse_multitree`'s, so no document is held; if
-    not, each stays the dict json makes. Returns the tree with its root
-    object, or None with the document, decoded again only if a node was
-    built before a failure.
+    The decoder hands each JSON object to a hook as it closes. ``{}`` stays
+    a dict, which a node reads as `LEAF`, and the first other object to
+    close decides: if it is a node, the hook turns each into its node at
+    once, consed like `parse_multitree`'s, so no document is held; if not,
+    each stays the dict json makes. Returns the tree with its root object,
+    or None with the document, decoded again only if a node was built
+    before a failure.
     """
-    consed: dict[tuple, MultiTree] = {(): LEAF}
+    consed: dict[tuple, MultiTree] = {}
     counts: dict[int | str, Count] = {}
     fields: dict = {}  # the last object made a node, which ends as the root
-    nodes: bool | None = None  # None until the first object closes
+    nodes: bool | None = None  # None until a non-empty object closes
 
     def node(obj: dict) -> MultiTree | dict:
         nonlocal fields, nodes
-        if nodes is False:
+        if nodes is False or not obj:
             return obj
         fields = obj
         entries, keys = [], []
@@ -352,6 +353,8 @@ def decode_multitree(path: str, text: str) -> tuple[MultiTree | None, object]:
                 if type(children) is not list:
                     raise ValueError
                 for sub, raw in children:  # MultiTree rejects a sub that is no node
+                    if type(sub) is dict:  # only {} reaches a node as a dict
+                        sub = LEAF
                     count = _count(raw, counts)
                     entries.append((label, sub, count))
                     keys.append((label, id(sub), count))

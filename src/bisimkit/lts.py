@@ -9,8 +9,9 @@ supported systems.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .foundations import EPSet, Ordinal, dfs_postorder, frozen
 
@@ -74,9 +75,13 @@ def formula_postorder(phi: Formula) -> list:
 
 
 def _formula_parts(phi: Formula) -> tuple:
+    return (phi.sub,) if isinstance(phi, Dia) else _boolean_parts(phi)
+
+
+def _boolean_parts(phi: Formula) -> tuple:
     if isinstance(phi, (And, Or)):
         return phi.subs
-    if isinstance(phi, (Neg, Dia)):
+    if isinstance(phi, Neg):
         return (phi.sub,)
     return ()
 
@@ -350,29 +355,61 @@ def bounded_bisim(left: PointedLTS, right: PointedLTS, depth: int) -> Rel:
     return same_part_pairs(*refine_blocks((left, right), labels, _edge_moves, depth))
 
 
+def walk_formula(place: object, phi: Formula, leaf: Callable) -> bool:
+    """Decide phi at a place on an explicit stack, left to right.
+
+    Booleans are expanded here, with the short circuits of `all` and
+    `any`. ``leaf(place, node)`` decides every other node, or returns the
+    (place, subformula) pairs of which some must hold.
+    """
+    frames: list[tuple[Iterator, bool, bool]] = []  # (pairs, early verdict, negate)
+    todo: tuple | None = (place, phi)
+    while todo is not None:
+        place, node = todo
+        if isinstance(node, Top):
+            step: bool | tuple = True
+        elif isinstance(node, Neg):
+            step = iter(((place, node.sub),)), True, True
+        elif isinstance(node, And):
+            step = zip(repeat(place), node.subs), False, False
+        elif isinstance(node, Or):
+            step = zip(repeat(place), node.subs), True, False
+        else:
+            step = leaf(place, node)
+            if not isinstance(step, bool):
+                step = iter(step), True, False
+        if isinstance(step, bool):
+            value = step
+        else:
+            frames.append(step)
+            value = not step[1]
+        todo = None
+        while frames and todo is None:
+            pairs, early, negate = frames[-1]
+            if value != early:
+                todo = next(pairs, None)
+            if todo is None:
+                frames.pop()
+                value = value != negate
+    return value
+
+
 def eval_formula(lts: PointedLTS, state: StateId, phi: Formula) -> bool:
-    """Kripke semantics; rank atoms defer to state_rank."""
+    """Kripke semantics by `walk_formula`; rank atoms defer to state_rank."""
     if state not in lts.states:
         raise ValueError(f"unknown state {state!r}")
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Neg):
-        return not eval_formula(lts, state, phi.sub)
-    if isinstance(phi, And):
-        return all(eval_formula(lts, state, sub) for sub in phi.subs)
-    if isinstance(phi, Or):
-        return any(eval_formula(lts, state, sub) for sub in phi.subs)
-    if isinstance(phi, Dia):
-        return any(
-            eval_formula(lts, nxt, phi.sub)
-            for nxt in lts.successors(state, phi.label)
+
+    def leaf(state: StateId, node: Formula) -> bool | Iterable:
+        if isinstance(node, Dia):
+            return zip(lts.successors(state, node.label), repeat(node.sub))
+        if isinstance(node, RankAtLeast):
+            rank = state_rank(lts, state)
+            return rank is None or rank >= node.bound
+        raise UnsupportedFormula(
+            "characteristic-set formulas only evaluate on symbolic trees"
         )
-    if isinstance(phi, RankAtLeast):
-        rank = state_rank(lts, state)
-        return rank is None or rank >= phi.bound
-    raise UnsupportedFormula(
-        "characteristic-set formulas only evaluate on symbolic trees"
-    )
+
+    return walk_formula(state, phi, leaf)
 
 
 def sat_states(lts: PointedLTS, phi: Formula) -> frozenset:

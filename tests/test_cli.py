@@ -47,6 +47,9 @@ def two_cycle_lts():
     }
 
 
+CHAR_SET = {"op": "char_set", "set": {"prefix": "", "period": "10"}}
+
+
 def chain_lts():
     return {
         "labels": ["a"],
@@ -326,6 +329,47 @@ class TestEvalVerb:
             {"op": "char_set", "set": {"prefix": "", "period": "10"}},
         )
         assert run_cli("eval", atom, chain).returncode == 2
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            {"op": "and", "subs": [{"op": "neg", "sub": {"op": "top"}}, CHAR_SET]},
+            {"op": "or", "subs": [{"op": "top"}, CHAR_SET]},
+            {"op": "dia", "label": "a", "sub": {"op": "dia", "label": "a", "sub": CHAR_SET}},
+        ],
+    )
+    def test_symbolic_atom_a_short_circuit_skips_is_an_input_error(self, tmp_path, formula):
+        proc = run_cli(
+            "eval", write(tmp_path, "phi.json", formula), write(tmp_path, "chain.json", chain_lts())
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: characteristic-set formulas only evaluate on symbolic trees\n"
+        )
+
+    @pytest.mark.parametrize(("depth", "code"), [(200, 0), (300, 1)])
+    def test_deep_formula_on_a_process_gives_a_verdict(self, tmp_path, depth, code):
+        # <a>(and ...) nested `depth` times, written as text so that no
+        # encoder recurses: the walk keeps its own stack, so formulas that
+        # decode are decided whatever their depth.
+        phi = tmp_path / "phi.json"
+        phi.write_text(
+            '{"op": "dia", "label": "a", "sub": {"op": "and", "subs": [' * depth
+            + '{"op": "top"}'
+            + "]}}" * depth
+        )
+        states = [f"s{i}" for i in range(260)]
+        chain = {
+            "labels": ["a"],
+            "states": states,
+            "root": "s0",
+            "edges": [[s, "a", t] for s, t in zip(states, states[1:])],
+        }
+        proc = run_cli("eval", str(phi), write(tmp_path, "chain.json", chain))
+        assert (proc.returncode, proc.stderr) == (
+            code,
+            "formula holds\n" if code == 0 else "formula fails\n",
+        )
 
     def test_symbolic_tree_targets(self, tmp_path):
         atom = write(

@@ -5,6 +5,7 @@ from typing import Mapping
 
 import pytest
 
+from bisimkit import gen
 from bisimkit.foundations import ORD_OMEGA, ORD_ZERO, Ordinal
 from bisimkit.lts import (
     And,
@@ -386,9 +387,13 @@ def outcome(depth_of, phi):
         return str(err)
 
 
-def random_shared_formula(rng: random.Random, size: int):
+def random_shared_formula(
+    rng: random.Random,
+    size: int,
+    atoms: tuple = (TOP, TOP, RankAtLeast(ORD_ZERO), CharSet(EPSet.empty())),
+):
     """A formula whose parts are drawn from a growing pool, so they share."""
-    pool = [TOP, TOP, RankAtLeast(ORD_ZERO), CharSet(EPSet.empty())]
+    pool = list(atoms)
     for _ in range(size):
         pick = rng.random()
         if pick < 0.3:
@@ -439,6 +444,91 @@ class TestModalDepths:
         for _ in range(60):
             shared = And((Dia("a", shared), shared))
         assert (modal_depth(tower), modal_depth(shared)) == (3000, 60)
+
+
+def oracle_eval_formula(lts: PointedLTS, state: str, phi) -> bool:
+    """The former recursive evaluator, kept as the oracle for the walk."""
+    if state not in lts.states:
+        raise ValueError(f"unknown state {state!r}")
+    if isinstance(phi, Top):
+        return True
+    if isinstance(phi, Neg):
+        return not oracle_eval_formula(lts, state, phi.sub)
+    if isinstance(phi, And):
+        return all(oracle_eval_formula(lts, state, sub) for sub in phi.subs)
+    if isinstance(phi, Or):
+        return any(oracle_eval_formula(lts, state, sub) for sub in phi.subs)
+    if isinstance(phi, Dia):
+        return any(
+            oracle_eval_formula(lts, nxt, phi.sub)
+            for nxt in lts.successors(state, phi.label)
+        )
+    if isinstance(phi, RankAtLeast):
+        rank = state_rank(lts, state)
+        return rank is None or rank >= phi.bound
+    raise UnsupportedFormula(
+        "characteristic-set formulas only evaluate on symbolic trees"
+    )
+
+
+def verdict(evaluate, lts: PointedLTS, state: str, phi):
+    """The verdict, or the type and message of the error raised instead."""
+    try:
+        return evaluate(lts, state, phi)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+class TestWalk:
+    def test_matches_the_recursive_oracle(self):
+        # Rank atoms on mostly cyclic systems, rank_formula DAGs, and
+        # set atoms that some short circuits skip and others reach.
+        atoms = (
+            TOP,
+            RankAtLeast(Ordinal.from_int(2)),
+            RankAtLeast(ORD_OMEGA),
+            CharSet(EPSet.empty()),
+        )
+        rng = random.Random(71)
+        verdicts, kinds = [], set()
+        for _ in range(200):
+            lts = gen.random_lts(rng, 6, 2, 0.35)
+            formulas = [
+                random_shared_formula(rng, rng.randint(1, 12), atoms),
+                rank_formula(Ordinal.from_int(rng.randint(0, 6)), lts.labels),
+            ]
+            for s in lts.states:
+                for phi in formulas:
+                    want = verdict(oracle_eval_formula, lts, s, phi)
+                    verdicts.append(verdict(eval_formula, lts, s, phi) == want)
+                    kinds.add(want if isinstance(want, bool) else want[0])
+        assert verdicts == [True] * len(verdicts)
+        assert kinds == {True, False, UnsupportedFormula}
+
+    def test_short_circuits_decide_before_a_set_atom(self):
+        chain = chain_lts(1)
+        # s steps to the dead state t first, then to u, which loops.
+        edges = frozenset({("s", "a", "u"), ("s", "a", "t"), ("u", "a", "u")})
+        fork = PointedLTS(("a",), ("s", "t", "u"), "s", edges)
+        bad = CharSet(EPSet.empty())
+        error = (UnsupportedFormula, "characteristic-set formulas only evaluate on symbolic trees")
+        for lts, phi, want in [
+            (chain, And((Neg(TOP), bad)), False),
+            (chain, Or((TOP, bad)), True),
+            (chain, Dia("a", Dia("a", bad)), False),
+            (chain, And((bad, Neg(TOP))), error),
+            (chain, Dia("a", bad), error),
+            (fork, Dia("a", Or((Neg(Dia("a", TOP)), bad))), True),
+            (fork, Dia("a", Or((Dia("a", TOP), bad))), error),
+        ]:
+            assert verdict(eval_formula, lts, lts.root, phi) == want
+            assert verdict(oracle_eval_formula, lts, lts.root, phi) == want
+
+    def test_unknown_state(self):
+        assert verdict(eval_formula, chain_lts(1), "x", TOP) == (
+            ValueError,
+            "unknown state 'x'",
+        )
 
 
 class TestCodes:

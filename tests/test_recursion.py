@@ -17,7 +17,6 @@ ALLOWED = {
     "tree_to_json",
     "parse_formula",
     "formula_to_json",
-    "eval_formula",
     "random_multitree",
     "_forests",
     "_shape_nodes",
