@@ -236,6 +236,14 @@ save("repeated-plain", {"b": [[{"c": [[{}, 1]]}, 3]], "a": [[{}, 1], [{}, 1]]})
 # A multiplicity tree whose root label is one that export-dot sniffs
 # as an LTS key.
 save("edges-tree", {"edges": [[{}, 1]]})
+# A bad count before a bad sibling subtree, and a zero count deep in
+# pair 0 before a shape error in pair 1: the reader reports the first
+# error in preorder, the count of a pair before the next subtree.
+save("count-then-subtree", {"a": [[{}, "x"], [5, 1]]})
+deep = {"a": [[{}, 0]]}
+for _ in range(5):
+    deep = {"a": [[deep, 1]]}
+save("zero-then-shape", {"a": [[deep, 1], [{"b": 5}, 1]]})
 ' "$inputs"
 # The tree that expand prints for the ladder, for iso to read back.
 PYTHONPATH="$base_src" python -m bisimkit.cli expand "$inputs/ladder.json" 2> /dev/null \
@@ -291,6 +299,11 @@ done
 # system: stdout, stderr and the exit code must match the base.
 for cmd in \
   "iso $inputs/ladder-tree.json $inputs/ladder-tree.json --witness" \
+  "iso $inputs/ladder-tree.json $inputs/ladder-tree.json --witness --format text" \
+  "iso $inputs/count-then-subtree.json $inputs/left.json" \
+  "export-dot $inputs/count-then-subtree.json --kind multitree" \
+  "iso $inputs/left.json $inputs/zero-then-shape.json" \
+  "export-dot $inputs/zero-then-shape.json --kind multitree" \
   "iso $inputs/bad-count.json $inputs/left.json" \
   "iso $inputs/left.json $inputs/non-list.json" \
   "iso $inputs/shape-then-syntax.json $inputs/left.json" \

@@ -6,6 +6,13 @@ computation succeeded, 1 when the checked property fails, 2 on input
 errors (including input too large for memory or nested too deeply), and
 3 on an internal error, a bug to report. Errors print one line on stderr.
 
+A verb's report is a dict, and one writer, `_report_pieces`, lays out
+every report line as ``json.dumps(report, sort_keys=True)`` would. A
+long value (expand's canonical string and tree, iso's witness strings,
+e0 reduce's truncation) is a function that yields its JSON text in
+chunks, called only as the line is written, so it is never held whole;
+whatever can fail is built or checked before the first byte.
+
 The verb table VERBS is the only description of the command line. A
 plain line is parsed straight from it; argparse is imported, and a parser
 built from the same table, only for help and for lines outside the plain
@@ -59,7 +66,11 @@ from .jsonio import (
 from .lts import CharSet, PointedLTS, eval_formula, formula_postorder, greatest_bisim, state_rank
 from .nlmp import PointmassNLMP, greatest_ext_bisim, greatest_state_bisim
 from .substructures import composition_enum, substructure
-from .treeiso import canon, canon_chunks, iso
+from .treeiso import (
+    canon,  # noqa: F401 -- perfbench/traced_cli.py wraps this name
+    canon_chunks,
+    iso,
+)
 from .trees import (
     ExplicitTree,
     PieceText,
@@ -83,25 +94,39 @@ def _default_seed() -> int:
     return int(raw) if raw else 0
 
 
-def _emit(
-    args: SimpleNamespace,
-    report: dict | Callable[[], Iterable[str]],
-    summary: str | Iterable[str],
-) -> None:
+def _emit(args: SimpleNamespace, report: dict, summary: str | Iterable[str]) -> None:
     """Print the report line, or only the summary under ``--format text``.
 
-    A report may come as a function yielding its JSON line in chunks,
-    which text output never calls, and a summary as chunks; chunks are
-    written as they come, so a long line is never held whole.
+    A summary may come as chunks, written as they come.
     """
     if getattr(args, "format", "json") == "text":
         _write_line(sys.stdout, summary)
     else:
-        _write_line(
-            sys.stdout,
-            report() if callable(report) else json.dumps(report, sort_keys=True),
-        )
+        _write_line(sys.stdout, chunked(_report_pieces(report), PieceText.CHUNK))
         _write_line(sys.stderr, summary)
+
+
+def _report_pieces(report: dict) -> Iterator[str]:
+    """The line ``json.dumps(report, sort_keys=True)`` prints, in pieces.
+
+    A value may be a function of no arguments giving its JSON text in
+    chunks, called only here, so a long value is never held whole.
+    """
+    separator = "{"
+    for key in sorted(report):
+        value = report[key]
+        yield f"{separator}{json.dumps(key)}: "
+        yield from value() if callable(value) else (json.dumps(value, sort_keys=True),)
+        separator = ", "
+    yield "}" if report else "{}"
+
+
+def _string_chunks(chunks: Iterable[str]) -> Callable[[], Iterator[str]]:
+    """A report value: the JSON string of the chunks joined.
+
+    JSON escapes each character alone, so the chunks are escaped one by one.
+    """
+    return lambda: chain('"', (json.dumps(chunk)[1:-1] for chunk in chunks), '"')
 
 
 def _write_line(stream, chunks: str | Iterable[str]) -> None:
@@ -193,17 +218,12 @@ def _cmd_expand(args: SimpleNamespace) -> int:
     # Both texts are tabled before the first byte is written, so a failure
     # leaves stdout empty; text output renders no tree.
     text = None if args.format == "text" else multitree_json_chunks(tree)
-
-    def report() -> Iterator[str]:
-        # The line json.dumps(..., sort_keys=True) would print. JSON escapes
-        # each character alone, so the canon chunks are escaped one by one.
-        yield '{"canon": "'
-        for chunk in form:
-            yield json.dumps(chunk)[1:-1]
-        yield f'", "state": {json.dumps(state)}, "tree": '
-        yield from text
-        yield ', "verb": "expand"}'
-
+    report = {
+        "verb": "expand",
+        "state": state,
+        "canon": _string_chunks(form),
+        "tree": lambda: text,
+    }
     _emit(args, report, chain((f"expansion of {state} canonicalizes to ",), form))
     return EXIT_OK
 
@@ -214,8 +234,9 @@ def _cmd_iso(args: SimpleNamespace) -> int:
     good = iso(left, right)
     report = {"verb": "iso", "isomorphic": good}
     if args.witness:
-        report["left"] = canon(left)
-        report["right"] = canon(right)
+        # Both tables are built before the first byte is written.
+        report["left"] = _string_chunks(canon_chunks(left))
+        report["right"] = _string_chunks(canon_chunks(right))
     _emit(args, report, "isomorphic" if good else "not isomorphic")
     return EXIT_OK if good else EXIT_FAIL
 
@@ -238,35 +259,25 @@ def _cmd_e0_reduce(args: SimpleNamespace) -> int:
     x = parse_epset(read_json_file(args.set))
     gadget = mod_glue_tree(x)
     rank = symbolic_rank(gadget)[1].to_json()
-    summary = f"gadget tree for {x}"
+    report = {"verb": "e0-reduce", "set": str(x), "rank": rank}
     if args.depth is None and args.width is None:
-        report = {
-            "verb": "e0-reduce",
-            "set": str(x),
-            "tree": tree_to_json(gadget),
-            "rank": rank,
-        }
-        _emit(args, report, summary)
-        return EXIT_OK
-    depth = args.depth if args.depth is not None else 6
-    width = args.width if args.width is not None else 6
-    # Checks depth and width now, so a bad one leaves stdout empty.
-    nodes = truncation_levels(gadget, depth, width)
-    head = (
-        f'{{"rank": {json.dumps(rank)}, "set": {json.dumps(str(x))},'
-        ' "tree": {"kind": "explicit", "nodes": ['
-    )
+        report["tree"] = tree_to_json(gadget)
+    else:
+        depth = args.depth if args.depth is not None else 6
+        width = args.width if args.width is not None else 6
+        # Checks depth and width now, so a bad one leaves stdout empty.
+        nodes = truncation_levels(gadget, depth, width)
 
-    def texts() -> Iterator[str]:
-        # The line json.dumps(..., sort_keys=True) would print, node by node.
-        yield head
-        separator = ""
-        for node in nodes:
-            yield f"{separator}[{', '.join(map(str, node))}]"
-            separator = ", "
-        yield ']}, "verb": "e0-reduce"}'
+        def tree() -> Iterator[str]:
+            yield '{"kind": "explicit", "nodes": ['
+            separator = ""
+            for node in nodes:
+                yield f"{separator}[{', '.join(map(str, node))}]"
+                separator = ", "
+            yield "]}"
 
-    _emit(args, lambda: chunked(texts(), PieceText.CHUNK), summary)
+        report["tree"] = tree
+    _emit(args, report, f"gadget tree for {x}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import or_
 from typing import Iterable
 
-from .foundations import EPSet, dfs_postorder, nth_modification
+from .foundations import EPSet, dfs_postorder
 from .lts import (
     And,
     CharSet,
@@ -51,7 +51,6 @@ __all__ = [
     "matching_bijection",
     "mod_glue_bisim",
     "mod_glue_tree",
-    "nth_modification",
     "separating_formula",
 ]
 

@@ -80,7 +80,10 @@ def dfs_postorder(
     ``key(node)`` tells nodes apart (``id`` for values shared rather than
     hashed); without a key a node is its own. A successor still open
     when a node is listed closes a cycle and is listed after it; every
-    other successor is listed before it.
+    other successor is listed before it. ``children(node)`` is called
+    when the node is first reached and read one successor at a time, the
+    next only once the last one's walk is done, so a generator may check
+    and build between its successors (`jsonio.parse_multitree`).
     """
     seen: set = set()
     order: list = []

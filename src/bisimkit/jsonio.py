@@ -10,11 +10,12 @@ Multiplicity trees are built as a shared DAG, one node per distinct
 subtree, by two readers. `decode_multitree` builds each node while the
 JSON decoder closes its object, so memory follows the distinct subtrees
 rather than the unfolded document; it checks only enough to build a
-node. `parse_multitree` walks a decoded document with its own stack and
-checks every field in preorder, so its first error is the one a
-recursive descent would meet. `iso` and `export-dot` decode each file
-once, through the first, and hand the document of a file that is not a
-tree to the second; only where a node was built first is it decoded again.
+node. `parse_multitree` checks every field of a decoded document in a
+descent of per-object generators that `foundations.dfs_postorder`
+drives, so its first error is the one a recursive descent would meet.
+`iso` and `export-dot` decode each file once, through the first, and
+hand the document of a file that is not a tree to the second; only
+where a node was built first is it decoded again.
 
 A multiplicity tree's JSON text can also be streamed:
 `multitree_json_chunks` lays each node out with `trees.object_pieces`
@@ -29,7 +30,7 @@ import json
 from operator import itemgetter
 from typing import Iterator
 
-from .foundations import Count, EPSet, Ordinal, format_rational, parse_rational
+from .foundations import Count, EPSet, Ordinal, dfs_postorder, format_rational, parse_rational
 from .lts import And, CharSet, Dia, Formula, Neg, Or, PointedLTS, RankAtLeast, Top, TOP
 from .nlmp import PointmassNLMP, SubProbMeasure
 from .trees import (
@@ -253,67 +254,53 @@ def tree_to_json(tree: AnyTree) -> dict:
 def parse_multitree(data: object) -> MultiTree:
     """Nested objects keyed by label, parsed into a shared DAG.
 
-    The walk keeps its own stack and builds children before parents. It
-    hash-conses: entry lists equal in each label, child identity and
-    count share one node, and so do JSON objects met twice, so repeated
-    subtrees are built once and deep documents never recurse. The checks
-    run in preorder, so the first error is the one a recursive descent
-    would meet.
+    A recursive descent whose steps `dfs_postorder` drives, so deep
+    documents never recurse. Each object's generator checks its pairs in
+    order, yields each subtree and, resumed once that subtree is done,
+    reads the pair's count; it builds the object's node when it
+    finishes. So the first error is the one a recursive descent would
+    meet. Nodes are hash-consed: entry lists equal in each label, child
+    identity and count share one node, and so do JSON objects met twice,
+    so repeated subtrees are built once.
     """
     if not isinstance(data, dict):
         raise ValueError("multiplicity tree JSON must be an object keyed by label")
     consed: dict[tuple, MultiTree] = {}
-    parsed: dict[int, MultiTree | None] = {id(data): None}  # None: still open
+    built: dict[int, MultiTree] = {}
     counts: dict[int | str, Count] = {}
-    # A frame: the object, its pending pairs, its entries and their keys so
-    # far, and the label and count JSON its parent holds it under.
-    stack = [(data, _multitree_pairs(data), [], [], None, None)]
-    while True:
-        frame = stack[-1]
-        _, pairs, entries, keys, _, _ = frame
-        for label, sub, raw in pairs:
-            node = parsed.get(id(sub))
-            if node is None:
+
+    def descend(obj: dict) -> Iterator[dict]:
+        entries, keys = [], []
+        for label, children in obj.items():
+            if not isinstance(children, list):
+                raise ValueError(f"children under {label!r} must be a list")
+            for i, pair in enumerate(children):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValueError(
+                        f"child {i} under {label!r} must be [subtree, multiplicity]"
+                    )
+                sub, raw = pair
                 if not isinstance(sub, dict):
                     raise ValueError(
                         "multiplicity tree JSON must be an object keyed by label"
                     )
-                if sub:
-                    if id(sub) in parsed:
-                        raise ValueError("multiplicity tree JSON contains itself")
-                    parsed[id(sub)] = None
-                    stack.append((sub, _multitree_pairs(sub), [], [], label, raw))
-                    break
                 node = LEAF
-            count = _count(raw, counts)
-            entries.append((label, node, count))
-            keys.append((label, id(node), count))
-        else:
-            stack.pop()
-            key = tuple(keys)
-            node = consed.get(key)
-            if node is None:
-                node = consed[key] = MultiTree(tuple(entries))
-            obj, _, _, _, label, raw = frame
-            parsed[id(obj)] = node
-            if not stack:
-                return node
-            count = _count(raw, counts)
-            stack[-1][2].append((label, node, count))
-            stack[-1][3].append((label, id(node), count))
+                if sub:
+                    yield sub
+                    node = built.get(id(sub))
+                    if node is None:  # still open: an object on the path down
+                        raise ValueError("multiplicity tree JSON contains itself")
+                count = _count(raw, counts)
+                entries.append((label, node, count))
+                keys.append((label, id(node), count))
+        key = tuple(keys)
+        node = consed.get(key)
+        if node is None:
+            node = consed[key] = MultiTree(tuple(entries))
+        built[id(obj)] = node
 
-
-def _multitree_pairs(data: dict) -> Iterator[tuple[str, object, object]]:
-    """(label, subtree JSON, count JSON) per child, each checked when reached."""
-    for label, children in data.items():
-        if not isinstance(children, list):
-            raise ValueError(f"children under {label!r} must be a list")
-        for i, pair in enumerate(children):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(
-                    f"child {i} under {label!r} must be [subtree, multiplicity]"
-                )
-            yield label, pair[0], pair[1]
+    dfs_postorder((data,), descend, id)
+    return built[id(data)]
 
 
 def _count(raw: object, counts: dict[int | str, Count]) -> Count:

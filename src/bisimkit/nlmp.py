@@ -73,10 +73,6 @@ class SubProbMeasure:
     def support(self) -> frozenset:
         return frozenset(s for s, _ in self.weights)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.weights
-
     def mass(self, states: Iterable[StateId]) -> Fraction:
         pool = set(states)
         return sum((m for s, m in self.weights if s in pool), Fraction(0))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Hashable, Iterable, Iterator, Union
 
 from .foundations import (
     EPSet,
@@ -91,11 +91,6 @@ class ExplicitTree:
         height = self._heights.get(node)
         return ORD_ZERO if height is None else Ordinal.from_int(height)
 
-    def tree_rank(self) -> Ordinal:
-        if self.is_empty:
-            return ORD_ZERO
-        return self.node_rank(()) + 1
-
     def section(self, letter: Hashable) -> ExplicitTree:
         """The subtree hanging under a first letter, with that letter stripped.
 
@@ -111,15 +106,6 @@ class ExplicitTree:
     @classmethod
     def from_nodes(cls, nodes: Iterable) -> ExplicitTree:
         return cls(frozenset(tuple(node) for node in nodes))
-
-
-EMPTY_TREE = ExplicitTree(frozenset())
-
-
-def tail(node: Node) -> Node:
-    if not node:
-        raise ValueError("the root has no tail")
-    return node[1:]
 
 
 @frozen
@@ -195,14 +181,6 @@ class MultiTree:
                 (heights[id(sub)] + 1 for _, sub, _ in node.children), default=0
             )
         return Ordinal.from_int(heights[id(self)] + 1)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Iterable]) -> MultiTree:
-        entries = []
-        for label in mapping:
-            for sub, count in mapping[label]:
-                entries.append((label, sub, count))
-        return cls(tuple(entries))
 
 
 LEAF = MultiTree()

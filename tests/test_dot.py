@@ -68,9 +68,7 @@ def test_lts_counts_and_root_marker():
 
 def test_multitree_multiplicity_annotations():
     leaf = MultiTree()
-    tree = MultiTree.from_mapping(
-        {"a": [(leaf, OMEGA_COUNT)], "b": [(leaf, Count(3))]}
-    )
+    tree = MultiTree((("a", leaf, OMEGA_COUNT), ("b", leaf, Count(3))))
     text = "".join(multitree_dot_lines(tree))
     assert '[label="a*omega"]' in text
     assert '[label="b*3"]' in text

@@ -182,9 +182,8 @@ class TestTrees:
 class TestMultiTrees:
     def test_round_trip_with_omega(self):
         leaf = MultiTree()
-        tree = MultiTree.from_mapping(
-            {"a": [(leaf, OMEGA_COUNT), (MultiTree.from_mapping({"b": [(leaf, Count(2))]}), Count(1))]}
-        )
+        inner = MultiTree((("b", leaf, Count(2)),))
+        tree = MultiTree((("a", leaf, OMEGA_COUNT), ("a", inner, Count(1))))
         data = multitree_to_json(tree)
         assert data["a"][0] == [{}, "omega"]
         assert parse_multitree(data) == tree
@@ -538,6 +537,8 @@ class TestSharedMultiTreeParsing:
             {"a": [[inner, 1], [inner, odd], ["x", 1]]},
             {"a": [[{}, "omega"], [{}, odd]], "b": [[{}, 2], [{}, 1], 3]},
             {"a": [[{}, 0], [{"c": 5}, odd]]},
+            # Pair 0's count is read before pair 1's subtree.
+            {"a": [[{}, odd], [{"c": 5}, 1]]},
         ]
         for document in documents:
             assert parse_outcome(parse_multitree, document) == parse_outcome(

@@ -88,7 +88,7 @@ class TestMeasures:
         assert mu.support == frozenset({"x", "y"})
 
     def test_zero_measure(self):
-        assert ZERO_MEASURE.is_zero
+        assert not ZERO_MEASURE.weights
         assert sum(m for _, m in ZERO_MEASURE.weights) == 0
         assert measure() == ZERO_MEASURE
 

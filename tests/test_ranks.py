@@ -105,7 +105,6 @@ def test_node_rank_matches_recursion_on_and_off_the_tree():
             assert tree.node_rank(node) == oracle_node_rank(tree, node), node
             checked += 1
             off_tree += node not in tree.nodes
-        assert tree.tree_rank() == oracle_node_rank(tree, ()) + 1
     assert off_tree > 0 and checked > off_tree
 
 
@@ -146,7 +145,6 @@ def test_deep_chain_ranks_without_recursion():
     chain = ExplicitTree(frozenset((0,) * i for i in range(depth + 1)))
     assert chain.node_rank(()) == Ordinal.from_int(depth)
     assert chain.node_rank((0,) * 1000) == Ordinal.from_int(depth - 1000)
-    assert chain.tree_rank() == Ordinal.from_int(depth + 1)
     process = tree_process(chain)
     assert len(process.edges) == depth
     assert state_rank(process, "e") == Ordinal.from_int(depth)

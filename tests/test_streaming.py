@@ -1,6 +1,6 @@
-"""Streamed texts: canon and tree chunks from per-node piece tables, and
-e0 reduce's report and export-dot's symbolic tree from the truncation's
-levels.
+"""Streamed texts: canon and tree chunks from per-node piece tables, the
+report lines of the one report writer, and e0 reduce's report and
+export-dot's symbolic tree from the truncation's levels.
 
 The oracles are the whole-string builders the chunked writers replaced:
 one string per distinct node, joined from its children's strings, and
@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from bisimkit.cli import main
+from bisimkit.cli import _report_pieces, _string_chunks, main
 from bisimkit.expansion import omega_expand
 from bisimkit.foundations import Count, EPSet, OMEGA_COUNT
 from bisimkit.gen import random_epset, random_multitree
@@ -313,6 +313,27 @@ def test_iso_peak_memory_follows_the_distinct_subtrees(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_iso_witness_peak_memory_follows_plain_iso(tmp_path):
+    # Each of the 16-rung tree's canonical strings is 1.1 MB; building the
+    # two whole took ~11 MiB more than plain iso on the same file.
+    lts = parse_lts(ladder_lts(16))
+    tree = omega_expand(lts, lts.root)
+    path = tmp_path / "tree.json"
+    path.write_text(str(multitree_json_chunks(tree)))
+    plain_out, witness_out = tmp_path / "plain.out", tmp_path / "witness.out"
+    (plain_exit, plain_rss), (witness_exit, witness_rss) = peak_rss(
+        (["iso", str(path), str(path)], plain_out),
+        (["iso", str(path), str(path), "--witness"], witness_out),
+    )
+    assert (plain_exit, witness_exit) == (0, 0)
+    form = json.dumps(oracle_canon(tree))
+    assert witness_out.read_text() == (
+        f'{{"isomorphic": true, "left": {form}, "right": {form}, "verb": "iso"}}\n'
+    )
+    assert (witness_rss - plain_rss) / 1024 < 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 @pytest.mark.parametrize("flags", [[], ["--kind", "multitree"]])
 def test_export_dot_of_a_multitree_peak_memory_follows_the_distinct_subtrees(
     tmp_path, flags
@@ -334,6 +355,49 @@ def test_export_dot_of_a_multitree_peak_memory_follows_the_distinct_subtrees(
         'digraph multitree {\n  "n0";\n  "n1";\n  "n0" -> "n1" [label="a*1"];\n}\n'
     )
     assert (big_rss - small_rss) / 1024 < 4
+
+
+# --- the report writer ----------------------------------------------------------
+
+# Quotes, backslashes, control characters, non-ASCII characters, a non-BMP
+# one, which JSON writes as a surrogate pair, and a lone surrogate.
+ESCAPED = ('', 'q"', "\\", "\x00\x1f\n\t\x7f", "é\u2028", "\U0001f600", "\ud800")
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(ESCAPED + ("a", "verb")) for _ in range(rng.randint(0, 4)))
+
+
+def random_json(rng: random.Random, depth: int) -> object:
+    kind = rng.randrange(4 if depth else 2)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice([0, -3, 2**70, 1.5, True, False, None])
+    if kind == 2:
+        return [random_json(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    return {random_text(rng): random_json(rng, depth - 1) for _ in range(rng.randint(0, 3))}
+
+
+def test_the_report_writer_lays_out_json_dumps_sorted():
+    rng = random.Random(28)
+    checked = 0
+    for _ in range(300):
+        report = {random_text(rng): random_json(rng, 3) for _ in range(rng.randint(0, 4))}
+        expected = json.dumps(report, sort_keys=True)
+        assert "".join(_report_pieces(report)) == expected
+        for key, value in report.items():
+            if isinstance(value, str):
+                for cut in range(len(value) + 1):
+                    streamed = dict(report)
+                    streamed[key] = _string_chunks((value[:cut], value[cut:]))
+                    assert "".join(_report_pieces(streamed)) == expected
+                    checked += 1
+            else:
+                streamed = dict(report)
+                streamed[key] = lambda text=json.dumps(value, sort_keys=True): iter(text)
+                assert "".join(_report_pieces(streamed)) == expected
+    assert checked > 300
 
 
 # --- e0 reduce ------------------------------------------------------------------

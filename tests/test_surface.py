@@ -1,12 +1,17 @@
 """Every definition in the library is reached from the library.
 
-A top-level function or class of ``src/bisimkit`` must be named, as a
-``Name`` or an ``Attribute``, in ``src/bisimkit`` outside its own
-definition, and a method must be named as an ``Attribute``: a bare name
-that matches a method is some local variable, not a use of it. Imports
-and ``__all__`` strings do not count, so a helper that only tests call
-belongs in the test that uses it. Dunder methods and the ``_cmd_*``
-handlers, which ``cli._handler`` looks up by name, are exempt.
+A top-level function or class of ``src/bisimkit`` must be loaded by
+name, as a ``Name`` or an ``Attribute``, in ``src/bisimkit`` outside its
+own definition, and a method must be named as an ``Attribute``: a bare
+name that matches a method is some local variable, not a use of it. A
+``Name`` that the enclosing function binds itself (an argument, an
+assignment target or a comprehension variable) is that local, not a use
+either. Methods are matched by attribute name only, so a method whose
+name another class's method or attribute shares counts as reached
+through it, and must be checked by hand. Imports and ``__all__`` strings
+do not count, so a helper that only tests call belongs in the test that
+uses it. Dunder methods and the ``_cmd_*`` handlers, which
+``cli._handler`` looks up by name, are exempt.
 """
 
 import ast
@@ -28,14 +33,49 @@ ALLOWED = {
 
 ANY_NAME = (ast.Name, ast.Attribute)
 ATTRIBUTE = (ast.Attribute,)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def binds(scope: ast.AST) -> set[str]:
+    """The names a function binds itself: its arguments, the names it
+    stores (comprehension variables included) and its nested definitions."""
+    args = scope.args
+    names = {
+        arg.arg
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+        if arg is not None
+    }
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, (*SCOPES, ast.ClassDef)):
+            stack += ast.iter_child_nodes(node)
+    return names
 
 
 def names_in(node: ast.AST, kinds: tuple = ANY_NAME) -> Counter:
-    return Counter(
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, kinds)
-    )
+    """Attribute names, and loaded names that no enclosing function binds."""
+    found: Counter = Counter()
+    stack = [(node, frozenset())]
+    while stack:
+        node, local = stack.pop()
+        if isinstance(node, SCOPES):
+            local = local | binds(node)
+        if isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif (
+            isinstance(node, ast.Name)
+            and ast.Name in kinds
+            and isinstance(node.ctx, ast.Load)
+            and node.id not in local
+        ):
+            found[node.id] += 1
+        stack += ((sub, local) for sub in ast.iter_child_nodes(node))
+    return found
 
 
 def unreferenced() -> dict:

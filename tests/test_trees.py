@@ -21,19 +21,18 @@ from bisimkit.trees import (
     ATree,
     BTree,
     Chain,
-    EMPTY_TREE,
     ExplicitTree,
     Glue,
     LEAF,
     MultiTree,
     PieceText,
     symbolic_rank,
-    tail,
     truncate_symbolic,
     truncation_levels,
 )
 
 EVENS = EPSet("", "10")
+EMPTY = ExplicitTree(frozenset())
 
 
 def random_explicit_tree(rng: random.Random, max_nodes: int) -> ExplicitTree:
@@ -60,19 +59,17 @@ class TestExplicitTrees:
         assert tree.node_rank((0, 0)) == ORD_ZERO
         assert tree.node_rank((0,)) == Ordinal.from_int(1)
         assert tree.node_rank(()) == Ordinal.from_int(2)
-        assert tree.tree_rank() == Ordinal.from_int(3)
 
     def test_missing_node_has_rank_zero(self):
         tree = ExplicitTree.from_nodes([()])
         assert tree.node_rank((5,)) == ORD_ZERO
 
     def test_empty_tree(self):
-        assert EMPTY_TREE.is_empty
-        assert EMPTY_TREE.tree_rank() == ORD_ZERO
+        assert EMPTY.is_empty
+        assert EMPTY.node_rank(()) == ORD_ZERO
 
     def test_singleton_tree(self):
         tree = ExplicitTree.from_nodes([()])
-        assert tree.tree_rank() == Ordinal.from_int(1)
         assert tree.node_rank(()) == ORD_ZERO
 
     def test_prefix_closure_enforced(self):
@@ -87,12 +84,7 @@ class TestExplicitTrees:
         tree = ExplicitTree.from_nodes([(), (0,), (0, 0), (1,)])
         assert tree.section(0) == ExplicitTree.from_nodes([(), (0,)])
         assert tree.section(1) == ExplicitTree.from_nodes([()])
-        assert tree.section(7) == EMPTY_TREE
-
-    def test_tail(self):
-        assert tail((3, 1, 4)) == (1, 4)
-        with pytest.raises(ValueError):
-            tail(())
+        assert tree.section(7) == EMPTY
 
     def test_rank_matches_plain_recursion(self):
         rng = random.Random(51)
@@ -110,14 +102,12 @@ class TestExplicitTrees:
             for node in tree.nodes:
                 if not node:
                     continue
-                assert tree.node_rank(node) == tree.section(node[0]).node_rank(
-                    tail(node)
-                )
+                assert tree.node_rank(node) == tree.section(node[0]).node_rank(node[1:])
 
     def test_letters_may_be_tuples(self):
         letter = (3, "suc", 0)
         tree = ExplicitTree.from_nodes([(), (letter,)])
-        assert tree.tree_rank() == Ordinal.from_int(2)
+        assert tree.node_rank(()) == Ordinal.from_int(1)
         assert tree.section(letter) == ExplicitTree.from_nodes([()])
 
 
@@ -152,10 +142,6 @@ class TestMultiTrees:
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             MultiTree((("a", LEAF, Count(0)),))
-
-    def test_from_mapping(self):
-        tree = MultiTree.from_mapping({"a": [(LEAF, Count(2))]})
-        assert tree == MultiTree((("a", LEAF, Count(2)),))
 
     @staticmethod
     def doubling_dag(levels: int, bottom: Count = Count(1)) -> MultiTree:
@@ -280,7 +266,7 @@ class TestTruncation:
         ]
         for tree in cases:
             cut = truncate_symbolic(tree, 12, 12)
-            assert cut.tree_rank() == symbolic_rank(tree)[1]
+            assert cut.node_rank(()) == symbolic_rank(tree)[0]
 
     def test_modification_sections_are_branch_code_trees(self):
         x = EPSet("01", "10")
@@ -347,7 +333,7 @@ class TestExplicitTreeTables:
     def test_empty_tree_tables(self):
         tree = ExplicitTree(frozenset())
         assert tree.node_rank(()) == ORD_ZERO
-        assert tree.section(0) == EMPTY_TREE
+        assert tree.section(0) == EMPTY
 
 
 def recursive_truncate(tree, depth: int, width: int) -> ExplicitTree:

@@ -36,7 +36,7 @@ class TestGenerators:
             assert 0 <= sum(m for _, m in mu.weights) <= 1
             assert len(mu.support) <= 3
             assert all(mass > 0 for _, mass in mu.weights)
-            saw_zero |= mu.is_zero
+            saw_zero |= not mu.weights
             saw_full |= sum(m for _, m in mu.weights) == 1
         assert saw_zero and saw_full
 
