@@ -73,7 +73,6 @@ from .treeiso import (
 )
 from .trees import (
     ExplicitTree,
-    PieceText,
     SymbolicTree,
     chunked,
     symbolic_rank,
@@ -99,10 +98,10 @@ def _emit(args: SimpleNamespace, report: dict, summary: str | Iterable[str]) -> 
 
     A summary may come as chunks, written as they come.
     """
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         _write_line(sys.stdout, summary)
     else:
-        _write_line(sys.stdout, chunked(_report_pieces(report), PieceText.CHUNK))
+        _write_line(sys.stdout, chunked(_report_pieces(report)))
         _write_line(sys.stderr, summary)
 
 
@@ -368,7 +367,7 @@ def _cmd_export_dot(args: SimpleNamespace) -> int:
         pieces = multitree_dot_lines(parse_multitree(data) if tree is None else tree)
     else:  # a tree read as another kind, or whose root keys name one, is decoded again
         pieces = _dot_pieces(args, kind, data if tree is None else decode_json(args.file, text))
-    chunks = chunked(pieces, PieceText.CHUNK)
+    chunks = chunked(pieces)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)

@@ -75,6 +75,5 @@ def _expand(lts: PointedLTS, state: StateId, depth: int | None) -> MultiTree:
 
 def omega_code_expand(code: OmegaLTSCode) -> MultiTree:
     """Expand a coded system at its root."""
-    bound = len(code.mentioned_nodes())
-    lts = code_to_lts(code, reachable_bound=bound)
+    lts = code_to_lts(code)
     return omega_expand(lts, lts.root)

@@ -1,9 +1,9 @@
 """Finite pointed labelled transition systems.
 
 Zig/zag bisimulation and its depth-bounded approximants by partition
-refinement into {state: block} maps (the kernel ``nlmp`` shares), modal
-formula evaluation, ordinal state ranks, and numeric codes of finitely
-supported systems.
+refinement into {state: block} maps over the labels the systems declare
+(the kernel ``nlmp`` shares), modal formula evaluation, ordinal state
+ranks, and numeric codes of finitely supported systems.
 """
 
 from __future__ import annotations
@@ -115,13 +115,13 @@ def modal_depths(order: list) -> dict[int, int | str]:
     return depths
 
 
-def modal_depth(phi: Formula, depths: dict[int, int | str] | None = None) -> int:
+def modal_depth(phi: Formula, depths: dict[int, int | str]) -> int:
     """Nesting depth of diamonds; the symbolic atoms have none to count.
 
-    ``depths``, the `modal_depths` table of a formula containing phi,
-    saves the walk.
+    The depth is read from ``depths``, the `modal_depths` table of a
+    formula containing phi.
     """
-    depth = (modal_depths(formula_postorder(phi)) if depths is None else depths)[id(phi)]
+    depth = depths[id(phi)]
     if isinstance(depth, str):
         raise UnsupportedFormula(f"{depth} has no finite modal depth")
     return depth
@@ -196,37 +196,18 @@ class OmegaLTSCode:
                 if m < 0 or n < 0:
                     raise ValueError(f"negative node in {label!r} edge ({m},{n})")
 
-    def mentioned_nodes(self) -> set[int]:
-        nodes = {self.root}
-        for pairs in self.edges.values():
-            for m, n in pairs:
-                nodes.update((m, n))
-        return nodes
 
-
-def code_to_lts(code: OmegaLTSCode, reachable_bound: int) -> PointedLTS:
+def code_to_lts(code: OmegaLTSCode) -> PointedLTS:
     """Materialize the part of the coded system reachable from its root.
 
-    States are named by the decimal form of their node numbers. Raises if
-    more than ``reachable_bound`` nodes are reachable.
+    States are named by the decimal form of their node numbers.
     """
     labels = tuple(sorted(code.edges.keys()))
     succ: dict[int, set[int]] = {}
     for pairs in code.edges.values():
         for m, n in pairs:
             succ.setdefault(m, set()).add(n)
-    seen = {code.root}
-    frontier = [code.root]
-    while frontier:
-        node = frontier.pop()
-        for nxt in succ.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > reachable_bound:
-                    raise ValueError(
-                        f"more than {reachable_bound} nodes reachable from the root"
-                    )
-                frontier.append(nxt)
+    seen = set(dfs_postorder((code.root,), lambda node: succ.get(node, ())))
     states = tuple(str(n) for n in sorted(seen))
     edges = frozenset(
         (str(m), label, str(n))
@@ -237,9 +218,9 @@ def code_to_lts(code: OmegaLTSCode, reachable_bound: int) -> PointedLTS:
     return PointedLTS(labels, states, str(code.root), edges)
 
 
-def _label_universe(left, right) -> tuple[str, ...]:
-    """The labels of two systems or processes, the left's first, in declared order."""
-    return tuple(dict.fromkeys(left.labels + right.labels))
+def _label_universe(*systems) -> tuple[str, ...]:
+    """The labels of systems or processes, the first's first, in declared order."""
+    return tuple(dict.fromkeys(label for system in systems for label in system.labels))
 
 
 def _pair_matches(
@@ -268,18 +249,19 @@ def is_bisimulation(left: PointedLTS, right: PointedLTS, rel: Iterable) -> bool:
 
 
 def refine_blocks(
-    systems: Sequence, labels: Sequence[str], moves: Callable, rounds: int | None = None
+    systems: Sequence, moves: Callable, rounds: int | None = None
 ) -> list[dict[StateId, int]]:
     """Signature refinement of the disjoint union of ``systems``.
 
     ``moves(system, state, label)`` lists a state's moves, each a sequence
     of (target, numerator, denominator) triples. From one block, each round
-    splits blocks by signature: the block and, per label, the
-    `mass_codes` of the moves. Stops at the coarsest stable partition,
-    within one round per state, or after ``rounds`` rounds; returns one
-    {state: block} map per system, blocks numbered across the union in
-    order of first appearance.
+    splits blocks by signature: the block and, per label the systems
+    declare (`_label_universe`), the `mass_codes` of the moves. Stops at
+    the coarsest stable partition, within one round per state, or after
+    ``rounds`` rounds; returns one {state: block} map per system, blocks
+    numbered across the union in order of first appearance.
     """
+    labels = _label_universe(*systems)
     tables = [
         [(s, [moves(system, s, a) for a in labels]) for s in system.states]
         for system in systems
@@ -338,21 +320,18 @@ def _edge_moves(lts: PointedLTS, state: StateId, label: str) -> list:
 
 def greatest_bisim(left: PointedLTS, right: PointedLTS) -> Rel:
     """Largest zig/zag relation: the crossing pairs of the refined union."""
-    labels = _label_universe(left, right)
-    return same_part_pairs(*refine_blocks((left, right), labels, _edge_moves))
+    return same_part_pairs(*refine_blocks((left, right), _edge_moves))
 
 
 def bisimilar(left: PointedLTS, right: PointedLTS) -> bool:
     """Do the roots share a block of the refined union?"""
-    labels = _label_universe(left, right)
-    left_part, right_part = refine_blocks((left, right), labels, _edge_moves)
+    left_part, right_part = refine_blocks((left, right), _edge_moves)
     return left_part[left.root] == right_part[right.root]
 
 
 def bounded_bisim(left: PointedLTS, right: PointedLTS, depth: int) -> Rel:
     """Depth-d approximant: the crossing pairs after d refinement rounds."""
-    labels = _label_universe(left, right)
-    return same_part_pairs(*refine_blocks((left, right), labels, _edge_moves, depth))
+    return same_part_pairs(*refine_blocks((left, right), _edge_moves, depth))
 
 
 def walk_formula(place: object, phi: Formula, leaf: Callable) -> bool:

@@ -285,7 +285,7 @@ def _measure_moves(nlmp: PointmassNLMP, state: StateId, label: str) -> list:
 
 def greatest_state_bisim(nlmp: PointmassNLMP) -> Rel:
     """Largest internally matching relation: the pairs inside refined blocks."""
-    (part,) = refine_blocks((nlmp,), nlmp.labels, _measure_moves)
+    (part,) = refine_blocks((nlmp,), _measure_moves)
     return same_part_pairs(part, part)
 
 
@@ -304,5 +304,4 @@ def greatest_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> Rel:
 
     Being difunctional, it is the crossing pairs of the refined union.
     """
-    labels = _label_universe(left, right)
-    return same_part_pairs(*refine_blocks((left, right), labels, _measure_moves))
+    return same_part_pairs(*refine_blocks((left, right), _measure_moves))

@@ -14,7 +14,8 @@ Their texts, the canonical form and the JSON document, are built by one
 builder, `PieceText.build`, from each node's pieces as laid out by
 `object_pieces`: a short node is kept as one string, a longer one as a
 table entry of pieces around its children's forms, one entry per
-distinct piece list, and the text is streamed from that table in chunks.
+distinct piece list, and the text is streamed from that table in chunks
+of `PieceText.CHUNK` characters, the one chunk size (`chunked`).
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ class PieceText:
         return "".join(self)
 
     def __iter__(self) -> Iterator[str]:
-        return chunked(self.pieces(), self.CHUNK)
+        return chunked(self.pieces())
 
     def pieces(self) -> Iterator[str]:
         """The text's strings in order, entries read through the table."""
@@ -302,12 +303,13 @@ def object_pieces(entries: Iterable[tuple], comma: str, colon: str) -> list:
     return pieces
 
 
-def chunked(pieces: Iterable[str], size: int) -> Iterator[str]:
-    """The pieces joined, in chunks of at most size characters.
+def chunked(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces joined, in chunks of at most `PieceText.CHUNK` characters.
 
     Short pieces are gathered into one chunk and a longer one is split,
     so neither a long text nor a long piece is ever held whole.
     """
+    size = PieceText.CHUNK
     buffer: list[str] = []
     held = 0
     for piece in pieces:

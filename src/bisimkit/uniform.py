@@ -39,11 +39,10 @@ def _gk_side(
     n: int,
     n_prime: int,
     a: str,
-    bound: int | None,
 ) -> bool:
     row = _row(nlmp, x, a, n)
     prime_row = _row(nlmp, x_prime, a, n_prime)
-    values = composition_enum(nlmp, x_prime, bound)
+    values = composition_enum(nlmp, x_prime)
     # Per target of row n, the enumeration values related to it.
     witnesses_of = {
         target: {value for value in values if (target, value) in rel}
@@ -74,7 +73,6 @@ def gk_block(
     n: int,
     n_prime: int,
     a: str,
-    bound: int | None = None,
 ) -> bool:
     """Index-level test that rows ``n`` and ``n_prime`` lift along the relation.
 
@@ -92,10 +90,10 @@ def gk_block(
     k(x,x',R,n,n',k') = g'(x',x,R^-1,n',n,k') and
     k'(x,x',R,n',k') = g(x',x,R^-1,n',k').
     """
-    if not _gk_side(nlmp, x, x_prime, rel, n, n_prime, a, bound):
+    if not _gk_side(nlmp, x, x_prime, rel, n, n_prime, a):
         return False
     converse = frozenset((v, u) for u, v in rel)
-    return _gk_side(nlmp, x_prime, x, converse, n_prime, n, a, bound)
+    return _gk_side(nlmp, x_prime, x, converse, n_prime, n, a)
 
 
 def uniform_bisim_search(
@@ -154,9 +152,10 @@ def encode_state(lts: PointedLTS, state: StateId) -> OmegaLTSCode:
 def pipeline_bisim(
     lts: PointedLTS, s: StateId, t: StateId, bound: Ordinal
 ) -> bool:
-    """Compare bounded-rank states by isomorphism of their coded expansions."""
-    if isinstance(bound, int):
-        bound = Ordinal.from_int(bound)
+    """Compare bounded-rank states by isomorphism of their coded expansions.
+
+    Both ranks must be at most the ordinal ``bound``.
+    """
     for state in (s, t):
         rank = state_rank(lts, state)
         if rank is None or rank > bound:

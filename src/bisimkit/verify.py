@@ -126,10 +126,8 @@ def _closed_pairs(rel: frozenset, left: tuple, right: tuple) -> list:
     ]
 
 
-def _random_rel(rng: Random, left: Iterable, right: Iterable, chance: float = 0.3):
-    return frozenset(
-        (x, y) for x in left for y in right if rng.random() < chance
-    )
+def _random_rel(rng: Random, left: Iterable, right: Iterable):
+    return frozenset((x, y) for x in left for y in right if rng.random() < 0.3)
 
 
 def _suite_measure_lifting(seed: int) -> dict:

@@ -38,6 +38,7 @@ from bisimkit.lts import (
     UnsupportedFormula,
     bounded_bisim,
     eval_formula,
+    formula_postorder,
     modal_depth,
     modal_depths,
 )
@@ -332,7 +333,6 @@ class TestEvaluator:
             return modal_depths(order)
 
         monkeypatch.setattr("bisimkit.e0.modal_depths", counted)
-        monkeypatch.setattr("bisimkit.lts.modal_depths", counted)
         phi = tower(6)
         results = [eval_symbolic(BTree(EVENS), phi), eval_symbolic(ATree(EVENS), phi)]
         assert results == [True, True]
@@ -431,7 +431,8 @@ def oracle_eval_symbolic(tree, phi) -> bool:
         return any(oracle_eval_symbolic(tree, sub) for sub in phi.subs)
     if phi.label != SUC_LABEL:
         return False
-    classes = oracle_child_classes(tree, modal_depth(phi.sub))
+    depth = modal_depth(phi.sub, modal_depths(formula_postorder(phi.sub)))
+    classes = oracle_child_classes(tree, depth)
     return any(oracle_eval_symbolic(child, phi.sub) for child in classes)
 
 

@@ -195,7 +195,7 @@ def lts_to_code(lts: PointedLTS, numbering: Mapping[str, int]) -> OmegaLTSCode:
 
 def bisim_partition(lts: PointedLTS) -> tuple[tuple[str, ...], ...]:
     """Blocks of the refined system, each sorted by state order."""
-    (part,) = refine_blocks((lts,), lts.labels, _edge_moves)
+    (part,) = refine_blocks((lts,), _edge_moves)
     blocks: dict[int, list] = {}
     for s, b in part.items():
         blocks.setdefault(b, []).append(s)
@@ -361,10 +361,15 @@ class TestFormulas:
             eval_formula(lts, "s0", CharSet(EPSet.empty()))
 
     def test_modal_depth(self):
-        assert modal_depth(TOP) == 0
-        assert modal_depth(Dia("a", And((TOP, Dia("a", TOP))))) == 2
+        assert depth_of(TOP) == 0
+        assert depth_of(Dia("a", And((TOP, Dia("a", TOP))))) == 2
         with pytest.raises(UnsupportedFormula):
-            modal_depth(RankAtLeast(ORD_OMEGA))
+            depth_of(RankAtLeast(ORD_OMEGA))
+
+
+def depth_of(phi) -> int:
+    """The modal depth of phi, read from its own `modal_depths` table."""
+    return modal_depth(phi, modal_depths(formula_postorder(phi)))
 
 
 def recursive_modal_depth(phi) -> int:
@@ -428,13 +433,12 @@ class TestModalDepths:
             for sub in subformulas(phi):
                 want = outcome(recursive_modal_depth, sub)
                 verdicts.append(outcome(lambda f: modal_depth(f, table), sub) == want)
-                verdicts.append(outcome(modal_depth, sub) == want)
         assert verdicts == [True] * len(verdicts)
 
     def test_first_atom_without_depth_is_named(self):
         phi = Dia("a", And((TOP, Neg(RankAtLeast(ORD_ZERO)), CharSet(EPSet.empty()))))
         with pytest.raises(UnsupportedFormula, match="^RankAtLeast has no finite"):
-            modal_depth(phi)
+            depth_of(phi)
 
     def test_deep_and_shared_formulas(self):
         tower = TOP
@@ -443,7 +447,7 @@ class TestModalDepths:
         shared = TOP
         for _ in range(60):
             shared = And((Dia("a", shared), shared))
-        assert (modal_depth(tower), modal_depth(shared)) == (3000, 60)
+        assert (depth_of(tower), depth_of(shared)) == (3000, 60)
 
 
 def oracle_eval_formula(lts: PointedLTS, state: str, phi) -> bool:
@@ -538,26 +542,21 @@ class TestCodes:
             lts = random_lts(rng, rng.randint(1, 5), ("a", "b"), 0.3)
             numbering = {s: i for i, s in enumerate(lts.states)}
             code = lts_to_code(lts, numbering)
-            back = code_to_lts(code, reachable_bound=len(lts.states))
+            back = code_to_lts(code)
             expected_states = _reachable(lts)
             assert set(back.states) == {str(numbering[s]) for s in expected_states}
             assert bisimilar(lts, back)
 
     def test_code_example(self):
         code = OmegaLTSCode(0, {"a": frozenset({(0, 1)})})
-        lts = code_to_lts(code, reachable_bound=2)
+        lts = code_to_lts(code)
         assert lts.states == ("0", "1")
         assert lts.root == "0"
         assert lts.edges == frozenset({("0", "a", "1")})
 
-    def test_reachable_bound_enforced(self):
-        code = OmegaLTSCode(0, {"a": frozenset({(0, 1), (1, 2)})})
-        with pytest.raises(ValueError):
-            code_to_lts(code, reachable_bound=2)
-
     def test_unreachable_edges_dropped(self):
         code = OmegaLTSCode(0, {"a": frozenset({(5, 6)})})
-        lts = code_to_lts(code, reachable_bound=1)
+        lts = code_to_lts(code)
         assert lts.states == ("0",)
         assert lts.edges == frozenset()
 

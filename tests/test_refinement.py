@@ -332,7 +332,7 @@ class TestLTSRefinement:
         merged = 0
         for left, right in lts_pairs(102, 80):
             for lts in (left, right):
-                parts = refine_blocks((lts,), lts.labels, _edge_moves)
+                parts = refine_blocks((lts,), _edge_moves)
                 blocks = tuple(tuple(s for _, s in block) for block in union_blocks(parts))
                 assert blocks == fixpoint_partition(lts)
                 merged += len(blocks) < len(lts.states)
@@ -379,7 +379,7 @@ class TestKernelAgainstTheFormerKernel:
         """Compare every round count; return how many splits happened."""
         splits = 0
         for rounds in self.ROUNDS:
-            parts = refine_blocks(systems, labels, moves, rounds)
+            parts = refine_blocks(systems, moves, rounds)
             blocks = oracle_refine_blocks(systems, labels, oracle_moves, rounds)
             assert union_blocks(parts) == blocks
             if len(systems) == 2:
@@ -402,6 +402,28 @@ class TestKernelAgainstTheFormerKernel:
             for systems in ((left, right), (left,), (right, left)):
                 splits += self.check(systems, labels, _measure_moves, oracle_measure_moves)
         assert splits >= 450
+
+
+class TestTheKernelSplitsOverEveryDeclaredLabel:
+    """A move under a label that only the second system declares still
+    separates the roots: the kernel reads its labels off every system."""
+
+    def test_lts(self):
+        quiet = PointedLTS(("a",), ("p", "p1"), "p", frozenset({("p", "a", "p1")}))
+        edges = frozenset({("q", "a", "q1"), ("q", "b", "q1")})
+        loud = PointedLTS(("a", "b"), ("q", "q1"), "q", edges)
+        for left, right in ((quiet, loud), (loud, quiet)):
+            assert (left.root, right.root) not in greatest_bisim(left, right)
+            assert not bisimilar(left, right)
+
+    def test_nlmp(self):
+        def loop(state):
+            return frozenset({SubProbMeasure(((state, F(1)),))})
+
+        quiet = PointmassNLMP(("a",), ("p",), {("p", "a"): loop("p")})
+        loud = PointmassNLMP(("a", "b"), ("q",), {("q", "a"): loop("q"), ("q", "b"): loop("q")})
+        for left, right in ((quiet, loud), (loud, quiet)):
+            assert (left.states[0], right.states[0]) not in greatest_ext_bisim(left, right)
 
 
 def seeded_relation(rng: random.Random, left: tuple, right: tuple) -> frozenset:

@@ -12,6 +12,14 @@ through it, and must be checked by hand. Imports and ``__all__`` strings
 do not count, so a helper that only tests call belongs in the test that
 uses it. Dunder methods and the ``_cmd_*`` handlers, which
 ``cli._handler`` looks up by name, are exempt.
+
+Every defaulted parameter of a function in ``src/bisimkit`` must be
+passed by some call in ``src/bisimkit`` and left out by another: an
+option that every caller omits, or that every caller passes, is one
+value, not an option. Calls are matched by the name called, bare or as
+an attribute, and a function's calls to itself do not count. A call
+that spreads ``*args`` or ``**kwargs`` counts as passing every
+parameter.
 """
 
 import ast
@@ -28,6 +36,14 @@ ALLOWED = {
     "the meaning of synchronous rounds that faster refinement must keep",
     "multitree_to_json": "perfbench/traced_cli.py wraps it through bisimkit.cli",
     "truncate_symbolic": "perfbench/traced_cli.py wraps it through bisimkit.cli",
+}
+
+# Defaults that the library sets one way only, by module or by
+# module:function.
+DEFAULTS_ALLOWED = {
+    "gen.py": "the seeded generators: verify draws at the defaults, the "
+    "tests at other sizes (and _shape_nodes recurses with its base)",
+    "cli.py:main": "the console script omits argv, the tests pass it",
 }
 
 
@@ -106,3 +122,65 @@ def test_every_definition_is_reached_from_the_library():
 
 def test_the_allowlist_is_current():
     assert sorted(n for n in unreferenced() if n in ALLOWED) == sorted(ALLOWED)
+
+
+def defaulted(function: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """Each defaulted parameter with its position in a call, None when
+    keyword-only; a method's position leaves out self or cls."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in function.decorator_list)
+    shift = int(method and not static)
+    first = len(positional) - len(args.defaults)
+    found = [(arg.arg, i - shift) for i, arg in enumerate(positional) if i >= first]
+    found += [(arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    return found
+
+
+def one_way_defaults() -> dict:
+    """Each defaulted parameter that library calls all pass or all omit,
+    as "module:function(parameter)", with the numbers passed and omitted."""
+    calls: dict[str, list] = {}  # called name -> [(call, enclosing functions)]
+    definitions = []
+    for path in SRC.glob("*.py"):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), (), False)]
+        while stack:
+            node, enclosing, method = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                definitions.append((path.name, node, defaulted(node, method)))
+                enclosing += (node,)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append((node, enclosing))
+            in_class = isinstance(node, ast.ClassDef)
+            stack += ((sub, enclosing, in_class) for sub in ast.iter_child_nodes(node))
+    found = {}
+    for module, function, parameters in definitions:
+        outside = [call for call, within in calls.get(function.name, ()) if function not in within]
+        for parameter, position in parameters:
+            passed = sum(
+                any(keyword.arg in (parameter, None) for keyword in call.keywords)
+                or any(isinstance(arg, ast.Starred) for arg in call.args)
+                or position is not None and len(call.args) > position
+                for call in outside
+            )
+            if passed in (0, len(outside)):
+                key = f"{module}:{function.name}({parameter})"
+                found[key] = f"passed {passed}, omitted {len(outside) - passed}"
+    return found
+
+
+def allowed_default(key: str) -> str | None:
+    """The allowlist entry that covers a one_way_defaults key, if any."""
+    module, function = key.split("(")[0].split(":")
+    return next((k for k in (module, f"{module}:{function}") if k in DEFAULTS_ALLOWED), None)
+
+
+def test_every_default_is_set_both_ways_by_the_library():
+    assert {k: v for k, v in one_way_defaults().items() if allowed_default(k) is None} == {}
+
+
+def test_the_defaults_allowlist_is_current():
+    covered = {allowed_default(key) for key in one_way_defaults()}
+    assert sorted(covered - {None}) == sorted(DEFAULTS_ALLOWED)

@@ -54,18 +54,6 @@ def is_carrier(nlmp: PointmassNLMP, carrier) -> bool:
     )
 
 
-def nlmp_to_mlts(nlmp: PointmassNLMP, root: str) -> PointedLTS:
-    """Inverse view for processes whose measures are all point masses."""
-    edges = set()
-    for (s, a), measures in nlmp.trans.items():
-        for mu in measures:
-            if len(mu.weights) != 1 or sum(m for _, m in mu.weights) != 1:
-                raise ValueError(f"measure at ({s!r},{a!r}) is not a point mass")
-            ((target, _),) = mu.weights
-            edges.add((s, a, target))
-    return PointedLTS(nlmp.labels, nlmp.states, root, frozenset(edges))
-
-
 def oracle_is_saturated_pair(nlmp: PointmassNLMP, rel, s: str, s_prime: str) -> bool:
     """Do the reachability levels of the two states cover each other?
 
@@ -353,21 +341,6 @@ def oracle_mlts_to_nlmp(lts: PointedLTS) -> PointmassNLMP:
     return PointmassNLMP(lts.labels, lts.states, trans)
 
 
-def oracle_validate_umlts(lts: PointedLTS, structure: UMLTSStructure) -> bool:
-    """Does the enumeration list exactly the successors of every pair?"""
-    if structure.labels != lts.labels or structure.states != lts.states:
-        return False
-    for s in lts.states:
-        for a in lts.labels:
-            targets = set(lts.successors(s, a))
-            listed = structure.enum.get((s, a))
-            if (listed is None) != (not targets):
-                return False
-            if listed is not None and set(listed) != targets:
-                return False
-    return True
-
-
 def oracle_encode_state(lts: PointedLTS, state: str) -> OmegaLTSCode:
     """Number nodes by first appearance in the enumeration order."""
     structure = oracle_derive_umlts(lts)
@@ -382,48 +355,6 @@ def oracle_encode_state(lts: PointedLTS, state: str) -> OmegaLTSCode:
         for a in lts.labels
     }
     return OmegaLTSCode(0, edges)
-
-
-class TestUMLTS:
-    def chain(self) -> PointedLTS:
-        edges = frozenset({("s", "a", "t"), ("t", "a", "u"), ("s", "b", "u")})
-        return PointedLTS(("a", "b"), ("s", "t", "u"), "s", edges)
-
-    def test_derive_and_validate(self):
-        lts = self.chain()
-        structure = oracle_derive_umlts(lts)
-        assert oracle_validate_umlts(lts, structure)
-        assert structure.enum[("s", "a")] == ("t",)
-
-    def test_validate_rejects_wrong_enum(self):
-        lts = self.chain()
-        structure = oracle_derive_umlts(lts)
-        enum = dict(structure.enum)
-        del enum[("s", "b")]
-        assert not oracle_validate_umlts(
-            lts, UMLTSStructure(structure.labels, structure.states, enum)
-        )
-
-    def test_edge_law(self):
-        lts = self.chain()
-        structure = oracle_derive_umlts(lts)
-        values = oracle_composition_enum(oracle_umlts_to_uniform(structure), "s")
-        for u in values:
-            for a in lts.labels:
-                targets = set(lts.successors(u, a))
-                listed = set(structure.enum.get((u, a), ()))
-                assert targets == listed
-
-    def test_mlts_round_trip(self):
-        lts = self.chain()
-        back = nlmp_to_mlts(oracle_mlts_to_nlmp(lts), "s")
-        assert back.edges == lts.edges
-        assert back.states == lts.states
-
-    def test_non_dirac_rejected(self):
-        nlmp = PointmassNLMP(("a",), ("s", "t"), {("s", "a"): frozenset({measure(t="1/2")})})
-        with pytest.raises(ValueError):
-            nlmp_to_mlts(nlmp, "s")
 
 
 class TestEncodeStateMatchesOracle:
@@ -517,13 +448,13 @@ def _entry_target(row: tuple, k: int, where: str):
     raise ValueError(f"{where} has no entry {k}")
 
 
-def witness_indices(table, x, x_prime, rel, n, k, a, bound=None) -> frozenset:
+def witness_indices(table, x, x_prime, rel, n, k, a) -> frozenset:
     """Row entries whose targets share a related enumeration value with entry ``k``."""
     row = oracle_row(table, x, a, n)
     anchor = _entry_target(row, k, f"row {n} at ({x!r},{a!r})")
     witnesses = [
         value
-        for value in oracle_composition_enum(table, x_prime, bound)
+        for value in oracle_composition_enum(table, x_prime)
         if (anchor, value) in rel
     ]
     return frozenset(
@@ -533,9 +464,9 @@ def witness_indices(table, x, x_prime, rel, n, k, a, bound=None) -> frozenset:
     )
 
 
-def witness_mass_g(table, x, x_prime, rel, n, k, a, bound=None) -> Fraction:
+def witness_mass_g(table, x, x_prime, rel, n, k, a) -> Fraction:
     """Mass of the entries sharing a related enumeration value with entry ``k``."""
-    chosen = witness_indices(table, x, x_prime, rel, n, k, a, bound)
+    chosen = witness_indices(table, x, x_prime, rel, n, k, a)
     row = oracle_row(table, x, a, n)
     return sum((mass for j, mass, _ in row if j in chosen), Fraction(0))
 
@@ -559,14 +490,12 @@ def oracle_witness_mass_k(table, x, x_prime, rel, n, n_prime, k_prime, a):
     )
 
 
-def oracle_witness_mass_k_prime(
-    table, x, x_prime, rel, n_prime, k_prime, a, bound=None
-):
+def oracle_witness_mass_k_prime(table, x, x_prime, rel, n_prime, k_prime, a):
     prime_row = oracle_row(table, x_prime, a, n_prime)
     anchor = _entry_target(prime_row, k_prime, f"row {n_prime} at ({x_prime!r},{a!r})")
     witnesses = [
         value
-        for value in oracle_composition_enum(table, x, bound)
+        for value in oracle_composition_enum(table, x)
         if (value, anchor) in rel
     ]
     chosen = frozenset(
@@ -577,24 +506,22 @@ def oracle_witness_mass_k_prime(
     return sum((mass for j, mass, _ in prime_row if j in chosen), Fraction(0))
 
 
-def oracle_gk_block(table, x, x_prime, rel, n, n_prime, a, bound=None) -> bool:
+def oracle_gk_block(table, x, x_prime, rel, n, n_prime, a) -> bool:
     row = oracle_row(table, x, a, n)
     prime_row = oracle_row(table, x_prime, a, n_prime)
-    right_values = oracle_composition_enum(table, x_prime, bound)
-    left_values = oracle_composition_enum(table, x, bound)
+    right_values = oracle_composition_enum(table, x_prime)
+    left_values = oracle_composition_enum(table, x)
     for k, _, target in row:
         if not any((target, value) in rel for value in right_values):
             return False
-        g = witness_mass_g(table, x, x_prime, rel, n, k, a, bound)
+        g = witness_mass_g(table, x, x_prime, rel, n, k, a)
         if g != oracle_witness_mass_g_prime(table, x, x_prime, rel, n, n_prime, k, a):
             return False
     for k_prime, _, target in prime_row:
         if not any((value, target) in rel for value in left_values):
             return False
         kk = oracle_witness_mass_k(table, x, x_prime, rel, n, n_prime, k_prime, a)
-        if kk != oracle_witness_mass_k_prime(
-            table, x, x_prime, rel, n_prime, k_prime, a, bound
-        ):
+        if kk != oracle_witness_mass_k_prime(table, x, x_prime, rel, n_prime, k_prime, a):
             return False
     return True
 
@@ -630,10 +557,9 @@ class TestOneSidedBlockMatchesOracle:
             a = rng.choice(nlmp.labels)
             rows = len(table.rows.get((x, a), ()))
             prime_rows = len(table.rows.get((x_prime, a), ()))
-            bound = rng.choice((None, 0, 1, 2, 3, -1))
             for n in range(-1, rows + 1):
                 for n_prime in range(-1, prime_rows + 1):
-                    args = (x, x_prime, rel, n, n_prime, a, bound)
+                    args = (x, x_prime, rel, n, n_prime, a)
                     got = outcome(gk_block, nlmp, *args)
                     assert got == outcome(oracle_gk_block, table, *args), args
                     if not 0 <= n < rows:
@@ -643,7 +569,7 @@ class TestOneSidedBlockMatchesOracle:
                     else:
                         kind = got
                     verdicts[kind] = verdicts.get(kind, 0) + 1
-        assert len(verdicts) == 5 and min(verdicts.values()) > 500, verdicts
+        assert len(verdicts) == 4 and min(verdicts.values()) > 500, verdicts
 
 
 class TestSearch:
@@ -731,7 +657,7 @@ class TestEncoding:
             lts = PointedLTS(("a", "b"), states, states[0], edges)
             s = rng.choice(states)
             code = encode_state(lts, s)
-            decoded = code_to_lts(code, n + 1)
+            decoded = code_to_lts(code)
             assert bisimilar(decoded, PointedLTS(lts.labels, lts.states, s, lts.edges))
 
     def test_unknown_state_rejected(self):
@@ -747,24 +673,24 @@ class TestPipeline:
 
     def test_equal_states(self):
         lts = self.forest()
-        assert pipeline_bisim(lts, "e", "e", 5)
+        assert pipeline_bisim(lts, "e", "e", Ordinal.from_int(5))
 
     def test_bisimilar_but_distinct_states(self):
         lts = self.forest()
-        assert pipeline_bisim(lts, "e.0", "e.1", 5)
+        assert pipeline_bisim(lts, "e.0", "e.1", Ordinal.from_int(5))
         assert (("e.0", "e.1") in greatest_bisim(lts, lts))
 
     def test_rank_difference_separates(self):
         lts = self.forest()
-        assert not pipeline_bisim(lts, "e.0", "e.0.0", 5)
+        assert not pipeline_bisim(lts, "e.0", "e.0.0", Ordinal.from_int(5))
 
     def test_rank_bound_enforced(self):
         lts = self.forest()
         with pytest.raises(ValueError):
-            pipeline_bisim(lts, "e", "e.0", 1)
+            pipeline_bisim(lts, "e", "e.0", Ordinal.from_int(1))
         looped = PointedLTS(("a",), ("s",), "s", frozenset({("s", "a", "s")}))
         with pytest.raises(ValueError):
-            pipeline_bisim(looped, "s", "s", 3)
+            pipeline_bisim(looped, "s", "s", Ordinal.from_int(3))
 
     def test_pipeline_agrees_with_direct_bisimilarity(self):
         rng = random.Random(209)
