@@ -4,7 +4,8 @@
 # Usage: .github/base-diff.sh BASE_SRC HEAD_SRC
 #
 # BASE_SRC and HEAD_SRC are the src directories of two checkouts, say of a
-# pull request's base commit and of its head. The script runs verify and
+# pull request's base commit and of its head; the head checkout's
+# perfbench/ supplies the verify requests. The script runs verify and
 # the other verbs of the CLI on the same inputs under each, and exits
 # non-zero at the first difference in stdout, in stderr or in the exit
 # code. It works in a fresh temporary directory (RUNNER_TEMP when set),
@@ -16,6 +17,7 @@ if [ "$#" -ne 2 ]; then
 fi
 base_src="$(cd "$1" && pwd)"
 head_src="$(cd "$2" && pwd)"
+bench="$(cd "$2/../perfbench" && pwd)"
 temp="${RUNNER_TEMP:-$(mktemp -d)}"
 cd "$temp"
 PYTHONPATH="$base_src" python -c 'import bisimkit, sys; assert bisimkit.__file__.startswith(sys.argv[1]), bisimkit.__file__' "$base_src"
@@ -32,59 +34,21 @@ same() {
   diff err-base.txt err-head.txt
 }
 same verify --suite all --seed 7
-# The suites that lift the most measures, and every seed the
-# benchmark sends at --seed 1 to the suites that refine partitions,
-# code expansions (umlts-pipeline, expansion-canon) or lift measures.
-same verify --suite greatest-bisim --seed 917935
-same verify --suite greatest-bisim --seed 983746
-same verify --suite greatest-bisim --seed 516359
-same verify --suite greatest-bisim --seed 1040582
-same verify --suite greatest-bisim --seed 998746
-same verify --suite sum-process --seed 465973
-same verify --suite sum-process --seed 843740
-same verify --suite sum-process --seed 390867
-same verify --suite sum-process --seed 479372
-same verify --suite sum-process --seed 218935
-same verify --suite sum-process --seed 405009
-same verify --suite sum-process --seed 692467
-same verify --suite sum-process --seed 879986
-same verify --suite sum-process --seed 207661
-same verify --suite sum-process --seed 43041
-same verify --suite substructure-descent --seed 406078
-same verify --suite substructure-descent --seed 433528
-same verify --suite substructure-descent --seed 106895
-same verify --suite substructure-descent --seed 131551
-same verify --suite substructure-descent --seed 101366
-same verify --suite uniform-search --seed 400644
-same verify --suite uniform-search --seed 355924
-same verify --suite uniform-search --seed 755818
-same verify --suite uniform-search --seed 844087
-same verify --suite uniform-search --seed 868918
-same verify --suite uniform-search --seed 284649
-same verify --suite uniform-search --seed 254169
-same verify --suite uniform-search --seed 325829
-same verify --suite uniform-search --seed 78895
-same verify --suite uniform-search --seed 663422
-same verify --suite measure-lifting --seed 649346
-same verify --suite measure-lifting --seed 885000
-same verify --suite measure-lifting --seed 659811
-same verify --suite measure-lifting --seed 45783
-same verify --suite measure-lifting --seed 93534
-same verify --suite tree-iso --seed 148662
-same verify --suite tree-iso --seed 712082
-same verify --suite expansion-canon --seed 451659
-same verify --suite expansion-canon --seed 163330
-same verify --suite expansion-canon --seed 283943
-same verify --suite expansion-canon --seed 353536
-same verify --suite expansion-canon --seed 716546
-same verify --suite set-gadgets --seed 520945
-same verify --suite set-gadgets --seed 754768
-same verify --suite set-gadgets --seed 986518
-same verify --suite umlts-pipeline --seed 920913
-same verify --suite umlts-pipeline --seed 122986
-same verify --suite umlts-pipeline --seed 320894
-same verify --suite umlts-pipeline --seed 44914
-same verify --suite umlts-pipeline --seed 944423
+# Every verify request that perfbench builds in rounds 0-4 at seed 1, read
+# off perfbench/workloads.py in the head checkout, one line per request.
+requests="$(python -B -c '
+import sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from workloads import build_round
+with tempfile.TemporaryDirectory() as rounds:
+    for index in range(5):
+        for request in build_round("verify", 1, index, Path(rounds)):
+            print(" ".join(request.args))
+' "$bench")"
+while read -ra request; do
+  same "${request[@]}"
+done <<< "$requests"
 inputs="$temp/inputs"
 mkdir -p "$inputs"
 python -c '
@@ -148,6 +112,18 @@ save("explicit", {"kind": "explicit", "nodes": [[], [0], [1], [0, 0], [0, 3]]})
 # second measure closes, and export-dot draws the NLMP.
 zero_first = {"p": {"a": [{}, {"q": "1/2"}]}, "q": {"a": [{"p": "1"}]}}
 save("nlmp-zero-first", {"labels": ["a"], "states": ["p", "q"], "trans": zero_first})
+# Trees whose leaf depths a set atom reads: {2} for the chain, the evens
+# for the A tree and {0, 3} for the glue, whose first part has no node
+# below its root.
+save("chain3", {"kind": "chain", "k": 3})
+save("atree", {"kind": "A", "set": {"prefix": "1", "period": "01"}})
+sets = {"one": ("01", "0"), "two": ("001", "0"), "evens": ("", "10"), "zero-three": ("1001", "0")}
+for name, (prefix, period) in sets.items():
+    save(f"set-{name}", {"op": "char_set", "set": {"prefix": prefix, "period": period}})
+for name in ("one", "two"):
+    prefix, period = sets[name]
+    atom = {"op": "char_set", "set": {"prefix": prefix, "period": period}}
+    save(f"suc-set-{name}", {"op": "dia", "label": "suc", "sub": atom})
 save("glue", {"kind": "glue", "children": [
     {"kind": "chain", "k": 0},
     {"kind": "A", "set": {"prefix": "001", "period": "0"}},
@@ -325,6 +301,16 @@ same eval "$inputs/suc-omega.json" "$inputs/gadget-finite.json"
 same eval "$inputs/suc-two.json" "$inputs/gadget-finite.json"
 same eval "$inputs/suc-omega.json" "$inputs/glue.json"
 same eval "$inputs/suc-two.json" "$inputs/glue.json"
+same eval "$inputs/set-two.json" "$inputs/chain3.json"
+same eval "$inputs/set-one.json" "$inputs/chain3.json"
+same eval "$inputs/set-evens.json" "$inputs/atree.json"
+same eval "$inputs/set-one.json" "$inputs/atree.json"
+same eval "$inputs/set-zero-three.json" "$inputs/glue.json"
+same eval "$inputs/set-two.json" "$inputs/glue.json"
+same eval "$inputs/suc-set-one.json" "$inputs/chain3.json"
+same eval "$inputs/suc-set-two.json" "$inputs/chain3.json"
+same eval "$inputs/suc-set-two.json" "$inputs/glue.json"
+same eval "$inputs/suc-set-one.json" "$inputs/glue.json"
 same e0 reduce "$inputs/dense.json" --depth 8 --width 32
 same e0 reduce "$inputs/dense.json" --depth 0 --width 5
 same e0 reduce "$inputs/dense.json" --width 3

@@ -36,13 +36,7 @@ from .dot import (
     nlmp_dot,
     symbolic_tree_lines,
 )
-from .e0 import (
-    eval_symbolic,
-    matching_bijection,
-    mod_glue_bisim,
-    mod_glue_tree,
-    separating_formula,
-)
+from .e0 import eval_symbolic, matching_bijection, mod_glue_bisim, separating_formula
 from .expansion import CycleError, omega_expand, omega_expand_truncated
 from .jsonio import (
     decode_json,
@@ -72,6 +66,7 @@ from .treeiso import (
     iso,
 )
 from .trees import (
+    BTree,
     ExplicitTree,
     SymbolicTree,
     chunked,
@@ -137,7 +132,7 @@ def _write_line(stream, chunks: str | Iterable[str]) -> None:
 def _read_target(path: str) -> PointedLTS | SymbolicTree:
     """An LTS file, or a tree file, where an explicit tree unfolds to its process."""
     data = read_json_file(path)
-    if not (isinstance(data, dict) and "kind" in data):
+    if _sniff_kind(data) != "tree":
         return parse_lts(data)
     tree = parse_tree(data)
     return tree_process(tree) if isinstance(tree, ExplicitTree) else tree
@@ -256,7 +251,7 @@ def _cmd_e0_check(args: SimpleNamespace) -> int:
 
 def _cmd_e0_reduce(args: SimpleNamespace) -> int:
     x = parse_epset(read_json_file(args.set))
-    gadget = mod_glue_tree(x)
+    gadget = BTree(x)
     rank = symbolic_rank(gadget)[1].to_json()
     report = {"verb": "e0-reduce", "set": str(x), "rank": rank}
     if args.depth is None and args.width is None:
@@ -303,8 +298,8 @@ def _cmd_e0_witness(args: SimpleNamespace) -> int:
         "verb": "e0-witness",
         "equivalent": False,
         "separator": formula_to_json(phi),
-        "left_sat": eval_symbolic(mod_glue_tree(x), phi),
-        "right_sat": eval_symbolic(mod_glue_tree(y), phi),
+        "left_sat": eval_symbolic(BTree(x), phi),
+        "right_sat": eval_symbolic(BTree(y), phi),
     }
     _emit(args, report, "separated by a one-step characterizing formula")
     return EXIT_FAIL
@@ -345,7 +340,7 @@ def _cmd_eval(args: SimpleNamespace) -> int:
     return EXIT_OK if holds else EXIT_FAIL
 
 
-def _sniff_dot_kind(data: object) -> str:
+def _sniff_kind(data: object) -> str:
     if isinstance(data, dict):
         if "kind" in data:
             return "tree"
@@ -362,7 +357,7 @@ def _cmd_export_dot(args: SimpleNamespace) -> int:
     # into a multiplicity tree's DAG, or else into the document.
     text = read_text(args.file)
     tree, data = decode_multitree(args.file, text)
-    kind = args.kind or _sniff_dot_kind(data)
+    kind = args.kind or _sniff_kind(data)
     if kind == "multitree":
         pieces = multitree_dot_lines(parse_multitree(data) if tree is None else tree)
     else:  # a tree read as another kind, or whose root keys name one, is decoded again

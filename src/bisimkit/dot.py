@@ -11,6 +11,7 @@ from typing import Iterable, Iterator
 from .foundations import format_rational
 from .lts import PointedLTS
 from .nlmp import PointmassNLMP
+from .substructures import ordered_measures
 from .trees import ExplicitTree, MultiTree, SymbolicTree, node_name, truncation_levels
 
 __all__ = [
@@ -108,8 +109,7 @@ def nlmp_dot(nlmp: PointmassNLMP) -> str:
         lines.append(f"  {_quote(state)};")
     for state in nlmp.states:
         for label in nlmp.labels:
-            measures = sorted(nlmp.measures(state, label), key=lambda mu: mu.weights)
-            for i, mu in enumerate(measures):
+            for i, mu in enumerate(ordered_measures(nlmp, state, label)):
                 hub = f"{state}:{label}:{i}"
                 lines.append(f"  {_quote(hub)} [shape=point];")
                 lines.append(f"  {_quote(state)} -> {_quote(hub)} [label={_quote(label)}];")

@@ -44,31 +44,13 @@ from .trees import (
 )
 
 __all__ = [
-    "branch_code_tree",
     "diamond_depth_sat",
     "eval_symbolic",
     "leaf_depth_set",
     "matching_bijection",
     "mod_glue_bisim",
-    "mod_glue_tree",
     "separating_formula",
 ]
-
-
-def branch_code_tree(x: EPSet) -> ATree:
-    """The tree carrying one branch of length n + 1 per member n of x."""
-    return ATree(x)
-
-
-def mod_glue_tree(x: EPSet) -> BTree:
-    """A fresh root gluing the branch-code trees of all modifications of x.
-
-    Child n of the root codes x with the binary digits of n flipped, so
-    the children enumerate exactly the sets at finite symmetric
-    difference from x, each infinitely often up to duplication of
-    parameter sets.
-    """
-    return BTree(x)
 
 
 def leaf_depth_set(tree: SymbolicTree) -> EPSet:
@@ -319,7 +301,7 @@ def diamond_depth_sat(x: EPSet, k: int) -> bool:
     """
     if k < 0:
         raise ValueError("tower height must be a natural")
-    return eval_symbolic(branch_code_tree(x), _diamond_tower(k))
+    return eval_symbolic(ATree(x), _diamond_tower(k))
 
 
 def mod_glue_bisim(x: EPSet, y: EPSet) -> bool:
@@ -334,8 +316,8 @@ def mod_glue_bisim(x: EPSet, y: EPSet) -> bool:
     if x.sym_diff(y).is_finite:
         return True
     separator = Dia(SUC_LABEL, CharSet(x))
-    left = eval_symbolic(mod_glue_tree(x), separator)
-    right = eval_symbolic(mod_glue_tree(y), separator)
+    left = eval_symbolic(BTree(x), separator)
+    right = eval_symbolic(BTree(y), separator)
     return not (left and not right)
 
 

@@ -236,8 +236,8 @@ class EPSet:
     coincides with structural equality.
     """
 
-    prefix: str = ""
-    period: str = "0"
+    prefix: str
+    period: str
 
     def __post_init__(self) -> None:
         if not self.period:

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from functools import lru_cache
+from operator import itemgetter
 from random import Random
 from typing import Iterable
 
-from .foundations import Count, EPSet, OMEGA_COUNT
+from .foundations import Count, EPSet, OMEGA_COUNT, dfs_postorder
 from .lts import PointedLTS, StateId
 from .nlmp import PointmassNLMP, SubProbMeasure, ZERO_MEASURE
 from .trees import ExplicitTree, MultiTree
@@ -181,34 +181,38 @@ def random_equivalence(
     )
 
 
-@lru_cache(maxsize=None)
-def _forests(total: int) -> tuple:
-    """Sorted child-shape multisets with the given total node count.
+def _forests(most: int) -> list[tuple]:
+    """Sorted child-shape multisets, one entry per total node count 0..most.
 
     A shape is the sorted tuple of its children's shapes, so the forests
     of size n - 1 are exactly the tree shapes of size n.
     """
-    if total == 0:
-        return ((),)
-    found = set()
-    for size in range(1, total + 1):
-        for child in _forests(size - 1):
-            for rest in _forests(total - size):
-                found.add(tuple(sorted((child, *rest))))
-    return tuple(sorted(found))
+    table = [((),)]
+    for total in range(1, most + 1):
+        found = set()
+        for size in range(1, total + 1):
+            for child in table[size - 1]:
+                for rest in table[total - size]:
+                    found.add(tuple(sorted((child, *rest))))
+        table.append(tuple(sorted(found)))
+    return table
 
 
-def _shape_nodes(shape: tuple, base: tuple = ()) -> set:
-    nodes = {base}
-    for i, child in enumerate(shape):
-        nodes |= _shape_nodes(child, base + (i,))
-    return nodes
+def _shape_nodes(shape: tuple) -> set:
+    """The paths of a shape's nodes, child i of path p at p + (i,)."""
+    walk = dfs_postorder(
+        [((), shape)],
+        lambda node: [(node[0] + (i,), child) for i, child in enumerate(node[1])],
+        itemgetter(0),
+    )
+    return {path for path, _ in walk}
 
 
 def enumerate_trees(max_nodes: int) -> list[ExplicitTree]:
     """One explicit tree per isomorphism class of rooted trees, smallest first."""
+    forests = _forests(max_nodes - 1)
     return [
         ExplicitTree(frozenset(_shape_nodes(shape)))
         for n in range(1, max_nodes + 1)
-        for shape in _forests(n - 1)
+        for shape in forests[n - 1]
     ]

@@ -32,6 +32,7 @@ from typing import Iterator
 
 from .foundations import Count, EPSet, Ordinal, dfs_postorder, format_rational, parse_rational
 from .lts import And, CharSet, Dia, Formula, Neg, Or, PointedLTS, RankAtLeast, Top, TOP
+from .lts import formula_postorder
 from .nlmp import PointmassNLMP, SubProbMeasure
 from .trees import (
     AnyTree,
@@ -43,6 +44,7 @@ from .trees import (
     LEAF,
     MultiTree,
     PieceText,
+    fold_symbolic,
     object_pieces,
     postorder,
 )
@@ -234,6 +236,11 @@ def parse_tree(data: object) -> AnyTree:
 
 
 def tree_to_json(tree: AnyTree) -> dict:
+    """A tree's document, folded by `fold_symbolic`: shared parts share a dict."""
+    return fold_symbolic(tree, _part_json, lambda parts: {"kind": "glue", "children": parts})
+
+
+def _part_json(tree: AnyTree) -> dict:
     if isinstance(tree, ExplicitTree):
         nodes = sorted(tree.nodes, key=lambda u: (len(u), u))
         for node in nodes:
@@ -246,8 +253,6 @@ def tree_to_json(tree: AnyTree) -> dict:
         return {"kind": "A", "set": tree.param.to_json()}
     if isinstance(tree, BTree):
         return {"kind": "B", "set": tree.param.to_json()}
-    if isinstance(tree, Glue):
-        return {"kind": "glue", "children": [tree_to_json(p) for p in tree.parts]}
     raise ValueError(f"not a tree value: {tree!r}")
 
 
@@ -437,16 +442,24 @@ def parse_formula(data: object) -> Formula:
 
 
 def formula_to_json(phi: Formula) -> dict:
+    """A formula's document, built over `formula_postorder`: shared parts share a dict."""
+    docs: dict[int, dict] = {}
+    for node in formula_postorder(phi):
+        docs[id(node)] = _formula_json(node, docs)
+    return docs[id(phi)]
+
+
+def _formula_json(phi: Formula, docs: dict[int, dict]) -> dict:
     if isinstance(phi, Top):
         return {"op": "top"}
     if isinstance(phi, Neg):
-        return {"op": "neg", "sub": formula_to_json(phi.sub)}
+        return {"op": "neg", "sub": docs[id(phi.sub)]}
     if isinstance(phi, And):
-        return {"op": "and", "subs": [formula_to_json(s) for s in phi.subs]}
+        return {"op": "and", "subs": [docs[id(s)] for s in phi.subs]}
     if isinstance(phi, Or):
-        return {"op": "or", "subs": [formula_to_json(s) for s in phi.subs]}
+        return {"op": "or", "subs": [docs[id(s)] for s in phi.subs]}
     if isinstance(phi, Dia):
-        return {"op": "dia", "label": phi.label, "sub": formula_to_json(phi.sub)}
+        return {"op": "dia", "label": phi.label, "sub": docs[id(phi.sub)]}
     if isinstance(phi, RankAtLeast):
         return {"op": "rank_at_least", "bound": phi.bound.to_json()}
     if isinstance(phi, CharSet):

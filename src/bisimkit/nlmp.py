@@ -21,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .foundations import frozen
@@ -91,7 +90,7 @@ class PointmassNLMP:
 
     labels: tuple[str, ...]
     states: tuple[StateId, ...]
-    trans: Mapping = MappingProxyType({})  # (state, label) -> frozenset; read-only default
+    trans: Mapping  # (state, label) -> frozenset
 
     def __post_init__(self) -> None:
         states = set(self.states)

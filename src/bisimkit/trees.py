@@ -342,7 +342,11 @@ class Chain:
 
 @frozen
 class ATree:
-    """Branch-code tree: one chain of length n per member n of the set."""
+    """Branch-code tree: one chain of length n per member n of the set.
+
+    Child n of the root heads the chain for n, so the tree carries one
+    branch of length n + 1 per member n.
+    """
 
     param: EPSet
 
@@ -352,7 +356,9 @@ class BTree:
     """Glued tree of all finite modifications of the set.
 
     Child n of the root is the branch-code tree of the set with the binary
-    digits of n flipped.
+    digits of n flipped, so the children enumerate exactly the sets at
+    finite symmetric difference from it, each infinitely often up to
+    duplication of parameter sets.
     """
 
     param: EPSet

@@ -514,14 +514,12 @@ def _suite_uniform_search(seed: int) -> dict:
 
 def _tagged_union(left: PointedLTS, right: PointedLTS) -> PointedLTS:
     labels = _label_universe(left, right)
-    states = tuple(
-        [*(f"l:{s}" for s in left.states), *(f"r:{s}" for s in right.states)]
-    )
+    states = (*map(inl_state, left.states), *map(inr_state, right.states))
     edges = frozenset(
-        {(f"l:{s}", a, f"l:{t}") for s, a, t in left.edges}
-        | {(f"r:{s}", a, f"r:{t}") for s, a, t in right.edges}
+        {(inl_state(s), a, inl_state(t)) for s, a, t in left.edges}
+        | {(inr_state(s), a, inr_state(t)) for s, a, t in right.edges}
     )
-    return PointedLTS(labels, states, f"l:{left.root}", edges)
+    return PointedLTS(labels, states, inl_state(left.root), edges)
 
 
 def _suite_umlts_pipeline(seed: int) -> dict:
@@ -538,7 +536,7 @@ def _suite_umlts_pipeline(seed: int) -> dict:
             cases += 1
             expected = bisimilar(left, right)
             combined = _tagged_union(left, right)
-            got = pipeline_bisim(combined, "l:e", "r:e", bound)
+            got = pipeline_bisim(combined, inl_state(left.root), inr_state(right.root), bound)
             if expected != got:
                 failures.append(f"pair ({i},{j}): coded pipeline strays")
     return _result("umlts-pipeline", cases, failures, notes=f"trees={len(trees)}")

@@ -9,13 +9,11 @@ import pytest
 from bisimkit.cli import main
 from bisimkit.e0 import (
     PROFILE_BUDGET,
-    branch_code_tree,
     diamond_depth_sat,
     eval_symbolic,
     leaf_depth_set,
     matching_bijection,
     mod_glue_bisim,
-    mod_glue_tree,
     separating_formula,
 )
 from bisimkit.foundations import (
@@ -156,23 +154,23 @@ class TestChildFactsFromTheRootRank:
 
 class TestGadgetShapes:
     def test_branch_code_tree_truncation(self):
-        got = truncate_symbolic(branch_code_tree(EPSet.from_finite([0, 2])), 3, 3)
+        got = truncate_symbolic(ATree(EPSet.from_finite([0, 2])), 3, 3)
         assert got == ExplicitTree.from_nodes([(), (0,), (2,), (2, 0), (2, 0, 0)])
 
     def test_branch_code_tree_of_empty_set(self):
-        got = truncate_symbolic(branch_code_tree(EPSet.empty()), 4, 4)
+        got = truncate_symbolic(ATree(EPSet.empty()), 4, 4)
         assert got == ExplicitTree.from_nodes([()])
 
     def test_glued_tree_child_zero_is_the_unmodified_code(self):
         x = EPSet.from_finite([0, 2])
-        whole = truncate_symbolic(mod_glue_tree(x), 5, 3)
+        whole = truncate_symbolic(BTree(x), 5, 3)
         under_zero = {u[1:] for u in whole.nodes if u[:1] == (0,)} | {()}
-        assert under_zero == truncate_symbolic(branch_code_tree(x), 4, 3).nodes
+        assert under_zero == truncate_symbolic(ATree(x), 4, 3).nodes
 
     def test_glued_tree_rank_split(self):
-        assert symbolic_rank(mod_glue_tree(EVENS))[1] == ORD_OMEGA + 2
-        assert symbolic_rank(mod_glue_tree(EPSet.from_finite([0, 2])))[1] == ORD_OMEGA + 1
-        assert symbolic_rank(mod_glue_tree(EPSet.empty()))[1] == ORD_OMEGA + 1
+        assert symbolic_rank(BTree(EVENS))[1] == ORD_OMEGA + 2
+        assert symbolic_rank(BTree(EPSet.from_finite([0, 2])))[1] == ORD_OMEGA + 1
+        assert symbolic_rank(BTree(EPSet.empty()))[1] == ORD_OMEGA + 1
 
 
 class TestLeafDepthSets:
@@ -230,7 +228,7 @@ class TestDiamondTower:
         for _ in range(20):
             x = random_epset(rng)
             k = rng.randint(0, 8)
-            lts = tree_process(truncate_symbolic(branch_code_tree(x), k + 2, k + 2))
+            lts = tree_process(truncate_symbolic(ATree(x), k + 2, k + 2))
             assert eval_formula(lts, "e", tower(k)) == diamond_depth_sat(x, k)
 
     def test_rejects_negative_height(self):
@@ -241,18 +239,18 @@ class TestDiamondTower:
 class TestCharAtom:
     def test_reflexive_on_catalog(self):
         for x in CATALOG:
-            assert eval_symbolic(branch_code_tree(x), CharSet(x))
+            assert eval_symbolic(ATree(x), CharSet(x))
 
     def test_separates_even_finite_differences(self):
-        assert not eval_symbolic(branch_code_tree(EVENS), CharSet(ODDS))
-        assert not eval_symbolic(branch_code_tree(EVENS), CharSet(EVENS.xor_finite({3})))
+        assert not eval_symbolic(ATree(EVENS), CharSet(ODDS))
+        assert not eval_symbolic(ATree(EVENS), CharSet(EVENS.xor_finite({3})))
 
     def test_decides_equality_with_conjunct_audit(self):
         rng = random.Random(14)
         for _ in range(60):
             w = random_epset(rng)
             z = w if rng.random() < 0.3 else random_epset(rng)
-            verdict = eval_symbolic(branch_code_tree(w), CharSet(z))
+            verdict = eval_symbolic(ATree(w), CharSet(z))
             assert verdict == (w == z)
             conjuncts = all(
                 diamond_depth_sat(w, k) == z.member(k) for k in range(9)
@@ -650,8 +648,8 @@ class TestWitnesses:
                 continue
             found += 1
             phi = separating_formula(x, y)
-            assert eval_symbolic(mod_glue_tree(x), phi)
-            assert not eval_symbolic(mod_glue_tree(y), phi)
+            assert eval_symbolic(BTree(x), phi)
+            assert not eval_symbolic(BTree(y), phi)
         assert found > 20
 
     def test_separator_requires_infinite_difference(self):
@@ -669,8 +667,8 @@ class TestBoundedDepth:
             y = x.xor_finite({k for k in (0, 1) if rng.random() < 0.7})
             assert mod_glue_bisim(x, y)
             for depth in range(1, 6):
-                left = tree_process(truncate_symbolic(mod_glue_tree(x), depth, 4))
-                right = tree_process(truncate_symbolic(mod_glue_tree(y), depth, 4))
+                left = tree_process(truncate_symbolic(BTree(x), depth, 4))
+                right = tree_process(truncate_symbolic(BTree(y), depth, 4))
                 assert ("e", "e") in bounded_bisim(left, right, depth)
 
     def test_wider_window_at_shallow_depth(self):
@@ -679,6 +677,6 @@ class TestBoundedDepth:
             x = random_epset(rng)
             y = x.xor_finite({k for k in (0, 1, 2) if rng.random() < 0.7})
             for depth in range(1, 4):
-                left = tree_process(truncate_symbolic(mod_glue_tree(x), depth, 8))
-                right = tree_process(truncate_symbolic(mod_glue_tree(y), depth, 8))
+                left = tree_process(truncate_symbolic(BTree(x), depth, 8))
+                right = tree_process(truncate_symbolic(BTree(y), depth, 8))
                 assert ("e", "e") in bounded_bisim(left, right, depth)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bisimkit import jsonio
 from bisimkit.cli import VERBS, main
 from bisimkit.foundations import Count, EPSet, OMEGA_COUNT, Ordinal
-from bisimkit.gen import random_lts, random_multitree
+from bisimkit.gen import random_epset, random_explicit_tree, random_lts, random_multitree
 from bisimkit.jsonio import (
     formula_to_json,
     multitree_json_chunks,
@@ -31,7 +31,7 @@ from bisimkit.jsonio import (
     read_multitree,
     tree_to_json,
 )
-from bisimkit.lts import And, CharSet, Dia, Neg, PointedLTS, RankAtLeast, TOP
+from bisimkit.lts import And, CharSet, Dia, Neg, Or, PointedLTS, RankAtLeast, TOP, Top
 from bisimkit.nlmp import PointmassNLMP, SubProbMeasure, ZERO_MEASURE
 from bisimkit.trees import ATree, BTree, Chain, ExplicitTree, Glue, MultiTree, postorder
 
@@ -292,6 +292,153 @@ class TestFormulas:
     def test_unknown_op(self):
         with pytest.raises(ValueError, match="unknown formula op"):
             parse_formula({"op": "box", "sub": {"op": "top"}})
+
+
+def oracle_tree_to_json(tree) -> dict:
+    """The former recursive tree writer, kept as the oracle for tree_to_json."""
+    if isinstance(tree, ExplicitTree):
+        nodes = sorted(tree.nodes, key=lambda u: (len(u), u))
+        for node in nodes:
+            if not all(isinstance(v, int) for v in node):
+                raise ValueError(f"node {node!r} has letters outside the naturals")
+        return {"kind": "explicit", "nodes": [list(u) for u in nodes]}
+    if isinstance(tree, Chain):
+        return {"kind": "chain", "k": tree.length}
+    if isinstance(tree, ATree):
+        return {"kind": "A", "set": tree.param.to_json()}
+    if isinstance(tree, BTree):
+        return {"kind": "B", "set": tree.param.to_json()}
+    if isinstance(tree, Glue):
+        return {"kind": "glue", "children": [oracle_tree_to_json(p) for p in tree.parts]}
+    raise ValueError(f"not a tree value: {tree!r}")
+
+
+def oracle_formula_to_json(phi) -> dict:
+    """The former recursive formula writer, kept as the oracle for formula_to_json."""
+    if isinstance(phi, Top):
+        return {"op": "top"}
+    if isinstance(phi, Neg):
+        return {"op": "neg", "sub": oracle_formula_to_json(phi.sub)}
+    if isinstance(phi, And):
+        return {"op": "and", "subs": [oracle_formula_to_json(s) for s in phi.subs]}
+    if isinstance(phi, Or):
+        return {"op": "or", "subs": [oracle_formula_to_json(s) for s in phi.subs]}
+    if isinstance(phi, Dia):
+        return {"op": "dia", "label": phi.label, "sub": oracle_formula_to_json(phi.sub)}
+    if isinstance(phi, RankAtLeast):
+        return {"op": "rank_at_least", "bound": phi.bound.to_json()}
+    if isinstance(phi, CharSet):
+        return {"op": "char_set", "set": phi.param.to_json()}
+    raise ValueError(f"not a formula value: {phi!r}")
+
+
+NOT_TREES = (None, 7, "leaf", (Chain(1),), ExplicitTree(frozenset({(), ("x",)})))
+NOT_FORMULAS = (None, 7, "top", Chain(1), RankAtLeast(5))
+
+
+def random_shared_tree(rng: random.Random, pool: list, depth: int):
+    """Glue over chains, A, B and explicit trees; a part already built is
+    reused now and then, so some parts are shared, and a few are no tree."""
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    kind = rng.randrange(5 if depth else 4)
+    if kind == 0:
+        tree = Chain(rng.randrange(4))
+    elif kind == 1:
+        tree = rng.choice((ATree, BTree))(random_epset(rng))
+    elif kind == 2:
+        tree = random_explicit_tree(rng, 5)
+    elif kind == 3:
+        tree = rng.choice(NOT_TREES) if rng.random() < 0.4 else Chain(0)
+    else:
+        parts = (random_shared_tree(rng, pool, depth - 1) for _ in range(rng.randrange(4)))
+        tree = Glue(tuple(parts))
+    pool.append(tree)
+    return tree
+
+
+def random_shared_formula(rng: random.Random, pool: list, depth: int):
+    """A formula over every operator whose subformulas are sometimes shared,
+    with a few atoms that are no formula."""
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    kind = rng.randrange(6 if depth else 3)
+    if kind == 0:
+        phi = rng.choice((TOP, Top()))
+    elif kind == 1:
+        bound = Ordinal.from_int(rng.randrange(3))
+        phi = rng.choice((RankAtLeast(bound), CharSet(random_epset(rng))))
+    elif kind == 2:
+        phi = rng.choice(NOT_FORMULAS) if rng.random() < 0.4 else TOP
+    elif kind == 3:
+        phi = Neg(random_shared_formula(rng, pool, depth - 1))
+    elif kind == 4:
+        phi = Dia(rng.choice("ab"), random_shared_formula(rng, pool, depth - 1))
+    else:
+        subs = (random_shared_formula(rng, pool, depth - 1) for _ in range(rng.randrange(4)))
+        phi = rng.choice((And, Or))(tuple(subs))
+    pool.append(phi)
+    return phi
+
+
+def written(write, value):
+    """The text a writer's document dumps to, or the error it raises."""
+    try:
+        return json.dumps(write(value))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestWritersMatchRecursiveOracles:
+    @pytest.mark.parametrize(
+        "write, oracle, draw",
+        [
+            (tree_to_json, oracle_tree_to_json, random_shared_tree),
+            (formula_to_json, oracle_formula_to_json, random_shared_formula),
+        ],
+        ids=["tree", "formula"],
+    )
+    def test_same_document_or_same_error(self, write, oracle, draw):
+        rng = random.Random(33)
+        outcomes = []
+        for _ in range(1500):
+            value = draw(rng, [], 4)
+            outcomes.append(written(write, value))
+            assert outcomes[-1] == written(oracle, value), value
+        errors = [got for got in outcomes if isinstance(got, tuple)]
+        assert 100 < len(errors) < 1400
+
+    def test_shared_and_explicit_parts_are_written(self):
+        shared = Glue((Chain(2), ExplicitTree.from_nodes([(), (0,)])))
+        tree = Glue((shared, ATree(EPSet("", "1")), shared))
+        data = tree_to_json(tree)
+        assert data["children"][0] is data["children"][2]
+        assert data["children"][0]["children"][1] == {"kind": "explicit", "nodes": [[], [0]]}
+        assert json.dumps(data) == json.dumps(oracle_tree_to_json(tree))
+
+    def test_the_leftmost_culprit_is_named(self):
+        with pytest.raises(ValueError, match=r"not a tree value: 1$"):
+            tree_to_json(Glue((Glue((Chain(0), 1)), 2)))
+        with pytest.raises(ValueError, match=r"not a formula value: 1$"):
+            formula_to_json(And((Neg(Dia("a", 1)), 2)))
+
+    def test_deep_glue_does_not_recurse(self):
+        tree = Chain(0)
+        for _ in range(5000):
+            tree = Glue((tree,))
+        data, depth = tree_to_json(tree), 0
+        while data["kind"] == "glue":
+            (data,), depth = data["children"], depth + 1
+        assert (depth, data) == (5000, {"kind": "chain", "k": 0})
+
+    def test_deep_negation_does_not_recurse(self):
+        phi = TOP
+        for _ in range(5000):
+            phi = Neg(phi)
+        data, depth = formula_to_json(phi), 0
+        while data["op"] == "neg":
+            data, depth = data["sub"], depth + 1
+        assert (depth, data) == (5000, {"op": "top"})
 
 
 class TestFiles:

@@ -276,7 +276,7 @@ class TestStateBisim:
             assert is_state_bisim(nlmp, ident)
 
     def test_asymmetric_relation_rejected(self):
-        nlmp = PointmassNLMP(("a",), ("s", "t"))
+        nlmp = PointmassNLMP(("a",), ("s", "t"), {})
         with pytest.raises(ValueError):
             is_state_bisim(nlmp, frozenset({("s", "t")}))
 
@@ -418,7 +418,7 @@ class TestHitBisim:
             assert oracle_is_hit_bisim(nlmp, rel) == is_state_bisim(nlmp, rel)
 
     def test_asymmetric_rejected(self):
-        nlmp = PointmassNLMP(("a",), ("s", "t"))
+        nlmp = PointmassNLMP(("a",), ("s", "t"), {})
         with pytest.raises(ValueError, match="must be symmetric"):
             is_state_bisim(nlmp, frozenset({("s", "t")}))
 

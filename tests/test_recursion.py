@@ -14,12 +14,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bisimkit"
 
 ALLOWED = {
     "parse_tree",
-    "tree_to_json",
     "parse_formula",
-    "formula_to_json",
     "random_multitree",
-    "_forests",
-    "_shape_nodes",
 }
 
 

@@ -13,13 +13,14 @@ do not count, so a helper that only tests call belongs in the test that
 uses it. Dunder methods and the ``_cmd_*`` handlers, which
 ``cli._handler`` looks up by name, are exempt.
 
-Every defaulted parameter of a function in ``src/bisimkit`` must be
-passed by some call in ``src/bisimkit`` and left out by another: an
-option that every caller omits, or that every caller passes, is one
-value, not an option. Calls are matched by the name called, bare or as
-an attribute, and a function's calls to itself do not count. A call
-that spreads ``*args`` or ``**kwargs`` counts as passing every
-parameter.
+Every defaulted parameter of a function in ``src/bisimkit``, and every
+defaulted field of a ``@frozen`` class there, must be passed by some
+call in ``src/bisimkit`` and left out by another: an option that every
+caller omits, or that every caller passes, is one value, not an option.
+Calls are matched by the name called, bare or as an attribute, and a
+function's calls to itself do not count; a class is also called as
+``cls`` inside its own body. A call that spreads ``*args`` or
+``**kwargs`` counts as passing every parameter.
 """
 
 import ast
@@ -42,7 +43,7 @@ ALLOWED = {
 # module:function.
 DEFAULTS_ALLOWED = {
     "gen.py": "the seeded generators: verify draws at the defaults, the "
-    "tests at other sizes (and _shape_nodes recurses with its base)",
+    "tests at other sizes",
     "cli.py:main": "the console script omits argv, the tests pass it",
 }
 
@@ -137,24 +138,42 @@ def defaulted(function: ast.FunctionDef, method: bool) -> list[tuple[str, int | 
     return found
 
 
+def frozen_fields(cls: ast.ClassDef) -> list[tuple[str, int]]:
+    """Each defaulted field of a ``@frozen`` class with its position in a
+    call: the annotated names of the class body, in order."""
+    if not any(getattr(d, "id", None) == "frozen" for d in cls.decorator_list):
+        return []
+    fields = [
+        f for f in cls.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+    ]
+    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+
+
 def one_way_defaults() -> dict:
-    """Each defaulted parameter that library calls all pass or all omit,
-    as "module:function(parameter)", with the numbers passed and omitted."""
+    """Each defaulted parameter, or defaulted field of a ``@frozen`` class,
+    that library calls all pass or all omit, as "module:function(parameter)",
+    with the numbers passed and omitted. A class is called by its name, or
+    as ``cls`` inside its own body."""
     calls: dict[str, list] = {}  # called name -> [(call, enclosing functions)]
     definitions = []
     for path in SRC.glob("*.py"):
-        stack = [(ast.parse(path.read_text(encoding="utf-8")), (), False)]
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), (), None)]
         while stack:
-            node, enclosing, method = stack.pop()
+            node, enclosing, owner = stack.pop()
             if isinstance(node, ast.FunctionDef):
+                method = owner is not None and node in owner.body
                 definitions.append((path.name, node, defaulted(node, method)))
                 enclosing += (node,)
+            elif isinstance(node, ast.ClassDef):
+                definitions.append((path.name, node, frozen_fields(node)))
+                owner = node
             elif isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "cls" and owner is not None:
+                    name = owner.name
                 calls.setdefault(name, []).append((node, enclosing))
-            in_class = isinstance(node, ast.ClassDef)
-            stack += ((sub, enclosing, in_class) for sub in ast.iter_child_nodes(node))
+            stack += ((sub, enclosing, owner) for sub in ast.iter_child_nodes(node))
     found = {}
     for module, function, parameters in definitions:
         outside = [call for call, within in calls.get(function.name, ()) if function not in within]

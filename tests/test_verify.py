@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import compress
 
 import pytest
@@ -16,10 +17,41 @@ from bisimkit.gen import (
 )
 from bisimkit.lts import state_rank
 from bisimkit.nlmp import is_z_closed
+from bisimkit.trees import ExplicitTree
 from bisimkit.verify import SUITES, _closed_pairs, _subsets, render_report, run_suites
 
 
+@lru_cache(maxsize=None)
+def oracle_forests(total: int) -> tuple:
+    """The former recursive shape enumeration, kept as the oracle."""
+    if total == 0:
+        return ((),)
+    found = set()
+    for size in range(1, total + 1):
+        for child in oracle_forests(size - 1):
+            for rest in oracle_forests(total - size):
+                found.add(tuple(sorted((child, *rest))))
+    return tuple(sorted(found))
+
+
+def oracle_shape_nodes(shape: tuple, base: tuple = ()) -> set:
+    nodes = {base}
+    for i, child in enumerate(shape):
+        nodes |= oracle_shape_nodes(child, base + (i,))
+    return nodes
+
+
 class TestGenerators:
+    def test_tree_classes_match_the_recursive_oracle(self):
+        for max_nodes in range(10):
+            want = [
+                ExplicitTree(frozenset(oracle_shape_nodes(shape)))
+                for n in range(1, max_nodes + 1)
+                for shape in oracle_forests(n - 1)
+            ]
+            assert enumerate_trees(max_nodes) == want
+        assert len(want) == 486
+
     def test_forward_edges_keep_every_state_ranked(self):
         rng = random.Random(301)
         for _ in range(50):
