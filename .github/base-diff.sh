@@ -51,6 +51,21 @@ while read -ra request; do
 done <<< "$requests"
 inputs="$temp/inputs"
 mkdir -p "$inputs"
+# The refine and canon requests that perfbench builds in round 0 at seed
+# 1, the traffic its benchmark times, with their input files written
+# under inputs/refine and inputs/canon.
+requests="$(python -B -c '
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from workloads import build_round
+for workload in ("refine", "canon"):
+    for request in build_round(workload, 1, 0, Path(sys.argv[2], workload)):
+        print(" ".join(request.args))
+' "$bench" "$inputs")"
+while read -ra request; do
+  same "${request[@]}"
+done <<< "$requests"
 python -c '
 import json, sys
 def save(name, data):
@@ -97,6 +112,10 @@ save("nlmp-left", {"labels": ["a"], "states": ["p", "q"], "trans": {"p": half, "
 half = {"a": [{"v": "1/2", "w": "1/2"}]}
 trans = {"u": half, "v": half, "w": {"a": [{"w": "1"}]}, "x": {"a": [{}]}}
 save("nlmp-right", {"labels": ["a"], "states": ["u", "v", "w", "x"], "trans": trans})
+# A system that declares a state twice, and a process that declares a
+# label twice.
+save("repeated-state", {"labels": ["a"], "states": ["p", "q", "p"], "root": "p", "edges": []})
+save("repeated-label", {"labels": ["a", "a"], "states": ["p"], "trans": {}})
 # A closed carrier, and one that the measure at u leaves.
 save("carrier", {"carrier": ["v", "w"]})
 save("open-carrier", {"carrier": ["u"]})
@@ -361,6 +380,19 @@ same export-dot "$inputs/glue.json"
 same iso "$inputs/ring6.json" "$inputs/left.json"
 same substructure "$inputs/nlmp-right.json" --carrier "$inputs/carrier.json"
 same substructure "$inputs/nlmp-right.json" --carrier "$inputs/open-carrier.json"
+# Error texts that several checks share: an unknown state, a negative
+# bound or depth, a set atom on a process, and a repeated declaration.
+same rank "$inputs/ladder.json" --state nope
+same expand "$inputs/ladder.json" --state nope
+same eval "$inputs/phi.json" "$inputs/ladder.json" --state nope
+same nlmp-bisim "$inputs/nlmp-right.json" u nope
+same substructure "$inputs/nlmp-right.json" --state nope
+same substructure "$inputs/nlmp-right.json" --state u --bound -1
+same e0 witness "$inputs/x.json" "$inputs/y.json" --bound -1
+same expand "$inputs/ladder.json" --depth -1
+same eval "$inputs/set-one.json" "$inputs/ring6.json"
+same bisim "$inputs/repeated-state.json" "$inputs/ring3.json"
+same nlmp-bisim "$inputs/repeated-label.json" p p
 # Help, usage errors and an abbreviated option are parsed by
 # argparse, the rest by the verb table: stdout, stderr and the exit
 # code must match the base either way.

@@ -57,7 +57,8 @@ from .jsonio import (
     read_text,
     tree_to_json,
 )
-from .lts import CharSet, PointedLTS, eval_formula, formula_postorder, greatest_bisim, state_rank
+from .foundations import natural
+from .lts import PointedLTS, eval_formula, greatest_bisim, known_state, no_char_sets, state_rank
 from .nlmp import PointmassNLMP, greatest_ext_bisim, greatest_state_bisim
 from .substructures import composition_enum, substructure
 from .treeiso import (
@@ -149,8 +150,7 @@ def _load_process(path: str) -> PointedLTS:
 def _checked_state(process: PointedLTS | PointmassNLMP, state: str | None) -> str:
     if state is None:
         return process.root
-    if state not in process.states:
-        raise ValueError(f"unknown state {state!r}")
+    known_state(process, state)
     return state
 
 
@@ -257,10 +257,8 @@ def _cmd_e0_reduce(args: SimpleNamespace) -> int:
     if args.depth is None and args.width is None:
         report["tree"] = tree_to_json(gadget)
     else:
-        depth = args.depth if args.depth is not None else 6
-        width = args.width if args.width is not None else 6
         # Checks depth and width now, so a bad one leaves stdout empty.
-        nodes = truncation_levels(gadget, depth, width)
+        nodes = truncation_levels(gadget, *_truncation(args))
 
         def tree() -> Iterator[str]:
             yield '{"kind": "explicit", "nodes": ['
@@ -276,8 +274,8 @@ def _cmd_e0_reduce(args: SimpleNamespace) -> int:
 
 
 def _natural_bound(args: SimpleNamespace) -> None:
-    if args.bound is not None and args.bound < 0:
-        raise ValueError("bound must be a natural")
+    if args.bound is not None:
+        natural(args.bound, "bound")
 
 
 def _cmd_e0_witness(args: SimpleNamespace) -> int:
@@ -328,8 +326,7 @@ def _cmd_eval(args: SimpleNamespace) -> int:
     if isinstance(target, PointedLTS):
         state = _checked_state(target, args.state)
         # Checked before the walk, so that its short circuits cannot hide one.
-        if any(isinstance(node, CharSet) for node in formula_postorder(phi)):
-            raise ValueError("characteristic-set formulas only evaluate on symbolic trees")
+        no_char_sets(phi)
         holds = eval_formula(target, state, phi)
     elif args.state is not None:
         raise ValueError("symbolic trees evaluate at their root only")
@@ -380,10 +377,13 @@ def _dot_pieces(args: SimpleNamespace, kind: str, data: object) -> Iterable[str]
     tree = parse_tree(data)
     if isinstance(tree, ExplicitTree):
         return (explicit_tree_dot(tree),)
-    depth = args.depth if args.depth is not None else 6
-    width = args.width if args.width is not None else 6
     # A symbolic truncation is streamed, never held whole.
-    return symbolic_tree_lines(tree, depth, width)
+    return symbolic_tree_lines(tree, *_truncation(args))
+
+
+def _truncation(args: SimpleNamespace) -> tuple[int, int]:
+    """The depth and width of a symbolic tree's truncation, 6 by default."""
+    return (6 if args.depth is None else args.depth, 6 if args.width is None else args.width)
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:

@@ -56,7 +56,7 @@ def _tree_lines(nodes: Iterable[tuple], again: Iterable[tuple]) -> Iterator[str]
 
 
 def explicit_tree_dot(tree: ExplicitTree) -> str:
-    nodes = sorted(tree.nodes, key=lambda u: (len(u), u))
+    nodes = tree.in_order()
     return "".join(_tree_lines(nodes, nodes))
 
 

@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import or_
 from typing import Iterable
 
-from .foundations import EPSet, dfs_postorder
+from .foundations import EPSet, dfs_postorder, natural
 from .lts import (
     And,
     CharSet,
@@ -40,6 +40,7 @@ from .trees import (
     SUC_LABEL,
     SymbolicTree,
     fold_symbolic,
+    not_symbolic,
     symbolic_rank,
 )
 
@@ -75,7 +76,7 @@ def _leaf_depths(tree: SymbolicTree) -> EPSet:
         # finite parameters; deeper leaves are supplied by flipping in a
         # single member of the right size.
         return EPSet("1" if tree.param.is_finite else "0", "1")
-    raise TypeError(f"not a symbolic tree: {tree!r}")
+    not_symbolic(tree)
 
 
 def _glue_leaf_depths(parts: list[EPSet]) -> EPSet:
@@ -299,8 +300,7 @@ def diamond_depth_sat(x: EPSet, k: int) -> bool:
     with plain membership of k in x is the load-bearing property of the
     branch coding.
     """
-    if k < 0:
-        raise ValueError("tower height must be a natural")
+    natural(k, "tower height")
     return eval_symbolic(ATree(x), _diamond_tower(k))
 
 
@@ -328,8 +328,7 @@ def matching_bijection(x: EPSet, y: EPSet, bound: int) -> list[tuple[int, int]]:
     x xor flips(n) = y xor flips(n xor m), so the pairing is the xor
     with m, restricted here to indices below the bound.
     """
-    if bound < 0:
-        raise ValueError("bound must be a natural")
+    natural(bound, "bound")
     difference = x.sym_diff(y)
     if not difference.is_finite:
         raise ValueError("no matching exists: the sets differ infinitely")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .foundations import OMEGA_COUNT, dfs_postorder
-from .lts import OmegaLTSCode, PointedLTS, StateId, code_to_lts
+from .foundations import OMEGA_COUNT, dfs_postorder, natural
+from .lts import OmegaLTSCode, PointedLTS, StateId, code_to_lts, known_state
 from .trees import MultiTree
 
 _target = itemgetter(1)
@@ -39,10 +39,9 @@ def _expand(lts: PointedLTS, state: StateId, depth: int | None) -> MultiTree:
     hash-consed on their (label, id(child)) entries, so equal subtrees are
     one object and distinct successor expansions are told apart by identity.
     """
-    if state not in lts.states:
-        raise ValueError(f"unknown state {state!r}")
-    if depth is not None and depth < 0:
-        raise ValueError("depth must be a natural")
+    known_state(lts, state)
+    if depth is not None:
+        natural(depth, "depth")
     moves: dict[tuple[StateId, int | None], list] = {}
 
     def children(key: tuple[StateId, int | None]):

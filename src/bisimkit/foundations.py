@@ -3,8 +3,9 @@
 Ordinals below omega^omega in Cantor normal form, eventually periodic
 subsets of the naturals, saturating counts in N + {omega}, and helpers
 for exact rationals. Everything here is immutable and pure. Beside them
-sit `frozen`, which makes a class a value, and `dfs_postorder`, the one
-walk over shared structures (formulas, trees, glue, state graphs).
+sit `frozen`, which makes a class a value, `dfs_postorder`, the one
+walk over shared structures (formulas, trees, glue, state graphs), and
+`natural`, the one check that a count, bound or depth is not negative.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ def dfs_postorder(
             node, pending = stack.pop()
 
 
+def natural(n: int, what: str) -> None:
+    """Raise ValueError, naming ``what``, unless n is a natural number."""
+    if n < 0:
+        raise ValueError(f"{what} must be a natural")
+
+
 @frozen
 class Ordinal:
     """Ordinal < omega^omega as a CNF term list.
@@ -148,12 +155,6 @@ class Ordinal:
 
     def __le__(self, other: Ordinal) -> bool:
         return self.terms <= other.terms
-
-    def __gt__(self, other: Ordinal) -> bool:
-        return self.terms > other.terms
-
-    def __ge__(self, other: Ordinal) -> bool:
-        return self.terms >= other.terms
 
     def __add__(self, other: Ordinal | int) -> Ordinal:
         if isinstance(other, int):
@@ -274,9 +275,6 @@ class EPSet:
         if n < len(self.prefix):
             return self.prefix[n] == "1"
         return self.period[(n - len(self.prefix)) % len(self.period)] == "1"
-
-    def __contains__(self, n: int) -> bool:
-        return self.member(n)
 
     @property
     def is_finite(self) -> bool:
@@ -400,8 +398,7 @@ def nth_modification(base: EPSet, n: int) -> EPSet:
 
     An involution on eventually periodic sets; n = 0 is the identity.
     """
-    if n < 0:
-        raise ValueError("modification index must be a natural")
+    natural(n, "modification index")
     return base.xor_finite(i for i in range(n.bit_length()) if n >> i & 1)
 
 

@@ -242,7 +242,7 @@ def tree_to_json(tree: AnyTree) -> dict:
 
 def _part_json(tree: AnyTree) -> dict:
     if isinstance(tree, ExplicitTree):
-        nodes = sorted(tree.nodes, key=lambda u: (len(u), u))
+        nodes = tree.in_order()
         for node in nodes:
             if not all(isinstance(v, int) for v in node):
                 raise ValueError(f"node {node!r} has letters outside the naturals")
@@ -268,13 +268,13 @@ def parse_multitree(data: object) -> MultiTree:
     identity and count share one node, and so do JSON objects met twice,
     so repeated subtrees are built once.
     """
-    if not isinstance(data, dict):
-        raise ValueError("multiplicity tree JSON must be an object keyed by label")
     consed: dict[tuple, MultiTree] = {}
     built: dict[int, MultiTree] = {}
     counts: dict[int | str, Count] = {}
 
-    def descend(obj: dict) -> Iterator[dict]:
+    def descend(obj: object) -> Iterator[object]:
+        if not isinstance(obj, dict):
+            raise ValueError("multiplicity tree JSON must be an object keyed by label")
         entries, keys = [], []
         for label, children in obj.items():
             if not isinstance(children, list):
@@ -285,12 +285,8 @@ def parse_multitree(data: object) -> MultiTree:
                         f"child {i} under {label!r} must be [subtree, multiplicity]"
                     )
                 sub, raw = pair
-                if not isinstance(sub, dict):
-                    raise ValueError(
-                        "multiplicity tree JSON must be an object keyed by label"
-                    )
                 node = LEAF
-                if sub:
+                if sub != {}:  # anything but an object fails its own descent
                     yield sub
                     node = built.get(id(sub))
                     if node is None:  # still open: an object on the path down

@@ -13,7 +13,7 @@ from itertools import repeat
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .foundations import EPSet, Ordinal, dfs_postorder, frozen
+from .foundations import EPSet, Ordinal, dfs_postorder, frozen, natural
 
 StateId = str
 Rel = frozenset  # of (StateId, StateId) pairs
@@ -141,12 +141,7 @@ class PointedLTS:
     edges: frozenset  # of (source, label, target)
 
     def __post_init__(self) -> None:
-        states = set(self.states)
-        labels = set(self.labels)
-        if len(states) != len(self.states):
-            raise ValueError("duplicate state ids")
-        if len(labels) != len(self.labels):
-            raise ValueError("duplicate labels")
+        states, labels = declared(self)
         if self.root not in states:
             raise ValueError(f"root {self.root!r} is not a declared state")
         for src, label, dst in self.edges:
@@ -189,8 +184,7 @@ class OmegaLTSCode:
     edges: Mapping[str, frozenset]  # label -> frozenset of (int, int)
 
     def __post_init__(self) -> None:
-        if self.root < 0:
-            raise ValueError("root must be a natural")
+        natural(self.root, "root")
         for label, pairs in self.edges.items():
             for m, n in pairs:
                 if m < 0 or n < 0:
@@ -216,6 +210,22 @@ def code_to_lts(code: OmegaLTSCode) -> PointedLTS:
         if m in seen and n in seen
     )
     return PointedLTS(labels, states, str(code.root), edges)
+
+
+def declared(system) -> tuple[set, set]:
+    """A system's or process's states and labels as sets; neither may repeat."""
+    states, labels = set(system.states), set(system.labels)
+    if len(states) != len(system.states):
+        raise ValueError("duplicate state ids")
+    if len(labels) != len(system.labels):
+        raise ValueError("duplicate labels")
+    return states, labels
+
+
+def known_state(system, state: StateId) -> None:
+    """Raise ValueError unless the system or process declares the state."""
+    if state not in system.states:
+        raise ValueError(f"unknown state {state!r}")
 
 
 def _label_universe(*systems) -> tuple[str, ...]:
@@ -375,8 +385,7 @@ def walk_formula(place: object, phi: Formula, leaf: Callable) -> bool:
 
 def eval_formula(lts: PointedLTS, state: StateId, phi: Formula) -> bool:
     """Kripke semantics by `walk_formula`; rank atoms defer to state_rank."""
-    if state not in lts.states:
-        raise ValueError(f"unknown state {state!r}")
+    known_state(lts, state)
 
     def leaf(state: StateId, node: Formula) -> bool | Iterable:
         if isinstance(node, Dia):
@@ -384,11 +393,15 @@ def eval_formula(lts: PointedLTS, state: StateId, phi: Formula) -> bool:
         if isinstance(node, RankAtLeast):
             rank = state_rank(lts, state)
             return rank is None or rank >= node.bound
-        raise UnsupportedFormula(
-            "characteristic-set formulas only evaluate on symbolic trees"
-        )
+        no_char_sets(node)  # the one atom left, which it rejects
 
     return walk_formula(state, phi, leaf)
+
+
+def no_char_sets(phi: Formula) -> None:
+    """Reject a formula with a characteristic-set atom, which a process cannot decide."""
+    if any(isinstance(node, CharSet) for node in formula_postorder(phi)):
+        raise UnsupportedFormula("characteristic-set formulas only evaluate on symbolic trees")
 
 
 def sat_states(lts: PointedLTS, phi: Formula) -> frozenset:
@@ -403,8 +416,7 @@ def state_rank(lts: PointedLTS, state: StateId) -> Ordinal | None:
     postorder. A successor not yet listed when its state is listed is
     still on the path to it, so it closes a cycle.
     """
-    if state not in lts.states:
-        raise ValueError(f"unknown state {state!r}")
+    known_state(lts, state)
     heights: dict[StateId, int] = {}
     for node in dfs_postorder((state,), lts.all_successors):
         height = 0

@@ -24,7 +24,7 @@ from math import gcd
 from typing import Iterable, Mapping
 
 from .foundations import frozen
-from .lts import Rel, StateId, _label_universe, mass_codes, refine_blocks, same_part_pairs
+from .lts import Rel, StateId, _label_universe, declared, mass_codes, refine_blocks, same_part_pairs
 
 
 def _total(masses: Iterable[Fraction]) -> tuple[int, int]:
@@ -93,15 +93,11 @@ class PointmassNLMP:
     trans: Mapping  # (state, label) -> frozenset
 
     def __post_init__(self) -> None:
-        states = set(self.states)
-        if len(states) != len(self.states):
-            raise ValueError("duplicate state ids")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate labels")
+        states, labels = declared(self)
         for (s, a), measures in self.trans.items():
             if s not in states:
                 raise ValueError(f"transition source {s!r} is not a state")
-            if a not in self.labels:
+            if a not in labels:
                 raise ValueError(f"transition label {a!r} is not declared")
             for mu in measures:
                 stray = mu.support - states

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .lts import Rel, StateId, _label_universe, identity_rel, same_part_pairs
+from .foundations import natural
+from .lts import Rel, StateId, _label_universe, identity_rel, known_state, same_part_pairs
 from .nlmp import PointmassNLMP, SubProbMeasure, _part_numbers
 
 
 def is_thick(mu: SubProbMeasure, carrier: Iterable[StateId]) -> bool:
     """Finitely supported reading of thickness: all mass inside the carrier."""
-    return mu.support <= set(carrier)
+    return mu.support.issubset(carrier)
 
 
 def substructure(nlmp: PointmassNLMP, carrier: Iterable[StateId]) -> PointmassNLMP:
@@ -64,10 +65,9 @@ def composition_enum(
     with a ``bound``, takes no further value once that many are listed,
     so no measure of a later value is read, and truncates to it.
     """
-    if state not in nlmp.states:
-        raise ValueError(f"unknown state {state!r}")
-    if bound is not None and bound < 0:
-        raise ValueError("bound must be a natural")
+    known_state(nlmp, state)
+    if bound is not None:
+        natural(bound, "bound")
     listed = [state]
     seen = {state}
     for value in listed:
@@ -90,8 +90,8 @@ def reachable_carrier(nlmp: PointmassNLMP, state: StateId) -> tuple[StateId, ...
 
 def up_coherence_witness(nlmp: PointmassNLMP, carrier: Iterable[StateId]) -> Rel:
     """Identity on the carrier, relating the substructure into the whole."""
-    pool = [s for s in nlmp.states if s in set(carrier)]
-    return identity_rel(pool)
+    pool = set(carrier)
+    return identity_rel(s for s in nlmp.states if s in pool)
 
 
 def restrict_rel(

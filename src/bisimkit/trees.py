@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Union
+from typing import Callable, Hashable, Iterable, Iterator, NoReturn
 
 from .foundations import (
     EPSet,
@@ -33,6 +33,7 @@ from .foundations import (
     dfs_postorder,
     nth_modification,
     frozen,
+    natural,
     ordinal_sup,
 )
 
@@ -65,8 +66,9 @@ class ExplicitTree:
     def is_empty(self) -> bool:
         return not self.nodes
 
-    def __contains__(self, node: Node) -> bool:
-        return node in self.nodes
+    def in_order(self) -> list[Node]:
+        """The nodes in print order: shorter first, then lexicographic."""
+        return sorted(self.nodes, key=lambda u: (len(u), u))
 
     @cached_property
     def _heights(self) -> dict[Node, int]:
@@ -336,8 +338,7 @@ class Chain:
     length: int
 
     def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("chain length must be a natural")
+        natural(self.length, "chain length")
 
 
 @frozen
@@ -371,9 +372,13 @@ class Glue:
     parts: tuple  # of SymbolicTree
 
 
-SymbolicTree = Union[Chain, ATree, BTree, Glue]
-_SYMBOLIC = (Chain, ATree, BTree, Glue)
-AnyTree = Union[ExplicitTree, SymbolicTree]
+SymbolicTree = Chain | ATree | BTree | Glue
+AnyTree = ExplicitTree | SymbolicTree
+
+
+def not_symbolic(tree: object) -> NoReturn:
+    """Raise the TypeError for a value that is no symbolic tree."""
+    raise TypeError(f"not a symbolic tree: {tree!r}")
 
 
 def fold_symbolic(tree: SymbolicTree, leaf: Callable, glue: Callable):
@@ -417,7 +422,7 @@ def _root_rank(tree: SymbolicTree) -> Ordinal:
         return tree.param.sup_succ()
     if isinstance(tree, BTree):
         return ORD_OMEGA + 1 if not tree.param.is_finite else ORD_OMEGA
-    raise TypeError(f"not a symbolic tree: {tree!r}")
+    not_symbolic(tree)
 
 
 def truncation_levels(tree: SymbolicTree, depth: int, width: int) -> Iterator[Node]:
@@ -430,8 +435,8 @@ def truncation_levels(tree: SymbolicTree, depth: int, width: int) -> Iterator[No
     """
     if depth < 0 or width < 0:
         raise ValueError("depth and width must be naturals")
-    if not isinstance(tree, _SYMBOLIC):
-        raise TypeError(f"not a symbolic tree: {tree!r}")
+    if not isinstance(tree, SymbolicTree):
+        not_symbolic(tree)
     return _levels(tree, depth, width)
 
 
@@ -450,8 +455,8 @@ def _level(tree: SymbolicTree, level: int, width: int) -> Iterator[Node]:
     stack = [((), tree, level)]
     while stack:
         prefix, tree, level = stack.pop()
-        if not isinstance(tree, _SYMBOLIC):
-            raise TypeError(f"not a symbolic tree: {tree!r}")
+        if not isinstance(tree, SymbolicTree):
+            not_symbolic(tree)
         if level == 0:
             yield prefix
         elif isinstance(tree, Glue):

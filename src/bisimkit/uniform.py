@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .foundations import Ordinal
-from .lts import OmegaLTSCode, PointedLTS, Rel, StateId, state_rank
+from .lts import OmegaLTSCode, PointedLTS, Rel, StateId, known_state, state_rank
 from .nlmp import PointmassNLMP, greatest_ext_bisim
 from .substructures import composition_enum, ordered_measures, substructure
 from .trees import SUC_LABEL, ExplicitTree, node_name
@@ -119,7 +119,7 @@ def tree_process(tree: ExplicitTree) -> PointedLTS:
     """
     if tree.is_empty:
         raise ValueError("cannot root a process on the empty tree")
-    nodes = sorted(tree.nodes, key=lambda node: (len(node), node))
+    nodes = tree.in_order()
     names = {node: node_name(node) for node in nodes}
     edges = frozenset(
         (names[node[:-1]], SUC_LABEL, names[node]) for node in nodes if node
@@ -134,8 +134,7 @@ def encode_state(lts: PointedLTS, state: StateId) -> OmegaLTSCode:
     given state becoming the root 0; each state lists its successors
     label by label in declared order, targets in declared state order.
     """
-    if state not in lts.states:
-        raise ValueError(f"unknown state {state!r}")
+    known_state(lts, state)
     numbering = {state: 0}
     listed = [state]
     edges: dict[str, set] = {a: set() for a in lts.labels}

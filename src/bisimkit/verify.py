@@ -85,18 +85,23 @@ __all__ = ["SUITES", "render_report", "run_suites"]
 FAILURE_CAP = 12
 
 
-def _result(name: str, cases: int, failures: list[str], notes: str = "") -> dict:
-    return {
-        "name": name,
-        "passed": not failures,
-        "cases": cases,
-        "failures": failures[:FAILURE_CAP],
-        "notes": notes,
-    }
+def _suite(name: str, check: Callable) -> Callable[[int], dict]:
+    """A suite: its check gets the seed, a generator seeded from the seed and
+    the name, and a failure list, and returns its case count or (count, note)."""
 
+    def run(seed: int) -> dict:
+        failures: list[str] = []
+        outcome = check(seed, Random(f"{seed}:{name}"), failures)
+        cases, notes = outcome if isinstance(outcome, tuple) else (outcome, "")
+        return {
+            "name": name,
+            "passed": not failures,
+            "cases": cases,
+            "failures": failures[:FAILURE_CAP],
+            "notes": notes,
+        }
 
-def _rng(seed: int, name: str) -> Random:
-    return Random(f"{seed}:{name}")
+    return run
 
 
 def _subsets(pool: tuple) -> list[frozenset]:
@@ -130,9 +135,7 @@ def _random_rel(rng: Random, left: Iterable, right: Iterable):
     return frozenset((x, y) for x in left for y in right if rng.random() < 0.3)
 
 
-def _suite_measure_lifting(seed: int) -> dict:
-    rng = _rng(seed, "measure-lifting")
-    failures: list[str] = []
+def _suite_measure_lifting(seed: int, rng: Random, failures: list[str]) -> int:
     cases = 0
     for i in range(300):
         left = tuple(f"s{k}" for k in range(rng.randint(1, 4)))
@@ -153,12 +156,10 @@ def _suite_measure_lifting(seed: int) -> dict:
             external = lift_external(mu, nu, z_rel, left, right)
             if supported != external:
                 failures.append(f"case {i}: support lift strays on a z-closed relation")
-    return _result("measure-lifting", cases, failures)
+    return cases
 
 
-def _suite_greatest_bisim(seed: int) -> dict:
-    rng = _rng(seed, "greatest-bisim")
-    failures: list[str] = []
+def _suite_greatest_bisim(seed: int, rng: Random, failures: list[str]) -> int:
     cases = 0
     for i in range(25):
         left = random_lts(rng, 3)
@@ -182,7 +183,7 @@ def _suite_greatest_bisim(seed: int) -> dict:
         cases += 1
         if frozenset(state_union) != greatest_state_bisim(nlmp):
             failures.append(f"case {i}: greatest state bisimulation is not the union")
-    return _result("greatest-bisim", cases, failures)
+    return cases
 
 
 def _renamed(lts: PointedLTS) -> PointedLTS:
@@ -195,9 +196,7 @@ def _renamed(lts: PointedLTS) -> PointedLTS:
     )
 
 
-def _suite_expansion_canon(seed: int) -> dict:
-    rng = _rng(seed, "expansion-canon")
-    failures: list[str] = []
+def _suite_expansion_canon(seed: int, rng: Random, failures: list[str]) -> int:
     cases = 0
     for i in range(300):
         left = random_wf_lts(rng, 6)
@@ -209,7 +208,7 @@ def _suite_expansion_canon(seed: int) -> dict:
             failures.append(
                 f"case {i}: bisimilarity {expected} but canonical agreement {got}"
             )
-    return _result("expansion-canon", cases, failures)
+    return cases
 
 
 def _formula_rank(lts: PointedLTS, state) -> int:
@@ -221,9 +220,7 @@ def _formula_rank(lts: PointedLTS, state) -> int:
     return rank
 
 
-def _suite_rank_coherence(seed: int) -> dict:
-    rng = _rng(seed, "rank-coherence")
-    failures: list[str] = []
+def _suite_rank_coherence(seed: int, rng: Random, failures: list[str]) -> int:
     cases = 0
     for i in range(300):
         lts = random_wf_lts(rng, 6)
@@ -237,7 +234,7 @@ def _suite_rank_coherence(seed: int) -> dict:
                 failures.append(f"case {i}: expansion rank differs at {s}")
             if Ordinal.from_int(_formula_rank(lts, s)) != rank:
                 failures.append(f"case {i}: formula rank differs at {s}")
-    return _result("rank-coherence", cases, failures)
+    return cases
 
 
 def _small_multitrees() -> list[MultiTree]:
@@ -264,9 +261,7 @@ def _oracle_agrees(left: MultiTree, right: MultiTree, same_form: bool) -> bool:
     return agreed == _iso_rec(left, right) == same_form
 
 
-def _suite_tree_iso(seed: int) -> dict:
-    rng = _rng(seed, "tree-iso")
-    failures: list[str] = []
+def _suite_tree_iso(seed: int, rng: Random, failures: list[str]) -> tuple[int, str]:
     cases = 0
     catalog = _small_multitrees()
     forms = [canon(tree) for tree in catalog]
@@ -287,12 +282,10 @@ def _suite_tree_iso(seed: int) -> dict:
         left_form, right_form = canon(left), canon(right)
         if not _oracle_agrees(left, right, left_form == right_form):
             failures.append(f"case {i}: rank-wise iso strays")
-    return _result("tree-iso", cases, failures, notes=f"catalog={len(catalog)}")
+    return cases, f"catalog={len(catalog)}"
 
 
-def _suite_tail_rank(seed: int) -> dict:
-    rng = _rng(seed, "tail-rank")
-    failures: list[str] = []
+def _suite_tail_rank(seed: int, rng: Random, failures: list[str]) -> int:
     cases = 0
     for i in range(200):
         tree = random_explicit_tree(rng, 40)
@@ -304,12 +297,10 @@ def _suite_tail_rank(seed: int) -> dict:
             sectioned = tree.section(node[0]).node_rank(node[1:])
             if direct != sectioned:
                 failures.append(f"case {i}: rank splits at node {node}")
-    return _result("tail-rank", cases, failures)
+    return cases
 
 
-def _suite_set_gadgets(seed: int) -> dict:
-    rng = _rng(seed, "set-gadgets")
-    failures: list[str] = []
+def _suite_set_gadgets(seed: int, rng: Random, failures: list[str]) -> int:
     cases = 0
     for i in range(500):
         x = random_epset(rng)
@@ -339,7 +330,7 @@ def _suite_set_gadgets(seed: int) -> dict:
         expected = ORD_OMEGA + 1 if x.is_finite else ORD_OMEGA + 2
         if symbolic_rank(BTree(x))[1] != expected:
             failures.append(f"glued gadget of {x} has the wrong rank")
-    return _result("set-gadgets", cases, failures)
+    return cases
 
 
 def _descent_relation(rng: Random, nlmp) -> tuple[frozenset, bool]:
@@ -352,9 +343,7 @@ def _descent_relation(rng: Random, nlmp) -> tuple[frozenset, bool]:
     return identity_rel(nlmp.states), True
 
 
-def _suite_substructure_descent(seed: int) -> dict:
-    rng = _rng(seed, "substructure-descent")
-    failures: list[str] = []
+def _suite_substructure_descent(seed: int, rng: Random, failures: list[str]) -> tuple[int, str]:
     cases = 0
     fallbacks = 0
 
@@ -440,12 +429,10 @@ def _suite_substructure_descent(seed: int) -> dict:
             failures.append(message)
 
     notes = f"closure fallbacks={fallbacks}" if fallbacks else ""
-    return _result("substructure-descent", cases, failures, notes=notes)
+    return cases, notes
 
 
-def _suite_sum_process(seed: int) -> dict:
-    rng = _rng(seed, "sum-process")
-    failures: list[str] = []
+def _suite_sum_process(seed: int, rng: Random, failures: list[str]) -> int:
     cases = 0
     for i in range(20):
         left = random_nlmp(rng, 3)
@@ -480,12 +467,10 @@ def _suite_sum_process(seed: int) -> dict:
         cases += 1
         if not is_ext_state_bisim(left, right, crossing):
             failures.append(f"case {i}: greatest sum bisimulation does not descend")
-    return _result("sum-process", cases, failures)
+    return cases
 
 
-def _suite_uniform_search(seed: int) -> dict:
-    rng = _rng(seed, "uniform-search")
-    failures: list[str] = []
+def _suite_uniform_search(seed: int, rng: Random, failures: list[str]) -> int:
     cases = 0
     for i in range(100):
         nlmp = random_nlmp(rng, 4)
@@ -509,7 +494,7 @@ def _suite_uniform_search(seed: int) -> dict:
                         failures.append(
                             f"case {i}: index block strays at row ({n},{n_prime},{a})"
                         )
-    return _result("uniform-search", cases, failures)
+    return cases
 
 
 def _tagged_union(left: PointedLTS, right: PointedLTS) -> PointedLTS:
@@ -522,8 +507,7 @@ def _tagged_union(left: PointedLTS, right: PointedLTS) -> PointedLTS:
     return PointedLTS(labels, states, inl_state(left.root), edges)
 
 
-def _suite_umlts_pipeline(seed: int) -> dict:
-    failures: list[str] = []
+def _suite_umlts_pipeline(seed: int, rng: Random, failures: list[str]) -> tuple[int, str]:
     cases = 0
     trees = enumerate_trees(6)
     if len(trees) != 37:
@@ -539,29 +523,33 @@ def _suite_umlts_pipeline(seed: int) -> dict:
             got = pipeline_bisim(combined, inl_state(left.root), inr_state(right.root), bound)
             if expected != got:
                 failures.append(f"pair ({i},{j}): coded pipeline strays")
-    return _result("umlts-pipeline", cases, failures, notes=f"trees={len(trees)}")
+    return cases, f"trees={len(trees)}"
 
 
-def _suite_determinism(seed: int) -> dict:
+def _suite_determinism(seed: int, rng: Random, failures: list[str]) -> int:
     first = render_report(run_suites(seed, ("tail-rank",)))
     second = render_report(run_suites(seed, ("tail-rank",)))
-    failures = [] if first == second else ["re-rendered report differs"]
-    return _result("determinism", 2, failures)
+    if first != second:
+        failures.append("re-rendered report differs")
+    return 2
 
 
 SUITES: dict[str, Callable[[int], dict]] = {
-    "measure-lifting": _suite_measure_lifting,
-    "greatest-bisim": _suite_greatest_bisim,
-    "expansion-canon": _suite_expansion_canon,
-    "rank-coherence": _suite_rank_coherence,
-    "tree-iso": _suite_tree_iso,
-    "tail-rank": _suite_tail_rank,
-    "set-gadgets": _suite_set_gadgets,
-    "substructure-descent": _suite_substructure_descent,
-    "sum-process": _suite_sum_process,
-    "uniform-search": _suite_uniform_search,
-    "umlts-pipeline": _suite_umlts_pipeline,
-    "determinism": _suite_determinism,
+    name: _suite(name, check)
+    for name, check in (
+        ("measure-lifting", _suite_measure_lifting),
+        ("greatest-bisim", _suite_greatest_bisim),
+        ("expansion-canon", _suite_expansion_canon),
+        ("rank-coherence", _suite_rank_coherence),
+        ("tree-iso", _suite_tree_iso),
+        ("tail-rank", _suite_tail_rank),
+        ("set-gadgets", _suite_set_gadgets),
+        ("substructure-descent", _suite_substructure_descent),
+        ("sum-process", _suite_sum_process),
+        ("uniform-search", _suite_uniform_search),
+        ("umlts-pipeline", _suite_umlts_pipeline),
+        ("determinism", _suite_determinism),
+    )
 }
 
 

@@ -1,6 +1,7 @@
 """Substructures, relation restriction and closure, and sums."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,19 @@ class TestThickness:
         mu = measure(a="1/2")
         assert is_thick(mu, ("a", "b"))
         assert not is_thick(mu, ("b",))
+
+    def test_a_set_carrier_is_not_copied(self):
+        # substructure asks once per measure, so a copy of the carrier
+        # per call made the verb quadratic in the carrier.
+        carrier = {f"s{i}" for i in range(100_000)}
+        mu = measure(s1="1/2", s2="1/4")
+        tracemalloc.start()
+        try:
+            assert is_thick(mu, carrier)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSubstructure:

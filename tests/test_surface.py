@@ -21,6 +21,11 @@ Calls are matched by the name called, bare or as an attribute, and a
 function's calls to itself do not count; a class is also called as
 ``cls`` inside its own body. A call that spreads ``*args`` or
 ``**kwargs`` counts as passing every parameter.
+
+Every error text is raised from one place: the text of a ``raise
+E("...")`` or ``raise E(f"...")`` in ``src/bisimkit``, with each
+placeholder written as ``{}``, occurs at exactly one raise site, so a
+message that two checks share lives in one helper they both call.
 """
 
 import ast
@@ -203,3 +208,29 @@ def test_every_default_is_set_both_ways_by_the_library():
 def test_the_defaults_allowlist_is_current():
     covered = {allowed_default(key) for key in one_way_defaults()}
     assert sorted(covered - {None}) == sorted(DEFAULTS_ALLOWED)
+
+
+def text_of(node: ast.expr) -> str | None:
+    """A string literal's text, an f-string's with ``{}`` for each
+    placeholder, or None for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+def raise_sites() -> dict[str, list[str]]:
+    """The places of each literal text raised in the library, by text."""
+    sites: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                text = text_of(node.exc.args[0])
+                if text is not None:
+                    sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_every_error_text_is_raised_from_one_place():
+    assert {text: places for text, places in raise_sites().items() if len(places) > 1} == {}
