@@ -51,17 +51,19 @@ while read -ra request; do
 done <<< "$requests"
 inputs="$temp/inputs"
 mkdir -p "$inputs"
-# The refine and canon requests that perfbench builds in round 0 at seed
-# 1, the traffic its benchmark times, with their input files written
-# under inputs/refine and inputs/canon.
+# The refine requests that perfbench builds in rounds 0-4 at seed 1 and
+# the canon requests of round 0, the traffic its benchmark times, with
+# their input files written under inputs/WORKLOAD/ROUND (each round
+# reuses its file names).
 requests="$(python -B -c '
 import sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from workloads import build_round
-for workload in ("refine", "canon"):
-    for request in build_round(workload, 1, 0, Path(sys.argv[2], workload)):
-        print(" ".join(request.args))
+for workload, rounds in (("refine", 5), ("canon", 1)):
+    for index in range(rounds):
+        for request in build_round(workload, 1, index, Path(sys.argv[2], workload, str(index))):
+            print(" ".join(request.args))
 ' "$bench" "$inputs")"
 while read -ra request; do
   same "${request[@]}"
@@ -106,6 +108,12 @@ save("ring6", {"labels": ["a", "b"], "states": six, "root": "s0", "edges": edges
 three = [f"t{i}" for i in range(3)]
 edges = [[three[i], a, three[(i + k) % 3]] for i in range(3) for a, k in (("a", 1), ("b", 0))]
 save("ring3", {"labels": ["a", "b"], "states": three, "root": "t0", "edges": edges})
+# A 300-state a-chain and a renamed copy declared in reverse order:
+# refinement needs a round per state.
+for name, prefix, order in (("chain300", "c", 1), ("chain300-copy", "d", -1)):
+    line = [f"{prefix}{i}" for i in range(300)]
+    edges = [[line[i], "a", line[i + 1]] for i in range(299)]
+    save(name, {"labels": ["a"], "states": line[::order], "root": line[0], "edges": edges})
 # Two NLMPs: p matches u, q matches v and w, x only steps to zero.
 half = {"a": [{"p": "1/2", "q": "1/2"}]}
 save("nlmp-left", {"labels": ["a"], "states": ["p", "q"], "trans": {"p": half, "q": {"a": [{"q": "1"}]}}})
@@ -268,6 +276,7 @@ same expand "$inputs/shift.json"
 same expand "$inputs/shift.json" --state q3
 same iso "$inputs/left.json" "$inputs/right.json" --witness
 same bisim "$inputs/ring6.json" "$inputs/ring3.json" --witness
+same bisim "$inputs/chain300.json" "$inputs/chain300-copy.json" --witness
 same bisim "$inputs/ring6.json" "$inputs/ladder.json" --witness
 same nlmp-bisim "$inputs/nlmp-left.json" p u --other "$inputs/nlmp-right.json" --witness
 same nlmp-bisim "$inputs/nlmp-right.json" u x --witness

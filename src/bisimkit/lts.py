@@ -264,42 +264,74 @@ def refine_blocks(
     """Signature refinement of the disjoint union of ``systems``.
 
     ``moves(system, state, label)`` lists a state's moves, each a sequence
-    of (target, numerator, denominator) triples. From one block, each round
-    splits blocks by signature: the block and, per label the systems
-    declare (`_label_universe`), the `mass_codes` of the moves. Stops at
-    the coarsest stable partition, within one round per state, or after
-    ``rounds`` rounds; returns one {state: block} map per system, blocks
-    numbered across the union in order of first appearance.
+    of (target, numerator, denominator) triples. A state's signature is,
+    per label the systems declare (`_label_universe`), the `mass_codes`
+    of its moves over the current blocks. From one block, each round
+    splits every block by its members' signatures, and keeps block ids
+    stable: the members not signed in the round keep their block's id
+    (the largest group does when every member was signed), and each
+    other group gets a fresh id. The first round signs every state; each
+    later one signs only the predecessors of the states whose id changed
+    in the round before, as no other signature can have changed. A
+    signed state has a successor whose id is fresh, so its signature
+    differs from that of its block's unsigned members, and only the
+    signed ones need grouping. Stops when a round moves no state, or
+    after ``rounds`` rounds; returns one {state: block} map per system,
+    blocks renumbered across the union in order of first appearance.
     """
     labels = _label_universe(*systems)
-    tables = [
-        [(s, [moves(system, s, a) for a in labels]) for s in system.states]
-        for system in systems
-    ]
-    parts, n_blocks = [dict.fromkeys(system.states, 0) for system in systems], 1
-    for _ in range(sum(map(len, parts)) if rounds is None else rounds):
-        ids: dict = {}
-        new = [
-            {
-                s: ids.setdefault(
-                    (part[s], tuple([mass_codes(ms, part) for ms in row])), len(ids)
-                )
-                for s, row in table
-            }
-            for part, table in zip(parts, tables)
-        ]
-        if len(ids) == n_blocks:
+    parts = [dict.fromkeys(system.states, 0) for system in systems]
+    nodes: list[tuple] = []  # (part, state, moves per label), numbered across the union
+    preds: list[list[int]] = []
+    for system, part in zip(systems, parts):
+        first = len(nodes)
+        index = {s: first + k for k, s in enumerate(system.states)}
+        for s in system.states:
+            nodes.append((part, s, [moves(system, s, a) for a in labels]))
+            preds.append([])
+        for node in range(first, len(nodes)):
+            for label_moves in nodes[node][2]:
+                for triples in label_moves:
+                    for t, _, _ in triples:
+                        preds[index[t]].append(node)
+    sizes = [len(nodes)]  # by block id
+    todo: Iterable[int] = range(len(nodes))
+    for _ in range(len(nodes) if rounds is None else rounds):
+        signed: dict[int, dict] = {}  # block -> {signature: nodes}
+        for node in todo:
+            part, s, row = nodes[node]
+            signature = tuple([mass_codes(ms, part) for ms in row])
+            signed.setdefault(part[s], {}).setdefault(signature, []).append(node)
+        moved = []
+        for block, groups in signed.items():
+            leaving = list(groups.values())
+            if sum(map(len, leaving)) == sizes[block]:
+                leaving.remove(max(leaving, key=len))
+            for members in leaving:
+                sizes[block] -= len(members)
+                moved.append((len(sizes), members))
+                sizes.append(len(members))
+        if not moved:
             break
-        parts, n_blocks = new, len(ids)
-    return parts
+        todo = set()
+        for block, members in moved:
+            for node in members:
+                part, s, _ = nodes[node]
+                part[s] = block
+                todo.update(preds[node])
+    renumber: dict[int, int] = {}
+    return [{s: renumber.setdefault(b, len(renumber)) for s, b in part.items()} for part in parts]
 
 
 def mass_codes(measures: Iterable, part: Mapping[StateId, int]) -> frozenset:
     """The codes of measures given as (state, numerator, denominator) triples.
 
-    A code is the set of (part number, (num, den)) pairs, each mass summed
-    over the part and kept reduced. Masses are positive and arrive reduced,
-    so two measures agree on every part exactly when their codes are equal.
+    Each measure's masses are summed over the parts and kept reduced. A
+    measure whose sums are exactly 1 on one part p codes as the int p,
+    so an LTS edge codes as its target's part; any other codes as the
+    set of its (part number, (num, den)) pairs. Masses are positive and
+    arrive reduced, so two measures agree on every part exactly when
+    their codes are equal.
     """
     codes = []
     for triples in measures:
@@ -312,7 +344,11 @@ def mass_codes(measures: Iterable, part: Mapping[StateId, int]) -> frozenset:
                 g = gcd(n, d)
                 n, d = n // g, d // g
             sums[p] = n, d
-        codes.append(frozenset(sums.items()))
+        if len(sums) == 1 and (1, 1) in sums.values():
+            (p,) = sums
+            codes.append(p)
+        else:
+            codes.append(frozenset(sums.items()))
     return frozenset(codes)
 
 

@@ -7,20 +7,24 @@ refinement kernel, and they reach the 5-8 state systems below. Most
 systems are blown up from a smaller base, so that bisimilar states are
 common, and some then get one extra transition. The former kernel, which
 summed Fraction masses into blocks of (system, state) pairs, and the
-atom-square closures are kept as oracles for the part maps.
+atom-square closures are kept as oracles for the part maps, and so is
+the kernel that signed every state in every round.
 """
 
 import random
 import tracemalloc
 from fractions import Fraction
 
+from bisimkit import lts
 from bisimkit.gen import random_lts, random_nlmp
 from bisimkit.lts import (
     PointedLTS,
     _edge_moves,
+    _label_universe,
     bisimilar,
     bounded_bisim,
     greatest_bisim,
+    mass_codes,
     refine_blocks,
     same_part_pairs,
 )
@@ -168,6 +172,32 @@ def oracle_refine_blocks(systems, labels, moves, rounds=None) -> list:
     return list(groups.values())
 
 
+def oracle_full_rounds(systems, moves, rounds=None) -> list:
+    """The kernel before block ids stayed stable: every round signs every
+    state, keyed by its block and its per-label `mass_codes`."""
+    labels = _label_universe(*systems)
+    tables = [
+        [(s, [moves(system, s, a) for a in labels]) for s in system.states]
+        for system in systems
+    ]
+    parts, n_blocks = [dict.fromkeys(system.states, 0) for system in systems], 1
+    for _ in range(sum(map(len, parts)) if rounds is None else rounds):
+        ids: dict = {}
+        new = [
+            {
+                s: ids.setdefault(
+                    (part[s], tuple([mass_codes(ms, part) for ms in row])), len(ids)
+                )
+                for s, row in table
+            }
+            for part, table in zip(parts, tables)
+        ]
+        if len(ids) == n_blocks:
+            break
+        parts, n_blocks = new, len(ids)
+    return parts
+
+
 def oracle_vectors(i: int, row: list, block: dict) -> tuple:
     signature = []
     for label_moves in row:
@@ -313,6 +343,30 @@ def nlmp_pairs(seed: int, count: int):
             blown_up_nlmp(rng, base, "p", base.labels, rng.random() < 0.3),
             blown_up_nlmp(rng, base, "q", right_labels, rng.random() < 0.3),
         )
+
+
+def chain(n: int, prefix: str) -> PointedLTS:
+    """An a-path of n states, each told apart by its distance to the end."""
+    states = tuple(f"{prefix}{i}" for i in range(n))
+    edges = frozenset((states[i], "a", states[i + 1]) for i in range(n - 1))
+    return PointedLTS(("a",), states, states[0], edges)
+
+
+def marked_cycle(n: int, prefix: str) -> PointedLTS:
+    """An a-cycle of n states with a b-loop on its root: each state is told
+    apart by its distance to the mark, so refinement needs about n rounds."""
+    states = tuple(f"{prefix}{i}" for i in range(n))
+    edges = {(states[i], "a", states[(i + 1) % n]) for i in range(n)}
+    edges.add((states[0], "b", states[0]))
+    return PointedLTS(("a", "b"), states, states[0], frozenset(edges))
+
+
+def renamed(system: PointedLTS, prefix: str) -> PointedLTS:
+    """A copy with every state renamed and the declared order reversed."""
+    name = {s: f"{prefix}{k}" for k, s in enumerate(system.states)}
+    edges = frozenset((name[s], a, name[t]) for s, a, t in system.edges)
+    states = tuple(name[s] for s in reversed(system.states))
+    return PointedLTS(system.labels, states, name[system.root], edges)
 
 
 # --- tests ---------------------------------------------------------------
@@ -474,3 +528,142 @@ class TestBisimilarDecidesFromBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestKernelAgainstFullRounds:
+    """Part maps, numbering included, equal those of the kernel that signed
+    every state in every round."""
+
+    def check(self, systems, moves) -> int:
+        """Compare every round count; return how many of them split."""
+        splits = 0
+        n = sum(len(system.states) for system in systems)
+        for rounds in (None, 0, 1, 2, 3, n + 1):
+            parts = refine_blocks(systems, moves, rounds)
+            assert parts == oracle_full_rounds(systems, moves, rounds)
+            splits += any(b > 0 for part in parts for b in part.values())
+        return splits
+
+    def test_lts_unions(self):
+        splits = 0
+        for left, right in lts_pairs(107, 60):
+            for systems in ((left, right), (left,), (right, left)):
+                splits += self.check(systems, _edge_moves)
+        assert splits >= 500
+
+    def test_nlmp_unions(self):
+        splits = 0
+        for left, right in nlmp_pairs(207, 60):
+            for systems in ((left, right), (left,), (right, left)):
+                splits += self.check(systems, _measure_moves)
+        assert splits >= 500
+
+    def test_chains_and_marked_cycles(self):
+        for n in (1, 2, 5, 17):
+            for shape in (chain, marked_cycle):
+                left = shape(n, "s")
+                for right in (renamed(left, "t"), shape(n + 1, "t")):
+                    for systems in ((left, right), (left,), (right, left)):
+                        self.check(systems, _edge_moves)
+
+
+class TestRefinementWorkIsLinearOnLongPaths:
+    """A chain or a marked cycle needs about one round per state, yet the
+    rounds after the first sign only the predecessors of states that
+    moved: at most 4 signatures per state, each one `mass_codes` call per
+    label, where signing every state in every round would take n² of
+    them."""
+
+    def counted(self, monkeypatch) -> list:
+        calls = [0]
+
+        def counting(measures, part):
+            calls[0] += 1
+            return mass_codes(measures, part)
+
+        monkeypatch.setattr(lts, "mass_codes", counting)
+        return calls
+
+    def bisimilar_within_bound(self, monkeypatch, left, right) -> bool:
+        calls = self.counted(monkeypatch)
+        verdict = bisimilar(left, right)
+        states = len(left.states) + len(right.states)
+        assert calls[0] <= 4 * states * len(_label_universe(left, right))
+        return verdict
+
+    def test_renamed_chains(self, monkeypatch):
+        left = chain(3000, "s")
+        assert self.bisimilar_within_bound(monkeypatch, left, renamed(left, "t"))
+
+    def test_one_state_longer_chain(self, monkeypatch):
+        left, right = chain(3000, "s"), chain(3001, "t")
+        assert not self.bisimilar_within_bound(monkeypatch, left, right)
+
+    def test_renamed_marked_cycles(self, monkeypatch):
+        left = marked_cycle(1000, "s")
+        assert self.bisimilar_within_bound(monkeypatch, left, renamed(left, "t"))
+
+    def test_the_largest_group_of_a_fully_signed_block_keeps_its_id(self, monkeypatch):
+        # Round 1 signs all four states and splits off the end e. Round 2
+        # signs p, q and r, all of block 0 by then: p and q keep its id,
+        # so their loops are not signed again, and r, which moves, has no
+        # predecessor. A kernel that lost count of block 0's members would
+        # move p and q too and sign them in a third round.
+        edges = {("p", "a", "p"), ("q", "a", "q"), ("r", "a", "e")}
+        edges |= {("p", "a", "e"), ("q", "a", "e")}
+        system = PointedLTS(("a",), ("p", "q", "r", "e"), "p", frozenset(edges))
+        calls = self.counted(monkeypatch)
+        assert refine_blocks((system,), _edge_moves) == [{"p": 0, "q": 0, "r": 1, "e": 2}]
+        assert calls[0] == 4 + 3
+
+
+def summed(mu: dict, part: dict) -> dict:
+    sums: dict = {}
+    for s, mass in mu.items():
+        sums[part[s]] = sums.get(part[s], 0) + mass
+    return sums
+
+
+def coded(mu: dict, part: dict) -> frozenset:
+    return mass_codes([[(s, m.numerator, m.denominator) for s, m in mu.items()]], part)
+
+
+class TestUnitMassCodes:
+    """A measure summing to exactly 1 on one part codes as that part's
+    number; every code stays injective in the summed masses."""
+
+    def test_named_cases(self):
+        part = {"p": 0, "q": 0, "r": 1}
+        unit = coded({"p": F(1)}, part)
+        halves = coded({"p": F(1, 2), "q": F(1, 2)}, part)
+        split = coded({"p": F(1, 2), "r": F(1, 2)}, part)
+        sub = coded({"p": F(1, 2)}, part)
+        assert unit == halves == frozenset({0})
+        assert coded({"r": F(1)}, part) == frozenset({1})
+        assert split == frozenset({frozenset({(0, (1, 2)), (1, (1, 2))})})
+        assert sub == frozenset({frozenset({(0, (1, 2))})})
+        assert len({unit, split, sub, coded({"p": F(1, 3), "q": F(1, 3)}, part)}) == 4
+
+    def test_an_edge_codes_as_its_target_part(self):
+        system = chain(3, "s")
+        part = {"s0": 5, "s1": 7, "s2": 7}
+        assert mass_codes(_edge_moves(system, "s0", "a"), part) == frozenset({7})
+
+    def test_codes_agree_exactly_when_summed_masses_do(self):
+        rng = random.Random(401)
+        totals = (F(1), F(1), F(1), F(1, 2), F(2, 3))
+        agree = {True: 0, False: 0}
+        for _ in range(3000):
+            states = [f"s{i}" for i in range(rng.randint(1, 4))]
+            part = {s: rng.randrange(2) for s in states}
+            mu, nu = ({}, {})
+            for measure in (mu, nu):
+                support = rng.sample(states, rng.randint(1, len(states)))
+                cuts = [rng.randint(1, 2) for _ in support]
+                total = rng.choice(totals)
+                for s, cut in zip(support, cuts):
+                    measure[s] = total * F(cut, sum(cuts))
+            expected = summed(mu, part) == summed(nu, part)
+            assert (coded(mu, part) == coded(nu, part)) == expected
+            agree[expected] += 1
+        assert min(agree.values()) >= 500, agree
