@@ -108,6 +108,26 @@ save("ring6", {"labels": ["a", "b"], "states": six, "root": "s0", "edges": edges
 three = [f"t{i}" for i in range(3)]
 edges = [[three[i], a, three[(i + k) % 3]] for i in range(3) for a, k in (("a", 1), ("b", 0))]
 save("ring3", {"labels": ["a", "b"], "states": three, "root": "t0", "edges": edges})
+# The 6-ring again, declaring a label z that no edge uses.
+edges = [[six[i], a, six[(i + k) % 6]] for i in range(6) for a, k in (("a", 1), ("b", 3))]
+save("ring6-z", {"labels": ["a", "b", "z"], "states": six, "root": "s0", "edges": edges})
+# Cascades: x0 loops under a and each later x steps under a to the one
+# before; under b, x0 steps to z0 and the others to z1; z0 and its twin w0
+# step under c to e, z1 under c to f, and f under d to e. Refinement
+# moves most of the x states once per round: m = 200, a renamed copy
+# declared in reverse order, and m = 201.
+def cascade(m, prefix, order):
+    xs = [f"{prefix}x{j}" for j in range(m + 1)]
+    z0, twin, z1, e, f = (prefix + name for name in ("z0", "w0", "z1", "e", "f"))
+    edges = [[xs[0], "a", xs[0]], [xs[0], "b", z0], [z0, "c", e], [twin, "c", e]]
+    edges += [[z1, "c", f], [f, "d", e]]
+    for j in range(1, m + 1):
+        edges += [[xs[j], "a", xs[j - 1]], [xs[j], "b", z1]]
+    states = (xs + [z0, twin, z1, e, f])[::order]
+    return {"labels": ["a", "b", "c", "d"], "states": states, "root": xs[-1], "edges": edges}
+save("cascade200", cascade(200, "c", 1))
+save("cascade200-copy", cascade(200, "k", -1))
+save("cascade201", cascade(201, "k", 1))
 # A 300-state a-chain and a renamed copy declared in reverse order:
 # refinement needs a round per state.
 for name, prefix, order in (("chain300", "c", 1), ("chain300-copy", "d", -1)):
@@ -277,6 +297,9 @@ same expand "$inputs/shift.json" --state q3
 same iso "$inputs/left.json" "$inputs/right.json" --witness
 same bisim "$inputs/ring6.json" "$inputs/ring3.json" --witness
 same bisim "$inputs/chain300.json" "$inputs/chain300-copy.json" --witness
+same bisim "$inputs/cascade200.json" "$inputs/cascade200-copy.json" --witness
+same bisim "$inputs/cascade200.json" "$inputs/cascade201.json"
+same bisim "$inputs/ring6-z.json" "$inputs/ring3.json" --witness
 same bisim "$inputs/ring6.json" "$inputs/ladder.json" --witness
 same nlmp-bisim "$inputs/nlmp-left.json" p u --other "$inputs/nlmp-right.json" --witness
 same nlmp-bisim "$inputs/nlmp-right.json" u x --witness

@@ -1,7 +1,7 @@
 """Finite pointed labelled transition systems.
 
 Zig/zag bisimulation and its depth-bounded approximants by partition
-refinement into {state: block} maps over the labels the systems declare
+refinement into {state: block} maps over the systems' ``moves`` tables
 (the kernel ``nlmp`` shares), modal formula evaluation, ordinal state
 ranks, and numeric codes of finitely supported systems.
 """
@@ -151,7 +151,8 @@ class PointedLTS:
                 raise ValueError(f"edge label {label!r} is not declared")
 
     @cached_property
-    def _succ(self) -> dict[tuple[StateId, str], tuple[StateId, ...]]:
+    def moves(self) -> dict[tuple[StateId, str], tuple[StateId, ...]]:
+        """Each edge's bare target, in declared state order, by (state, label)."""
         pos = {s: i for i, s in enumerate(self.states)}
         table: dict[tuple[StateId, str], list[StateId]] = {}
         for src, label, dst in self.edges:
@@ -162,11 +163,11 @@ class PointedLTS:
         }
 
     def successors(self, state: StateId, label: str) -> tuple[StateId, ...]:
-        return self._succ.get((state, label), ())
+        return self.moves.get((state, label), ())
 
     @cached_property
     def _all_succ(self) -> dict[StateId, tuple[StateId, ...]]:
-        succ = self._succ
+        succ = self.moves
         return {
             s: tuple(dict.fromkeys(t for a in self.labels for t in succ.get((s, a), ())))
             for s in self.states
@@ -258,15 +259,14 @@ def is_bisimulation(left: PointedLTS, right: PointedLTS, rel: Iterable) -> bool:
     return all(_pair_matches(left, right, s, t, rel, labels) for s, t in rel)
 
 
-def refine_blocks(
-    systems: Sequence, moves: Callable, rounds: int | None = None
-) -> list[dict[StateId, int]]:
+def refine_blocks(systems: Sequence, rounds: int | None = None) -> list[dict[StateId, int]]:
     """Signature refinement of the disjoint union of ``systems``.
 
-    ``moves(system, state, label)`` lists a state's moves, each a sequence
-    of (target, numerator, denominator) triples. A state's signature is,
-    per label the systems declare (`_label_universe`), the `mass_codes`
-    of its moves over the current blocks. From one block, each round
+    Each system's ``moves`` table lists a state's moves by label: bare
+    targets, or lists of (target, numerator, denominator) triples. A
+    state's signature is the `mass_codes` of its moves over the current
+    blocks per label that some state moves under (any other codes every
+    state alike), in `_label_universe` order. From one block, each round
     splits every block by its members' signatures, and keeps block ids
     stable: the members not signed in the round keep their block's id
     (the largest group does when every member was signed), and each
@@ -279,20 +279,22 @@ def refine_blocks(
     after ``rounds`` rounds; returns one {state: block} map per system,
     blocks renumbered across the union in order of first appearance.
     """
-    labels = _label_universe(*systems)
+    tables = [system.moves for system in systems]
+    used = {label for table in tables for _, label in table}
+    labels = [label for label in _label_universe(*systems) if label in used]
     parts = [dict.fromkeys(system.states, 0) for system in systems]
     nodes: list[tuple] = []  # (part, state, moves per label), numbered across the union
     preds: list[list[int]] = []
-    for system, part in zip(systems, parts):
+    for system, table, part in zip(systems, tables, parts):
         first = len(nodes)
         index = {s: first + k for k, s in enumerate(system.states)}
         for s in system.states:
-            nodes.append((part, s, [moves(system, s, a) for a in labels]))
+            nodes.append((part, s, [table.get((s, a), ()) for a in labels]))
             preds.append([])
         for node in range(first, len(nodes)):
             for label_moves in nodes[node][2]:
-                for triples in label_moves:
-                    for t, _, _ in triples:
+                for move in label_moves:
+                    for t in [t for t, _, _ in move] if isinstance(move, list) else (move,):
                         preds[index[t]].append(node)
     sizes = [len(nodes)]  # by block id
     todo: Iterable[int] = range(len(nodes))
@@ -324,19 +326,22 @@ def refine_blocks(
 
 
 def mass_codes(measures: Iterable, part: Mapping[StateId, int]) -> frozenset:
-    """The codes of measures given as (state, numerator, denominator) triples.
+    """The codes of measures, each a bare target or a list of triples.
 
-    Each measure's masses are summed over the parts and kept reduced. A
-    measure whose sums are exactly 1 on one part p codes as the int p,
-    so an LTS edge codes as its target's part; any other codes as the
-    set of its (part number, (num, den)) pairs. Masses are positive and
-    arrive reduced, so two measures agree on every part exactly when
-    their codes are equal.
+    A bare target, an LTS edge, codes as its part. A list's (state,
+    numerator, denominator) masses are summed over the parts and kept
+    reduced: sums of exactly 1 on one part p code as the int p, as an
+    edge to p does, and any others as the set of their (part number,
+    (num, den)) pairs. Masses are positive and arrive reduced, so two
+    measures agree on every part exactly when their codes are equal.
     """
     codes = []
-    for triples in measures:
+    for measure in measures:
+        if not isinstance(measure, list):
+            codes.append(part[measure])
+            continue
         sums: dict = {}
-        for s, n, d in triples:
+        for s, n, d in measure:
             p = part[s]
             if p in sums:
                 n0, d0 = sums[p]
@@ -360,24 +365,20 @@ def same_part_pairs(left_part: Mapping, right_part: Mapping) -> Rel:
     return frozenset((s, t) for s, p in left_part.items() for t in by_part.get(p, ()))
 
 
-def _edge_moves(lts: PointedLTS, state: StateId, label: str) -> list:
-    return [((t, 1, 1),) for t in lts.successors(state, label)]
-
-
 def greatest_bisim(left: PointedLTS, right: PointedLTS) -> Rel:
     """Largest zig/zag relation: the crossing pairs of the refined union."""
-    return same_part_pairs(*refine_blocks((left, right), _edge_moves))
+    return same_part_pairs(*refine_blocks((left, right)))
 
 
 def bisimilar(left: PointedLTS, right: PointedLTS) -> bool:
     """Do the roots share a block of the refined union?"""
-    left_part, right_part = refine_blocks((left, right), _edge_moves)
+    left_part, right_part = refine_blocks((left, right))
     return left_part[left.root] == right_part[right.root]
 
 
 def bounded_bisim(left: PointedLTS, right: PointedLTS, depth: int) -> Rel:
     """Depth-d approximant: the crossing pairs after d refinement rounds."""
-    return same_part_pairs(*refine_blocks((left, right), _edge_moves, depth))
+    return same_part_pairs(*refine_blocks((left, right), depth))
 
 
 def walk_formula(place: object, phi: Formula, leaf: Callable) -> bool:

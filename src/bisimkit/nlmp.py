@@ -12,7 +12,7 @@ graph. A union-find (``_part_numbers``) numbers the components into
 {state: part} maps, the shape the refinement returns, and measures agree
 exactly when their ``lts.mass_codes`` over those maps are equal. The
 checkers, the liftings and the refinement compare these codes, made from
-the integer masses each process caches, and ``lts.same_part_pairs``
+the integer masses in each process's ``moves``, and ``lts.same_part_pairs``
 turns part maps back into relations.
 """
 
@@ -110,8 +110,8 @@ class PointmassNLMP:
         return self.trans.get((state, label), frozenset())
 
     @cached_property
-    def _masses(self) -> dict:
-        """Each measure's (state, numerator, denominator)s, by (state, label)."""
+    def moves(self) -> dict:
+        """Each measure's list of (state, numerator, denominator)s, by (state, label)."""
         return {key: [_triples(mu) for mu in ms] for key, ms in self.trans.items()}
 
 
@@ -258,7 +258,7 @@ class _Codes(dict):
     """(state, label) to the set of its measures' codes, made on first use."""
 
     def __init__(self, nlmp: PointmassNLMP, part: dict) -> None:
-        self.table, self.part = nlmp._masses, part
+        self.table, self.part = nlmp.moves, part
 
     def __missing__(self, key: tuple) -> frozenset:
         found = self[key] = mass_codes(self.table.get(key, ()), self.part)
@@ -274,13 +274,9 @@ def is_state_bisim(nlmp: PointmassNLMP, rel: Rel) -> bool:
     return all(codes[s, a] <= codes[t, a] for s, t in rel for a in nlmp.labels)
 
 
-def _measure_moves(nlmp: PointmassNLMP, state: StateId, label: str) -> list:
-    return nlmp._masses.get((state, label), ())
-
-
 def greatest_state_bisim(nlmp: PointmassNLMP) -> Rel:
     """Largest internally matching relation: the pairs inside refined blocks."""
-    (part,) = refine_blocks((nlmp,), _measure_moves)
+    (part,) = refine_blocks((nlmp,))
     return same_part_pairs(part, part)
 
 
@@ -299,4 +295,4 @@ def greatest_ext_bisim(left: PointmassNLMP, right: PointmassNLMP) -> Rel:
 
     Being difunctional, it is the crossing pairs of the refined union.
     """
-    return same_part_pairs(*refine_blocks((left, right), _measure_moves))
+    return same_part_pairs(*refine_blocks((left, right)))

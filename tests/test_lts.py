@@ -19,7 +19,6 @@ from bisimkit.lts import (
     TOP,
     Top,
     UnsupportedFormula,
-    _edge_moves,
     bisimilar,
     bounded_bisim,
     code_to_lts,
@@ -195,7 +194,7 @@ def lts_to_code(lts: PointedLTS, numbering: Mapping[str, int]) -> OmegaLTSCode:
 
 def bisim_partition(lts: PointedLTS) -> tuple[tuple[str, ...], ...]:
     """Blocks of the refined system, each sorted by state order."""
-    (part,) = refine_blocks((lts,), _edge_moves)
+    (part,) = refine_blocks((lts,))
     blocks: dict[int, list] = {}
     for s, b in part.items():
         blocks.setdefault(b, []).append(s)

@@ -19,7 +19,6 @@ from bisimkit import lts
 from bisimkit.gen import random_lts, random_nlmp
 from bisimkit.lts import (
     PointedLTS,
-    _edge_moves,
     _label_universe,
     bisimilar,
     bounded_bisim,
@@ -31,7 +30,6 @@ from bisimkit.lts import (
 from bisimkit.nlmp import (
     PointmassNLMP,
     SubProbMeasure,
-    _measure_moves,
     closed_atoms,
     external_atoms,
     greatest_ext_bisim,
@@ -172,15 +170,18 @@ def oracle_refine_blocks(systems, labels, moves, rounds=None) -> list:
     return list(groups.values())
 
 
-def oracle_full_rounds(systems, moves, rounds=None) -> list:
-    """The kernel before block ids stayed stable: every round signs every
-    state, keyed by its block and its per-label `mass_codes`."""
+def oracle_round_parts(systems, rounds=None):
+    """The part maps of the kernel before block ids stayed stable, after
+    0, 1, ... rounds, until a round splits no block or ``rounds`` are
+    done: every round signs every state, keyed by its block and its
+    per-label `mass_codes` of triples over every declared label."""
     labels = _label_universe(*systems)
     tables = [
-        [(s, [moves(system, s, a) for a in labels]) for s in system.states]
+        [(s, [oracle_triple_moves(system, s, a) for a in labels]) for s in system.states]
         for system in systems
     ]
     parts, n_blocks = [dict.fromkeys(system.states, 0) for system in systems], 1
+    yield parts
     for _ in range(sum(map(len, parts)) if rounds is None else rounds):
         ids: dict = {}
         new = [
@@ -193,9 +194,26 @@ def oracle_full_rounds(systems, moves, rounds=None) -> list:
             for part, table in zip(parts, tables)
         ]
         if len(ids) == n_blocks:
-            break
+            return
         parts, n_blocks = new, len(ids)
+        yield parts
+
+
+def oracle_full_rounds(systems, rounds=None) -> list:
+    """The oracle's part maps after ``rounds`` rounds, or once stable."""
+    *_, parts = oracle_round_parts(systems, rounds)
     return parts
+
+
+def oracle_triple_moves(system, state: str, label: str) -> list:
+    """A state's moves as lists of (target, numerator, denominator)
+    triples, an LTS edge as one triple of mass 1."""
+    if isinstance(system, PointedLTS):
+        return [[(t, 1, 1)] for t in system.successors(state, label)]
+    return [
+        [(t, m.numerator, m.denominator) for t, m in mu.weights]
+        for mu in system.measures(state, label)
+    ]
 
 
 def oracle_vectors(i: int, row: list, block: dict) -> tuple:
@@ -361,6 +379,23 @@ def marked_cycle(n: int, prefix: str) -> PointedLTS:
     return PointedLTS(("a", "b"), states, states[0], frozenset(edges))
 
 
+def cascade(m: int, prefix: str) -> PointedLTS:
+    """x0 loops under a, and each later x steps under a to the one before;
+    under b, x0 steps to z0 and the others to z1. z0 and its twin z0'
+    step under c to e, and z1 under c to f, which steps under d to e. z1
+    leaves z0's block, then x1..xm leave x0's, and from then on the block
+    of xr..xm keeps one unsigned member, xr, per round while the rest of
+    it moves on."""
+    xs = [f"{prefix}x{j}" for j in range(m + 1)]
+    z0, twin, z1, e, f = (f"{prefix}{name}" for name in ("z0", "z0'", "z1", "e", "f"))
+    edges = {(xs[0], "a", xs[0]), (xs[0], "b", z0), (z0, "c", e), (twin, "c", e)}
+    edges |= {(z1, "c", f), (f, "d", e)}
+    for j in range(1, m + 1):
+        edges |= {(xs[j], "a", xs[j - 1]), (xs[j], "b", z1)}
+    states = (*xs, z0, twin, z1, e, f)
+    return PointedLTS(("a", "b", "c", "d"), states, xs[-1], frozenset(edges))
+
+
 def renamed(system: PointedLTS, prefix: str) -> PointedLTS:
     """A copy with every state renamed and the declared order reversed."""
     name = {s: f"{prefix}{k}" for k, s in enumerate(system.states)}
@@ -386,7 +421,7 @@ class TestLTSRefinement:
         merged = 0
         for left, right in lts_pairs(102, 80):
             for lts in (left, right):
-                parts = refine_blocks((lts,), _edge_moves)
+                parts = refine_blocks((lts,))
                 blocks = tuple(tuple(s for _, s in block) for block in union_blocks(parts))
                 assert blocks == fixpoint_partition(lts)
                 merged += len(blocks) < len(lts.states)
@@ -429,11 +464,11 @@ class TestNLMPRefinement:
 class TestKernelAgainstTheFormerKernel:
     ROUNDS = (None, 0, 1, 2, 3)
 
-    def check(self, systems, labels, moves, oracle_moves) -> int:
+    def check(self, systems, labels, oracle_moves) -> int:
         """Compare every round count; return how many splits happened."""
         splits = 0
         for rounds in self.ROUNDS:
-            parts = refine_blocks(systems, moves, rounds)
+            parts = refine_blocks(systems, rounds)
             blocks = oracle_refine_blocks(systems, labels, oracle_moves, rounds)
             assert union_blocks(parts) == blocks
             if len(systems) == 2:
@@ -446,7 +481,7 @@ class TestKernelAgainstTheFormerKernel:
         for left, right in lts_pairs(104, 60):
             labels = _labels(left, right)
             for systems in ((left, right), (left,), (right, left)):
-                splits += self.check(systems, labels, _edge_moves, oracle_edge_moves)
+                splits += self.check(systems, labels, oracle_edge_moves)
         assert splits >= 350
 
     def test_nlmp_unions(self):
@@ -454,7 +489,7 @@ class TestKernelAgainstTheFormerKernel:
         for left, right in nlmp_pairs(204, 60):
             labels = _labels(left, right)
             for systems in ((left, right), (left,), (right, left)):
-                splits += self.check(systems, labels, _measure_moves, oracle_measure_moves)
+                splits += self.check(systems, labels, oracle_measure_moves)
         assert splits >= 450
 
 
@@ -534,13 +569,13 @@ class TestKernelAgainstFullRounds:
     """Part maps, numbering included, equal those of the kernel that signed
     every state in every round."""
 
-    def check(self, systems, moves) -> int:
+    def check(self, systems) -> int:
         """Compare every round count; return how many of them split."""
         splits = 0
         n = sum(len(system.states) for system in systems)
         for rounds in (None, 0, 1, 2, 3, n + 1):
-            parts = refine_blocks(systems, moves, rounds)
-            assert parts == oracle_full_rounds(systems, moves, rounds)
+            parts = refine_blocks(systems, rounds)
+            assert parts == oracle_full_rounds(systems, rounds)
             splits += any(b > 0 for part in parts for b in part.values())
         return splits
 
@@ -548,14 +583,14 @@ class TestKernelAgainstFullRounds:
         splits = 0
         for left, right in lts_pairs(107, 60):
             for systems in ((left, right), (left,), (right, left)):
-                splits += self.check(systems, _edge_moves)
+                splits += self.check(systems)
         assert splits >= 500
 
     def test_nlmp_unions(self):
         splits = 0
         for left, right in nlmp_pairs(207, 60):
             for systems in ((left, right), (left,), (right, left)):
-                splits += self.check(systems, _measure_moves)
+                splits += self.check(systems)
         assert splits >= 500
 
     def test_chains_and_marked_cycles(self):
@@ -564,7 +599,19 @@ class TestKernelAgainstFullRounds:
                 left = shape(n, "s")
                 for right in (renamed(left, "t"), shape(n + 1, "t")):
                     for systems in ((left, right), (left,), (right, left)):
-                        self.check(systems, _edge_moves)
+                        self.check(systems)
+
+
+    def test_cascades(self):
+        # Every round count up to one past the oracle's last split.
+        for m in range(31):
+            left = cascade(m, "s")
+            for systems in ((left,), (left, renamed(left, "t"))):
+                history = list(oracle_round_parts(systems))
+                assert len(history) == m + 3
+                for rounds, parts in enumerate(history + history[-1:]):
+                    assert refine_blocks(systems, rounds) == parts
+                assert refine_blocks(systems) == history[-1]
 
 
 class TestRefinementWorkIsLinearOnLongPaths:
@@ -575,10 +622,11 @@ class TestRefinementWorkIsLinearOnLongPaths:
     them."""
 
     def counted(self, monkeypatch) -> list:
-        calls = [0]
+        """The measures of each `mass_codes` call the kernel makes."""
+        calls = []
 
         def counting(measures, part):
-            calls[0] += 1
+            calls.append(measures)
             return mass_codes(measures, part)
 
         monkeypatch.setattr(lts, "mass_codes", counting)
@@ -588,7 +636,7 @@ class TestRefinementWorkIsLinearOnLongPaths:
         calls = self.counted(monkeypatch)
         verdict = bisimilar(left, right)
         states = len(left.states) + len(right.states)
-        assert calls[0] <= 4 * states * len(_label_universe(left, right))
+        assert len(calls) <= 4 * states * len(_label_universe(left, right))
         return verdict
 
     def test_renamed_chains(self, monkeypatch):
@@ -613,8 +661,34 @@ class TestRefinementWorkIsLinearOnLongPaths:
         edges |= {("p", "a", "e"), ("q", "a", "e")}
         system = PointedLTS(("a",), ("p", "q", "r", "e"), "p", frozenset(edges))
         calls = self.counted(monkeypatch)
-        assert refine_blocks((system,), _edge_moves) == [{"p": 0, "q": 0, "r": 1, "e": 2}]
-        assert calls[0] == 4 + 3
+        assert refine_blocks((system,)) == [{"p": 0, "q": 0, "r": 1, "e": 2}]
+        assert len(calls) == 4 + 3
+
+    def test_a_label_that_nothing_moves_under_is_not_signed(self, monkeypatch):
+        # Every state moves under a, and the root also under b; no edge
+        # uses the z that both systems declare. Each signature makes one
+        # call per label used, a's with the state's own row of the table,
+        # where signing z too would make a third.
+        def with_z(system: PointedLTS) -> PointedLTS:
+            return PointedLTS(system.labels + ("z",), system.states, system.root, system.edges)
+
+        base = marked_cycle(60, "s")
+        for other, expected in ((renamed(base, "t"), True), (marked_cycle(61, "t"), False)):
+            assert bisimilar(base, other) == expected
+            parts = refine_blocks((base, other))
+            left, right = with_z(base), with_z(other)
+            a_rows = {
+                id(row)
+                for system in (left, right)
+                for (_, label), row in system.moves.items()
+                if label == "a"
+            }
+            calls = self.counted(monkeypatch)
+            assert bisimilar(left, right) == expected
+            signatures = sum(id(measures) in a_rows for measures in calls)
+            assert signatures >= 4 * 60
+            assert len(calls) == 2 * signatures
+            assert refine_blocks((left, right)) == parts
 
 
 def summed(mu: dict, part: dict) -> dict:
@@ -647,7 +721,7 @@ class TestUnitMassCodes:
     def test_an_edge_codes_as_its_target_part(self):
         system = chain(3, "s")
         part = {"s0": 5, "s1": 7, "s2": 7}
-        assert mass_codes(_edge_moves(system, "s0", "a"), part) == frozenset({7})
+        assert mass_codes(system.moves["s0", "a"], part) == frozenset({7})
 
     def test_codes_agree_exactly_when_summed_masses_do(self):
         rng = random.Random(401)

@@ -3,7 +3,8 @@
 The CLI runs in-process with counting wrappers around the library names,
 as `tests/test_walks.py` patches them: `json.loads` per input file of
 `export-dot` without ``--kind`` and of `iso`, `state_rank` under `expand`,
-and `formula_postorder` per `eval_symbolic` call.
+`formula_postorder` per `eval_symbolic` call, and the builds of each
+system's ``moves`` table.
 """
 
 import json
@@ -13,7 +14,8 @@ import pytest
 from bisimkit import cli, e0, expansion, jsonio, lts as lts_module
 from bisimkit.e0 import eval_symbolic
 from bisimkit.foundations import EPSet, Ordinal
-from bisimkit.lts import And, CharSet, Dia, Neg, Or, RankAtLeast, TOP
+from bisimkit.lts import And, CharSet, Dia, Neg, Or, PointedLTS, RankAtLeast, TOP
+from bisimkit.nlmp import PointmassNLMP
 from bisimkit.trees import ATree, BTree, Chain, Glue
 
 LTS = {
@@ -144,3 +146,42 @@ class TestOneFormulaWalkPerEvaluation:
                 calls.clear()
                 eval_symbolic(tree, phi)
                 assert len(calls) == 1 and calls[0] is phi, (tree, phi)
+
+
+class TestOneMoveTablePerSystem:
+    """Refinement, formula evaluation, ranks and expansion all read a
+    system's cached ``moves`` table, which each command builds once per
+    system it loads."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The systems whose table is built, once per build."""
+        calls = []
+        for cls in (PointedLTS, PointmassNLMP):
+            table = cls.__dict__["moves"]
+
+            def counted(system, real=table.func):
+                calls.append(system)
+                return real(system)
+
+            monkeypatch.setattr(table, "func", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, code, systems",
+        [
+            (["bisim", "lts.json", "lts.json", "--witness"], 0, 2),
+            (["nlmp-bisim", "nlmp.json", "p", "q", "--witness"], 1, 1),
+            (["nlmp-bisim", "nlmp.json", "p", "p", "--other", "nlmp.json"], 0, 2),
+            (["eval", "phi.json", "lts.json", "--state", "s"], 0, 1),
+            (["rank", "lts.json"], 0, 1),
+            (["expand", "lts.json"], 0, 1),
+        ],
+    )
+    def test_each_command(self, tmp_path, capsys, builds, argv, code, systems):
+        phi = {"op": "dia", "label": "a", "sub": {"op": "top"}}
+        files = {"lts.json": LTS, "nlmp.json": NLMP, "phi.json": phi}
+        paths = {name: write(tmp_path, name, data) for name, data in files.items()}
+        assert cli.main([paths.get(arg, arg) for arg in argv]) == code
+        capsys.readouterr()
+        assert len(builds) == len({id(system) for system in builds}) == systems

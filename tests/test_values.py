@@ -282,7 +282,7 @@ def test_post_init_errors_match_the_twin():
 def test_cached_property_still_caches():
     lts = PointedLTS(("a",), ("s", "t"), "s", frozenset({("s", "a", "t")}))
     assert lts.successors("s", "a") == ("t",)
-    assert lts._succ is lts._succ
+    assert lts.moves is lts.moves
     assert lts == PointedLTS(("a",), ("s", "t"), "s", frozenset({("s", "a", "t")}))
 
 
