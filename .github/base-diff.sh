@@ -140,6 +140,20 @@ save("nlmp-left", {"labels": ["a"], "states": ["p", "q"], "trans": {"p": half, "
 half = {"a": [{"v": "1/2", "w": "1/2"}]}
 trans = {"u": half, "v": half, "w": {"a": [{"w": "1"}]}, "x": {"a": [{}]}}
 save("nlmp-right", {"labels": ["a"], "states": ["u", "v", "w", "x"], "trans": trans})
+# NLMPs with one bad mass each, one per text that reading or checking a
+# rational can print: not a string, malformed, a zero or a negative
+# denominator, a negative mass, and a total over one, whole or not.
+bad_masses = {
+    "int": {"q": 1},
+    "malformed": {"q": "x"},
+    "zero-den": {"q": "1/0"},
+    "negative-den": {"q": "1/-2"},
+    "negative": {"q": "-1/2"},
+    "over-one": {"q": "3/2"},
+    "two-ones": {"p": "1", "q": "1"},
+}
+for name, measure in bad_masses.items():
+    save(f"mass-{name}", {"labels": ["a"], "states": ["p", "q"], "trans": {"p": {"a": [measure]}}})
 # A system that declares a state twice, and a process that declares a
 # label twice.
 save("repeated-state", {"labels": ["a"], "states": ["p", "q", "p"], "root": "p", "edges": []})
@@ -425,6 +439,12 @@ same expand "$inputs/ladder.json" --depth -1
 same eval "$inputs/set-one.json" "$inputs/ring6.json"
 same bisim "$inputs/repeated-state.json" "$inputs/ring3.json"
 same nlmp-bisim "$inputs/repeated-label.json" p p
+# A bad mass, read by each verb that reads a rational.
+for name in int malformed zero-den negative-den negative over-one two-ones; do
+  same nlmp-bisim "$inputs/mass-$name.json" p q
+done
+same substructure "$inputs/mass-over-one.json" --state p
+same export-dot "$inputs/mass-over-one.json"
 # Help, usage errors and an abbreviated option are parsed by
 # argparse, the rest by the verb table: stdout, stderr and the exit
 # code must match the base either way.

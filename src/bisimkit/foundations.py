@@ -2,19 +2,24 @@
 
 Ordinals below omega^omega in Cantor normal form, eventually periodic
 subsets of the naturals, saturating counts in N + {omega}, and helpers
-for exact rationals. Everything here is immutable and pure. Beside them
-sit `frozen`, which makes a class a value, `dfs_postorder`, the one
-walk over shared structures (formulas, trees, glue, state graphs), and
-`natural`, the one check that a count, bound or depth is not negative.
+for exact rationals; `parse_rational` imports `fractions` when it makes
+its first rational, so a call that reads none never loads it, nor the
+`decimal` and `numbers` modules it pulls in. Everything here is
+immutable and pure. Beside them sit `frozen`, which makes a class a
+value, `dfs_postorder`, the one walk over shared structures (formulas,
+trees, glue, state graphs), and `natural`, the one check that a count,
+bound or depth is not negative.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import lcm
 from operator import attrgetter, xor
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def frozen(cls: type) -> type:
@@ -461,6 +466,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}")
     if den < 0:
         raise ValueError(f"denominator must be positive in {text!r}")
+    from fractions import Fraction
+
     return Fraction(num, den)
 
 

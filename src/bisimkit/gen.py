@@ -7,7 +7,6 @@ can be replayed from its seed.
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
 from operator import itemgetter
 from random import Random
 from typing import Iterable
@@ -91,6 +90,8 @@ def random_measure(
     budget = denom if rng.random() < 0.5 else rng.randint(size, denom)
     cuts = sorted(rng.sample(range(1, budget), k=size - 1)) if size > 1 else []
     parts = [b - a for a, b in zip([0, *cuts], [*cuts, budget])]
+    from fractions import Fraction
+
     return SubProbMeasure(
         tuple(sorted((s, Fraction(p, denom)) for s, p in zip(support, parts)))
     )

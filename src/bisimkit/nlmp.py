@@ -14,17 +14,24 @@ exactly when their ``lts.mass_codes`` over those maps are equal. The
 checkers, the liftings and the refinement compare these codes, made from
 the integer masses in each process's ``moves``, and ``lts.same_part_pairs``
 turns part maps back into relations.
+
+`fractions` is imported when the first measure with a mass is built, or
+``SubProbMeasure.mass`` first called, not with the module:
+``ZERO_MEASURE``, built on import, loads nothing, so the verbs that read
+no process load no rational arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .foundations import frozen
 from .lts import Rel, StateId, _label_universe, declared, mass_codes, refine_blocks, same_part_pairs
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _total(masses: Iterable[Fraction]) -> tuple[int, int]:
@@ -49,6 +56,10 @@ class SubProbMeasure:
     weights: tuple = ()
 
     def __post_init__(self) -> None:
+        if not self.weights:
+            return
+        from fractions import Fraction
+
         prev: StateId | None = None
         for state, mass in self.weights:
             if not isinstance(mass, Fraction):
@@ -73,6 +84,8 @@ class SubProbMeasure:
         return frozenset(s for s, _ in self.weights)
 
     def mass(self, states: Iterable[StateId]) -> Fraction:
+        from fractions import Fraction
+
         pool = set(states)
         return sum((m for s, m in self.weights if s in pool), Fraction(0))
 

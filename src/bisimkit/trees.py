@@ -164,26 +164,17 @@ class MultiTree:
     def __hash__(self) -> int:
         """``hash((children,))``, as the field-wise hash, cached per node.
 
-        The nodes not hashed yet are hashed in postorder, so each distinct
-        node is hashed once and a deep tree never recurses; the tuple hash
-        then reads each child's cached value.
+        The tuple hash reads each child's cached value.
         """
-        if "_hash" not in self.__dict__:
-            for node in dfs_postorder((self,), _unhashed_subtrees, id):
-                object.__setattr__(node, "_hash", hash((node.children,)))
-        return self._hash
+        return _per_node(self, "_hash", lambda node: hash((node.children,)))
 
     def tree_rank(self) -> Ordinal:
         """Rank of the whole tree; multiplicities are irrelevant to it.
 
-        The tree is finite, so its rank is its height plus one.
+        The tree is finite, so its rank is its height plus one; it is
+        cached per node, and a node's rank is one above its children's.
         """
-        heights: dict[int, int] = {}
-        for node in postorder(self):
-            heights[id(node)] = max(
-                (heights[id(sub)] + 1 for _, sub, _ in node.children), default=0
-            )
-        return Ordinal.from_int(heights[id(self)] + 1)
+        return _per_node(self, "_rank", _rank_over_children)
 
 
 LEAF = MultiTree()
@@ -202,8 +193,24 @@ def _subtrees(node: MultiTree) -> Iterator[MultiTree]:
     return map(_second, node.children)
 
 
-def _unhashed_subtrees(node: MultiTree) -> list[MultiTree]:
-    return [sub for _, sub, _ in node.children if "_hash" not in sub.__dict__]
+def _per_node(root: MultiTree, name: str, value_of: Callable[[MultiTree], object]) -> object:
+    """root's attribute ``name``, a value cached per node.
+
+    The nodes that lack it get ``value_of(node)`` in postorder, once each
+    and after their children, so a deep tree never recurses.
+    """
+    if name not in root.__dict__:
+        def missing(node: MultiTree) -> list[MultiTree]:
+            return [sub for _, sub, _ in node.children if name not in sub.__dict__]
+
+        for node in dfs_postorder((root,), missing, id):
+            object.__setattr__(node, name, value_of(node))
+    return root.__dict__[name]
+
+
+def _rank_over_children(node: MultiTree) -> Ordinal:
+    height = max((sub._rank.as_int() for _, sub, _ in node.children), default=0)
+    return Ordinal.from_int(height + 1)
 
 
 class PieceText:

@@ -12,8 +12,6 @@ states a state reaches and compares the expansions of the codes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .foundations import Ordinal
 from .lts import OmegaLTSCode, PointedLTS, Rel, StateId, known_state, state_rank
 from .nlmp import PointmassNLMP, greatest_ext_bisim
@@ -52,14 +50,9 @@ def _gk_side(
         witnesses = witnesses_of[target]
         if not witnesses:
             return False
-        g = sum(
-            (mass for other, mass in row if witnesses & witnesses_of[other]),
-            Fraction(0),
-        )
-        g_prime = sum(
-            (mass for other, mass in prime_row if (target, other) in rel),
-            Fraction(0),
-        )
+        # An empty sum is the int 0, which equals a zero Fraction.
+        g = sum(mass for other, mass in row if witnesses & witnesses_of[other])
+        g_prime = sum(mass for other, mass in prime_row if (target, other) in rel)
         if g != g_prime:
             return False
     return True

@@ -282,6 +282,23 @@ class TestNLMPVerbs:
             assert proc.stdout == ""
             assert "unknown state 'x'" in proc.stderr
 
+    @pytest.mark.parametrize(
+        ("measure", "text"),
+        [
+            ({"q": 1}, "rational must be a string, got 1"),
+            ({"q": "x"}, "malformed rational 'x'"),
+            ({"q": "1/0"}, "zero denominator in '1/0'"),
+            ({"q": "1/-2"}, "denominator must be positive in '1/-2'"),
+            ({"q": "-1/2"}, "mass of 'q' must be positive"),
+            ({"q": "3/2"}, "total mass 3/2 exceeds one"),
+            ({"p": "1", "q": "1"}, "total mass 2 exceeds one"),
+        ],
+    )
+    def test_a_bad_mass_prints_one_error_line(self, tmp_path, measure, text):
+        nlmp = {"labels": ["a"], "states": ["p", "q"], "trans": {"p": {"a": [measure]}}}
+        proc = run_cli("nlmp-bisim", write(tmp_path, "proc.json", nlmp), "p", "q")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {text}\n")
+
     def test_substructure_restricts_to_reachable(self, tmp_path):
         path = write(tmp_path, "proc.json", self.nlmp())
         proc = run_cli("substructure", path, "--state", "t")
@@ -855,6 +872,58 @@ class TestCommandLine:
         )
         assert proc.stderr.splitlines()[-1] == "0 False False"
         assert json.loads(proc.stdout) == {"verb": "bisim", "bisimilar": True}
+
+    @pytest.mark.parametrize(
+        ("argv", "code", "loaded"),
+        [
+            (["bisim", "loop", "cycle"], 0, []),
+            (["rank", "loop"], 0, []),
+            (["expand", "loop", "--depth", "2"], 0, []),
+            (["iso", "multitree", "multitree", "--witness"], 0, []),
+            (["e0", "check", "evens", "odds"], 1, []),
+            (["e0", "reduce", "evens"], 0, []),
+            (["e0", "witness", "evens", "odds"], 1, []),
+            (["eval", "step", "loop"], 0, []),
+            (["eval", "atom", "gadget"], 0, []),
+            (["export-dot", "loop"], 0, []),
+            (["export-dot", "tree"], 0, []),
+            (["export-dot", "gadget", "--depth", "3", "--width", "3"], 0, []),
+            (["export-dot", "multitree"], 0, []),
+            (["verify", "--suite", "tree-iso"], 0, []),
+            (["nlmp-bisim", "nlmp", "s", "t"], 0, ["decimal", "fractions", "numbers"]),
+            (["substructure", "nlmp", "--state", "s"], 0, ["decimal", "fractions", "numbers"]),
+            (["export-dot", "nlmp"], 0, ["decimal", "fractions", "numbers"]),
+        ],
+    )
+    def test_only_verbs_that_read_rationals_load_fractions(self, tmp_path, argv, code, loaded):
+        files = {
+            "loop": loop_lts(),
+            "cycle": two_cycle_lts(),
+            "multitree": {"a": [[{}, 2]], "b": [[{}, "omega"]]},
+            "evens": {"prefix": "", "period": "10"},
+            "odds": {"prefix": "0", "period": "10"},
+            "step": {"op": "dia", "label": "a", "sub": {"op": "top"}},
+            "atom": CHAR_SET,
+            "gadget": {"kind": "A", "set": {"prefix": "", "period": "10"}},
+            "tree": {"kind": "explicit", "nodes": [[], [0]]},
+            "nlmp": TestNLMPVerbs().nlmp(),
+        }
+        argv = [write(tmp_path, f"{arg}.json", files[arg]) if arg in files else arg for arg in argv]
+        src = os.path.dirname(os.path.dirname(bisimkit.__file__))
+        script = (
+            "import sys\n"
+            "from bisimkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "rational = {'decimal', 'fractions', 'numbers'}\n"
+            "print(code, sorted(rational & set(sys.modules)), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stderr.splitlines()[-1] == f"{code} {loaded}"
 
     def test_abbreviations_still_run(self, tmp_path):
         left = write(tmp_path, "left.json", loop_lts())

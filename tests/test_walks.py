@@ -3,17 +3,17 @@
 `foundations.dfs_postorder` is compared with a recursive depth-first
 search on seeded graphs. Each walk built on it is compared with the
 explicit-stack walk it replaced, kept here as an ``oracle_*`` function:
-multiplicity-tree postorder and hashing over shared DAGs, folds over
-nested glue, formula postorder and top-level diamonds over formulas with
-shared parts, the profile budget's walk over (place, formula) pairs, and
-the ranks and expansions of cyclic and acyclic systems.
+multiplicity-tree postorder, hashing and ranking over shared DAGs, folds
+over nested glue, formula postorder and top-level diamonds over formulas
+with shared parts, the profile budget's walk over (place, formula) pairs,
+and the ranks and expansions of cyclic and acyclic systems.
 """
 
 import random
 
 import pytest
 
-from bisimkit import e0, expansion, gen, lts as lts_module
+from bisimkit import e0, expansion, gen, lts as lts_module, trees
 from bisimkit.e0 import PROFILE_BUDGET, _check_profile_budget, _top_diamonds
 from bisimkit.expansion import omega_expand, omega_expand_truncated
 from bisimkit.foundations import (
@@ -173,6 +173,15 @@ def oracle_hash(tree: MultiTree) -> int:
             stack.pop()
             object.__setattr__(node, "_hash", hash((node.children,)))
     return tree._hash
+
+
+def oracle_tree_rank(tree: MultiTree) -> Ordinal:
+    heights: dict[int, int] = {}
+    for node in oracle_postorder(tree):
+        heights[id(node)] = max(
+            (heights[id(sub)] + 1 for _, sub, _ in node.children), default=0
+        )
+    return Ordinal.from_int(heights[id(tree)] + 1)
 
 
 def oracle_fold_symbolic(tree, leaf, glue):
@@ -401,6 +410,54 @@ class TestMultiTreeWalks:
         for _ in range(20000):
             twin = MultiTree((("a", twin, OMEGA_COUNT),))
         assert hash(tree) == oracle_hash(twin)
+
+    def test_rank_matches_on_every_node(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            if seed % 2:
+                tree = gen.random_multitree(rng, rng.randint(0, 6), max_branch=3)
+            else:
+                tree = random_multitree_dag(rng, 25)
+            # Some nodes are ranked first, so the walk covers only the rest.
+            for _, sub, _ in tree.children[:1]:
+                sub.tree_rank()
+            assert tree.tree_rank() == oracle_tree_rank(tree)
+            for node in postorder(tree):
+                assert node.tree_rank() == oracle_tree_rank(node)
+
+    def test_rank_of_a_doubling_dag_and_a_deep_chain(self):
+        dag = MultiTree()
+        for _ in range(40):
+            dag = MultiTree((("a", dag, Count(1)), ("b", dag, OMEGA_COUNT)))
+        chain = MultiTree()
+        for _ in range(3000):
+            chain = MultiTree((("a", chain, Count(2)),))
+        assert dag.tree_rank() == oracle_tree_rank(dag) == Ordinal.from_int(41)
+        assert chain.tree_rank() == oracle_tree_rank(chain) == Ordinal.from_int(3001)
+
+    def test_a_second_rank_makes_no_walk(self, monkeypatch):
+        walks = []
+
+        def counted(walk):
+            def run(*args):
+                walks.append(args)
+                return walk(*args)
+
+            return run
+
+        for seed in range(20):
+            tree = random_multitree_dag(random.Random(seed), 25)
+            nodes = postorder(tree)
+            with monkeypatch.context() as patch:
+                for name in ("dfs_postorder", "postorder"):
+                    patch.setattr(trees, name, counted(getattr(trees, name)))
+                first = tree.tree_rank()
+                assert walks
+                walks.clear()
+                assert tree.tree_rank() == first
+                for node in nodes:
+                    assert node.tree_rank() == oracle_tree_rank(node)
+                assert walks == []
 
 
 class TestFoldSymbolic:
