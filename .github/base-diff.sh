@@ -154,6 +154,21 @@ bad_masses = {
 }
 for name, measure in bad_masses.items():
     save(f"mass-{name}", {"labels": ["a"], "states": ["p", "q"], "trans": {"p": {"a": [measure]}}})
+# Measures that share a first state and differ in its mass, where the
+# order of the (num, den) pairs is not the order of the values: 1/3
+# lists before 1/2, so export-dot numbers its hub first and the
+# enumeration from s reaches w before v (with --bound 3, the carrier
+# that it cuts leaves out v, not w).
+trans = {
+    "s": {"a": [{"t": "1/2", "v": "1/4"}, {"t": "1/3", "w": "1/2"}]},
+    "u": {"a": [{"t": "2/5", "v": "1/5"}, {"t": "1/3", "w": "1/3"}]},
+    "t": {"a": [{"t": "1"}]},
+    "v": {"a": [{}]},
+}
+save("nlmp-order", {"labels": ["a"], "states": ["s", "t", "u", "v", "w"], "trans": trans})
+# Masses written unreduced, as zero over three and as a bare integer.
+trans = {"p": {"a": [{"p": "2/4", "q": "0/3"}, {"q": "1"}]}, "q": {"a": [{"p": "1/2", "q": "3/6"}]}}
+save("nlmp-forms", {"labels": ["a"], "states": ["p", "q"], "trans": trans})
 # A system that declares a state twice, and a process that declares a
 # label twice.
 save("repeated-state", {"labels": ["a"], "states": ["p", "q", "p"], "root": "p", "edges": []})
@@ -445,6 +460,15 @@ for name in int malformed zero-den negative-den negative over-one two-ones; do
 done
 same substructure "$inputs/mass-over-one.json" --state p
 same export-dot "$inputs/mass-over-one.json"
+# Measures listed in value order, and masses in every written form.
+same export-dot "$inputs/nlmp-order.json"
+same substructure "$inputs/nlmp-order.json" --state s
+same substructure "$inputs/nlmp-order.json" --state s --bound 3
+same substructure "$inputs/nlmp-order.json" --state u --bound 3
+same nlmp-bisim "$inputs/nlmp-order.json" s u --witness
+same nlmp-bisim "$inputs/nlmp-forms.json" p q --witness
+same substructure "$inputs/nlmp-forms.json" --state p
+same export-dot "$inputs/nlmp-forms.json"
 # Help, usage errors and an abbreviated option are parsed by
 # argparse, the rest by the verb table: stdout, stderr and the exit
 # code must match the base either way.

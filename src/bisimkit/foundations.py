@@ -2,24 +2,20 @@
 
 Ordinals below omega^omega in Cantor normal form, eventually periodic
 subsets of the naturals, saturating counts in N + {omega}, and helpers
-for exact rationals; `parse_rational` imports `fractions` when it makes
-its first rational, so a call that reads none never loads it, nor the
-`decimal` and `numbers` modules it pulls in. Everything here is
-immutable and pure. Beside them sit `frozen`, which makes a class a
-value, `dfs_postorder`, the one walk over shared structures (formulas,
-trees, glue, state graphs), and `natural`, the one check that a count,
-bound or depth is not negative.
+for exact rationals, which are reduced (numerator, denominator) pairs of
+ints, so nothing loads `fractions`, nor the `decimal` and `numbers`
+modules it pulls in. Everything here is immutable and pure. Beside them
+sit `frozen`, which makes a class a value, `dfs_postorder`, the one walk
+over shared structures (formulas, trees, glue, state graphs), and
+`natural`, the one check that a count, bound or depth is not negative.
 """
 
 from __future__ import annotations
 
 import json
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, xor
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Callable, Iterable, Iterator
 
 
 def frozen(cls: type) -> type:
@@ -452,8 +448,8 @@ class Count:
 OMEGA_COUNT = Count(None)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer) into an exact Fraction."""
+def parse_rational(text: str) -> tuple[int, int]:
+    """Parse "num/den" (or a bare integer) into a reduced (num, den) pair."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {text!r}")
     num_str, slash, den_str = text.partition("/")
@@ -466,10 +462,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}")
     if den < 0:
         raise ValueError(f"denominator must be positive in {text!r}")
-    from fractions import Fraction
+    g = gcd(num, den)
+    return num // g, den // g
 
-    return Fraction(num, den)
 
-
-def format_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: tuple[int, int]) -> str:
+    num, den = value
+    return f"{num}/{den}"

@@ -7,14 +7,17 @@ can be replayed from its seed.
 from __future__ import annotations
 
 from bisect import insort
+from math import gcd
 from operator import itemgetter
-from random import Random
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .foundations import Count, EPSet, OMEGA_COUNT, dfs_postorder
 from .lts import PointedLTS, StateId
 from .nlmp import PointmassNLMP, SubProbMeasure, ZERO_MEASURE
 from .trees import ExplicitTree, MultiTree
+
+if TYPE_CHECKING:
+    from random import Random
 
 __all__ = [
     "enumerate_trees",
@@ -90,11 +93,11 @@ def random_measure(
     budget = denom if rng.random() < 0.5 else rng.randint(size, denom)
     cuts = sorted(rng.sample(range(1, budget), k=size - 1)) if size > 1 else []
     parts = [b - a for a, b in zip([0, *cuts], [*cuts, budget])]
-    from fractions import Fraction
-
-    return SubProbMeasure(
-        tuple(sorted((s, Fraction(p, denom)) for s, p in zip(support, parts)))
-    )
+    weights = []
+    for s, p in sorted(zip(support, parts)):
+        g = gcd(p, denom)
+        weights.append((s, (p // g, denom // g)))
+    return SubProbMeasure(tuple(weights))
 
 
 def random_nlmp(

@@ -15,31 +15,26 @@ checkers, the liftings and the refinement compare these codes, made from
 the integer masses in each process's ``moves``, and ``lts.same_part_pairs``
 turns part maps back into relations.
 
-`fractions` is imported when the first measure with a mass is built, or
-``SubProbMeasure.mass`` first called, not with the module:
-``ZERO_MEASURE``, built on import, loads nothing, so the verbs that read
-no process load no rational arithmetic.
+A mass is a reduced (numerator, denominator) pair of ints, from the
+parser to the kernel, and ``_total`` sums them exactly, so no verb loads
+`fractions`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .foundations import frozen
 from .lts import Rel, StateId, _label_universe, declared, mass_codes, refine_blocks, same_part_pairs
 
-if TYPE_CHECKING:
-    from fractions import Fraction
 
-
-def _total(masses: Iterable[Fraction]) -> tuple[int, int]:
-    """The exact sum of the masses as a reduced integer (num, den) pair."""
+def _total(masses: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The exact sum of (num, den) masses as a reduced (num, den) pair."""
     n, d = 0, 1
-    for mass in masses:
-        n = n * mass.denominator + mass.numerator * d
-        d *= mass.denominator
+    for num, den in masses:
+        n, d = n * den + num * d, d * den
         g = gcd(n, d)
         n, d = n // g, d // g
     return n, d
@@ -49,45 +44,48 @@ def _total(masses: Iterable[Fraction]) -> tuple[int, int]:
 class SubProbMeasure:
     """Finitely supported measure of total mass at most one.
 
-    Weights are (state, mass) pairs sorted by state with every mass
-    positive; the empty tuple is the zero measure.
+    Weights are (state, mass) pairs sorted by state, each mass a reduced
+    (numerator, denominator) pair of ints, positive; the empty tuple is
+    the zero measure.
     """
 
     weights: tuple = ()
 
     def __post_init__(self) -> None:
-        if not self.weights:
-            return
-        from fractions import Fraction
-
         prev: StateId | None = None
         for state, mass in self.weights:
-            if not isinstance(mass, Fraction):
-                raise ValueError(f"mass of {state!r} must be a Fraction")
-            if mass.numerator <= 0:
+            if not (
+                type(mass) is tuple
+                and len(mass) == 2
+                and type(mass[0]) is type(mass[1]) is int
+                and mass[1] > 0
+                and gcd(*mass) == 1
+            ):
+                raise ValueError(
+                    f"mass of {state!r} must be a reduced (num, den) pair of ints with den > 0"
+                )
+            if mass[0] <= 0:
                 raise ValueError(f"mass of {state!r} must be positive")
             if prev is not None and state <= prev:
                 raise ValueError("weights must be strictly sorted by state")
             prev = state
         n, d = _total(mass for _, mass in self.weights)
         if n > d:
-            raise ValueError(f"total mass {Fraction(n, d)} exceeds one")
+            shown = n if d == 1 else f"{n}/{d}"
+            raise ValueError(f"total mass {shown} exceeds one")
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[StateId, Fraction]) -> SubProbMeasure:
-        return cls(
-            tuple(sorted((s, m) for s, m in mapping.items() if m != 0))
-        )
+    def from_mapping(cls, mapping: Mapping[StateId, tuple[int, int]]) -> SubProbMeasure:
+        return cls(tuple(sorted((s, m) for s, m in mapping.items() if m != (0, 1))))
 
     @property
     def support(self) -> frozenset:
         return frozenset(s for s, _ in self.weights)
 
-    def mass(self, states: Iterable[StateId]) -> Fraction:
-        from fractions import Fraction
-
+    def mass(self, states: Iterable[StateId]) -> tuple[int, int]:
+        """The reduced (num, den) mass of the given states."""
         pool = set(states)
-        return sum((m for s, m in self.weights if s in pool), Fraction(0))
+        return _total(m for s, m in self.weights if s in pool)
 
 
 ZERO_MEASURE = SubProbMeasure()
@@ -129,7 +127,7 @@ class PointmassNLMP:
 
 
 def _triples(mu: SubProbMeasure) -> list:
-    return [(s, m.numerator, m.denominator) for s, m in mu.weights]
+    return [(s, n, d) for s, (n, d) in mu.weights]
 
 
 def _part_numbers(rel: Rel, left, right=None, where="the universe") -> tuple:

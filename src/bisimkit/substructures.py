@@ -13,6 +13,7 @@ in a fixed order of labels, measures and points.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from typing import Iterable
 
 from .foundations import natural
@@ -47,9 +48,24 @@ def substructure(nlmp: PointmassNLMP, carrier: Iterable[StateId]) -> PointmassNL
     return PointmassNLMP(nlmp.labels, states, trans)
 
 
+def _listing_order(mu: SubProbMeasure, nu: SubProbMeasure) -> int:
+    """Compare weight listings entry by entry, state first, then mass by value.
+
+    Pair order is not value order, so masses compare cross-multiplied:
+    keys over one common denominator would each grow with the number of
+    distinct denominators among the measures.
+    """
+    for (s, (n, d)), (t, (m, e)) in zip(mu.weights, nu.weights):
+        if s != t:
+            return -1 if s < t else 1
+        if n * e != m * d:
+            return -1 if n * e < m * d else 1
+    return len(mu.weights) - len(nu.weights)
+
+
 def ordered_measures(nlmp: PointmassNLMP, state: StateId, label: str) -> list:
     """A state's measures under a label, ordered by their weight listings."""
-    return sorted(nlmp.measures(state, label), key=lambda mu: mu.weights)
+    return sorted(nlmp.measures(state, label), key=cmp_to_key(_listing_order))
 
 
 def composition_enum(

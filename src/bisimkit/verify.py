@@ -9,8 +9,7 @@ document.
 from __future__ import annotations
 
 import json
-from random import Random
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .e0 import diamond_depth_sat, mod_glue_bisim
 from .expansion import omega_expand
@@ -80,6 +79,9 @@ from .uniform import (
     uniform_bisim_search,
 )
 
+if TYPE_CHECKING:
+    from random import Random
+
 __all__ = ["SUITES", "render_report", "run_suites"]
 
 FAILURE_CAP = 12
@@ -90,6 +92,8 @@ def _suite(name: str, check: Callable) -> Callable[[int], dict]:
     the name, and a failure list, and returns its case count or (count, note)."""
 
     def run(seed: int) -> dict:
+        from random import Random
+
         failures: list[str] = []
         outcome = check(seed, Random(f"{seed}:{name}"), failures)
         cases, notes = outcome if isinstance(outcome, tuple) else (outcome, "")

@@ -889,10 +889,15 @@ class TestCommandLine:
             (["export-dot", "tree"], 0, []),
             (["export-dot", "gadget", "--depth", "3", "--width", "3"], 0, []),
             (["export-dot", "multitree"], 0, []),
-            (["verify", "--suite", "tree-iso"], 0, []),
-            (["nlmp-bisim", "nlmp", "s", "t"], 0, ["decimal", "fractions", "numbers"]),
-            (["substructure", "nlmp", "--state", "s"], 0, ["decimal", "fractions", "numbers"]),
-            (["export-dot", "nlmp"], 0, ["decimal", "fractions", "numbers"]),
+            (["verify", "--suite", "tree-iso"], 0, ["random"]),
+            (["nlmp-bisim", "nlmp", "s", "t"], 0, []),
+            (["substructure", "nlmp", "--state", "s"], 0, []),
+            (["export-dot", "nlmp"], 0, []),
+            (["verify", "--suite", "measure-lifting"], 0, ["random"]),
+            (["verify", "--suite", "sum-process"], 0, ["random"]),
+            (["verify", "--suite", "uniform-search"], 0, ["random"]),
+            (["verify", "--suite", "greatest-bisim"], 0, ["random"]),
+            (["verify", "--suite", "substructure-descent"], 0, ["random"]),
         ],
     )
     def test_only_verbs_that_read_rationals_load_fractions(self, tmp_path, argv, code, loaded):
@@ -914,8 +919,8 @@ class TestCommandLine:
             "import sys\n"
             "from bisimkit.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "rational = {'decimal', 'fractions', 'numbers'}\n"
-            "print(code, sorted(rational & set(sys.modules)), file=sys.stderr)\n"
+            "lazy = {'decimal', 'fractions', 'numbers', 'random'}\n"
+            "print(code, sorted(lazy & set(sys.modules)), file=sys.stderr)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", script, *argv],

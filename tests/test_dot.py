@@ -1,7 +1,6 @@
 """DOT emission: fixed layouts and determinism."""
 
 import random
-from fractions import Fraction
 from itertools import islice
 
 from bisimkit.dot import (
@@ -143,7 +142,7 @@ def test_nlmp_measure_hubs():
         ("s", "t"),
         {
             ("s", "a"): frozenset(
-                {SubProbMeasure.from_mapping({"t": Fraction(1, 2)})}
+                {SubProbMeasure.from_mapping({"t": (1, 2)})}
             )
         },
     )

@@ -4,7 +4,8 @@ One row per place that raised such a text on its own before: the call
 there, with a bad argument, raises the same type with the same text.
 Most of these places the CLI reaches too, where ``.github/base-diff.sh``
 pins the line it prints; this table also covers the ones it never
-reaches.
+reaches. The one mass check of ``SubProbMeasure`` has a row for each
+kind of bad mass its text covers.
 """
 
 import json
@@ -18,7 +19,7 @@ from bisimkit.expansion import omega_expand
 from bisimkit.foundations import EPSet
 from bisimkit.jsonio import parse_multitree
 from bisimkit.lts import CharSet, PointedLTS, UnsupportedFormula, eval_formula, state_rank, TOP
-from bisimkit.nlmp import PointmassNLMP
+from bisimkit.nlmp import PointmassNLMP, SubProbMeasure
 from bisimkit.substructures import composition_enum
 from bisimkit.trees import Glue, symbolic_rank, truncation_levels
 from bisimkit.uniform import encode_state
@@ -40,6 +41,7 @@ BOUND = "bound must be a natural"
 CHAR_SET = "characteristic-set formulas only evaluate on symbolic trees"
 NOT_OBJECT = "multiplicity tree JSON must be an object keyed by label"
 NOT_SYMBOLIC = "not a symbolic tree: 'x'"
+NOT_REDUCED = "mass of 'x' must be a reduced (num, den) pair of ints with den > 0"
 
 SITES = [
     ("cli._checked_state", lambda _: cli._checked_state(LTS, "nope"), ValueError, UNKNOWN),
@@ -117,6 +119,24 @@ SITES = [
         lambda _: parse_multitree({"a": [[{}, 1], [5, 1]]}),
         ValueError,
         NOT_OBJECT,
+    ),
+    (
+        "nlmp.SubProbMeasure unreduced",
+        lambda _: SubProbMeasure((("x", (2, 4)),)),
+        ValueError,
+        NOT_REDUCED,
+    ),
+    (
+        "nlmp.SubProbMeasure zero denominator",
+        lambda _: SubProbMeasure((("x", (1, 0)),)),
+        ValueError,
+        NOT_REDUCED,
+    ),
+    (
+        "nlmp.SubProbMeasure non-int",
+        lambda _: SubProbMeasure((("x", (0.5, 1)),)),
+        ValueError,
+        NOT_REDUCED,
     ),
 ]
 

@@ -6,7 +6,6 @@ import json
 import os
 import random
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -59,7 +58,7 @@ def random_nlmp(rng: random.Random) -> PointmassNLMP:
                 denom = rng.randint(2, 5)
                 bunch.add(
                     SubProbMeasure.from_mapping(
-                        {t: Fraction(1, denom) for t in support}
+                        {t: (1, denom) for t in support}
                     )
                 )
             if rng.random() < 0.2:

@@ -26,9 +26,15 @@ from bisimkit.nlmp import (
 F = Fraction
 
 
+def R(*value) -> tuple:
+    """The reduced (num, den) pair of a rational, made through Fraction."""
+    f = Fraction(*value)
+    return f.numerator, f.denominator
+
+
 def measure(**masses) -> SubProbMeasure:
     return SubProbMeasure.from_mapping(
-        {state: F(text) for state, text in masses.items()}
+        {state: R(text) for state, text in masses.items()}
     )
 
 
@@ -48,7 +54,7 @@ def random_measure(rng: random.Random, states) -> SubProbMeasure:
         w = rng.randint(0, remaining)
         remaining -= w
         if w:
-            weights[s] = F(w, den)
+            weights[s] = R(w, den)
     return SubProbMeasure.from_mapping(weights)
 
 
@@ -81,54 +87,71 @@ def random_z_closed(rng: random.Random, left, right) -> frozenset:
 class TestMeasures:
     def test_construction_and_mass(self):
         mu = measure(x="1/2", y="1/4")
-        assert sum(m for _, m in mu.weights) == F(3, 4)
-        assert mu.mass({"x"}) == F(1, 2)
-        assert mu.mass({"z"}) == 0
-        assert mu.mass({"x", "y"}) == F(3, 4)
+        assert mu.weights == (("x", (1, 2)), ("y", (1, 4)))
+        assert mu.mass({"x"}) == (1, 2)
+        assert mu.mass({"z"}) == (0, 1)
+        assert mu.mass({"x", "y"}) == (3, 4)
+        assert measure(x="1/6", y="1/3").mass({"x", "y"}) == (1, 2)
         assert mu.support == frozenset({"x", "y"})
 
     def test_zero_measure(self):
         assert not ZERO_MEASURE.weights
-        assert sum(m for _, m in ZERO_MEASURE.weights) == 0
+        assert ZERO_MEASURE.mass({"x"}) == (0, 1)
         assert measure() == ZERO_MEASURE
 
     def test_from_mapping_drops_zero_entries(self):
-        assert SubProbMeasure.from_mapping({"x": F(0)}) == ZERO_MEASURE
+        assert SubProbMeasure.from_mapping({"x": (0, 1)}) == ZERO_MEASURE
+        assert SubProbMeasure.from_mapping({"x": (0, 1), "y": (1, 2)}) == measure(y="1/2")
 
     def test_dirac(self):
         point = measure(x="1")
-        assert point == SubProbMeasure((("x", F(1)),))
-        assert point.mass({"x"}) == 1 and point.mass({"y"}) == 0
+        assert point == SubProbMeasure((("x", (1, 1)),))
+        assert point.mass({"x"}) == (1, 1) and point.mass({"y"}) == (0, 1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SubProbMeasure((("x", F(-1, 2)),))
-        with pytest.raises(ValueError):
-            SubProbMeasure((("y", F(1, 2)), ("x", F(1, 2))))
-        with pytest.raises(ValueError):
-            SubProbMeasure((("x", F(2, 3)), ("y", F(2, 3))))
-        with pytest.raises(ValueError):
-            SubProbMeasure((("x", 0.5),))
+        with pytest.raises(ValueError, match="^mass of 'x' must be positive$"):
+            SubProbMeasure((("x", (-1, 2)),))
+        with pytest.raises(ValueError, match="^mass of 'x' must be positive$"):
+            SubProbMeasure((("x", (0, 1)),))
+        with pytest.raises(ValueError, match="sorted"):
+            SubProbMeasure((("y", (1, 2)), ("x", (1, 2))))
+        with pytest.raises(ValueError, match="exceeds one"):
+            SubProbMeasure((("x", (2, 3)), ("y", (2, 3))))
+
+    @pytest.mark.parametrize(
+        "mass",
+        [(2, 4), (0, 3), (-2, 4), (1, 0), (0, 0), (1, -2), (-1, -2), 0.5, (0.5, 1), (1, 2.0),
+         (True, 2), (1,), (1, 2, 1), [1, 2], Fraction(1, 2), 1, "1/2"],
+    )
+    def test_a_mass_that_is_no_reduced_int_pair_is_rejected(self, mass):
+        text = "mass of 'x' must be a reduced (num, den) pair of ints with den > 0"
+        with pytest.raises(ValueError) as raised:
+            SubProbMeasure((("x", mass),))
+        assert str(raised.value) == text
+        with pytest.raises(ValueError) as raised:
+            SubProbMeasure((("w", (1, 4)), ("x", mass)))
+        assert str(raised.value) == text
 
     def test_total_mass_is_checked_exactly(self):
         # Checks run in order: each mass, then the sorting, then the total.
         with pytest.raises(ValueError, match="^total mass 5/4 exceeds one$"):
-            SubProbMeasure((("x", F(1, 2)), ("y", F(3, 4))))
+            SubProbMeasure((("x", (1, 2)), ("y", (3, 4))))
         with pytest.raises(ValueError, match="^total mass 2 exceeds one$"):
-            SubProbMeasure((("x", F(1)), ("y", F(1))))
+            SubProbMeasure((("x", (1, 1)), ("y", (1, 1))))
         with pytest.raises(ValueError, match="sorted"):
-            SubProbMeasure((("y", F(1)), ("x", F(1))))
-        thirds = tuple((f"s{i}", F(1, 3)) for i in range(3))
-        assert sum(m for _, m in SubProbMeasure(thirds).weights) == 1
+            SubProbMeasure((("y", (1, 1)), ("x", (1, 1))))
+        thirds = tuple((f"s{i}", (1, 3)) for i in range(3))
+        assert SubProbMeasure(thirds).mass({"s0", "s1", "s2"}) == (1, 1)
         rng = random.Random(41)
         for _ in range(500):
             masses = [F(rng.randint(1, 9), rng.randint(1, 40)) for _ in range(rng.randint(1, 5))]
-            weights = tuple((f"s{i}", m) for i, m in enumerate(masses))
+            weights = tuple((f"s{i}", R(m)) for i, m in enumerate(masses))
             if sum(masses) > 1:
                 with pytest.raises(ValueError, match=f"^total mass {sum(masses)} exceeds one$"):
                     SubProbMeasure(weights)
             else:
-                assert sum(m for _, m in SubProbMeasure(weights).weights) == sum(masses)
+                mu = SubProbMeasure(weights)
+                assert mu.mass(mu.support) == R(sum(masses))
 
 
 class TestClosedAtoms:
@@ -553,7 +576,7 @@ def coprime_measure(rng: random.Random, states) -> SubProbMeasure:
         mass = rng.choice(MASSES)
         if sum(masses.values()) + mass <= 1:
             masses[s] = mass
-    return SubProbMeasure.from_mapping(masses)
+    return SubProbMeasure.from_mapping({s: R(mass) for s, mass in masses.items()})
 
 
 def coprime_nlmp(rng: random.Random, prefix: str) -> PointmassNLMP:
@@ -648,7 +671,7 @@ class TestCodeKernelMatchesOracles:
         primes = [p for p in range(3, 600) if all(p % q for q in range(2, p))][:100]
         states = tuple(f"s{i}" for i in range(600))
         trans = {
-            (s, "a"): frozenset({SubProbMeasure(((s, F(1, primes[i % 100])),))})
+            (s, "a"): frozenset({SubProbMeasure(((s, (1, primes[i % 100])),))})
             for i, s in enumerate(states)
         }
         nlmp = PointmassNLMP(("a",), states, trans)
@@ -685,7 +708,7 @@ def oracle_is_event_bisim(nlmp: PointmassNLMP, events) -> bool:
     for a in nlmp.labels:
         for measurable in algebra:
             attained = {
-                mu.mass(measurable)
+                F(*mu.mass(measurable))
                 for s in nlmp.states
                 for mu in nlmp.measures(s, a)
             }
@@ -695,9 +718,9 @@ def oracle_is_event_bisim(nlmp: PointmassNLMP, events) -> bool:
                         s
                         for s in nlmp.states
                         if any(
-                            (mu.mass(measurable) > threshold)
+                            (F(*mu.mass(measurable)) > threshold)
                             if strict
-                            else (mu.mass(measurable) >= threshold)
+                            else (F(*mu.mass(measurable)) >= threshold)
                             for mu in nlmp.measures(s, a)
                         )
                     }

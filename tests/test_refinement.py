@@ -40,6 +40,12 @@ from bisimkit.substructures import internal_closure, pair_closure, project_rel, 
 F = Fraction
 
 
+def R(*value) -> tuple:
+    """The reduced (num, den) pair of a rational, made through Fraction."""
+    f = Fraction(*value)
+    return f.numerator, f.denominator
+
+
 # --- oracles: the pairwise fixpoints -------------------------------------
 
 
@@ -211,7 +217,7 @@ def oracle_triple_moves(system, state: str, label: str) -> list:
     if isinstance(system, PointedLTS):
         return [[(t, 1, 1)] for t in system.successors(state, label)]
     return [
-        [(t, m.numerator, m.denominator) for t, m in mu.weights]
+        [(t, n, d) for t, (n, d) in mu.weights]
         for mu in system.measures(state, label)
     ]
 
@@ -242,7 +248,7 @@ def oracle_edge_moves(lts: PointedLTS, state: str, label: str) -> list:
 
 
 def oracle_measure_moves(nlmp: PointmassNLMP, state: str, label: str) -> list:
-    return [mu.weights for mu in nlmp.measures(state, label)]
+    return [tuple((t, F(*m)) for t, m in mu.weights) for mu in nlmp.measures(state, label)]
 
 
 def oracle_internal_closure(rel, states) -> frozenset:
@@ -325,7 +331,7 @@ def _split(rng: random.Random, mu: SubProbMeasure, copies: dict) -> SubProbMeasu
         chosen = rng.sample(copies[s], rng.randint(1, len(copies[s])))
         cuts = [rng.randint(1, 3) for _ in chosen]
         for c, cut in zip(chosen, cuts):
-            spread[c] = mass * F(cut, sum(cuts))
+            spread[c] = R(F(*mass) * F(cut, sum(cuts)))
     return SubProbMeasure.from_mapping(spread)
 
 
@@ -337,14 +343,14 @@ def blown_up_nlmp(
     trans = {}
     for (s, a), measures in base.trans.items():
         # Sorted, not hash, order keeps the instance behind a seed fixed.
-        ordered = sorted(measures, key=lambda mu: mu.weights)
+        ordered = sorted(measures, key=lambda mu: [(t, F(*m)) for t, m in mu.weights])
         for c in copies[s]:
             trans[c, a] = frozenset(_split(rng, mu, copies) for mu in ordered)
     if extra:
         key = (rng.choice(states), rng.choice(labels))
         target = rng.choice(states)
         trans[key] = trans.get(key, frozenset()) | {
-            SubProbMeasure.from_mapping({target: F(1, rng.randint(1, 3))})
+            SubProbMeasure.from_mapping({target: (1, rng.randint(1, 3))})
         }
     return PointmassNLMP(labels, states, trans)
 
@@ -507,7 +513,7 @@ class TestTheKernelSplitsOverEveryDeclaredLabel:
 
     def test_nlmp(self):
         def loop(state):
-            return frozenset({SubProbMeasure(((state, F(1)),))})
+            return frozenset({SubProbMeasure(((state, (1, 1)),))})
 
         quiet = PointmassNLMP(("a",), ("p",), {("p", "a"): loop("p")})
         loud = PointmassNLMP(("a", "b"), ("q",), {("q", "a"): loop("q"), ("q", "b"): loop("q")})

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from bisimkit import gen
 from bisimkit.lts import identity_rel, symmetric_closure
 from bisimkit.nlmp import (
     PointmassNLMP,
@@ -24,6 +25,7 @@ from bisimkit.substructures import (
     inr_state,
     internal_closure,
     is_thick,
+    ordered_measures,
     pair_closure,
     project_rel,
     reachable_carrier,
@@ -36,9 +38,15 @@ from bisimkit.substructures import (
 F = Fraction
 
 
+def R(*value) -> tuple:
+    """The reduced (num, den) pair of a rational, made through Fraction."""
+    f = Fraction(*value)
+    return f.numerator, f.denominator
+
+
 def measure(**masses) -> SubProbMeasure:
     return SubProbMeasure.from_mapping(
-        {state: F(text) for state, text in masses.items()}
+        {state: R(text) for state, text in masses.items()}
     )
 
 
@@ -53,7 +61,7 @@ def random_measure(rng: random.Random, states) -> SubProbMeasure:
         w = rng.randint(0, remaining)
         remaining -= w
         if w:
-            weights[s] = F(w, den)
+            weights[s] = R(w, den)
     return SubProbMeasure.from_mapping(weights)
 
 
@@ -304,7 +312,7 @@ class TestSums:
         assert total.states == ("l:s", "r:s")
         assert total.labels == ("a", "b")
         (mu,) = total.measures("l:s", "a")
-        assert mu.mass({"l:s"}) == F(1, 2)
+        assert mu.mass({"l:s"}) == (1, 2)
 
     def test_embed_project_round_trip(self):
         rel = frozenset({("s", "t"), ("u", "v")})
@@ -331,3 +339,66 @@ class TestSums:
             ext = is_ext_state_bisim(left, right, rel)
             lifted = symmetric_closure(embed_rel(rel))
             assert ext == is_state_bisim(total, lifted)
+
+
+def oracle_ordered_measures(nlmp: PointmassNLMP, state: str, label: str) -> list:
+    """The measures sorted by their weight listings, masses read as Fractions."""
+    return sorted(
+        nlmp.measures(state, label),
+        key=lambda mu: [(s, Fraction(*mass)) for s, mass in mu.weights],
+    )
+
+
+class TestOrderedMeasures:
+    """Measures are listed in value order, which pair order is not."""
+
+    def test_matches_the_fraction_order_on_random_processes(self):
+        rng = random.Random(140)
+        rows = disagreements = 0
+        for _ in range(400):
+            nlmp = gen.random_nlmp(rng, 3, 1, 4, 2)
+            for s in nlmp.states:
+                for a in nlmp.labels:
+                    expected = oracle_ordered_measures(nlmp, s, a)
+                    assert ordered_measures(nlmp, s, a) == expected
+                    rows += 1
+                    by_pairs = sorted(nlmp.measures(s, a), key=lambda mu: mu.weights)
+                    disagreements += by_pairs != expected
+        # The seeds reach rows where sorting the pairs themselves goes wrong.
+        assert rows >= 500 and disagreements >= 10, (rows, disagreements)
+
+    @pytest.mark.parametrize(
+        "larger, smaller",
+        [
+            ({"t": "1/2"}, {"t": "1/3"}),
+            ({"t": "2/5"}, {"t": "1/3"}),
+            ({"s": "1/2", "t": "1/3"}, {"s": "1/2", "t": "1/6"}),
+            ({"s": "1/3", "t": "1/2"}, {"s": "1/3"}),
+            ({"t": "1"}, {"s": "1/7", "t": "6/7"}),
+        ],
+    )
+    def test_hand_made_measures(self, larger, smaller):
+        big, small = measure(**larger), measure(**smaller)
+        nlmp = PointmassNLMP(("a",), ("s", "t"), {("s", "a"): frozenset({big, small})})
+        assert ordered_measures(nlmp, "s", "a") == [small, big]
+        assert oracle_ordered_measures(nlmp, "s", "a") == [small, big]
+
+    def test_order_memory_follows_the_measures(self):
+        # 3000 measures with distinct prime denominators: keys on the
+        # denominators' common multiple would each take ~37,000 bits (over
+        # 10 MiB in all), while pairwise comparison keeps no key that large.
+        primes = [p for p in range(2, 30000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        bundle = frozenset(SubProbMeasure((("t", (1, p)),)) for p in primes[:3000])
+        nlmp = PointmassNLMP(("a",), ("s", "t"), {("s", "a"): bundle})
+        tracemalloc.start()
+        try:
+            listed = ordered_measures(nlmp, "s", "a")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
+        assert listed == oracle_ordered_measures(nlmp, "s", "a")
+
+    def test_no_measures(self):
+        nlmp = PointmassNLMP(("a",), ("s",), {})
+        assert ordered_measures(nlmp, "s", "a") == []

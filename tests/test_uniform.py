@@ -38,9 +38,15 @@ from bisimkit.uniform import (
 F = Fraction
 
 
+def R(*value) -> tuple:
+    """The reduced (num, den) pair of a rational, made through Fraction."""
+    f = Fraction(*value)
+    return f.numerator, f.denominator
+
+
 def measure(**masses) -> SubProbMeasure:
     return SubProbMeasure.from_mapping(
-        {state: F(text) for state, text in masses.items()}
+        {state: R(text) for state, text in masses.items()}
     )
 
 
@@ -83,7 +89,7 @@ def random_measure(rng: random.Random, states) -> SubProbMeasure:
         w = rng.randint(0, remaining)
         remaining -= w
         if w:
-            weights[s] = F(w, den)
+            weights[s] = R(w, den)
     return SubProbMeasure.from_mapping(weights)
 
 
@@ -136,15 +142,16 @@ class UniformStructure:
 
 
 def oracle_derive_uniform(nlmp: PointmassNLMP) -> UniformStructure:
-    """Tabulate a process, ordering measures by their weight listings."""
+    """Tabulate a process, ordering measures by their weight listings,
+    with every mass read as a Fraction."""
     rows = {}
     for (s, a), measures in nlmp.trans.items():
         if not measures:
             continue
-        ordered = sorted(measures, key=lambda mu: mu.weights)
+        listings = sorted([(t, F(*mass)) for t, mass in mu.weights] for mu in measures)
         rows[(s, a)] = tuple(
-            tuple((k, mass, target) for k, (target, mass) in enumerate(mu.weights))
-            for mu in ordered
+            tuple((k, mass, target) for k, (target, mass) in enumerate(listing))
+            for listing in listings
         )
     return UniformStructure(nlmp.labels, nlmp.states, rows)
 
@@ -336,7 +343,7 @@ def oracle_mlts_to_nlmp(lts: PointedLTS) -> PointmassNLMP:
             targets = lts.successors(s, a)
             if targets:
                 trans[(s, a)] = frozenset(
-                    SubProbMeasure(((t, Fraction(1)),)) for t in targets
+                    SubProbMeasure(((t, (1, 1)),)) for t in targets
                 )
     return PointmassNLMP(lts.labels, lts.states, trans)
 

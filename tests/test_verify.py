@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
@@ -65,12 +66,37 @@ class TestGenerators:
         saw_zero = saw_full = False
         for _ in range(200):
             mu = random_measure(rng, states)
-            assert 0 <= sum(m for _, m in mu.weights) <= 1
+            num, den = mu.mass(states)
+            assert 0 <= num <= den
             assert len(mu.support) <= 3
-            assert all(mass > 0 for _, mass in mu.weights)
+            assert all(mass[0] > 0 for _, mass in mu.weights)
             saw_zero |= not mu.weights
-            saw_full |= sum(m for _, m in mu.weights) == 1
+            saw_full |= (num, den) == (1, 1)
         assert saw_zero and saw_full
+
+    def test_measures_match_the_fraction_generator(self):
+        # The generator that built Fraction masses, kept as the oracle: the
+        # same draws must give the same reduced masses, and leave the
+        # generator in the same state.
+        def oracle_random_measure(rng, states, max_support=3):
+            pool = list(states)
+            size = rng.randint(0, min(max_support, len(pool)))
+            if size == 0:
+                return ()
+            support = rng.sample(pool, k=size)
+            denom = rng.randint(size, 8)
+            budget = denom if rng.random() < 0.5 else rng.randint(size, denom)
+            cuts = sorted(rng.sample(range(1, budget), k=size - 1)) if size > 1 else []
+            parts = [b - a for a, b in zip([0, *cuts], [*cuts, budget])]
+            return tuple(sorted((s, Fraction(p, denom)) for s, p in zip(support, parts)))
+
+        states = tuple(f"s{i}" for i in range(5))
+        rng, oracle_rng = random.Random(305), random.Random(305)
+        for _ in range(500):
+            weights = random_measure(rng, states).weights
+            expected = oracle_random_measure(oracle_rng, states)
+            assert weights == tuple((s, (m.numerator, m.denominator)) for s, m in expected)
+            assert rng.getstate() == oracle_rng.getstate()
 
     def test_nlmp_bundles_are_bounded(self):
         rng = random.Random(303)
