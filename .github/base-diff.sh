@@ -278,6 +278,20 @@ towers = [top]
 for _ in range(17):
     towers.append({"op": "dia", "label": "suc", "sub": towers[-1]})
 save("wide17", {"op": "dia", "label": "suc", "sub": {"op": "or", "subs": towers[1:]}})
+# Chain masks that go negative, fifteen diamonds under a body of depth
+# two, and a 300-deep tower.
+def dia(sub, label="suc"):
+    return {"op": "dia", "label": label, "sub": sub}
+def neg(sub):
+    return {"op": "neg", "sub": sub}
+save("suc-neg-suc", dia(neg(dia(top))))
+save("neg-suc-suc", neg(dia(dia(top))))
+save("and-negs", {"op": "and", "subs": [neg(dia(neg(dia(top)))), neg(dia(dia(dia(dia(top))))), neg(dia(top, "b"))]})
+save("wide15", dia({"op": "or", "subs": [dia(neg(dia(top))) for _ in range(15)]}))
+deep = leaf
+for _ in range(300):
+    deep = dia(deep)
+save("tower300", deep)
 # Multitree files that the reader must reject, or accept, exactly as
 # the base does: a bad count 40 levels down, children that are not a
 # list, a syntax error after a shape error, repeated labels (the last
@@ -391,6 +405,11 @@ same eval "$inputs/suc-set-one.json" "$inputs/chain3.json"
 same eval "$inputs/suc-set-two.json" "$inputs/chain3.json"
 same eval "$inputs/suc-set-two.json" "$inputs/glue.json"
 same eval "$inputs/suc-set-one.json" "$inputs/glue.json"
+for phi in suc-neg-suc neg-suc-suc and-negs wide15 tower300; do
+  for tree in chain3 atree gadget gadget-finite glue; do
+    same eval "$inputs/$phi.json" "$inputs/$tree.json"
+  done
+done
 same e0 reduce "$inputs/dense.json" --depth 8 --width 32
 same e0 reduce "$inputs/dense.json" --depth 0 --width 5
 same e0 reduce "$inputs/dense.json" --width 3

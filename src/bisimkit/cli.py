@@ -55,6 +55,7 @@ from .jsonio import (
     read_json_file,
     read_multitree,
     read_text,
+    render_report,
     tree_to_json,
 )
 from .foundations import natural
@@ -76,7 +77,7 @@ from .trees import (
     truncation_levels,
 )
 from .uniform import tree_process
-from .verify import SUITES, render_report, run_suites
+from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_FAIL = 1

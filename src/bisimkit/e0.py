@@ -22,14 +22,13 @@ from .lts import (
     Dia,
     Formula,
     Neg,
+    Or,
     RankAtLeast,
     Top,
     TOP,
     UnsupportedFormula,
     _boolean_parts,
     formula_postorder,
-    modal_depth,
-    modal_depths,
     walk_formula,
 )
 from .trees import (
@@ -116,14 +115,12 @@ def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
     walk, so that the short circuits cannot hide them. The walk keeps its
     own stack, so formula depth is not bounded by the recursion limit.
     """
-    order = formula_postorder(phi)
-    depths = modal_depths(order)
+    masks = _chain_masks(formula_postorder(phi))
     for dia in _top_diamonds(phi):
-        if not isinstance(dia.sub, (CharSet, RankAtLeast)):
-            modal_depth(dia.sub, depths)  # raises when the body nests an atom
+        mask = masks[id(dia.sub)]
+        if isinstance(mask, str) and not isinstance(dia.sub, (CharSet, RankAtLeast)):
+            raise UnsupportedFormula(f"{mask} has no finite modal depth")
     _check_profile_budget(tree, phi)
-    top = max((d for d in depths.values() if not isinstance(d, str)), default=0)
-    masks = _chain_masks(order, depths, top)
 
     def leaf(tree: SymbolicTree, node: Formula) -> bool | Iterable:
         if isinstance(node, CharSet):
@@ -145,11 +142,11 @@ def eval_symbolic(tree: SymbolicTree, phi: Formula) -> bool:
             return symbolic_rank(tree)[0] >= body.bound + 1
         mask = masks[id(body)]
         if isinstance(tree, Chain):
-            return tree.length >= 1 and bool(mask >> min(tree.length - 1, top) & 1)
+            return tree.length >= 1 and bool(mask >> tree.length - 1 & 1)
         if isinstance(tree, ATree):
-            return bool(_members(tree.param, top) & mask)
+            return bool(_members(tree.param, mask.bit_length()) & mask)
         if isinstance(tree, BTree):
-            return _some_modification(tree.param, body, masks, top)
+            return _some_modification(tree.param, body, masks)
         return zip(tree.parts, repeat(body))
 
     return walk_formula(tree, phi, leaf)
@@ -174,64 +171,69 @@ def _child_with_leaf_set(tree: SymbolicTree, z: EPSet) -> bool:
     return any(leaf_depth_set(part) == z for part in tree.parts)
 
 
-def _chain_masks(order: list, depths: dict[int, int | str], top: int) -> dict:
-    """L(psi) = {k <= top : Chain(k) satisfies psi} per subformula, by id.
+def _chain_masks(order: list) -> dict:
+    """L(psi) = {k : Chain(k) satisfies psi} per subformula, by id.
 
-    Bit top stands for every longer chain, which no formula of depth at
-    most top tells apart. <suc> shifts by one, booleans are bit
-    operations and other labels give the empty mask. Subformulas without
-    finite modal depth map to None.
+    A mask is an unbounded int: from its ``bit_length()`` on, every bit
+    repeats the sign bit, which stands for every longer chain. Top is -1,
+    negation is ~, <suc> shifts by one, other labels give the empty mask,
+    and the other booleans are bit operations. A subformula over an atom
+    without finite modal depth maps to the type name of its first such
+    atom instead.
     """
-    full = (1 << top + 1) - 1
-    masks: dict[int, int | None] = {}
+    masks: dict[int, int | str] = {}
     for node in order:
-        if isinstance(depths[id(node)], str):
-            mask = None
-        elif isinstance(node, Top):
-            mask = full
+        if isinstance(node, Top):
+            mask = -1
+        elif isinstance(node, (Neg, Dia)) and isinstance(masks[id(node.sub)], str):
+            mask = masks[id(node.sub)]
         elif isinstance(node, Neg):
-            mask = full ^ masks[id(node.sub)]
+            mask = ~masks[id(node.sub)]
         elif isinstance(node, Dia):
-            mask = masks[id(node.sub)] << 1 & full if node.label == SUC_LABEL else 0
-        elif isinstance(node, And):
-            mask = full
+            mask = masks[id(node.sub)] << 1 if node.label == SUC_LABEL else 0
+        elif isinstance(node, (And, Or)):
+            mask = -1 if isinstance(node, And) else 0
             for sub in node.subs:
-                mask &= masks[id(sub)]
+                found = masks[id(sub)]
+                if isinstance(found, str):
+                    mask = found
+                    break
+                mask = mask & found if isinstance(node, And) else mask | found
         else:
-            mask = 0
-            for sub in node.subs:
-                mask |= masks[id(sub)]
+            mask = type(node).__name__
         masks[id(node)] = mask
     return masks
 
 
-def _members(x: EPSet, top: int) -> int:
-    """x as a mask over 0..top, bit top standing for every member >= top."""
-    return sum(1 << k for k in x.elements_below(top)) | x.has_element_geq(top) << top
+def _members(x: EPSet, width: int) -> int:
+    """x as a mask over 0..width, bit width standing for every member >= width."""
+    return sum(1 << k for k in x.elements_below(width)) | x.has_element_geq(width) << width
 
 
-def _some_modification(x: EPSet, body: Formula, masks: dict, top: int) -> bool:
+def _some_modification(x: EPSet, body: Formula, masks: dict) -> bool:
     """Does the branch-code tree of some finite modification of x satisfy body?
 
     At ATree(x') the body's top-level diamond <suc>psi_i holds iff x'
     meets L(psi_i), so the body sees only the profile of x': which of the
-    m masks it meets. Flips below top choose x''s window freely, so the
-    profiles are the OR-closure of the position profiles, joined with the
-    tail profile, and also without it when x is finite (x' may then end
-    below top). That is 2^m profiles at most, instead of 2^(top-1)
-    windows.
+    m masks it meets. Every mask is constant from its ``bit_length()`` on,
+    so all of them are from the largest, the width w. Flips below w choose
+    x''s window freely, so the profiles are the OR-closure of the position
+    profiles, joined with the tail profile, and also without it when x is
+    finite (x' may then end below w). That is 2^m profiles at most,
+    instead of 2^w windows.
     """
     diamonds = _top_diamonds(body)
     lifted = [masks[id(dia.sub)] for dia in diamonds]
+    width = max((mask.bit_length() for mask in lifted), default=0)
 
     def profile(k: int) -> int:
         return sum((mask >> k & 1) << i for i, mask in enumerate(lifted))
 
     reach = {0}
-    for p in {profile(k) for k in range(top)}:
+    for p in {profile(k) for k in range(width)}:
         if p not in reach:
             reach |= {c | p for c in reach}
-    tail = profile(top)
+    tail = profile(width)
     tails = {c | tail for c in reach}
     reach = reach | tails if x.is_finite else tails
     index = {id(dia): i for i, dia in enumerate(diamonds)}

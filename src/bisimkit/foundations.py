@@ -13,6 +13,7 @@ over shared structures (formulas, trees, glue, state graphs), and
 from __future__ import annotations
 
 import json
+from functools import reduce
 from math import gcd, lcm
 from operator import attrgetter, xor
 from typing import Callable, Iterable, Iterator
@@ -469,3 +470,16 @@ def parse_rational(text: str) -> tuple[int, int]:
 def format_rational(value: tuple[int, int]) -> str:
     num, den = value
     return f"{num}/{den}"
+
+
+def add_rationals(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The reduced sum of two (num, den) pairs."""
+    (n0, d0), (n1, d1) = a, b
+    n, d = n0 * d1 + n1 * d0, d0 * d1
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def sum_rationals(values: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The exact sum of (num, den) pairs as a reduced (num, den) pair."""
+    return reduce(add_rationals, values, (0, 1))

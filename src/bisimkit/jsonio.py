@@ -66,6 +66,7 @@ __all__ = [
     "read_json_file",
     "read_multitree",
     "read_text",
+    "render_report",
     "tree_to_json",
 ]
 
@@ -461,3 +462,8 @@ def _formula_json(phi: Formula, docs: dict[int, dict]) -> dict:
     if isinstance(phi, CharSet):
         return {"op": "char_set", "set": phi.param.to_json()}
     raise ValueError(f"not a formula value: {phi!r}")
+
+
+def render_report(report: dict) -> str:
+    """A verify report as one compact JSON line with sorted keys."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
-from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .foundations import EPSet, Ordinal, dfs_postorder, frozen, natural
+from .foundations import EPSet, Ordinal, add_rationals, dfs_postorder, frozen, natural
 
 StateId = str
 Rel = frozenset  # of (StateId, StateId) pairs
@@ -84,47 +83,6 @@ def _boolean_parts(phi: Formula) -> tuple:
     if isinstance(phi, Neg):
         return (phi.sub,)
     return ()
-
-
-def modal_depths(order: list) -> dict[int, int | str]:
-    """Modal depth of every subformula in a `formula_postorder` list, by id.
-
-    A subformula over an atom without finite depth maps to the type name
-    of its first such atom instead. The table is keyed by identity, so it
-    is meaningful only while the formula is alive.
-    """
-    depths: dict[int, int | str] = {}
-    for node in order:
-        if isinstance(node, (Neg, Dia)):
-            depth = depths[id(node.sub)]
-            if isinstance(node, Dia) and not isinstance(depth, str):
-                depth += 1
-        elif isinstance(node, (And, Or)):
-            depth = 0
-            for sub in node.subs:
-                found = depths[id(sub)]
-                if isinstance(found, str):
-                    depth = found
-                    break
-                depth = max(depth, found)
-        elif isinstance(node, Top):
-            depth = 0
-        else:
-            depth = type(node).__name__
-        depths[id(node)] = depth
-    return depths
-
-
-def modal_depth(phi: Formula, depths: dict[int, int | str]) -> int:
-    """Nesting depth of diamonds; the symbolic atoms have none to count.
-
-    The depth is read from ``depths``, the `modal_depths` table of a
-    formula containing phi.
-    """
-    depth = depths[id(phi)]
-    if isinstance(depth, str):
-        raise UnsupportedFormula(f"{depth} has no finite modal depth")
-    return depth
 
 
 @frozen
@@ -343,12 +301,7 @@ def mass_codes(measures: Iterable, part: Mapping[StateId, int]) -> frozenset:
         sums: dict = {}
         for s, n, d in measure:
             p = part[s]
-            if p in sums:
-                n0, d0 = sums[p]
-                n, d = n0 * d + n * d0, d0 * d
-                g = gcd(n, d)
-                n, d = n // g, d // g
-            sums[p] = n, d
+            sums[p] = add_rationals(sums[p], (n, d)) if p in sums else (n, d)
         if len(sums) == 1 and (1, 1) in sums.values():
             (p,) = sums
             codes.append(p)

@@ -16,8 +16,8 @@ the integer masses in each process's ``moves``, and ``lts.same_part_pairs``
 turns part maps back into relations.
 
 A mass is a reduced (numerator, denominator) pair of ints, from the
-parser to the kernel, and ``_total`` sums them exactly, so no verb loads
-`fractions`.
+parser to the kernel, and ``foundations.sum_rationals`` sums them
+exactly, so no verb loads `fractions`.
 """
 
 from __future__ import annotations
@@ -26,18 +26,8 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping
 
-from .foundations import frozen
+from .foundations import frozen, sum_rationals
 from .lts import Rel, StateId, _label_universe, declared, mass_codes, refine_blocks, same_part_pairs
-
-
-def _total(masses: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The exact sum of (num, den) masses as a reduced (num, den) pair."""
-    n, d = 0, 1
-    for num, den in masses:
-        n, d = n * den + num * d, d * den
-        g = gcd(n, d)
-        n, d = n // g, d // g
-    return n, d
 
 
 @frozen
@@ -69,7 +59,7 @@ class SubProbMeasure:
             if prev is not None and state <= prev:
                 raise ValueError("weights must be strictly sorted by state")
             prev = state
-        n, d = _total(mass for _, mass in self.weights)
+        n, d = sum_rationals(mass for _, mass in self.weights)
         if n > d:
             shown = n if d == 1 else f"{n}/{d}"
             raise ValueError(f"total mass {shown} exceeds one")
@@ -85,7 +75,7 @@ class SubProbMeasure:
     def mass(self, states: Iterable[StateId]) -> tuple[int, int]:
         """The reduced (num, den) mass of the given states."""
         pool = set(states)
-        return _total(m for s, m in self.weights if s in pool)
+        return sum_rationals(m for s, m in self.weights if s in pool)
 
 
 ZERO_MEASURE = SubProbMeasure()

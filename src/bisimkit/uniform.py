@@ -12,9 +12,9 @@ states a state reaches and compares the expansions of the codes.
 
 from __future__ import annotations
 
-from .foundations import Ordinal
+from .foundations import Ordinal, sum_rationals
 from .lts import OmegaLTSCode, PointedLTS, Rel, StateId, known_state, state_rank
-from .nlmp import PointmassNLMP, _total, greatest_ext_bisim
+from .nlmp import PointmassNLMP, greatest_ext_bisim
 from .substructures import composition_enum, ordered_measures, substructure
 from .trees import SUC_LABEL, ExplicitTree, node_name
 from .expansion import omega_code_expand
@@ -50,8 +50,8 @@ def _gk_side(
         witnesses = witnesses_of[target]
         if not witnesses:
             return False
-        g = _total(mass for other, mass in row if witnesses & witnesses_of[other])
-        g_prime = _total(mass for other, mass in prime_row if (target, other) in rel)
+        g = sum_rationals(mass for other, mass in row if witnesses & witnesses_of[other])
+        g_prime = sum_rationals(mass for other, mass in prime_row if (target, other) in rel)
         if g != g_prime:
             return False
     return True

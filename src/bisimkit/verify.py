@@ -8,7 +8,6 @@ document.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .e0 import diamond_depth_sat, mod_glue_bisim
@@ -33,6 +32,7 @@ from .gen import (
     random_wf_lts,
     random_z_closed,
 )
+from .jsonio import render_report
 from .lts import (
     PointedLTS,
     _label_universe,
@@ -82,7 +82,7 @@ from .uniform import (
 if TYPE_CHECKING:
     from random import Random
 
-__all__ = ["SUITES", "render_report", "run_suites"]
+__all__ = ["SUITES", "run_suites"]
 
 FAILURE_CAP = 12
 
@@ -570,7 +570,3 @@ def run_suites(seed: int, names: Iterable[str]) -> dict:
         "suites": results,
         "passed": all(result["passed"] for result in results),
     }
-
-
-def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))

@@ -9,6 +9,7 @@ import pytest
 from bisimkit.cli import main
 from bisimkit.e0 import (
     PROFILE_BUDGET,
+    _chain_masks,
     diamond_depth_sat,
     eval_symbolic,
     leaf_depth_set,
@@ -37,8 +38,6 @@ from bisimkit.lts import (
     bounded_bisim,
     eval_formula,
     formula_postorder,
-    modal_depth,
-    modal_depths,
 )
 from bisimkit.trees import (
     ATree,
@@ -324,13 +323,14 @@ class TestEvaluator:
             eval_symbolic(Chain(2), Dia("suc", Dia("suc", RankAtLeast(ORD_ZERO))))
 
     def test_depths_are_walked_once_per_evaluation(self, monkeypatch):
+        # One chain-mask table per call carries the depths as well.
         calls = []
 
         def counted(order):
             calls.append(order)
-            return modal_depths(order)
+            return _chain_masks(order)
 
-        monkeypatch.setattr("bisimkit.e0.modal_depths", counted)
+        monkeypatch.setattr("bisimkit.e0._chain_masks", counted)
         phi = tower(6)
         results = [eval_symbolic(BTree(EVENS), phi), eval_symbolic(ATree(EVENS), phi)]
         assert results == [True, True]
@@ -417,6 +417,19 @@ def oracle_child_classes(tree, depth: int) -> list:
     return list(tree.parts)
 
 
+def recursive_modal_depth(phi) -> int:
+    """Nesting depth of diamonds; the symbolic atoms have none to count."""
+    if isinstance(phi, Top):
+        return 0
+    if isinstance(phi, Neg):
+        return recursive_modal_depth(phi.sub)
+    if isinstance(phi, (And, Or)):
+        return max((recursive_modal_depth(sub) for sub in phi.subs), default=0)
+    if isinstance(phi, Dia):
+        return 1 + recursive_modal_depth(phi.sub)
+    raise UnsupportedFormula(f"{type(phi).__name__} has no finite modal depth")
+
+
 def oracle_eval_symbolic(tree, phi) -> bool:
     """A pure modal formula at the root, one child per behavior class."""
     if isinstance(phi, Top):
@@ -429,7 +442,7 @@ def oracle_eval_symbolic(tree, phi) -> bool:
         return any(oracle_eval_symbolic(tree, sub) for sub in phi.subs)
     if phi.label != SUC_LABEL:
         return False
-    depth = modal_depth(phi.sub, modal_depths(formula_postorder(phi.sub)))
+    depth = recursive_modal_depth(phi.sub)
     classes = oracle_child_classes(tree, depth)
     return any(oracle_eval_symbolic(child, phi.sub) for child in classes)
 
@@ -499,8 +512,8 @@ class TestDiamondsAgainstModificationClasses:
         assert min(verdicts.values()) > 2000, verdicts
 
     def test_a_shared_diamond_counts_once(self):
-        # Top-level diamonds are told apart by identity, as modal_depths
-        # tells subformulas apart: one object used many times is one of m.
+        # Top-level diamonds are told apart by identity, as the chain masks
+        # tell subformulas apart: one object used many times is one of m.
         inner = Dia("suc", Neg(Dia("suc", TOP)))
         phi = Dia("suc", And((inner,) * (PROFILE_BUDGET + 1)))
         for x in CATALOG:
@@ -508,6 +521,163 @@ class TestDiamondsAgainstModificationClasses:
         copies = tuple(Dia("suc", Neg(Dia("suc", TOP))) for _ in range(PROFILE_BUDGET + 1))
         with pytest.raises(ValueError, match=f"has {PROFILE_BUDGET + 1} distinct"):
             eval_symbolic(BTree(EVENS), Dia("suc", And(copies)))
+
+
+def random_shared_formula(rng: random.Random, size: int):
+    """A formula whose parts are drawn from a growing pool, so they share."""
+    pool = [TOP, TOP, RankAtLeast(ORD_ZERO), CharSet(EPSet.empty())]
+    for _ in range(size):
+        pick = rng.random()
+        if pick < 0.3:
+            pool.append(Dia(rng.choice(("suc", "suc", "other")), rng.choice(pool)))
+        elif pick < 0.45:
+            pool.append(Neg(rng.choice(pool)))
+        else:
+            subs = tuple(rng.choice(pool[-6:]) for _ in range(rng.randint(0, 3)))
+            pool.append((And if pick < 0.75 else Or)(subs))
+    return pool[-1]
+
+
+def subformulas(phi) -> list:
+    found, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        if isinstance(node, (And, Or)):
+            stack.extend(node.subs)
+        elif isinstance(node, (Neg, Dia)):
+            stack.append(node.sub)
+    return found
+
+
+def outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except UnsupportedFormula as err:
+        return str(err)
+
+
+SHAPES = [
+    Chain(0),
+    Chain(4),
+    ATree(EVENS),
+    ATree(EPSet.from_finite([0, 3])),
+    BTree(ODDS),
+    BTree(EPSet.from_finite([1, 2])),
+    Glue((Chain(2), ATree(ODDS), BTree(EPSet.empty()))),
+]
+
+
+class TestChainMasks:
+    """Masks over every chain length, read without a modal-depth table."""
+
+    def test_seeded_shared_formulas_match_the_oracle(self):
+        # A diamond over a body without finite depth raises, naming the
+        # body's first atom, as the recursive depth does; any other
+        # diamond agrees with the one-child-per-class oracle.
+        rng = random.Random(61)
+        verdicts = {True: 0, False: 0, "raised": 0}
+        for _ in range(300):
+            phi = random_shared_formula(rng, rng.randint(1, 12))
+            tree = rng.choice(SHAPES)
+            for sub in subformulas(phi):
+                if isinstance(sub, (CharSet, RankAtLeast)):
+                    continue
+                want = outcome(recursive_modal_depth, sub)
+                if not isinstance(want, str):
+                    want = oracle_eval_symbolic(tree, Dia("suc", sub))
+                got = outcome(eval_symbolic, tree, Dia("suc", sub))
+                assert got == want, (tree, sub)
+                verdicts["raised" if isinstance(want, str) else want] += 1
+        assert min(verdicts.values()) > 200, verdicts
+
+    def test_first_atom_without_depth_is_named(self):
+        for label in ("suc", "other"):
+            body = Dia(label, And((TOP, Neg(RankAtLeast(ORD_ZERO)), CharSet(EPSet.empty()))))
+            for tree in SHAPES:
+                with pytest.raises(
+                    UnsupportedFormula, match="^RankAtLeast has no finite modal depth$"
+                ):
+                    eval_symbolic(tree, Dia("suc", body))
+
+    def test_deep_and_shared_formulas(self):
+        # <suc>^3000 top holds where a path of 3000 steps starts, and the
+        # 60-level DAG s_j = <suc>s_(j-1) and s_(j-1) is <suc>^60 top.
+        deep = TOP
+        for _ in range(3000):
+            deep = Dia("suc", deep)
+        shared = TOP
+        for _ in range(60):
+            shared = And((Dia("suc", shared), shared))
+        for phi, n in ((deep, 3000), (shared, 60)):
+            assert eval_symbolic(Chain(n), phi)
+            assert not eval_symbolic(Chain(n - 1), phi)
+            assert eval_symbolic(ATree(EPSet.from_finite([n - 1])), phi)
+            assert not eval_symbolic(ATree(EPSet.from_finite([n - 2])), phi)
+            assert eval_symbolic(ATree(EVENS), phi)
+            assert eval_symbolic(Glue((Chain(1), Chain(n - 1))), phi)
+            assert not eval_symbolic(Glue((Chain(n - 2),)), phi)
+        for x in (ODDS, EPSet.empty()):
+            assert eval_symbolic(BTree(x), deep)
+        blocked = CharSet(EPSet.empty())
+        for _ in range(3000):
+            blocked = Dia("suc", blocked)
+        with pytest.raises(UnsupportedFormula, match="^CharSet has no finite modal depth$"):
+            eval_symbolic(Chain(3), blocked)
+
+    def test_negated_bodies_on_every_tree_kind(self):
+        leaf = Neg(Dia("suc", TOP))
+        step = Dia("suc", leaf)
+        bodies = [
+            Neg(step),
+            Neg(Dia("suc", step)),
+            Neg(Dia("other", TOP)),
+            Neg(Or((step, Dia("suc", step)))),
+            And((Neg(step), Neg(leaf))),
+            And((Neg(step), Neg(Dia("suc", Dia("suc", step))), Dia("suc", TOP))),
+            Or((leaf, Neg(step))),
+        ]
+        trees = [
+            Chain(0),
+            Chain(1),
+            Chain(2),
+            Chain(5),
+            ATree(EPSet.empty()),
+            ATree(EPSet.from_finite([1])),
+            ATree(EVENS),
+            ATree(ODDS),
+            BTree(EPSet.empty()),
+            BTree(EPSet.from_finite([0, 1, 2])),
+            BTree(EVENS),
+            BTree(EPSet.full()),
+            Glue((Chain(1), ATree(EPSet.from_finite([1])))),
+            Glue((BTree(ODDS), Chain(4))),
+        ]
+        verdicts = {True: 0, False: 0}
+        for body in bodies:
+            assert _chain_masks(formula_postorder(body))[id(body)] < 0, body
+            for tree in trees:
+                for phi in (body, Dia("suc", body), Dia("suc", Dia("suc", body))):
+                    want = oracle_eval_symbolic(tree, phi)
+                    assert eval_symbolic(tree, phi) == want, (tree, phi)
+                    verdicts[want] += 1
+        assert min(verdicts.values()) > 50, verdicts
+
+    def test_a_wide_or_reads_each_mask_at_its_own_width(self, monkeypatch):
+        # Each disjunct's mask has bit length 1, so the A tree's members
+        # are read at two positions at most per disjunct, not at as many
+        # positions as the formula has diamonds.
+        calls = []
+        member = EPSet.member
+
+        def counted(self, n):
+            calls.append(n)
+            return member(self, n)
+
+        monkeypatch.setattr(EPSet, "member", counted)
+        phi = Or(tuple(Dia("suc", Neg(Dia("suc", TOP))) for _ in range(2000)))
+        assert not eval_symbolic(ATree(EPSet.empty()), phi)
+        assert len(calls) <= 4000
 
 
 def tower_file(tmp_path, k: int) -> str:

@@ -23,12 +23,9 @@ from bisimkit.lts import (
     bounded_bisim,
     code_to_lts,
     eval_formula,
-    formula_postorder,
     greatest_bisim,
     identity_rel,
     is_bisimulation,
-    modal_depth,
-    modal_depths,
     rank_formula,
     refine_blocks,
     sat_states,
@@ -360,19 +357,14 @@ class TestFormulas:
             eval_formula(lts, "s0", CharSet(EPSet.empty()))
 
     def test_modal_depth(self):
-        assert depth_of(TOP) == 0
-        assert depth_of(Dia("a", And((TOP, Dia("a", TOP))))) == 2
+        assert recursive_modal_depth(TOP) == 0
+        assert recursive_modal_depth(Dia("a", And((TOP, Dia("a", TOP))))) == 2
         with pytest.raises(UnsupportedFormula):
-            depth_of(RankAtLeast(ORD_OMEGA))
-
-
-def depth_of(phi) -> int:
-    """The modal depth of phi, read from its own `modal_depths` table."""
-    return modal_depth(phi, modal_depths(formula_postorder(phi)))
+            recursive_modal_depth(RankAtLeast(ORD_OMEGA))
 
 
 def recursive_modal_depth(phi) -> int:
-    """The former recursive modal depth, kept as the oracle for the walk."""
+    """Nesting depth of diamonds; the symbolic atoms have none to count."""
     if isinstance(phi, Top):
         return 0
     if isinstance(phi, Neg):
@@ -382,13 +374,6 @@ def recursive_modal_depth(phi) -> int:
     if isinstance(phi, Dia):
         return 1 + recursive_modal_depth(phi.sub)
     raise UnsupportedFormula(f"{type(phi).__name__} has no finite modal depth")
-
-
-def outcome(depth_of, phi):
-    try:
-        return depth_of(phi)
-    except UnsupportedFormula as err:
-        return str(err)
 
 
 def random_shared_formula(
@@ -408,45 +393,6 @@ def random_shared_formula(
             subs = tuple(rng.choice(pool[-6:]) for _ in range(rng.randint(0, 3)))
             pool.append((And if pick < 0.75 else Or)(subs))
     return pool[-1]
-
-
-def subformulas(phi) -> list:
-    found, stack = [], [phi]
-    while stack:
-        node = stack.pop()
-        found.append(node)
-        if isinstance(node, (And, Or)):
-            stack.extend(node.subs)
-        elif isinstance(node, (Neg, Dia)):
-            stack.append(node.sub)
-    return found
-
-
-class TestModalDepths:
-    def test_table_matches_the_recursive_oracle(self):
-        rng = random.Random(61)
-        verdicts = []
-        for _ in range(300):
-            phi = random_shared_formula(rng, rng.randint(1, 12))
-            table = modal_depths(formula_postorder(phi))
-            for sub in subformulas(phi):
-                want = outcome(recursive_modal_depth, sub)
-                verdicts.append(outcome(lambda f: modal_depth(f, table), sub) == want)
-        assert verdicts == [True] * len(verdicts)
-
-    def test_first_atom_without_depth_is_named(self):
-        phi = Dia("a", And((TOP, Neg(RankAtLeast(ORD_ZERO)), CharSet(EPSet.empty()))))
-        with pytest.raises(UnsupportedFormula, match="^RankAtLeast has no finite"):
-            depth_of(phi)
-
-    def test_deep_and_shared_formulas(self):
-        tower = TOP
-        for _ in range(3000):
-            tower = Dia("a", tower)
-        shared = TOP
-        for _ in range(60):
-            shared = And((Dia("a", shared), shared))
-        assert (depth_of(tower), depth_of(shared)) == (3000, 60)
 
 
 def oracle_eval_formula(lts: PointedLTS, state: str, phi) -> bool:

@@ -16,10 +16,11 @@ from bisimkit.gen import (
     random_wf_lts,
     random_z_closed,
 )
+from bisimkit.jsonio import render_report
 from bisimkit.lts import state_rank
 from bisimkit.nlmp import is_z_closed
 from bisimkit.trees import ExplicitTree
-from bisimkit.verify import SUITES, _closed_pairs, _subsets, render_report, run_suites
+from bisimkit.verify import SUITES, _closed_pairs, _subsets, run_suites
 
 
 @lru_cache(maxsize=None)
