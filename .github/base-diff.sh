@@ -488,6 +488,61 @@ same nlmp-bisim "$inputs/nlmp-order.json" s u --witness
 same nlmp-bisim "$inputs/nlmp-forms.json" p q --witness
 same substructure "$inputs/nlmp-forms.json" --state p
 same export-dot "$inputs/nlmp-forms.json"
+# iso reads both of its files into one table of isomorphism classes: a
+# seeded tree against a copy whose every occurrence of a subtree is
+# permuted and count-split on its own draw; the same pair with a count of
+# 0 deep in the copy, beside a sibling it would merge with, read after the
+# table holds the tree's classes; and a node whose one label lists no
+# children, a leaf, against a leaf.
+python -c '
+import json, random, sys
+rng = random.Random(42)
+def save(name, data):
+    with open(f"{sys.argv[1]}/{name}.json", "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+def tree(depth):
+    node = {}
+    if depth and rng.random() < 0.8:
+        for _ in range(rng.randint(1, 3)):
+            count = rng.choice((1, 2, 3, "omega"))
+            node.setdefault(rng.choice("abc"), []).append([tree(depth - 1), count])
+    return node
+def copy(node):
+    labels = list(node)
+    rng.shuffle(labels)
+    out = {}
+    for label in labels:
+        children = []
+        for sub, count in node[label]:
+            if count != "omega" and count > 1:
+                first = rng.randint(1, count - 1)
+                children += [[copy(sub), first], [copy(sub), count - first]]
+            else:
+                children.append([copy(sub), count])
+        rng.shuffle(children)
+        out[label] = children
+    return out
+seeded = tree(6)
+save("seeded", seeded)
+save("seeded-copy", copy(seeded))
+bad = copy(seeded)
+node = bad
+while True:
+    label = next(iter(node))
+    sub, count = node[label][0]
+    if not sub:
+        node[label].append([{}, 0])
+        break
+    node = sub
+save("seeded-bad", bad)
+save("empty-b", {"a": [[{"b": []}, 1]]})
+save("leaf-a", {"a": [[{}, 1]]})
+' "$inputs"
+for witness in "" --witness; do
+  same iso "$inputs/seeded.json" "$inputs/seeded-copy.json" $witness
+  same iso "$inputs/seeded.json" "$inputs/seeded-bad.json" $witness
+  same iso "$inputs/empty-b.json" "$inputs/leaf-a.json" $witness
+done
 # Help, usage errors and an abbreviated option are parsed by
 # argparse, the rest by the verb table: stdout, stderr and the exit
 # code must match the base either way.

@@ -224,8 +224,13 @@ def _cmd_expand(args: SimpleNamespace) -> int:
 
 
 def _cmd_iso(args: SimpleNamespace) -> int:
-    left = read_multitree(args.left)
-    right = read_multitree(args.right)
+    # Both files are read into one table of isomorphism classes, so a class
+    # met in both is built once; the verdict comes from class_ids all the
+    # same, and the table is dropped before class_ids builds its own keys.
+    classes: dict = {}
+    left = read_multitree(args.left, classes)
+    right = read_multitree(args.right, classes)
+    del classes
     good = iso(left, right)
     report = {"verb": "iso", "isomorphic": good}
     if args.witness:
@@ -354,7 +359,7 @@ def _cmd_export_dot(args: SimpleNamespace) -> int:
     # The text is read once, as a pipe cannot be read twice, and decoded once
     # into a multiplicity tree's DAG, or else into the document.
     text = read_text(args.file)
-    tree, data = decode_multitree(args.file, text)
+    tree, data = decode_multitree(args.file, text, None)
     kind = args.kind or _sniff_kind(data)
     if kind == "multitree":
         pieces = multitree_dot_lines(parse_multitree(data) if tree is None else tree)

@@ -6,11 +6,14 @@ field; deeper invariants stay with the value constructors, whose errors
 already carry the culprit. Serializers emit deterministic structures:
 declared orders are kept and everything unordered is sorted.
 
-Multiplicity trees are built as a shared DAG, one node per distinct
-subtree, by two readers. `decode_multitree` builds each node while the
-JSON decoder closes its object, so memory follows the distinct subtrees
-rather than the unfolded document; it checks only enough to build a
-node. `parse_multitree` checks every field of a decoded document in a
+Multiplicity trees are built as a shared DAG by two readers.
+`decode_multitree` builds each node while the JSON decoder closes its
+object, so memory follows the DAG rather than the unfolded document; it
+checks only enough to build a node. For `export-dot` it keeps one node
+per distinct subtree. For `iso` it keeps one node per isomorphism class,
+keyed by `treeiso.class_key`, in one table that both files are read
+into, so memory follows the classes of the two files together.
+`parse_multitree` checks every field of a decoded document in a
 descent of per-object generators that `foundations.dfs_postorder`
 drives, so its first error is the one a recursive descent would meet.
 `iso` and `export-dot` decode each file once, through the first, and
@@ -48,6 +51,7 @@ from .trees import (
     object_pieces,
     postorder,
 )
+from .treeiso import class_key
 
 __all__ = [
     "decode_json",
@@ -315,18 +319,31 @@ def _count(raw: object, counts: dict[int | str, Count]) -> Count:
     return count
 
 
-def decode_multitree(path: str, text: str) -> tuple[MultiTree | None, object]:
+def decode_multitree(
+    path: str, text: str, classes: dict[frozenset, MultiTree] | None
+) -> tuple[MultiTree | None, object]:
     """The text decoded once, into a shared DAG if it is a multiplicity tree.
 
     The decoder hands each JSON object to a hook as it closes. ``{}`` stays
     a dict, which a node reads as `LEAF`, and the first other object to
     close decides: if it is a node, the hook turns each into its node at
-    once, consed like `parse_multitree`'s, so no document is held; if not,
-    each stays the dict json makes. Returns the tree with its root object,
-    or None with the document, decoded again only if a node was built
-    before a failure.
+    once, so no document is held; if not, each stays the dict json makes.
+    Returns the tree with its root object (`LEAF` for a bare ``{}``), or
+    None with the document, decoded again only if a node was built before
+    a failure.
+
+    With classes None, nodes are consed on their structure, like
+    `parse_multitree`'s. With a table of classes, they are consed on their
+    isomorphism class: the table maps each `treeiso.class_key` to the
+    first node of that class read into it, from this text or an earlier
+    one, and every later node of the class reads as that one.
     """
     consed: dict[tuple, MultiTree] = {}
+    # A class's one node stands for it: ids maps each to its own identity,
+    # which the table, holding the node, keeps from being reused.
+    ids = {id(LEAF): id(LEAF)}
+    if classes is not None:
+        classes.setdefault(frozenset(), LEAF)  # {"a": []} is a leaf too
     counts: dict[int | str, Count] = {}
     fields: dict = {}  # the last object made a node, which ends as the root
     nodes: bool | None = None  # None until a non-empty object closes
@@ -336,7 +353,7 @@ def decode_multitree(path: str, text: str) -> tuple[MultiTree | None, object]:
         if nodes is False or not obj:
             return obj
         fields = obj
-        entries, keys = [], []
+        entries = []
         try:
             for label, children in obj.items():
                 if type(children) is not list:
@@ -344,13 +361,16 @@ def decode_multitree(path: str, text: str) -> tuple[MultiTree | None, object]:
                 for sub, raw in children:  # MultiTree rejects a sub that is no node
                     if type(sub) is dict:  # only {} reaches a node as a dict
                         sub = LEAF
-                    count = _count(raw, counts)
-                    entries.append((label, sub, count))
-                    keys.append((label, id(sub), count))
-            key = tuple(keys)
-            tree = consed.get(key)
-            if tree is None:
-                tree = consed[key] = MultiTree(tuple(entries))
+                    entries.append((label, sub, _count(raw, counts)))
+            if classes is None:
+                key = tuple([(label, id(sub), count) for label, sub, count in entries])
+                tree = consed.get(key)
+                if tree is None:
+                    tree = consed[key] = MultiTree(tuple(entries))
+            else:  # built first, so that a node's checks run whether or not it is new
+                tree = MultiTree(tuple(entries))
+                tree = classes.setdefault(class_key(tree, ids), tree)
+                ids[id(tree)] = id(tree)
         except (ValueError, TypeError):
             if nodes:
                 raise
@@ -363,6 +383,8 @@ def decode_multitree(path: str, text: str) -> tuple[MultiTree | None, object]:
         value = json.loads(text, object_hook=node)
         if type(value) is MultiTree:
             return value, fields
+        if value == {}:  # the hook leaves {} for its parent to read as LEAF
+            return LEAF, value
         if not nodes:
             return None, value
     except (ValueError, TypeError, RecursionError):  # raised again by the second decode
@@ -370,9 +392,14 @@ def decode_multitree(path: str, text: str) -> tuple[MultiTree | None, object]:
     return None, decode_json(path, text)
 
 
-def read_multitree(path: str) -> MultiTree:
-    """A multiplicity tree file: `decode_multitree`'s, else `parse_multitree`'s."""
-    tree, data = decode_multitree(path, read_text(path))
+def read_multitree(path: str, classes: dict[frozenset, MultiTree]) -> MultiTree:
+    """A multiplicity tree file read into a table of classes.
+
+    The tree is `decode_multitree`'s, consed on the table; a document
+    that its hook did not build is parsed by `parse_multitree`, which
+    names the first error.
+    """
+    tree, data = decode_multitree(path, read_text(path), classes)
     return parse_multitree(data) if tree is None else tree
 
 

@@ -1,10 +1,12 @@
 """Isomorphism of multiplicity trees by integer class ids.
 
 `class_ids` numbers the nodes of the given trees bottom-up, as in Aho,
-Hopcroft and Ullman's tree isomorphism: a node's key is the set of its
-(label, child id) pairs with summed multiplicities, so two nodes share an
-id exactly when they are isomorphic. `iso` and rank-indexed isomorphism
-decide by comparing ids.
+Hopcroft and Ullman's tree isomorphism: a node's key (`class_key`) is
+the set of its (label, child id) pairs with summed multiplicities, so two
+nodes share an id exactly when they are isomorphic. `iso` and
+rank-indexed isomorphism decide by comparing ids. The same key conses the
+nodes of `iso`'s two files as they are read (`jsonio.decode_multitree`),
+so a class met in both is built once.
 
 `canon` is the printed form, a stable compact-JSON string that is equal
 exactly for isomorphic trees; it is built only where a report prints it.
@@ -42,6 +44,17 @@ def _type_counts(tree: MultiTree, classes: Mapping[int, Hashable]) -> dict:
     return totals
 
 
+def class_key(tree: MultiTree, classes: Mapping[int, Hashable]) -> frozenset:
+    """The set of tree's (child type, total multiplicity) pairs.
+
+    classes maps id(child) to the child's class. Where it gives one class
+    per isomorphism class, two nodes have equal keys exactly when they
+    are isomorphic: `class_ids` numbers nodes by it, and
+    `jsonio.decode_multitree` conses a node on it as it is read.
+    """
+    return frozenset(_type_counts(tree, classes).items())
+
+
 def class_ids(*roots: MultiTree) -> dict[int, int]:
     """Class id of every node under the roots, keyed by id(node).
 
@@ -50,8 +63,7 @@ def class_ids(*roots: MultiTree) -> dict[int, int]:
     classes: dict[frozenset, int] = {}
     ids: dict[int, int] = {}
     for node in postorder(*roots):
-        key = frozenset(_type_counts(node, ids).items())
-        ids[id(node)] = classes.setdefault(key, len(classes))
+        ids[id(node)] = classes.setdefault(class_key(node, ids), len(classes))
     return ids
 
 

@@ -15,7 +15,9 @@ builder, `PieceText.build`, from each node's pieces as laid out by
 `object_pieces`: a short node is kept as one string, a longer one as a
 table entry of pieces around its children's forms, one entry per
 distinct piece list, and the text is streamed from that table in chunks
-of `PieceText.CHUNK` characters, the one chunk size (`chunked`).
+of `PieceText.CHUNK` characters, the one chunk size: `chunked` fills each
+chunk but the last to exactly that size, cutting a piece where it
+crosses the boundary.
 """
 
 from __future__ import annotations
@@ -221,12 +223,15 @@ class PieceText:
     characters, constant strings alternating with its children. A node
     within the limit is one string, so memory follows the number of
     distinct nodes, not the length of the text. Iteration walks the
-    table with an explicit stack and yields chunks of at most CHUNK
-    characters, the size of every streamed text; it may be repeated.
+    table with an explicit stack and yields chunks of CHUNK characters,
+    the last one shorter, the size of every streamed text; it may be
+    repeated. CHUNK is 8 KiB, io's default buffer size, since a chunk is
+    held a few times over on its way out: escaped, joined into its
+    report line and encoded.
     """
 
     INLINE = 16384
-    CHUNK = 65536
+    CHUNK = 8192
 
     __slots__ = ("table", "root")
 
@@ -313,27 +318,28 @@ def object_pieces(entries: Iterable[tuple], comma: str, colon: str) -> list:
 
 
 def chunked(pieces: Iterable[str]) -> Iterator[str]:
-    """The pieces joined, in chunks of at most `PieceText.CHUNK` characters.
+    """The pieces joined, in chunks of `PieceText.CHUNK` characters.
 
-    Short pieces are gathered into one chunk and a longer one is split,
-    so neither a long text nor a long piece is ever held whole.
+    Every chunk but the last is full: pieces are gathered until one
+    crosses the boundary, and that piece is cut there, its rest starting
+    the next chunk. So neither a long text nor a long piece is ever held
+    whole, and an empty text yields no chunk.
     """
     size = PieceText.CHUNK
     buffer: list[str] = []
     held = 0
     for piece in pieces:
-        if held + len(piece) > size:
-            if buffer:
-                yield "".join(buffer)
-                buffer.clear()
-                held = 0
-            start = 0
-            while len(piece) - start > size:
-                yield piece[start : start + size]
-                start += size
-            piece = piece[start:]
-        buffer.append(piece)
-        held += len(piece)
+        start = 0
+        while held + len(piece) - start >= size:
+            end = start + size - held
+            buffer.append(piece[start:end])
+            yield "".join(buffer)
+            buffer.clear()
+            held = 0
+            start = end
+        if start < len(piece):
+            buffer.append(piece[start:])
+            held += len(piece) - start
     if buffer:
         yield "".join(buffer)
 

@@ -16,6 +16,7 @@ from bisimkit.cli import VERBS, main
 from bisimkit.foundations import Count, EPSet, OMEGA_COUNT, Ordinal
 from bisimkit.gen import random_epset, random_explicit_tree, random_lts, random_multitree
 from bisimkit.jsonio import (
+    decode_multitree,
     formula_to_json,
     multitree_json_chunks,
     multitree_to_json,
@@ -28,11 +29,13 @@ from bisimkit.jsonio import (
     parse_tree,
     read_json_file,
     read_multitree,
+    read_text,
     tree_to_json,
 )
 from bisimkit.lts import And, CharSet, Dia, Neg, Or, PointedLTS, RankAtLeast, TOP, Top
 from bisimkit.nlmp import PointmassNLMP, SubProbMeasure, ZERO_MEASURE
-from bisimkit.trees import ATree, BTree, Chain, ExplicitTree, Glue, MultiTree, postorder
+from bisimkit.treeiso import canon, class_ids
+from bisimkit.trees import ATree, BTree, Chain, ExplicitTree, Glue, LEAF, MultiTree, postorder
 
 
 def lts_to_json(lts: PointedLTS) -> dict:
@@ -741,8 +744,25 @@ def text_with_repeats(value, rng: random.Random) -> str:
     return json.dumps(value)
 
 
+def read_structural(path: str) -> MultiTree:
+    """export-dot's reader: decode_multitree without a table, else parse_multitree."""
+    tree, data = decode_multitree(path, read_text(path), None)
+    return parse_multitree(data) if tree is None else tree
+
+
+def canon_outcome(read, path: str) -> tuple:
+    """parse_outcome with the tree given by its canonical string."""
+    kind, value = parse_outcome(read, path)
+    return (kind, canon(value)) if kind == "tree" else (kind, value)
+
+
 class TestReadMultiTreeFromFiles:
-    """read_multitree against parse_multitree of the decoded file."""
+    """Both file readers against parse_multitree of the decoded file.
+
+    export-dot's reader, decode_multitree without a table, must build an
+    equal tree; iso's, read_multitree into a table of classes, an
+    isomorphic one. Both must raise the same error text.
+    """
 
     @staticmethod
     def assert_alike(tmp_path, text: str | bytes) -> tuple:
@@ -750,16 +770,25 @@ class TestReadMultiTreeFromFiles:
         if isinstance(text, str):
             text = text.encode("utf-8")
         path.write_bytes(text)
-        got = parse_outcome(read_multitree, str(path))
+        got = parse_outcome(read_structural, str(path))
         assert got == parse_outcome(read_parsed, str(path)), text[:200]
+        assert canon_outcome(lambda p: read_multitree(p, {}), str(path)) == canon_outcome(
+            read_parsed, str(path)
+        ), text[:200]
         return got
 
     def test_valid_documents(self, tmp_path):
         rng = random.Random(83)
         for _ in range(200):
             shared = multitree_to_json(random_multitree(rng, 5, ("a", "b", "c"), 3))
-            for document in (shared, shuffled_split_json(shared, rng)):
+            copy = shuffled_split_json(shared, rng)
+            for document in (shared, copy):
                 assert self.assert_alike(tmp_path, json.dumps(document))[0] == "tree"
+            left, right = tmp_path / "left.json", tmp_path / "right.json"
+            left.write_text(json.dumps(shared))
+            right.write_text(json.dumps(copy))
+            classes: dict = {}
+            assert read_multitree(str(left), classes) is read_multitree(str(right), classes)
         for text in ("{}", '{"a": []}', '{"a": [[{}, 1]], "b": [[{"a": [[{}, "omega"]]}, 2]]}'):
             assert self.assert_alike(tmp_path, text)[0] == "tree"
 
@@ -805,10 +834,11 @@ class TestReadMultiTreeFromFiles:
             assert (outcome[0] == "tree") == valid, text
         path = tmp_path / "order.json"
         path.write_text('{"b": [[{}, 1]], "a": [[{}, 2]], "b": [[{}, 3]]}')
-        assert [(label, count) for label, _, count in read_multitree(str(path)).children] == [
-            ("b", Count(3)),
-            ("a", Count(2)),
-        ]
+        for tree in (read_structural(str(path)), read_multitree(str(path), {})):
+            assert [(label, count) for label, _, count in tree.children] == [
+                ("b", Count(3)),
+                ("a", Count(2)),
+            ]
 
     def test_deep_documents(self, tmp_path):
         for depth, outcome in ((100, "tree"), (3000, "error")):
@@ -824,11 +854,75 @@ class TestReadMultiTreeFromFiles:
         ):
             assert self.assert_alike(tmp_path, text)[0] == "error"
         missing = str(tmp_path / "missing.json")
-        assert parse_outcome(read_multitree, missing) == parse_outcome(read_parsed, missing)
+        for read in (read_structural, lambda p: read_multitree(p, {})):
+            assert parse_outcome(read, missing) == parse_outcome(read_parsed, missing)
 
     def test_shared_subtrees_are_built_once(self, tmp_path):
         path = tmp_path / "dag.json"
         path.write_text(str(multitree_json_chunks(doubling_dag(16))))
-        tree = read_multitree(str(path))
+        tree = read_structural(str(path))
         assert len(postorder(tree)) == 17
         assert tree == parse_multitree(multitree_to_json(doubling_dag(16)))
+        classes: dict = {}
+        tree = read_multitree(str(path), classes)
+        assert len(postorder(tree)) == 17
+        assert read_multitree(str(path), classes) is tree
+
+
+class TestClassTable:
+    """iso's reader: one node per isomorphism class, in a table that every
+    file read into it shares."""
+
+    def test_representatives_agree_with_the_structural_dags(self, tmp_path):
+        rng = random.Random(89)
+        verdicts = []
+        for i in range(300):
+            shared = multitree_to_json(random_multitree(rng, 5, ("a", "b", "c"), 3))
+            if i % 3:
+                other = shuffled_split_json(shared, rng)
+            else:
+                other = multitree_to_json(random_multitree(rng, 5, ("a", "b", "c"), 3))
+            paths = [tmp_path / "left.json", tmp_path / "right.json"]
+            for path, document in zip(paths, (shared, other)):
+                path.write_text(json.dumps(document))
+            classes: dict = {}
+            reps = [read_multitree(str(path), classes) for path in paths]
+            trees = [parse_multitree(shared), parse_multitree(other)]
+            rep_ids, ids = class_ids(*reps), class_ids(*trees)
+            same = ids[id(trees[0])] == ids[id(trees[1])]
+            verdicts.append((
+                rep_ids[id(reps[0])] == rep_ids[id(reps[1])],
+                reps[0] is reps[1],
+                len(postorder(*reps)),
+                len(set(rep_ids.values())),
+            ) == (same, same, len(set(ids.values())), len(set(ids.values()))))
+        assert verdicts == [True] * len(verdicts)
+
+    def test_a_bad_count_is_caught_once_its_class_is_in_the_table(self, tmp_path):
+        # Each bad node sums to the good node's key, so only the check of
+        # the node as built can catch it.
+        good = tmp_path / "good.json"
+        good.write_text('{"b": [[{"a": [[{}, 2]]}, 1]], "c": [[{}, 1]]}')
+        bad_texts = (
+            '{"b": [[{"a": [[{}, 2], [{}, 0]]}, 1]], "c": [[{}, 1]]}',
+            '{"b": [[{"a": [[{}, 1], [{}, 1]]}, 1], [{"a": [[{}, 2]]}, 0]], "c": [[{}, 1]]}',
+            '{"b": [[{"a": [[{}, 2]]}, 1]], "c": [[{}, 1], [{}, 0]]}',
+        )
+        for text in bad_texts:
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            classes: dict = {}
+            read_multitree(str(good), classes)
+            assert parse_outcome(lambda p: read_multitree(p, classes), str(bad)) == (
+                parse_outcome(read_parsed, str(bad))
+            ) == ("error", "child multiplicities must be positive")
+
+    def test_an_empty_node_reads_as_the_leaf(self, tmp_path):
+        classes: dict = {}
+        trees = []
+        for text in ("{}", '{"a": []}', '{"a": [[{"b": []}, 1]]}', '{"a": [[{}, 1]]}'):
+            path = tmp_path / "tree.json"
+            path.write_text(text)
+            trees.append(read_multitree(str(path), classes))
+        assert trees[0] is trees[1] is LEAF
+        assert trees[2] is trees[3]

@@ -356,25 +356,6 @@ class TestFormulas:
         with pytest.raises(UnsupportedFormula):
             eval_formula(lts, "s0", CharSet(EPSet.empty()))
 
-    def test_modal_depth(self):
-        assert recursive_modal_depth(TOP) == 0
-        assert recursive_modal_depth(Dia("a", And((TOP, Dia("a", TOP))))) == 2
-        with pytest.raises(UnsupportedFormula):
-            recursive_modal_depth(RankAtLeast(ORD_OMEGA))
-
-
-def recursive_modal_depth(phi) -> int:
-    """Nesting depth of diamonds; the symbolic atoms have none to count."""
-    if isinstance(phi, Top):
-        return 0
-    if isinstance(phi, Neg):
-        return recursive_modal_depth(phi.sub)
-    if isinstance(phi, (And, Or)):
-        return max((recursive_modal_depth(sub) for sub in phi.subs), default=0)
-    if isinstance(phi, Dia):
-        return 1 + recursive_modal_depth(phi.sub)
-    raise UnsupportedFormula(f"{type(phi).__name__} has no finite modal depth")
-
 
 def random_shared_formula(
     rng: random.Random,

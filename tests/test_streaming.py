@@ -25,7 +25,7 @@ from bisimkit.foundations import Count, EPSet, OMEGA_COUNT
 from bisimkit.gen import random_epset, random_multitree
 from bisimkit.jsonio import multitree_json_chunks, parse_lts
 from bisimkit.treeiso import _type_counts, canon, canon_chunks
-from bisimkit.trees import LEAF, MultiTree, PieceText, postorder
+from bisimkit.trees import LEAF, MultiTree, PieceText, chunked, postorder
 
 LABELS = ("a", 'q"\\', "é", "new\nline", "\U0001f600")
 
@@ -156,6 +156,24 @@ def test_a_label_longer_than_a_chunk_is_split(monkeypatch):
     parts = list(canon_chunks(tree))
     assert max(map(len, parts)) == 64
     assert "".join(parts) == oracle_canon(tree)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_every_chunk_but_the_last_is_full(monkeypatch, size):
+    monkeypatch.setattr(PieceText, "CHUNK", size)
+    rng = random.Random(size)
+    for _ in range(300):
+        # Empty pieces, short ones, and ones longer than several chunks.
+        pieces = [
+            "".join(rng.choice("ab") for _ in range(rng.choice((0, 1, size - 1, size, 3 * size + 1))))
+            for _ in range(rng.randint(0, 8))
+        ]
+        text = "".join(pieces)
+        full, rest = divmod(len(text), size)
+        parts = list(chunked(pieces))
+        assert "".join(parts) == text
+        assert [len(part) for part in parts] == [size] * full + [rest] * (rest > 0)
+    assert list(chunked(["", ""])) == []
 
 
 @pytest.mark.parametrize("limit", [0, 5, PieceText.INLINE])
@@ -310,6 +328,39 @@ def test_iso_peak_memory_follows_the_distinct_subtrees(tmp_path):
     assert big.stat().st_size > 500_000
     assert big_out.read_text() == '{"isomorphic": true, "verb": "iso"}\n'
     assert (big_rss - small_rss) / 1024 < 4
+
+
+def permuted_json(data: dict, rng: random.Random) -> dict:
+    """A copy in which every occurrence of a subtree orders its labels and
+    children on its own draw, so occurrences shared before differ now."""
+    labels = list(data)
+    rng.shuffle(labels)
+    copy = {}
+    for label in labels:
+        children = [[permuted_json(sub, rng), count] for sub, count in data[label]]
+        rng.shuffle(children)
+        copy[label] = children
+    return copy
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_iso_peak_memory_follows_the_classes_of_both_files(tmp_path):
+    # The 16-rung tree has 32 distinct subtrees; its permuted copy has the
+    # same 32 classes in 6,743 distinct subtrees. Building the copy's own
+    # DAG took ~3.5 MiB more than reading the tree twice.
+    lts = parse_lts(ladder_lts(16))
+    text = str(multitree_json_chunks(omega_expand(lts, lts.root)))
+    tree, copy = tmp_path / "tree.json", tmp_path / "copy.json"
+    tree.write_text(text)
+    copy.write_text(json.dumps(permuted_json(json.loads(text), random.Random(16))))
+    same_out, copy_out = tmp_path / "same.out", tmp_path / "copy.out"
+    (same_exit, same_rss), (copy_exit, copy_rss) = peak_rss(
+        (["iso", str(tree), str(tree)], same_out), (["iso", str(tree), str(copy)], copy_out)
+    )
+    assert (same_exit, copy_exit) == (0, 0)
+    assert copy.stat().st_size == tree.stat().st_size > 2_000_000
+    assert copy_out.read_text() == '{"isomorphic": true, "verb": "iso"}\n'
+    assert (copy_rss - same_rss) / 1024 < 1
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
