@@ -543,6 +543,37 @@ for witness in "" --witness; do
   same iso "$inputs/seeded.json" "$inputs/seeded-bad.json" $witness
   same iso "$inputs/empty-b.json" "$inputs/leaf-a.json" $witness
 done
+# A wide tree, 3,000 distinct child classes under two labels, against a
+# copy with its children and labels permuted, and against a copy with
+# one child's count changed.
+python -c '
+import json, random, sys
+rng = random.Random(45)
+def save(name, data):
+    with open(f"{sys.argv[1]}/{name}.json", "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+def child(k):
+    node = {"b": [[{}, k]]}
+    if k % 3 == 0:
+        node["c"] = [[{}, "omega"]]
+    return node
+wide = {"a": [], "d": []}
+for k in range(1, 3001):
+    wide["ad"[k % 2]].append([child(k), 1 + k % 4])
+save("wide", wide)
+permuted = {}
+for label in ("d", "a"):
+    children = [[dict(reversed(sub.items())), count] for sub, count in wide[label]]
+    rng.shuffle(children)
+    permuted[label] = children
+save("wide-permuted", permuted)
+wide["a"][rng.randrange(1500)][1] += 1
+save("wide-recounted", wide)
+' "$inputs"
+for witness in "" --witness; do
+  same iso "$inputs/wide.json" "$inputs/wide-permuted.json" $witness
+  same iso "$inputs/wide.json" "$inputs/wide-recounted.json" $witness
+done
 # Help, usage errors and an abbreviated option are parsed by
 # argparse, the rest by the verb table: stdout, stderr and the exit
 # code must match the base either way.

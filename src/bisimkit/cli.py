@@ -25,9 +25,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator
 
 from .dot import (
     explicit_tree_dot,

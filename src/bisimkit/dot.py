@@ -6,7 +6,7 @@ exists, sorted otherwise), so equal values yield byte-identical text.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .foundations import format_rational
 from .lts import PointedLTS

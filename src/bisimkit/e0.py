@@ -11,9 +11,9 @@ many nodes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import repeat
 from operator import or_
-from typing import Iterable
 
 from .foundations import EPSet, dfs_postorder, natural
 from .lts import (

@@ -13,10 +13,10 @@ over shared structures (formulas, trees, glue, state graphs), and
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Iterator
 from functools import reduce
 from math import gcd, lcm
 from operator import attrgetter, xor
-from typing import Callable, Iterable, Iterator
 
 
 def frozen(cls: type) -> type:
@@ -149,7 +149,7 @@ class Ordinal:
 
     def as_int(self) -> int:
         if not self.is_finite:
-            raise ValueError(f"{self} is not a natural number")
+            raise ValueError(f"{self.to_json()} is not a natural number")
         return self.terms[0][1] if self.terms else 0
 
     def __lt__(self, other: Ordinal) -> bool:
@@ -195,18 +195,6 @@ class Ordinal:
                 raise ValueError(f"bad ordinal term {culprit}")
             terms.append((item[0], item[1]))
         return cls(tuple(terms))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, coeff in self.terms:
-            if exp == 0:
-                parts.append(str(coeff))
-            else:
-                base = "w" if exp == 1 else f"w^{exp}"
-                parts.append(base if coeff == 1 else f"{base}*{coeff}")
-        return "+".join(parts)
 
 
 ORD_ZERO = Ordinal()

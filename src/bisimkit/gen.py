@@ -7,15 +7,16 @@ can be replayed from its seed.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterable
 from math import gcd
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable
 
 from .foundations import Count, EPSet, OMEGA_COUNT, dfs_postorder
 from .lts import PointedLTS, StateId
 from .nlmp import PointmassNLMP, SubProbMeasure, ZERO_MEASURE
 from .trees import ExplicitTree, MultiTree
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from random import Random
 

@@ -30,8 +30,8 @@ never held whole.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from operator import itemgetter
-from typing import Iterator
 
 from .foundations import Count, EPSet, Ordinal, dfs_postorder, format_rational, parse_rational
 from .lts import And, CharSet, Dia, Formula, Neg, Or, PointedLTS, RankAtLeast, Top, TOP
@@ -320,7 +320,7 @@ def _count(raw: object, counts: dict[int | str, Count]) -> Count:
 
 
 def decode_multitree(
-    path: str, text: str, classes: dict[frozenset, MultiTree] | None
+    path: str, text: str, classes: dict[tuple, MultiTree] | None
 ) -> tuple[MultiTree | None, object]:
     """The text decoded once, into a shared DAG if it is a multiplicity tree.
 
@@ -334,16 +334,17 @@ def decode_multitree(
 
     With classes None, nodes are consed on their structure, like
     `parse_multitree`'s. With a table of classes, they are consed on their
-    isomorphism class: the table maps each `treeiso.class_key` to the
-    first node of that class read into it, from this text or an earlier
-    one, and every later node of the class reads as that one.
+    isomorphism class: the table maps each `treeiso.class_key`, a sorted
+    tuple that is ``()`` for the leaf, to the first node of that class read
+    into it, from this text or an earlier one, and every later node of the
+    class reads as that one.
     """
     consed: dict[tuple, MultiTree] = {}
     # A class's one node stands for it: ids maps each to its own identity,
     # which the table, holding the node, keeps from being reused.
     ids = {id(LEAF): id(LEAF)}
     if classes is not None:
-        classes.setdefault(frozenset(), LEAF)  # {"a": []} is a leaf too
+        classes.setdefault((), LEAF)  # {"a": []} is a leaf too
     counts: dict[int | str, Count] = {}
     fields: dict = {}  # the last object made a node, which ends as the root
     nodes: bool | None = None  # None until a non-empty object closes
@@ -392,7 +393,7 @@ def decode_multitree(
     return None, decode_json(path, text)
 
 
-def read_multitree(path: str, classes: dict[frozenset, MultiTree]) -> MultiTree:
+def read_multitree(path: str, classes: dict[tuple, MultiTree]) -> MultiTree:
     """A multiplicity tree file read into a table of classes.
 
     The tree is `decode_multitree`'s, consed on the table; a document

@@ -8,9 +8,9 @@ ranks, and numeric codes of finitely supported systems.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .foundations import EPSet, Ordinal, add_rationals, dfs_postorder, frozen, natural
 
@@ -58,7 +58,7 @@ class CharSet:
     param: EPSet
 
 
-Formula = Union[Top, Neg, And, Or, Dia, RankAtLeast, CharSet]
+Formula = Top | Neg | And | Or | Dia | RankAtLeast | CharSet
 
 TOP = Top()
 

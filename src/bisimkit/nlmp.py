@@ -22,9 +22,9 @@ exactly, so no verb loads `fractions`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Mapping
 
 from .foundations import frozen, sum_rationals
 from .lts import Rel, StateId, _label_universe, declared, mass_codes, refine_blocks, same_part_pairs

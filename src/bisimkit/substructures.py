@@ -13,8 +13,8 @@ in a fixed order of labels, measures and points.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cmp_to_key
-from typing import Iterable
 
 from .foundations import natural
 from .lts import Rel, StateId, _label_universe, identity_rel, known_state, same_part_pairs

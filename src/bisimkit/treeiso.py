@@ -2,8 +2,8 @@
 
 `class_ids` numbers the nodes of the given trees bottom-up, as in Aho,
 Hopcroft and Ullman's tree isomorphism: a node's key (`class_key`) is
-the set of its (label, child id) pairs with summed multiplicities, so two
-nodes share an id exactly when they are isomorphic. `iso` and
+its (label, child id) pairs with summed multiplicities, in sorted order,
+so two nodes share an id exactly when they are isomorphic. `iso` and
 rank-indexed isomorphism decide by comparing ids. The same key conses the
 nodes of `iso`'s two files as they are read (`jsonio.decode_multitree`),
 so a class met in both is built once.
@@ -25,8 +25,8 @@ shared subtrees cost once and deep trees never recurse.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping
 from functools import cmp_to_key
-from typing import Hashable, Mapping
 
 from .foundations import Count, Ordinal
 from .trees import MultiTree, PieceText, object_pieces, postorder
@@ -44,15 +44,16 @@ def _type_counts(tree: MultiTree, classes: Mapping[int, Hashable]) -> dict:
     return totals
 
 
-def class_key(tree: MultiTree, classes: Mapping[int, Hashable]) -> frozenset:
-    """The set of tree's (child type, total multiplicity) pairs.
+def class_key(tree: MultiTree, classes: Mapping[int, int]) -> tuple:
+    """Tree's (child type, total multiplicity) pairs, sorted by child type.
 
-    classes maps id(child) to the child's class. Where it gives one class
-    per isomorphism class, two nodes have equal keys exactly when they
-    are isomorphic: `class_ids` numbers nodes by it, and
-    `jsonio.decode_multitree` conses a node on it as it is read.
+    classes maps id(child) to the child's class number. Where it gives one
+    number per isomorphism class, two nodes have equal keys exactly when
+    they are isomorphic: `class_ids` numbers nodes by it, and
+    `jsonio.decode_multitree` conses a node on it as it is read. A sorted
+    tuple keeps a table of keys smaller than frozensets of the same pairs.
     """
-    return frozenset(_type_counts(tree, classes).items())
+    return tuple(sorted(_type_counts(tree, classes).items()))
 
 
 def class_ids(*roots: MultiTree) -> dict[int, int]:
@@ -60,7 +61,7 @@ def class_ids(*roots: MultiTree) -> dict[int, int]:
 
     Two nodes get the same class id exactly when they are isomorphic.
     """
-    classes: dict[frozenset, int] = {}
+    classes: dict[tuple, int] = {}
     ids: dict[int, int] = {}
     for node in postorder(*roots):
         ids[id(node)] = classes.setdefault(class_key(node, ids), len(classes))

@@ -23,9 +23,9 @@ crosses the boundary.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, NoReturn
 
 from .foundations import (
     EPSet,
@@ -38,6 +38,10 @@ from .foundations import (
     natural,
     ordinal_sup,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 SUC_LABEL = "suc"
 

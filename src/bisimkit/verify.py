@@ -8,7 +8,7 @@ document.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .e0 import diamond_depth_sat, mod_glue_bisim
 from .expansion import omega_expand
@@ -79,6 +79,7 @@ from .uniform import (
     uniform_bisim_search,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from random import Random
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import bisimkit
 from bisimkit import cli
 from bisimkit.cli import VERBS, _parse_plain, main
+from support import write
 
 
 def run_cli(*argv, env=None):
@@ -21,12 +22,6 @@ def run_cli(*argv, env=None):
         text=True,
         env=env,
     )
-
-
-def write(tmp_path, name, data):
-    path = tmp_path / name
-    path.write_text(json.dumps(data))
-    return str(path)
 
 
 def loop_lts():

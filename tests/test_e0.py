@@ -24,6 +24,7 @@ from bisimkit.foundations import (
     Ordinal,
     nth_modification,
 )
+from bisimkit.gen import random_epset
 from bisimkit.jsonio import formula_to_json, tree_to_json
 from bisimkit.lts import (
     And,
@@ -50,6 +51,7 @@ from bisimkit.trees import (
     truncate_symbolic,
 )
 from bisimkit.uniform import tree_process
+from support import random_shared_formula
 
 EVENS = EPSet("", "10")
 ODDS = EPSet("0", "10")
@@ -63,12 +65,6 @@ CATALOG = [
     EPSet.from_finite([5]),
     EPSet("011", "010"),
 ]
-
-
-def random_epset(rng: random.Random, prefix_max: int = 4, period_max: int = 4) -> EPSet:
-    prefix = "".join(rng.choice("01") for _ in range(rng.randint(0, prefix_max)))
-    period = "".join(rng.choice("01") for _ in range(rng.randint(1, period_max)))
-    return EPSet(prefix, period)
 
 
 def random_symbolic(rng: random.Random, glue_budget: int = 1):
@@ -523,21 +519,6 @@ class TestDiamondsAgainstModificationClasses:
             eval_symbolic(BTree(EVENS), Dia("suc", And(copies)))
 
 
-def random_shared_formula(rng: random.Random, size: int):
-    """A formula whose parts are drawn from a growing pool, so they share."""
-    pool = [TOP, TOP, RankAtLeast(ORD_ZERO), CharSet(EPSet.empty())]
-    for _ in range(size):
-        pick = rng.random()
-        if pick < 0.3:
-            pool.append(Dia(rng.choice(("suc", "suc", "other")), rng.choice(pool)))
-        elif pick < 0.45:
-            pool.append(Neg(rng.choice(pool)))
-        else:
-            subs = tuple(rng.choice(pool[-6:]) for _ in range(rng.randint(0, 3)))
-            pool.append((And if pick < 0.75 else Or)(subs))
-    return pool[-1]
-
-
 def subformulas(phi) -> list:
     found, stack = [], [phi]
     while stack:
@@ -578,7 +559,7 @@ class TestChainMasks:
         rng = random.Random(61)
         verdicts = {True: 0, False: 0, "raised": 0}
         for _ in range(300):
-            phi = random_shared_formula(rng, rng.randint(1, 12))
+            phi = random_shared_formula(rng, rng.randint(1, 12), labels=("suc", "suc", "other"))
             tree = rng.choice(SHAPES)
             for sub in subformulas(phi):
                 if isinstance(sub, (CharSet, RankAtLeast)):

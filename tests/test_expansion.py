@@ -12,12 +12,7 @@ from bisimkit.expansion import (
     omega_expand_truncated,
 )
 from bisimkit.trees import LEAF, MultiTree
-
-
-def chain_lts(length: int) -> PointedLTS:
-    states = tuple(f"s{i}" for i in range(length + 1))
-    edges = frozenset((f"s{i}", "a", f"s{i + 1}") for i in range(length))
-    return PointedLTS(("a",), states, "s0", edges)
+from support import chain_lts, random_wf_lts
 
 
 def recursive_expand(lts: PointedLTS, state, depth=None) -> MultiTree:
@@ -34,18 +29,6 @@ def recursive_expand(lts: PointedLTS, state, depth=None) -> MultiTree:
                 distinct.append(sub)
         entries.extend((label, sub, OMEGA_COUNT) for sub in distinct)
     return MultiTree(tuple(entries))
-
-
-def random_wf_lts(rng: random.Random, n_states: int) -> PointedLTS:
-    states = tuple(f"q{i}" for i in range(n_states))
-    edges = frozenset(
-        (states[i], a, states[j])
-        for i in range(n_states)
-        for j in range(i + 1, n_states)
-        for a in ("a", "b")
-        if rng.random() < 0.4
-    )
-    return PointedLTS(("a", "b"), states, states[0], edges)
 
 
 class TestOmegaExpand:
@@ -75,7 +58,7 @@ class TestOmegaExpand:
     def test_expansion_rank_tracks_state_rank(self):
         rng = random.Random(61)
         for _ in range(30):
-            lts = random_wf_lts(rng, rng.randint(1, 6))
+            lts = random_wf_lts(rng, rng.randint(1, 6), ("a", "b"), 0.4)
             for s in lts.states:
                 rank = state_rank(lts, s)
                 assert omega_expand(lts, s).tree_rank() == rank + 1
@@ -87,7 +70,7 @@ class TestOmegaExpand:
     def test_agrees_with_recursive_expansion(self):
         rng = random.Random(63)
         for _ in range(30):
-            lts = random_wf_lts(rng, rng.randint(1, 6))
+            lts = random_wf_lts(rng, rng.randint(1, 6), ("a", "b"), 0.4)
             for s in lts.states:
                 assert omega_expand(lts, s) == recursive_expand(lts, s)
                 for depth in range(4):
@@ -117,7 +100,7 @@ class TestTruncatedExpand:
     def test_agrees_with_full_expansion_beyond_rank(self):
         rng = random.Random(62)
         for _ in range(20):
-            lts = random_wf_lts(rng, rng.randint(1, 5))
+            lts = random_wf_lts(rng, rng.randint(1, 5), ("a", "b"), 0.4)
             full = omega_expand(lts, lts.root)
             assert omega_expand_truncated(lts, lts.root, len(lts.states)) == full
 

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -926,3 +927,29 @@ class TestClassTable:
             trees.append(read_multitree(str(path), classes))
         assert trees[0] is trees[1] is LEAF
         assert trees[2] is trees[3]
+
+    def test_the_table_keeps_few_bytes_per_class(self, tmp_path):
+        # A root over 4,000 distinct classes. Beyond the nodes that
+        # structural consing keeps, the table kept 1.69-1.77 MB with
+        # frozenset keys and keeps 0.92-0.95 MB with sorted tuples, on
+        # Python 3.10 to 3.13.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"a": [[{"b": [[{}, k]]}, 1] for k in range(1, 4001)]}))
+        text = path.read_text()
+
+        def kept(read):
+            tracemalloc.start()
+            try:
+                held = read()
+                return tracemalloc.get_traced_memory()[0], held
+            finally:
+                tracemalloc.stop()
+
+        def into_table():
+            classes: dict = {}
+            return read_multitree(str(path), classes), classes
+
+        structural, _ = kept(lambda: decode_multitree(str(path), text, None)[0])
+        table, (root, classes) = kept(into_table)
+        assert (len(classes), len(root.children)) == (4002, 4000)
+        assert table - structural <= 1_300_000

@@ -33,14 +33,7 @@ from bisimkit.lts import (
     symmetric_closure,
 )
 from bisimkit.foundations import EPSet
-
-
-def chain_lts(length: int, label: str = "a", prefix: str = "s") -> PointedLTS:
-    states = tuple(f"{prefix}{i}" for i in range(length + 1))
-    edges = frozenset(
-        (f"{prefix}{i}", label, f"{prefix}{i + 1}") for i in range(length)
-    )
-    return PointedLTS((label,), states, f"{prefix}0", edges)
+from support import chain_lts, random_shared_formula, random_wf_lts
 
 
 def random_lts(rng: random.Random, n_states: int, labels: tuple[str, ...], p: float) -> PointedLTS:
@@ -50,19 +43,6 @@ def random_lts(rng: random.Random, n_states: int, labels: tuple[str, ...], p: fl
         for s in states
         for a in labels
         for t in states
-        if rng.random() < p
-    )
-    return PointedLTS(labels, states, states[0], edges)
-
-
-def random_wf_lts(rng: random.Random, n_states: int, labels: tuple[str, ...], p: float) -> PointedLTS:
-    """Edges only go up in state index, so every path is finite."""
-    states = tuple(f"q{i}" for i in range(n_states))
-    edges = frozenset(
-        (states[i], a, states[j])
-        for i in range(n_states)
-        for j in range(i + 1, n_states)
-        for a in labels
         if rng.random() < p
     )
     return PointedLTS(labels, states, states[0], edges)
@@ -355,25 +335,6 @@ class TestFormulas:
         lts = chain_lts(1)
         with pytest.raises(UnsupportedFormula):
             eval_formula(lts, "s0", CharSet(EPSet.empty()))
-
-
-def random_shared_formula(
-    rng: random.Random,
-    size: int,
-    atoms: tuple = (TOP, TOP, RankAtLeast(ORD_ZERO), CharSet(EPSet.empty())),
-):
-    """A formula whose parts are drawn from a growing pool, so they share."""
-    pool = list(atoms)
-    for _ in range(size):
-        pick = rng.random()
-        if pick < 0.3:
-            pool.append(Dia(rng.choice("ab"), rng.choice(pool)))
-        elif pick < 0.45:
-            pool.append(Neg(rng.choice(pool)))
-        else:
-            subs = tuple(rng.choice(pool[-6:]) for _ in range(rng.randint(0, 3)))
-            pool.append((And if pick < 0.75 else Or)(subs))
-    return pool[-1]
 
 
 def oracle_eval_formula(lts: PointedLTS, state: str, phi) -> bool:

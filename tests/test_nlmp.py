@@ -22,54 +22,14 @@ from bisimkit.nlmp import (
     lift_external,
     lift_support,
 )
+from support import measure, outcome, R, random_measure, random_nlmp
 
 F = Fraction
-
-
-def R(*value) -> tuple:
-    """The reduced (num, den) pair of a rational, made through Fraction."""
-    f = Fraction(*value)
-    return f.numerator, f.denominator
-
-
-def measure(**masses) -> SubProbMeasure:
-    return SubProbMeasure.from_mapping(
-        {state: R(text) for state, text in masses.items()}
-    )
 
 
 def subsets(items):
     items = list(items)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
-
-
-def random_measure(rng: random.Random, states) -> SubProbMeasure:
-    if rng.random() < 0.15:
-        return ZERO_MEASURE
-    support = [s for s in states if rng.random() < 0.5][:3]
-    den = rng.choice((2, 3, 4))
-    weights = {}
-    remaining = den
-    for s in support:
-        w = rng.randint(0, remaining)
-        remaining -= w
-        if w:
-            weights[s] = R(w, den)
-    return SubProbMeasure.from_mapping(weights)
-
-
-def random_nlmp(rng: random.Random, n_states: int, labels=("a",)) -> PointmassNLMP:
-    states = tuple(f"s{i}" for i in range(n_states))
-    trans = {}
-    for s in states:
-        for a in labels:
-            if rng.random() < 0.35:
-                continue
-            ms = frozenset(
-                random_measure(rng, states) for _ in range(rng.randint(1, 2))
-            )
-            trans[(s, a)] = ms
-    return PointmassNLMP(tuple(labels), states, trans)
 
 
 def random_z_closed(rng: random.Random, left, right) -> frozenset:
@@ -591,14 +551,6 @@ def coprime_nlmp(rng: random.Random, prefix: str) -> PointmassNLMP:
             count = 0 if roll < 0.35 else rng.randint(1, 3)
             trans[s, a] = frozenset(coprime_measure(rng, states) for _ in range(count))
     return PointmassNLMP(labels, states, trans)
-
-
-def outcome(fn, *args):
-    """The value, or the text of the ValueError raised."""
-    try:
-        return fn(*args)
-    except ValueError as err:
-        return f"error: {err}"
 
 
 class TestCodeKernelMatchesOracles:

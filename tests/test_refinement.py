@@ -36,14 +36,9 @@ from bisimkit.nlmp import (
     greatest_state_bisim,
 )
 from bisimkit.substructures import internal_closure, pair_closure, project_rel, sum_nlmp
+from support import R
 
 F = Fraction
-
-
-def R(*value) -> tuple:
-    """The reduced (num, den) pair of a rational, made through Fraction."""
-    f = Fraction(*value)
-    return f.numerator, f.denominator
 
 
 # --- oracles: the pairwise fixpoints -------------------------------------

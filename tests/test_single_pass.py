@@ -17,6 +17,7 @@ from bisimkit.foundations import EPSet, Ordinal
 from bisimkit.lts import And, CharSet, Dia, Neg, Or, PointedLTS, RankAtLeast, TOP
 from bisimkit.nlmp import PointmassNLMP
 from bisimkit.trees import ATree, BTree, Chain, Glue
+from support import write
 
 LTS = {
     "labels": ["a", "b"],
@@ -35,12 +36,6 @@ GLUE = {
     "children": [{"kind": "chain", "k": 2}, {"kind": "A", "set": {"prefix": "1", "period": "01"}}],
 }
 MULTITREE = {"a": [[{}, 2], [{"b": [[{}, "omega"]]}, 1]], "c": [[{"b": [[{}, "omega"]]}, 3]]}
-
-
-def write(tmp_path, name, data) -> str:
-    path = tmp_path / name
-    path.write_text(json.dumps(data))
-    return str(path)
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ from bisimkit.gen import random_epset, random_multitree
 from bisimkit.jsonio import multitree_json_chunks, parse_lts
 from bisimkit.treeiso import _type_counts, canon, canon_chunks
 from bisimkit.trees import LEAF, MultiTree, PieceText, chunked, postorder
+from support import doubling_dag, mt, write
 
 LABELS = ("a", 'q"\\', "é", "new\nline", "\U0001f600")
 
@@ -64,17 +65,6 @@ def oracle_json_text(tree: MultiTree) -> str:
 
 
 # --- inputs -------------------------------------------------------------------
-
-
-def mt(*entries) -> MultiTree:
-    return MultiTree(tuple(entries))
-
-
-def doubling_dag(levels: int, bottom: Count = Count(1)) -> MultiTree:
-    tree = mt(("a", LEAF, bottom))
-    for _ in range(levels - 1):
-        tree = mt(("a", tree, Count(1)), ("b", tree, Count(2)))
-    return tree
 
 
 def deep_chain(depth: int) -> MultiTree:
@@ -194,12 +184,6 @@ def test_long_siblings_are_ordered_without_reading_them_whole(monkeypatch, limit
     assert time.perf_counter() - start < 1
     assert first.startswith('{"a":[[' * 40)
     assert 0 < len(first) <= PieceText.CHUNK
-
-
-def write(tmp_path, name, data):
-    path = tmp_path / name
-    path.write_text(json.dumps(data))
-    return str(path)
 
 
 def ladder_lts(rungs: int) -> dict:

@@ -34,48 +34,9 @@ from bisimkit.substructures import (
     sum_nlmp,
     up_coherence_witness,
 )
+from support import measure, random_nlmp
 
 F = Fraction
-
-
-def R(*value) -> tuple:
-    """The reduced (num, den) pair of a rational, made through Fraction."""
-    f = Fraction(*value)
-    return f.numerator, f.denominator
-
-
-def measure(**masses) -> SubProbMeasure:
-    return SubProbMeasure.from_mapping(
-        {state: R(text) for state, text in masses.items()}
-    )
-
-
-def random_measure(rng: random.Random, states) -> SubProbMeasure:
-    if rng.random() < 0.15:
-        return ZERO_MEASURE
-    support = [s for s in states if rng.random() < 0.5][:3]
-    den = rng.choice((2, 3, 4))
-    weights = {}
-    remaining = den
-    for s in support:
-        w = rng.randint(0, remaining)
-        remaining -= w
-        if w:
-            weights[s] = R(w, den)
-    return SubProbMeasure.from_mapping(weights)
-
-
-def random_nlmp(rng: random.Random, n_states: int, labels=("a",)) -> PointmassNLMP:
-    states = tuple(f"s{i}" for i in range(n_states))
-    trans = {}
-    for s in states:
-        for a in labels:
-            if rng.random() < 0.35:
-                continue
-            trans[(s, a)] = frozenset(
-                random_measure(rng, states) for _ in range(rng.randint(1, 2))
-            )
-    return PointmassNLMP(tuple(labels), states, trans)
 
 
 def random_equivalence(rng: random.Random, states) -> frozenset:

@@ -14,10 +14,7 @@ import pytest
 from bisimkit.foundations import Count, OMEGA_COUNT, Ordinal
 from bisimkit.trees import LEAF, MultiTree
 from bisimkit.treeiso import _iso_rec, _type_counts, canon, class_ids, iso, iso_at_rank
-
-
-def mt(*entries) -> MultiTree:
-    return MultiTree(tuple(entries))
+from support import doubling_dag, mt
 
 
 # --- oracle: the recursive canonical serialization ----------------------------
@@ -165,14 +162,6 @@ def deep_chain(depth: int) -> MultiTree:
     tree = LEAF
     for _ in range(depth):
         tree = mt(("a", tree, Count(1)))
-    return tree
-
-
-def doubling_dag(levels: int, bottom: Count = Count(1)) -> MultiTree:
-    """Each node holds the one node below twice, so 2**levels root paths."""
-    tree = mt(("a", LEAF, bottom))
-    for _ in range(levels - 1):
-        tree = mt(("a", tree, Count(1)), ("b", tree, Count(2)))
     return tree
 
 

@@ -19,7 +19,6 @@ from bisimkit.lts import (
 from bisimkit.nlmp import (
     PointmassNLMP,
     SubProbMeasure,
-    ZERO_MEASURE,
     greatest_state_bisim,
     is_z_closed,
     lift_support,
@@ -34,20 +33,9 @@ from bisimkit.uniform import (
     tree_process,
     uniform_bisim_search,
 )
+from support import measure, outcome, random_nlmp
 
 F = Fraction
-
-
-def R(*value) -> tuple:
-    """The reduced (num, den) pair of a rational, made through Fraction."""
-    f = Fraction(*value)
-    return f.numerator, f.denominator
-
-
-def measure(**masses) -> SubProbMeasure:
-    return SubProbMeasure.from_mapping(
-        {state: R(text) for state, text in masses.items()}
-    )
 
 
 def is_carrier(nlmp: PointmassNLMP, carrier) -> bool:
@@ -76,34 +64,6 @@ def oracle_is_saturated_pair(nlmp: PointmassNLMP, rel, s: str, s_prime: str) -> 
         if not all(any((x, y) in rel for y in level_prime) for x in level):
             return False
     return True
-
-
-def random_measure(rng: random.Random, states) -> SubProbMeasure:
-    if rng.random() < 0.1:
-        return ZERO_MEASURE
-    support = [s for s in states if rng.random() < 0.5][:3]
-    den = rng.choice((2, 3, 4))
-    weights = {}
-    remaining = den
-    for s in support:
-        w = rng.randint(0, remaining)
-        remaining -= w
-        if w:
-            weights[s] = R(w, den)
-    return SubProbMeasure.from_mapping(weights)
-
-
-def random_nlmp(rng: random.Random, n_states: int, labels=("a",)) -> PointmassNLMP:
-    states = tuple(f"s{i}" for i in range(n_states))
-    trans = {}
-    for s in states:
-        for a in labels:
-            if rng.random() < 0.35:
-                continue
-            trans[(s, a)] = frozenset(
-                random_measure(rng, states) for _ in range(rng.randint(1, 2))
-            )
-    return PointmassNLMP(tuple(labels), states, trans)
 
 
 def random_z_closed(rng: random.Random, left, right) -> frozenset:
@@ -206,7 +166,7 @@ class TestCompositionEnum:
     def test_starts_with_the_state(self):
         rng = random.Random(202)
         for _ in range(20):
-            nlmp = random_nlmp(rng, 4)
+            nlmp = random_nlmp(rng, 4, zero_chance=0.1)
             s = rng.choice(nlmp.states)
             assert composition_enum(nlmp, s)[0] == s
 
@@ -217,7 +177,7 @@ class TestCompositionEnum:
     def test_closure_is_the_reachable_carrier(self):
         rng = random.Random(203)
         for _ in range(30):
-            nlmp = random_nlmp(rng, 5)
+            nlmp = random_nlmp(rng, 5, zero_chance=0.1)
             s = rng.choice(nlmp.states)
             values = composition_enum(nlmp, s)
             assert len(set(values)) == len(values)
@@ -426,7 +386,7 @@ class TestWitnessMachinery:
         rng = random.Random(204)
         checked = 0
         for _ in range(80):
-            nlmp = random_nlmp(rng, 4)
+            nlmp = random_nlmp(rng, 4, zero_chance=0.1)
             states = nlmp.states
             x, x_prime = rng.choice(states), rng.choice(states)
             left = composition_enum(nlmp, x)
@@ -533,14 +493,6 @@ def oracle_gk_block(table, x, x_prime, rel, n, n_prime, a) -> bool:
     return True
 
 
-def outcome(fn, *args):
-    """The value, or the text of the ValueError raised."""
-    try:
-        return fn(*args)
-    except ValueError as err:
-        return f"error: {err}"
-
-
 class TestOneSidedBlockMatchesOracle:
     TABLES = 2000
 
@@ -582,7 +534,7 @@ class TestOneSidedBlockMatchesOracle:
 class TestSearch:
     def test_state_against_itself(self):
         rng = random.Random(205)
-        nlmp = random_nlmp(rng, 4)
+        nlmp = random_nlmp(rng, 4, zero_chance=0.1)
         s = nlmp.states[0]
         verdict, witness = uniform_bisim_search(nlmp, s, s)
         assert verdict
@@ -602,7 +554,7 @@ class TestSearch:
     def test_agreement_with_the_ambient_fixpoint(self):
         rng = random.Random(206)
         for _ in range(25):
-            nlmp = random_nlmp(rng, 4)
+            nlmp = random_nlmp(rng, 4, zero_chance=0.1)
             ambient = greatest_state_bisim(nlmp)
             s, s_prime = rng.choice(nlmp.states), rng.choice(nlmp.states)
             verdict, witness = uniform_bisim_search(nlmp, s, s_prime)

@@ -330,8 +330,8 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     src = Path(bisimkit.__file__).resolve().parent.parent
     code = (
         "import sys; import bisimkit.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers', 'random'}"
-        " & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers', 'random',"
+        " 'typing'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
